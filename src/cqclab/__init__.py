@@ -12,6 +12,7 @@ from .capacity3 import (
     CapacityResult3,
     ChannelMatrix,
     ITildeValue,
+    UncertifiedSolveError,
     channel_matrix,
     h_check,
     i_tilde,
@@ -70,6 +71,7 @@ __all__ = [
     "SchedulerTrace",
     "TiltSolution",
     "TransmissionReport",
+    "UncertifiedSolveError",
     "binomial_pmf",
     "build_codebook_2user",
     "build_codebook_3user",

@@ -12,7 +12,11 @@ mixed-window concavity inequality has certified counterexamples (see
 
 The inner maximization (max output entropy over a simplex slice) is smooth
 and strictly concave, solved by a log-barrier Newton path with an LP duality
-gap certificate below 1e-9 nats.
+gap certificate below GAP_TOL = 1e-9 nats. One solver serves a single point
+and a whole stack of mean constraints alike: every row advances in the same
+batched KKT solve, so an i_tilde table or a sweep group takes about as many
+numpy calls as its slowest point. A point that cannot be certified raises
+UncertifiedSolveError instead of being returned.
 """
 
 from __future__ import annotations
@@ -21,14 +25,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import minimize
 
-from .dist import Pmf, binomial_pmf, entropy, solve_tilt, tilted_pmf
+from .dist import Pmf, binomial_pmf, entropy
 
 LN2 = math.log(2.0)
 
 GAP_TOL = 1e-9  # nats; certified suboptimality of the inner maximization
-MAX_ITERS = 10_000
+FEAS_TOL = 1e-10  # largest sum / mean residual of a certified inner maximizer
 _MU_STAGES = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 5e-13)
 
 TABLE_STEP = 2e-3  # gamma resolution of the interpolation tables
@@ -37,6 +41,11 @@ GRID_STEP = 1e-3  # (alpha, gamma1) scan resolution, as in the two-user solver
 
 class InfeasibleError(ValueError):
     """No (alpha, gamma1, gamma2, tau) satisfies the rate budget."""
+
+
+class UncertifiedSolveError(RuntimeError):
+    """An inner max-entropy solve kept an LP gap above GAP_TOL, or a point
+    off its constraint slice, from every start of the three-start guard."""
 
 
 @dataclass(frozen=True)
@@ -120,60 +129,72 @@ def output_mean_check(input_pmf: Pmf, tau: int, r_p: float) -> float:
     return float(np.arange(py.size) @ py)
 
 
-def _entropy_nats(p: np.ndarray) -> float:
-    nz = p[p > 1e-300]
-    return float(-(nz * np.log(nz)).sum())
-
-
-def _lp_gap(g: np.ndarray, p: np.ndarray, m: float) -> float:
-    """Linearized suboptimality bound max over the slice of <g, q - p>.
+def _lp_gaps(g: np.ndarray, p: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Linearized suboptimality bound max over the slice of <g, q - p>, per row.
 
     The vertices of {q >= 0, sum q = 1, mean q = m} are two-point mixtures
-    on (i, j) with i <= m <= j, so the LP maximum is explicit.
+    on (i, j) with i <= m <= j, so each row's LP maximum is explicit.
     """
-    k = p.size - 1
-    idx = np.arange(k + 1)
-    lo = idx[idx <= m]
-    hi = idx[idx >= m]
-    I, J = np.meshgrid(lo, hi, indexing="ij")
-    span = np.where(J > I, J - I, 1)
-    vals = np.where(J > I, ((J - m) * g[I] + (m - I) * g[J]) / span, g[I])
-    return float(vals.max() - g @ p)
+    idx = np.arange(p.shape[1], dtype=float)
+    I, J = idx[:, None], idx[None, :]
+    mm = m[:, None, None]
+    gi, gj = g[:, :, None], g[:, None, :]
+    span = np.where(J > I, J - I, 1.0)
+    vals = np.where(J > I, ((J - mm) * gi + (mm - I) * gj) / span, gi)
+    vals = np.where((I <= mm) & (J >= mm), vals, -np.inf)
+    return vals.max(axis=(1, 2)) - (g * p).sum(axis=1)
 
 
-def _tilt_logw_to_mean(logw: np.ndarray, m: float) -> np.ndarray:
-    """Exponentially tilt log-weights so the normalized pmf has mean m."""
-    i = np.arange(logw.size, dtype=float)
+def _tilt_logw_to_mean(logw: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Exponentially tilt each row of log-weights so its normalized pmf has
+    mean m[row].
 
-    def pm(s):
-        z = logw + s * i
-        z -= z.max()
-        w = np.exp(z)
-        return w / w.sum()
+    The mean is increasing in the tilt s, with derivative the variance, so
+    each row takes Newton steps from s = 0 and bisects instead whenever a
+    step leaves the bracket its signs have established, within |s| <= 1e5.
+    A row whose root lies beyond that gets the pmf at the limit.
+    """
+    i = np.arange(logw.shape[1], dtype=float)
+    lo = np.full(m.size, -1e5)
+    hi = np.full(m.size, 1e5)
+    s = np.zeros(m.size)
+    for _ in range(200):
+        z = logw + s[:, None] * i
+        w = np.exp(z - z.max(axis=1, keepdims=True))
+        p = w / w.sum(axis=1, keepdims=True)
+        mean = p @ i
+        f = mean - m
+        lo = np.where(f < 0, s, lo)
+        hi = np.where(f > 0, s, hi)
+        var = ((i - mean[:, None]) ** 2 * p).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = s - f / var
+        s_new = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
+        if (np.abs(s_new - s) <= 1e-13 + 8.9e-16 * np.abs(s)).all():
+            break
+        s = s_new
+    return p
 
-    def f(s):
-        return float(i @ pm(s)) - m
 
-    lo, hi = -80.0, 80.0
-    while f(lo) > 0 and lo > -1e5:
-        lo *= 2
-    while f(hi) < 0 and hi < 1e5:
-        hi *= 2
-    if f(lo) > 0 or f(hi) < 0:
-        return pm(lo if f(lo) > 0 else hi)
-    s = brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200)
-    return pm(s)
+def _entropy_rows(py: np.ndarray) -> np.ndarray:
+    """Entropy in nats of each row, skipping entries at or below 1e-300."""
+    return -(py * np.log(np.where(py > 1e-300, py, 1.0))).sum(axis=1)
 
 
 class _SliceEntropySolver:
-    """max H(B p) over {p >= 0, sum p = 1, mean p = m} for one (k, r_p).
+    """max H(B p) over {p >= 0, sum p = 1, mean p = m} for one (k, r_p),
+    for a whole stack of mean constraints at once.
 
     Log-barrier Newton path following: the objective is strictly concave
     (the shifted-binomial rows are linearly independent), the barrier keeps
     iterates strictly positive, and each stage's equality-constrained Newton
     system carries a residual-correction term so slightly infeasible warm
-    starts are pulled back onto the constraint plane. The final iterate is
-    certified by the LP gap.
+    starts are pulled back onto the constraint plane. Every row advances in
+    the same batched KKT solve but keeps its own step length, line search
+    and stopping test; a single point is the one-row case. Each final
+    iterate is certified by its LP gap and its distance from the slice; an
+    uncertified row is re-solved from the other default starts, and one
+    still uncertified raises UncertifiedSolveError.
     """
 
     def __init__(self, k: int, r_p: float):
@@ -182,111 +203,148 @@ class _SliceEntropySolver:
         full = channel_matrix(k, r_p).rows
         self.col_mask = full.sum(axis=0) > 0
         self.B = np.ascontiguousarray(full[:, self.col_mask])
+        self.Bt = np.ascontiguousarray(self.B.T)
         self.x = np.arange(k + 1.0)
         self.noise_entropy_bits = entropy(binomial_pmf(k, r_p))
 
-    def value_nats(self, p: np.ndarray) -> float:
-        return _entropy_nats(np.maximum(p, 0.0) @ self.B)
+    def values_nats(self, p: np.ndarray) -> np.ndarray:
+        return _entropy_rows(np.maximum(p, 0.0) @ self.B)
 
-    def grad_nats(self, p: np.ndarray) -> np.ndarray:
+    def grads_nats(self, p: np.ndarray) -> np.ndarray:
         py = np.maximum(np.maximum(p, 0.0) @ self.B, 1e-300)
-        return -(self.B @ (np.log(py) + 1.0))
+        return -((np.log(py) + 1.0) @ self.Bt)
 
-    def _barrier_stage(self, p: np.ndarray, m: float, mu: float, budget: list) -> np.ndarray:
-        n = p.size
-        p = np.maximum(p, 1e-150)  # barrier needs strict positivity (and p**2 > 0)
-        A = np.vstack([np.ones(n), self.x])
-        b = np.array([1.0, m])
-        for _ in range(60):
-            if budget[0] <= 0:
-                break
-            budget[0] -= 1
-            py = np.maximum(p @ self.B, 1e-300)
-            g = -(self.B @ (np.log(py) + 1.0)) + mu / p
-            H = -(self.B / py) @ self.B.T
-            H[np.diag_indices(n)] -= mu / p**2
-            kkt = np.block([[H, A.T], [A, np.zeros((2, 2))]])
-            rhs = np.concatenate([-g, b - A @ p])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-            dp = sol[:n]
-            step = float(np.abs(dp).max())
-            if step < 1e-14:
-                break
-            t = 1.0
-            neg = dp < 0
-            if neg.any():
-                t = min(1.0, 0.99 * float((p[neg] / -dp[neg]).min()))
+    def _barrier_path(self, p: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """Run every mu stage of the barrier path on each row of p.
 
-            def merit(q):
-                return self.value_nats(q) + mu * float(np.log(q).sum())
+        A row leaves a stage after 60 Newton steps, on a step below 1e-14,
+        when its line search fails, or once it moves less than 1e-13.
+        """
+        rows, n = p.shape
+        B, Bt, x = self.B, self.Bt, self.x
+        kkt = np.zeros((rows, n + 2, n + 2))
+        kkt[:, :n, n] = kkt[:, n, :n] = 1.0
+        kkt[:, :n, n + 1] = kkt[:, n + 1, :n] = x
+        rhs = np.empty((rows, n + 2, 1))
+        for mu in _MU_STAGES:
+            p = np.maximum(p, 1e-150)  # barrier needs strict positivity (and p**2 > 0)
+            live, q, mm = np.arange(rows), p, m  # rows still moving, their iterates and means
+            for _ in range(60):
+                K, r = kkt[: live.size], rhs[: live.size]
+                py = np.maximum(q @ B, 1e-300)
+                logpy = np.log(py)
+                np.matmul(B / -py[:, None, :], Bt, out=K[:, :n, :n])
+                K.reshape(live.size, -1)[:, : n * (n + 3) : n + 3] -= mu / q**2  # diagonal
+                r[:, :n, 0] = (logpy + 1.0) @ Bt - mu / q
+                r[:, n, 0] = 1.0 - q.sum(axis=1)
+                r[:, n + 1, 0] = mm - q @ x
+                try:
+                    sol = np.linalg.solve(K, r)
+                except np.linalg.LinAlgError:  # a singular row: least squares, row by row
+                    sol = np.stack([np.linalg.lstsq(a, b, rcond=None)[0]
+                                    for a, b in zip(K, r)])
+                dp = sol[:, :n, 0]
+                step = np.abs(dp).max(axis=1)
+                ratio = np.divide(q, -dp, out=np.full_like(q, np.inf), where=dp < 0)
+                t = np.minimum(1.0, 0.99 * ratio.min(axis=1))
 
-            base = merit(p)
-            accepted = False
-            for _ in range(50):
-                cand = p + t * dp
-                if cand.min() > 0 and merit(cand) >= base - 1e-12:
-                    accepted = True
-                    break
-                t *= 0.5
-            if not accepted:
-                break
-            p = np.maximum(p + t * dp, 1e-150)
-            if step * t < 1e-13:
-                break
+                base = _entropy_rows(py) + mu * np.log(q).sum(axis=1)
+                todo = step >= 1e-14
+                accepted = np.zeros(live.size, dtype=bool)
+                for _ in range(50):
+                    cand = q + t[:, None] * dp
+                    pos = cand > 0
+                    barrier = np.log(np.where(pos, cand, 1.0)).sum(axis=1)
+                    merit = self.values_nats(cand) + mu * barrier
+                    ok = todo & pos.all(axis=1) & (merit >= base - 1e-12)
+                    accepted |= ok
+                    todo &= ~ok
+                    if not todo.any():
+                        break
+                    t[todo] *= 0.5
+                q = np.where(accepted[:, None], np.maximum(cand, 1e-150), q)
+                keep = accepted & (step * t >= 1e-13)
+                if not keep.all():
+                    p[live] = q
+                    live, q, mm = live[keep], q[keep], mm[keep]
+                    if live.size == 0:
+                        break
+            p[live] = q
         return p
 
-    def _default_starts(self, gamma: float) -> list[np.ndarray]:
-        k, m = self.k, self.k * gamma
-        base = tilted_pmf(k, solve_tilt(k, m).lam).probs
-        uniform = np.full(k + 1, 1.0 / (k + 1))
-        if gamma <= 0.5:
-            unif_mix = 2 * gamma * uniform
-            unif_mix[0] += 1 - 2 * gamma
-        else:
-            unif_mix = 2 * (1 - gamma) * uniform
-            unif_mix[k] += 1 - 2 * (1 - gamma)
-        endpoint = np.zeros(k + 1)
-        endpoint[0], endpoint[k] = 1 - gamma, gamma
-        return [
-            base,
-            0.99 * unif_mix + 0.01 * base,
-            0.99 * endpoint + 0.01 * base,
-        ]
+    def _certify(self, starts: np.ndarray, m: np.ndarray):
+        p = self._barrier_path(starts, m)
+        gap = _lp_gaps(self.grads_nats(p), p, m)
+        # the LP bound certifies only a point on the constraint slice
+        residual = np.maximum(np.abs(p.sum(axis=1) - 1.0), np.abs(p @ self.x - m))
+        gap[residual > FEAS_TOL] = np.inf
+        return p, self.values_nats(p), gap
 
-    def solve(self, gamma: float, init: np.ndarray | None = None):
-        """Returns (max entropy in bits, maximizing pmf, certified gap in nats)."""
+    def solve(self, gammas, init: np.ndarray | None = None):
+        """Solve every mean constraint k * gammas[row] in one batch.
+
+        `init` optionally holds one warm-start pmf per row. Returns (max
+        entropy in bits, maximizing pmfs, certified gaps in nats), one row
+        per gamma. Interior rows start from `init` (re-tilted onto their
+        mean) or the tilted pmf; rows left uncertified (gap above GAP_TOL or
+        off the slice, reported as an infinite gap) are re-solved from the
+        remaining default starts (uniform-feasible and endpoint mixtures,
+        plus the tilted pmf after a warm start) and keep the best certified
+        result.
+        """
         k = self.k
-        m = k * gamma
-        if gamma <= 0.0 or gamma >= 1.0 or k == 1:
-            if k == 1:
-                p = np.array([1.0 - gamma, gamma])
-            else:
-                p = np.zeros(k + 1)
-                p[0 if gamma <= 0.0 else k] = 1.0
-            return self.value_nats(p) / LN2, p, 0.0
-        if init is not None:
-            q = np.maximum(np.asarray(init, dtype=float), 1e-300)
-            starts = [_tilt_logw_to_mean(np.log(q), m)]
+        gammas = np.asarray(gammas, dtype=float)
+        p = np.zeros((gammas.size, k + 1))
+        gaps = np.zeros(gammas.size)
+        if k == 1:
+            p[:, 0], p[:, 1] = 1.0 - gammas, gammas
+            inner = np.empty(0, dtype=int)
         else:
-            starts = [_tilt_logw_to_mean(np.log(np.maximum(s, 1e-300)), m)
-                      for s in self._default_starts(gamma)]
-        best = (-np.inf, None, np.inf)
-        for p0 in starts:
-            budget = [MAX_ITERS]
-            p = p0
-            for mu in _MU_STAGES:
-                p = self._barrier_stage(p, m, mu, budget)
-            gap = _lp_gap(self.grad_nats(p), p, m)
-            v = self.value_nats(p)
-            if v > best[0]:
-                best = (v, p, gap)
-        if best[2] > GAP_TOL and init is not None:
-            # warm start led nowhere certifiable; redo with the full guard
-            return self.solve(gamma, init=None)
-        return best[0] / LN2, best[1], best[2]
+            p[gammas <= 0.0, 0] = 1.0
+            p[gammas >= 1.0, k] = 1.0
+            inner = np.flatnonzero((gammas > 0.0) & (gammas < 1.0))
+        if inner.size:
+            g = gammas[inner]
+            m = k * g
+            if init is None:
+                logw = np.zeros((g.size, k + 1))
+            else:
+                logw = np.log(np.maximum(np.asarray(init, dtype=float)[inner], 1e-300))
+            q, _, gap = self._certify(_tilt_logw_to_mean(logw, m), m)
+            bad = np.flatnonzero(gap > GAP_TOL)
+            if bad.size:
+                q[bad], gap[bad] = self._guard(g[bad], retry_base=init is not None)
+            p[inner], gaps[inner] = q, gap
+        return self.values_nats(p) / LN2, p, gaps
+
+    def _guard(self, g: np.ndarray, retry_base: bool):
+        """Re-solve uncertified rows from the other default starts, batched."""
+        k = self.k
+        base = _tilt_logw_to_mean(np.zeros((g.size, k + 1)), k * g)
+        w = 2 * np.minimum(g, 1 - g)  # uniform share; the rest sits on the near endpoint
+        unif_mix = w[:, None] * np.full(k + 1, 1.0 / (k + 1))
+        unif_mix[np.arange(g.size), np.where(g <= 0.5, 0, k)] += 1 - w
+        endpoint = np.zeros_like(base)
+        endpoint[:, 0], endpoint[:, k] = 1 - g, g
+        starts = [0.99 * unif_mix + 0.01 * base, 0.99 * endpoint + 0.01 * base]
+        if retry_base:
+            starts.insert(0, base)
+        m = np.tile(k * g, len(starts))
+        logw = np.log(np.maximum(np.concatenate(starts), 1e-300))
+        p, val, gap = self._certify(_tilt_logw_to_mean(logw, m), m)
+        shape = (len(starts), g.size)
+        p, val, gap = p.reshape(*shape, k + 1), val.reshape(shape), gap.reshape(shape)
+        val = np.where(gap <= GAP_TOL, val, -np.inf)
+        best = val.argmax(axis=0)
+        cols = np.arange(g.size)
+        uncertified = np.isinf(val[best, cols])
+        if uncertified.any():
+            j = int(np.flatnonzero(uncertified)[0])
+            raise UncertifiedSolveError(
+                f"inner solve at gamma={g[j]}, k={k}, r_p={self.r_p} has LP gap "
+                f"{gap[:, j].min():.3e} nats > GAP_TOL={GAP_TOL:.0e} from every start"
+            )
+        return p[best, cols], gap[best, cols]
 
 
 _solver_cache: dict[tuple[int, float], _SliceEntropySolver] = {}
@@ -307,14 +365,14 @@ def h_check(gamma: float, k: int, r_p: float) -> tuple[float, Pmf]:
     The output is the input convolved with Bin(k, r_p). Solved via the
     barrier Newton path with a three-start guard (tilted, uniform-feasible
     mixture, endpoint mixture); the returned point carries an LP gap below
-    1e-9 nats.
+    GAP_TOL (1e-9 nats), or UncertifiedSolveError is raised.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"infeasible mean: gamma={gamma} outside [0, 1]")
-    bits, p, _gap = _solver(k, r_p).solve(gamma)
-    return bits, Pmf(p)
+    bits, p, _gap = _solver(k, r_p).solve([gamma])
+    return float(bits[0]), Pmf(p[0])
 
 
 def i_tilde(gamma: float, k: int, r_p: float) -> ITildeValue:
@@ -331,29 +389,27 @@ def i_tilde(gamma: float, k: int, r_p: float) -> ITildeValue:
 
 
 def i_tilde_curve(gammas, k: int, r_p: float) -> np.ndarray:
-    """i_tilde values (bits per slot) over an increasing gamma sweep.
+    """i_tilde values (bits per slot) over a nondecreasing gamma grid in [0, 1].
 
-    Each inner solve warm-starts from its neighbor's maximizer (re-tilted
-    onto the new mean constraint), which makes dense sweeps roughly an order
-    of magnitude cheaper than independent solves.
+    All points are solved cold in one batched barrier-Newton call, each
+    certified like a single `i_tilde` solve (UncertifiedSolveError
+    otherwise), so the curve agrees with pointwise solves.
     """
     gammas = np.asarray(gammas, dtype=float)
     if gammas.ndim != 1 or (np.diff(gammas) < 0).any():
         raise ValueError("gammas must be a nondecreasing 1-D grid")
+    if not (np.isfinite(gammas) & (gammas >= 0.0) & (gammas <= 1.0)).all():
+        raise ValueError("gammas must be finite and lie in [0, 1]")
     sv = _solver(k, r_p)
-    out = np.empty(len(gammas))
-    prev = None
-    for idx, g in enumerate(gammas):
-        bits, prev, _ = sv.solve(float(g), init=prev)
-        out[idx] = (bits - sv.noise_entropy_bits) / k
-    return np.maximum(out, 0.0)
+    bits, _, _ = sv.solve(gammas)
+    return np.maximum((bits - sv.noise_entropy_bits) / k, 0.0)
 
 
 def _i_tilde_fast(gamma: float, k: int, r_p: float, warm: dict) -> float:
     sv = _solver(k, r_p)
-    bits, p, _ = sv.solve(gamma, init=warm.get(k))
+    bits, p, _ = sv.solve([gamma], init=warm.get(k))
     warm[k] = p
-    return max((bits - sv.noise_entropy_bits) / k, 0.0)
+    return max((float(bits[0]) - sv.noise_entropy_bits) / k, 0.0)
 
 
 def solve_capacity_3user(r_p: float, tau_max: int = 8) -> CapacityResult3:
@@ -369,8 +425,9 @@ def solve_capacity_3user(r_p: float, tau_max: int = 8) -> CapacityResult3:
     counterexamples for r_p > 0, so there the returned value can fall short
     of the best mix over all window lengths up to tau_max. Each
     per-tau problem eliminates gamma2, scans (alpha, gamma1) on a 1e-3 grid
-    against interpolated i_tilde tables, then refines on the exact objective.
-    All per-tau optima are kept for audit.
+    against interpolated i_tilde tables (each window length's table is
+    built once per call and shared by the two tau steps that use it), then
+    refines on the exact objective. All per-tau optima are kept for audit.
     """
     if not 0.0 <= r_p < 1.0:
         raise ValueError("r_p must lie in [0, 1)")
@@ -385,12 +442,15 @@ def solve_capacity_3user(r_p: float, tau_max: int = 8) -> CapacityResult3:
 
     gammas = np.arange(0.0, 1.0 + TABLE_STEP / 2, TABLE_STEP)
     alphas = np.arange(0.0, 1.0, GRID_STEP)
+    tables: dict[int, np.ndarray] = {}  # window length -> i_tilde table, built once
     per_tau: dict[int, float] = {}
     best = None
     prev_val = -np.inf
     for tau in feasible_taus:
-        table1 = i_tilde_curve(gammas, tau, r_p)
-        table2 = i_tilde_curve(gammas, tau + 1, r_p)
+        for k in (tau, tau + 1):
+            if k not in tables:
+                tables[k] = i_tilde_curve(gammas, k, r_p)
+        table1, table2 = tables[tau], tables[tau + 1]
         inv1, inv2 = 1.0 / tau, 1.0 / (tau + 1)
 
         A, G1 = np.meshgrid(alphas, gammas, indexing="ij")
@@ -567,27 +627,23 @@ def validate_i_concavity(
         g3s = rng.uniform(0.0, 1.0, size=samples)
         rps = rng.choice(rp_grid, size=samples)
         alpha = (k - 1) / (2.0 * k)
-        # group by r_p and sweep each group in sorted-gamma order so the
-        # inner solves can be warm-started
-        order = np.lexsort((alpha * g1s + (1 - alpha) * g3s, rps))
-        sv_cache: dict[float, tuple] = {}
-        for idx in order:
-            g1, g3, rp = float(g1s[idx]), float(g3s[idx]), float(rps[idx])
-            g2 = alpha * g1 + (1 - alpha) * g3
-            if rp not in sv_cache:
-                sv_cache = {rp: (_solver(k - 1, rp), _solver(k, rp), _solver(k + 1, rp), {})}
-            s1, s2, s3, warm = sv_cache[rp]
-            b2, w2, gap2 = s2.solve(g2, init=warm.get("m"))
-            b1, w1, gap1 = s1.solve(g1, init=warm.get("l"))
-            b3, w3, gap3 = s3.solve(g3, init=warm.get("r"))
-            warm.update(m=w2, l=w1, r=w3)
-            max_gap = max(max_gap, gap1, gap2, gap3)
-            margin = 2 * b2 - b1 - b3 + binomial_entropy_gap(k, rp)
-            total += 1
-            if margin < worst[0]:
-                worst = (margin, (k, g1, g3, rp))
-            if margin < -tolerance:
-                violations += 1
+        g2s = alpha * g1s + (1 - alpha) * g3s
+        margins = np.empty(samples)
+        for rp in np.unique(rps):
+            sel = rps == rp
+            b2, _, gap2 = _solver(k, rp).solve(g2s[sel])
+            b1, _, gap1 = _solver(k - 1, rp).solve(g1s[sel])
+            b3, _, gap3 = _solver(k + 1, rp).solve(g3s[sel])
+            max_gap = max(max_gap, gap1.max(), gap2.max(), gap3.max())
+            margins[sel] = 2 * b2 - b1 - b3 + binomial_entropy_gap(k, float(rp))
+        total += samples
+        violations += int((margins < -tolerance).sum())
+        if samples:
+            # ties go to the first sample in (r_p, gamma2) order
+            order = np.lexsort((g2s, rps))
+            i = int(order[np.argmin(margins[order])])
+            if margins[i] < worst[0]:
+                worst = (float(margins[i]), (k, float(g1s[i]), float(g3s[i]), float(rps[i])))
     return ConcavityReport(
         samples=total,
         tau_max=tau_max,
@@ -595,5 +651,5 @@ def validate_i_concavity(
         worst_location=worst[1],
         violations=violations,
         tolerance=tolerance,
-        max_gap_nats=max_gap,
+        max_gap_nats=float(max_gap),
     )

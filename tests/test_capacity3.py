@@ -1,9 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from cqclab import capacity3
 from cqclab.capacity3 import (
     GAP_TOL,
     InfeasibleError,
+    UncertifiedSolveError,
     binomial_entropy_gap,
     channel_matrix,
     concavity_margin,
@@ -103,6 +108,18 @@ class TestHCheck:
             assert p.mean() == pytest.approx(k * g, abs=1e-8)
             assert p.probs.min() >= 0
 
+    @pytest.mark.parametrize("g, k, rp", [(1e-12, 4, 0.3), (1e-9, 4, 0.3), (1e-8, 8, 0.7)])
+    def test_tiny_mean_stays_on_the_slice(self, g, k, rp):
+        # from the tilted start the barrier path drifts off the constraint
+        # plane here (sum well above 1, negative LP gap); that point must
+        # not pass as certified, and the guard's other starts find the optimum
+        bits, p = h_check(g, k, rp)
+        assert p.mean() == pytest.approx(k * g, abs=1e-10)
+        q = np.zeros(k + 1)
+        q[0], q[1] = 1 - k * g, k * g  # a feasible point: its entropy is a lower bound
+        lower = entropy(Pmf(np.convolve(q, binomial_pmf(k, rp).probs)))
+        assert lower - 1e-9 <= bits <= lower + 1e-6
+
 
 class TestITilde:
     def test_binary_symmetric_point(self):
@@ -167,17 +184,34 @@ class TestITilde:
             )
             assert val.bits_per_slot == pytest.approx(mi / k, abs=1e-9)
 
-    def test_curve_matches_scalar_solves(self):
-        gs = np.arange(0.0, 1.0001, 0.05)
-        curve = i_tilde_curve(gs, 3, 0.2)
-        for g, v in zip(gs[::4], curve[::4]):
+    @pytest.mark.parametrize("k, rp", [(1, 0.2), (3, 0.2), (5, 0.1), (8, 0.3)])
+    def test_curve_matches_scalar_solves(self, k, rp):
+        gs = np.linspace(0.0, 1.0, 21)
+        curve = i_tilde_curve(gs, k, rp)
+        for g, v in zip(gs, curve):
             assert v == pytest.approx(
-                i_tilde(float(g), 3, 0.2).bits_per_slot, abs=1e-8
+                i_tilde(float(g), k, rp).bits_per_slot, abs=1e-9
             )
 
     def test_curve_rejects_unsorted_grid(self):
         with pytest.raises(ValueError):
             i_tilde_curve([0.5, 0.2], 2, 0.1)
+
+    @pytest.mark.parametrize(
+        "gammas", [[0.5, 1.2, 3.0], [-0.5, 0.5], [0.2, np.nan], [0.2, np.inf]]
+    )
+    def test_curve_rejects_gamma_outside_unit_interval(self, gammas):
+        with pytest.raises(ValueError):
+            i_tilde_curve(gammas, 2, 0.1)
+
+    def test_uncertified_solve_raises(self, monkeypatch):
+        # no barrier iterate reaches a gap of 1e-30 nats, so every start of
+        # the guard fails and the solve must refuse rather than return
+        monkeypatch.setattr(capacity3, "GAP_TOL", 1e-30)
+        with pytest.raises(UncertifiedSolveError):
+            h_check(0.3, 3, 0.2)
+        with pytest.raises(UncertifiedSolveError):
+            i_tilde_curve(np.linspace(0.0, 1.0, 11), 3, 0.2)
 
     def test_first_argument_concavity(self):
         rng = np.random.default_rng(5)
@@ -192,6 +226,76 @@ class TestITilde:
                 + (1 - a) * i_tilde(float(g3), k, rp).bits_per_slot
             )
             assert lhs <= i_tilde(g2, k, rp).bits_per_slot + 1e-9
+
+
+class TestBatchedSolver:
+    def test_lp_gaps_match_vertex_enumeration(self):
+        rng = np.random.default_rng(11)
+        g = rng.normal(size=(40, 6))
+        p = rng.dirichlet(np.ones(6), size=40)
+        m = np.concatenate([p[:-2] @ np.arange(6.0), [0.0, 3.0]])
+        got = capacity3._lp_gaps(g, p, m)
+        for row in range(40):
+            best = -np.inf
+            for i in range(6):
+                for j in range(i, 6):
+                    if i <= m[row] <= j:
+                        v = g[row, i] if j == i else (
+                            ((j - m[row]) * g[row, i] + (m[row] - i) * g[row, j]) / (j - i)
+                        )
+                        best = max(best, v)
+            assert got[row] == pytest.approx(best - g[row] @ p[row], abs=1e-12)
+
+    def test_tilt_matches_scalar_root(self):
+        rng = np.random.default_rng(12)
+        logw = np.log(rng.dirichlet(np.ones(5), size=30))
+        m = rng.uniform(0.01, 3.99, size=30)
+        got = capacity3._tilt_logw_to_mean(logw, m)
+        idx = np.arange(5.0)
+
+        def pm(row, s):
+            w = np.exp(logw[row] + s * idx - (logw[row] + s * idx).max())
+            return w / w.sum()
+
+        for row in range(30):
+            s = brentq(lambda s: pm(row, s) @ idx - m[row], -200.0, 200.0, xtol=1e-14)
+            assert np.allclose(got[row], pm(row, s), atol=1e-12)
+            assert got[row] @ idx == pytest.approx(m[row], abs=1e-12)
+
+    def test_batch_rows_match_single_solves(self):
+        sv = capacity3._SliceEntropySolver(4, 0.15)
+        gs = np.array([0.0, 0.07, 0.5, 0.93, 1.0])
+        bits, p, gaps = sv.solve(gs)
+        assert (gaps <= GAP_TOL).all()
+        for g, b, row in zip(gs, bits, p):
+            b1, p1, _ = sv.solve([g])
+            assert b == pytest.approx(b1[0], abs=1e-12)
+            assert np.allclose(row, p1[0], atol=1e-9)
+            assert row @ np.arange(5.0) == pytest.approx(4 * g, abs=1e-9)
+
+    def test_guard_starts_reach_the_same_optimum(self):
+        # the fallback starts (tilted, uniform-feasible and endpoint
+        # mixtures) must certify the point the first start finds
+        sv = capacity3._SliceEntropySolver(5, 0.3)
+        gs = np.array([0.02, 0.3, 0.5, 0.71, 0.98])
+        bits, p, _ = sv.solve(gs)
+        q, gaps = sv._guard(gs, retry_base=True)
+        assert (gaps <= GAP_TOL).all()
+        assert np.allclose(sv.values_nats(q) / capacity3.LN2, bits, atol=1e-12)
+        assert np.allclose(q, p, atol=1e-9)
+
+    def test_singular_kkt_falls_back_to_least_squares(self, monkeypatch):
+        sv = capacity3._SliceEntropySolver(3, 0.2)
+        gs = np.array([0.1, 0.5, 0.8])
+        ref, _, _ = sv.solve(gs)
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        bits, _, gaps = sv.solve(gs)
+        assert np.allclose(bits, ref, atol=1e-12)
+        assert (gaps <= GAP_TOL).all()
 
 
 class TestCapacity3:
@@ -238,6 +342,19 @@ class TestCapacity3:
     def test_infeasible_budget(self):
         with pytest.raises(InfeasibleError):
             solve_capacity_3user(0.6, tau_max=2)
+
+    def test_each_table_built_once(self, monkeypatch):
+        built = Counter()
+        real = capacity3.i_tilde_curve
+
+        def counting(gammas, k, r_p):
+            built[k] += 1
+            return real(gammas, k, r_p)
+
+        monkeypatch.setattr(capacity3, "i_tilde_curve", counting)
+        res = solve_capacity_3user(0.3, tau_max=8)
+        assert res.tau_star == 2
+        assert built == {1: 1, 2: 1, 3: 1, 4: 1}
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
