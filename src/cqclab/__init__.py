@@ -48,7 +48,7 @@ from .dist import (
 from .fcfs import (
     ArrivalSchedule,
     DriftReport,
-    ProbeObservation,
+    ProbeObservations,
     SchedulerTrace,
     empirical_channel_law,
     observe,
@@ -66,7 +66,7 @@ __all__ = [
     "HTildeValue",
     "ITildeValue",
     "Pmf",
-    "ProbeObservation",
+    "ProbeObservations",
     "ProbeTemplate",
     "SchedulerTrace",
     "TiltSolution",

@@ -19,22 +19,13 @@ from . import __version__
 from .capacity2 import solve_capacity_2user, solve_on_alpha_slice
 from .capacity3 import i_tilde_curve, solve_capacity_3user, validate_i_concavity
 from .coding import (
-    ProbeTemplate,
+    _codebook_transmissions,
     build_codebook_2user,
     build_codebook_3user,
-    probe_stream,
     run_transmission,
 )
 from .dist import entropy, h_tilde, solve_tilt
-from .fcfs import (
-    BACKGROUND,
-    DECODER,
-    ENCODER,
-    ArrivalSchedule,
-    simulate,
-    stability_probe,
-    trace_to_csv_rows,
-)
+from .fcfs import stability_probe, trace_to_csv_rows
 
 
 def _fmt(x) -> str:
@@ -192,19 +183,10 @@ def cmd_simulate(args) -> int:
     }
     _emit(args, cfg, lines)
     if args.trace:
-        rng = np.random.default_rng(args.seed)
-        msg = int(rng.integers(cb.M))
-        probe_full = np.append(
-            probe_stream(ProbeTemplate.for_codebook(cb)).slots, np.int8(1)
-        )
-        decoder = ArrivalSchedule(DECODER, probe_full)
-        encoder = ArrivalSchedule(ENCODER, np.append(cb.codewords[msg], np.int8(0)))
-        bg = None
-        if background is not None:
-            bg = ArrivalSchedule.bernoulli(BACKGROUND, background, cb.n + 1, rng)
-        backlog = args.backlog if args.backlog is not None else cb.n + cb.tau_star + 1
-        trace = simulate(decoder, encoder, bg, initial_backlog=backlog)
-        rows = trace_to_csv_rows(trace, decoder, encoder, bg)
+        # the first message of the run above, on the same seed
+        run = _codebook_transmissions(cb, background, args.seed, args.backlog)
+        msg, trace, schedules = next(run)
+        rows = trace_to_csv_rows(trace, *schedules)
         with open(args.trace, "w") as fh:
             fh.write(f"# tool=cqclab version={__version__}\n")
             fh.write(f"# command=simulate-trace message={msg} seed={args.seed}\n")

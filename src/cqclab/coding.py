@@ -1,20 +1,26 @@
 """Achievability coding over the queueing channel: codebooks, probe streams,
 encoding, decoding, and Monte-Carlo error measurement.
 
-A codeword of length n splits into a first segment of alpha_slots slots
-carved into windows of length tau_star and a second segment carved into
-windows of length tau_star + 1. Each window holds one symbol: count i maps
-to i ones followed by zeros, so the per-window packet count identifies the
-symbol exactly. The decoder's probe stream puts a packet at every window
-boundary; with a primed queue the observed per-interval counts equal the
+One window layout, `ProbeTemplate`, describes a codeword of length n: a
+first segment of alpha_slots slots carved into windows of length tau_star,
+then a second segment carved into windows of length tau_star + 1. Its
+per-window `widths` and `starts` serve every window operation: the
+codebook's count-image check and window counts, the codeword sampler, the
+probe stream, the decoders and the ensemble encoder. Each window holds one
+symbol: count i maps to i ones followed by zeros, so the per-window packet
+count identifies the symbol exactly. The decoder's probe stream puts a
+packet at every window start, and transmissions add a closing probe at slot
+n; with a primed queue the observed per-interval counts equal the
 encoder-plus-background counts, noiselessly in the two-user case and through
-shifted-binomial noise in the three-user case.
+shifted-binomial noise in the three-user case. Decoders read the columns of
+`cqclab.fcfs.observe`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +31,8 @@ from .fcfs import (
     DECODER,
     ENCODER,
     ArrivalSchedule,
-    ProbeObservation,
+    ProbeObservations,
+    UnbufferedIntervalError,
     observe,
     simulate,
 )
@@ -44,20 +51,20 @@ class DecodeMatchError(LookupError):
     """Observed counts match no codeword: codebook/trace inconsistency."""
 
 
-class UnbufferedIntervalError(RuntimeError):
-    """A probe interval ran with too little backlog; counts are unreliable."""
+def _splits(n: int, alpha_slots: int, tau_star: int) -> bool:
+    """Whether the first alpha_slots slots split into windows of tau_star
+    slots and the rest into windows of tau_star + 1 slots."""
+    return alpha_slots % tau_star == 0 and (n - alpha_slots) % (tau_star + 1) == 0
 
 
 def admissible_alpha_slots(n: int, alpha: float, tau_star: int) -> int:
     """Nearest first-segment length to alpha*n that splits both segments into
     whole windows: alpha_slots divisible by tau_star and the remainder by
     tau_star + 1. Ties prefer the smaller value."""
+    if tau_star < 1:
+        raise ValueError("tau_star must be >= 1")
     target = alpha * n
-    candidates = [
-        a
-        for a in range(0, n + 1, tau_star if tau_star > 0 else 1)
-        if (n - a) % (tau_star + 1) == 0
-    ]
+    candidates = [a for a in range(n + 1) if _splits(n, a, tau_star)]
     if not candidates:
         raise ValueError(
             f"no admissible segment split for n={n}, tau_star={tau_star}"
@@ -66,8 +73,48 @@ def admissible_alpha_slots(n: int, alpha: float, tau_star: int) -> int:
 
 
 @dataclass(frozen=True)
+class ProbeTemplate:
+    """The window layout of a codeword, and the shape of the decoder schedule
+    that puts a packet at every window start.
+
+    `widths` holds the window lengths in slot order (tau_star through the
+    first alpha_slots slots, then tau_star + 1) and `starts` their first
+    slots; both are read-only.
+    """
+
+    n: int
+    alpha_slots: int
+    tau_star: int
+    widths: np.ndarray = field(init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n, a, t = self.n, self.alpha_slots, self.tau_star
+        if n < 1 or t < 1 or not 0 <= a <= n:
+            raise ValueError("template needs n >= 1, tau_star >= 1, 0 <= alpha_slots <= n")
+        if not _splits(n, a, t):
+            raise ValueError("template segments must split into whole windows")
+        widths = np.repeat(np.array([t, t + 1], dtype=np.int64), [a // t, (n - a) // (t + 1)])
+        starts = np.cumsum(widths) - widths
+        for arr in (widths, starts):
+            arr.flags.writeable = False
+        object.__setattr__(self, "widths", widths)
+        object.__setattr__(self, "starts", starts)
+
+    @staticmethod
+    def for_codebook(cb: "Codebook") -> "ProbeTemplate":
+        return cb.template
+
+    def image(self, counts: np.ndarray) -> np.ndarray:
+        """Bits of window counts over the layout: each window's count in
+        ones, then zeros. Leading axes of `counts` are kept."""
+        offsets = np.arange(self.n) - np.repeat(self.starts, self.widths)
+        return (offsets < np.repeat(counts, self.widths, axis=-1)).astype(np.int8)
+
+
+@dataclass(frozen=True)
 class Codebook:
-    """Message-indexed binary packet streams with their window structure."""
+    """Message-indexed binary packet streams with their window layout."""
 
     n: int
     tau_star: int
@@ -76,23 +123,26 @@ class Codebook:
     p1: Pmf  # symbol law on {0..tau_star} for the first segment
     p2: Pmf  # symbol law on {0..tau_star + 1} for the second segment
     seed: int
+    template: ProbeTemplate = field(init=False, repr=False, compare=False)
+    window_counts: np.ndarray = field(init=False, repr=False, compare=False)  # (M, windows)
 
     def __post_init__(self):
         cw = np.asarray(self.codewords, dtype=np.int8)
         if cw.ndim != 2 or cw.shape[1] != self.n:
             raise ValueError("codewords must be (M, n)")
-        if self.alpha_slots % self.tau_star or (self.n - self.alpha_slots) % (
-            self.tau_star + 1
-        ):
-            raise ValueError("segment lengths must split into whole windows")
+        template = ProbeTemplate(n=self.n, alpha_slots=self.alpha_slots, tau_star=self.tau_star)
         if self.p1.k != self.tau_star or self.p2.k != self.tau_star + 1:
             raise ValueError("symbol laws must match the window lengths")
-        if len({cw[i].tobytes() for i in range(cw.shape[0])}) != cw.shape[0]:
+        if len({row.tobytes() for row in cw}) != cw.shape[0]:
             raise ValueError("codewords must be distinct")
-        if not self._windows_are_symbol_images(cw):
+        counts = np.add.reduceat(cw, template.starts, axis=1, dtype=np.int64)
+        if not np.array_equal(template.image(counts), cw):
             raise ValueError("every window must be a count-image (ones then zeros)")
-        cw.flags.writeable = False
+        for arr in (cw, counts):
+            arr.flags.writeable = False
         object.__setattr__(self, "codewords", cw)
+        object.__setattr__(self, "template", template)
+        object.__setattr__(self, "window_counts", counts)
 
     @property
     def M(self) -> int:
@@ -103,36 +153,13 @@ class Codebook:
         return math.log2(self.M) / self.n
 
     def window_lengths(self) -> list[int]:
-        w1 = self.alpha_slots // self.tau_star
-        w2 = (self.n - self.alpha_slots) // (self.tau_star + 1)
-        return [self.tau_star] * w1 + [self.tau_star + 1] * w2
+        return self.template.widths.tolist()
 
     def window_counts_of(self, bits: np.ndarray) -> np.ndarray:
-        a, t = self.alpha_slots, self.tau_star
-        seg1 = bits[:a].reshape(-1, t).sum(axis=1) if a else np.empty(0, int)
-        seg2 = bits[a:].reshape(-1, t + 1).sum(axis=1) if a < self.n else np.empty(0, int)
-        return np.concatenate([seg1, seg2]).astype(np.int64)
-
-    def all_window_counts(self) -> np.ndarray:
-        a, t, n = self.alpha_slots, self.tau_star, self.n
-        parts = []
-        if a:
-            parts.append(self.codewords[:, :a].reshape(self.M, -1, t).sum(axis=2))
-        if a < n:
-            parts.append(self.codewords[:, a:].reshape(self.M, -1, t + 1).sum(axis=2))
-        return np.concatenate(parts, axis=1).astype(np.int64)
-
-    def _windows_are_symbol_images(self, cw: np.ndarray) -> bool:
-        a, t = self.alpha_slots, self.tau_star
-        for seg, width in ((cw[:, :a], t), (cw[:, a:], t + 1)):
-            if seg.size == 0:
-                continue
-            win = seg.reshape(cw.shape[0], -1, width)
-            counts = win.sum(axis=2, keepdims=True)
-            expect = (np.arange(width) < counts).astype(np.int8)
-            if not np.array_equal(win, expect):
-                return False
-        return True
+        bits = np.asarray(bits)
+        if bits.shape != (self.n,):
+            raise ValueError(f"expected {self.n} bits, got shape {bits.shape}")
+        return np.add.reduceat(bits, self.template.starts, dtype=np.int64)
 
 
 def symbol_image(count: int, width: int) -> np.ndarray:
@@ -142,16 +169,26 @@ def symbol_image(count: int, width: int) -> np.ndarray:
     return (np.arange(width) < count).astype(np.int8)
 
 
-def _sample_distinct_codewords(
+def _draw_counts(
     rng: np.random.Generator,
-    M: int,
-    n_win1: int,
-    p1: Pmf,
-    n_win2: int,
-    p2: Pmf,
-    tau_star: int,
+    template: ProbeTemplate,
+    laws: tuple[Pmf, ...],
+    lead: tuple[int, ...] = (),
 ) -> np.ndarray:
-    n = n_win1 * tau_star + n_win2 * (tau_star + 1)
+    """Window counts of the layout, drawn from one symbol law per window
+    width (a law on {0..w} serves the windows of width w), one law at a time
+    in the given order; `lead` prepends axes of independent draws."""
+    counts = np.empty(lead + template.widths.shape, dtype=np.int64)
+    for law in laws:
+        cols = template.widths == law.k
+        counts[..., cols] = rng.choice(law.k + 1, size=lead + (int(cols.sum()),), p=law.probs)
+    return counts
+
+
+def _random_codebook(template: ProbeTemplate, p1: Pmf, p2: Pmf, M: int, seed: int) -> Codebook:
+    """M distinct codewords with window counts drawn from p1 and p2;
+    collisions are resampled."""
+    rng = np.random.default_rng(seed)
     seen: set[bytes] = set()
     rows: list[np.ndarray] = []
     attempts = 0
@@ -164,23 +201,22 @@ def _sample_distinct_codewords(
             )
         take = min(batch, limit - attempts)
         attempts += take
-        s1 = rng.choice(tau_star + 1, size=(take, n_win1), p=p1.probs)
-        s2 = rng.choice(tau_star + 2, size=(take, n_win2), p=p2.probs)
-        bits = np.zeros((take, n), dtype=np.int8)
-        if n_win1:
-            img = (np.arange(tau_star) < s1[..., None]).astype(np.int8)
-            bits[:, : n_win1 * tau_star] = img.reshape(take, -1)
-        if n_win2:
-            img = (np.arange(tau_star + 1) < s2[..., None]).astype(np.int8)
-            bits[:, n_win1 * tau_star :] = img.reshape(take, -1)
-        for row in bits:
+        for row in template.image(_draw_counts(rng, template, (p1, p2), (take,))):
             key = row.tobytes()
             if key not in seen:
                 seen.add(key)
                 rows.append(row)
                 if len(rows) == M:
                     break
-    return np.stack(rows)
+    return Codebook(
+        n=template.n,
+        tau_star=template.tau_star,
+        alpha_slots=template.alpha_slots,
+        codewords=np.stack(rows),
+        p1=p1,
+        p2=p2,
+        seed=seed,
+    )
 
 
 def build_codebook_2user(n: int, M: int, delta: float = 1e-3, seed: int = 0) -> Codebook:
@@ -192,12 +228,28 @@ def build_codebook_2user(n: int, M: int, delta: float = 1e-3, seed: int = 0) -> 
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    alpha = ALPHA_2USER - delta
-    a = admissible_alpha_slots(n, alpha, 1)
-    rng = np.random.default_rng(seed)
-    p1, p2 = Pmf(np.array(P1_2USER)), Pmf(np.array(P2_2USER))
-    cw = _sample_distinct_codewords(rng, M, a, p1, (n - a) // 2, p2, 1)
-    return Codebook(n=n, tau_star=1, alpha_slots=a, codewords=cw, p1=p1, p2=p2, seed=seed)
+    a = admissible_alpha_slots(n, ALPHA_2USER - delta, 1)
+    template = ProbeTemplate(n=n, alpha_slots=a, tau_star=1)
+    return _random_codebook(template, Pmf(np.array(P1_2USER)), Pmf(np.array(P2_2USER)), M, seed)
+
+
+def _scheme_3user(
+    n: int, r_p: float, tau_max: int, delta: float, capacity: CapacityResult3 | None
+) -> tuple[ProbeTemplate, Pmf, Pmf]:
+    """Window layout and the two symbol laws of the three-user scheme at r_p.
+
+    The capacity solve (or the given result, which must be solved at r_p)
+    supplies tau_star, the window mix alpha, pulled back by delta onto an
+    admissible split, and the maximizing inputs at gamma1 and gamma2.
+    """
+    cap = capacity if capacity is not None else solve_capacity_3user(r_p, tau_max)
+    if cap.r_p != r_p:
+        raise ValueError(f"capacity result was solved at r_p={cap.r_p}, not r_p={r_p}")
+    tau = cap.tau_star
+    p1 = i_tilde(cap.gamma1, tau, r_p).maximizing_input
+    p2 = i_tilde(cap.gamma2, tau + 1, r_p).maximizing_input
+    a = admissible_alpha_slots(n, max(cap.alpha - delta, 0.0), tau)
+    return ProbeTemplate(n=n, alpha_slots=a, tau_star=tau), p1, p2
 
 
 def build_codebook_3user(
@@ -213,39 +265,12 @@ def build_codebook_3user(
 
     The capacity solve for r_p supplies the optimal window mix
     (alpha, tau_star) and the two maximizing symbol laws; window symbols map
-    to i ones followed by zeros. Pass a precomputed capacity result to skip
-    the solve.
+    to i ones followed by zeros. Pass a precomputed capacity result, solved
+    at the same r_p, to skip the solve.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    cap = capacity if capacity is not None else solve_capacity_3user(r_p, tau_max)
-    tau = cap.tau_star
-    p1 = i_tilde(cap.gamma1, tau, r_p).maximizing_input
-    p2 = i_tilde(cap.gamma2, tau + 1, r_p).maximizing_input
-    alpha = max(cap.alpha - delta, 0.0)
-    a = admissible_alpha_slots(n, alpha, tau)
-    rng = np.random.default_rng(seed)
-    cw = _sample_distinct_codewords(rng, M, a // tau, p1, (n - a) // (tau + 1), p2, tau)
-    return Codebook(n=n, tau_star=tau, alpha_slots=a, codewords=cw, p1=p1, p2=p2, seed=seed)
-
-
-@dataclass(frozen=True)
-class ProbeTemplate:
-    """Decoder schedule shape: a packet at every window boundary."""
-
-    n: int
-    alpha_slots: int
-    tau_star: int
-
-    def __post_init__(self):
-        if self.alpha_slots % self.tau_star or (self.n - self.alpha_slots) % (
-            self.tau_star + 1
-        ):
-            raise ValueError("template segments must split into whole windows")
-
-    @staticmethod
-    def for_codebook(cb: Codebook) -> "ProbeTemplate":
-        return ProbeTemplate(n=cb.n, alpha_slots=cb.alpha_slots, tau_star=cb.tau_star)
+    return _random_codebook(*_scheme_3user(n, r_p, tau_max, delta, capacity), M, seed)
 
 
 def probe_stream(template: ProbeTemplate) -> ArrivalSchedule:
@@ -257,66 +282,53 @@ def probe_stream(template: ProbeTemplate) -> ArrivalSchedule:
     that probe explicitly.
     """
     slots = np.zeros(template.n, dtype=np.int8)
-    slots[0 : template.alpha_slots : template.tau_star] = 1
-    slots[template.alpha_slots : template.n : template.tau_star + 1] = 1
+    slots[template.starts] = 1
     return ArrivalSchedule(DECODER, slots)
 
 
-def _check_observations(observations: list[ProbeObservation], cb: Codebook):
-    widths = cb.window_lengths()
-    if len(observations) != len(widths):
+def _check_observations(observations: ProbeObservations, template: ProbeTemplate):
+    if not observations.buffered.all():
+        raise UnbufferedIntervalError("an interval ran unbuffered; counts unreliable")
+    if not np.array_equal(observations.tau, template.widths):
         raise DecodeMatchError(
-            f"expected {len(widths)} probe intervals, got {len(observations)}"
+            f"probe spacings do not match the codebook windows "
+            f"({observations.tau.size} intervals, {template.widths.size} windows)"
         )
-    for o, w in zip(observations, widths):
-        if o.tau != w:
-            raise DecodeMatchError("probe spacing does not match the codebook windows")
 
 
-def decode_2user(observations: list[ProbeObservation], codebook: Codebook) -> int:
+def decode_2user(observations: ProbeObservations, codebook: Codebook) -> int:
     """Exact-match decoding for the noiseless two-user channel.
 
     Window counts identify symbols uniquely, so the count sequence is looked
     up against the codebook; a miss means the trace and codebook disagree.
     """
-    if not all(o.buffered for o in observations):
-        raise UnbufferedIntervalError("an interval ran unbuffered; counts unreliable")
-    _check_observations(observations, codebook)
-    counts = np.array([o.y for o in observations], dtype=np.int64)
-    table = codebook.all_window_counts()
-    hits = np.nonzero((table == counts).all(axis=1))[0]
+    _check_observations(observations, codebook.template)
+    hits = np.flatnonzero((codebook.window_counts == observations.y).all(axis=1))
     if hits.size == 0:
         raise DecodeMatchError("observed counts match no codeword")
     return int(hits[0])
 
 
-def decode_3user(
-    observations: list[ProbeObservation], codebook: Codebook, r_p: float
-) -> int:
+def decode_3user(observations: ProbeObservations, codebook: Codebook, r_p: float) -> int:
     """Maximum-likelihood decoding through the shifted-binomial channel.
 
     Scores every message by the product over windows of
     P(Y = y | X = count) with X + Bin(tau, r_p) noise; ties resolve to the
     lowest message index.
     """
-    if not all(o.buffered for o in observations):
-        raise UnbufferedIntervalError("an interval ran unbuffered; counts unreliable")
-    _check_observations(observations, codebook)
-    y = np.array([o.y for o in observations], dtype=np.int64)
-    counts = codebook.all_window_counts()
-    tau = codebook.tau_star
+    _check_observations(observations, codebook.template)
+    widths, y, counts = codebook.template.widths, observations.y, codebook.window_counts
     loglik = np.zeros(codebook.M)
-    w1 = codebook.alpha_slots // tau
-    segments = ((tau, slice(0, w1)), (tau + 1, slice(w1, counts.shape[1])))
-    for width, sl in segments:
-        yw = y[sl]
-        if yw.size == 0:
-            continue
+    for width in np.unique(widths):
+        cols = widths == width
+        yw = y[cols]
         if yw.min() < 0 or yw.max() > 2 * width:
             raise DecodeMatchError("observed count outside the channel alphabet")
-        rows = channel_matrix(width, r_p).rows
+        rows = channel_matrix(int(width), r_p).rows
         table = np.where(rows > 0, np.log(np.maximum(rows, 1e-300)), -1e30)
-        loglik += table[counts[:, sl], yw[np.newaxis, :]].sum(axis=1)
+        # compress keeps each message's terms contiguous, which fixes the
+        # order of the row sums (and so the tie-breaks between -1e30 scores)
+        loglik += table[counts.compress(cols, axis=1), yw].sum(axis=1)
     return int(np.argmax(loglik))
 
 
@@ -333,9 +345,40 @@ class TransmissionReport:
             raise ValueError("empirical rate cannot exceed 1 bit per slot")
 
 
+def _transmissions(template: ProbeTemplate, draw, background_rate, seed, initial_backlog):
+    """Messages sent one after another on one random stream: each step
+    queues the bits of `draw(rng) -> (message, bits)` against the probe
+    stream plus a closing probe at slot n and, unless the rate is None,
+    Bernoulli background traffic. The default backlog n + tau_star + 1 keeps
+    every interval buffered. Yields (message, trace, schedules)."""
+    longest = template.tau_star + 1
+    backlog = initial_backlog if initial_backlog is not None else template.n + longest
+    if backlog < longest:
+        raise ValueError(f"initial_backlog must be >= {longest}")
+    decoder = ArrivalSchedule(DECODER, np.append(probe_stream(template).slots, np.int8(1)))
+    rng = np.random.default_rng(seed)
+    while True:
+        msg, bits = draw(rng)
+        encoder = ArrivalSchedule(ENCODER, np.append(bits, np.int8(0)))
+        background = None
+        if background_rate is not None:
+            background = ArrivalSchedule.bernoulli(BACKGROUND, background_rate, len(decoder), rng)
+        trace = simulate(decoder, encoder, background, initial_backlog=backlog)
+        yield msg, trace, (decoder, encoder, background)
+
+
+def _codebook_transmissions(codebook: Codebook, background_rate, seed, initial_backlog):
+    """`_transmissions` of uniformly drawn messages of the codebook."""
+
+    def draw(rng):
+        msg = int(rng.integers(codebook.M))
+        return msg, codebook.codewords[msg]
+
+    return _transmissions(codebook.template, draw, background_rate, seed, initial_backlog)
+
+
 def run_transmission(
     codebook: Codebook,
-    probe: ProbeTemplate | None = None,
     background_rate: float | None = None,
     trials: int = 1000,
     seed: int = 0,
@@ -344,46 +387,19 @@ def run_transmission(
     """End-to-end Monte Carlo: encode, queue, observe, decode, compare.
 
     Each trial draws a uniform message, runs the FCFS scheduler with the
-    probe template (plus the closing boundary probe) and optional Bernoulli
-    background traffic, and decodes from the probe observations - exact
-    matching without background, maximum likelihood with it. The default
-    backlog n + tau_star + 1 keeps every interval buffered regardless of the
-    codeword; an unbuffered interval raises instead of degrading silently.
+    codebook's probe stream (plus the closing boundary probe) and optional
+    Bernoulli background traffic, and decodes from the probe observations -
+    exact matching without background, maximum likelihood with it. The
+    default backlog n + tau_star + 1 keeps every interval buffered
+    regardless of the codeword; an unbuffered interval raises instead of
+    degrading silently.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    template = probe if probe is not None else ProbeTemplate.for_codebook(codebook)
-    if (template.n, template.alpha_slots, template.tau_star) != (
-        codebook.n,
-        codebook.alpha_slots,
-        codebook.tau_star,
-    ):
-        raise ValueError("probe template does not match the codebook")
-    n = codebook.n
-    tau_max = codebook.tau_star + 1
-    backlog = initial_backlog if initial_backlog is not None else n + tau_max
-    if backlog < tau_max:
-        raise ValueError(f"initial_backlog must be >= {tau_max}")
-
-    probe_full = np.append(probe_stream(template).slots, np.int8(1))
-    decoder = ArrivalSchedule(DECODER, probe_full)
-    rng = np.random.default_rng(seed)
     errors = 0
-    for _ in range(trials):
-        msg = int(rng.integers(codebook.M))
-        enc_bits = np.append(codebook.codewords[msg], np.int8(0))
-        encoder = ArrivalSchedule(ENCODER, enc_bits)
-        background = None
-        if background_rate is not None:
-            background = ArrivalSchedule.bernoulli(
-                BACKGROUND, background_rate, n + 1, rng
-            )
-        trace = simulate(decoder, encoder, background, initial_backlog=backlog)
+    run = _codebook_transmissions(codebook, background_rate, seed, initial_backlog)
+    for msg, trace, _ in itertools.islice(run, trials):
         obs = observe(trace)
-        if not all(o.buffered for o in obs):
-            raise UnbufferedIntervalError(
-                "backlog too small: an interval ran unbuffered"
-            )
         if background_rate is None:
             decoded = decode_2user(obs, codebook)
         else:
@@ -549,43 +565,21 @@ def ensemble_error_rate(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    cap = capacity if capacity is not None else solve_capacity_3user(r_p, tau_max)
-    tau = cap.tau_star
-    p1 = i_tilde(cap.gamma1, tau, r_p).maximizing_input
-    p2 = i_tilde(cap.gamma2, tau + 1, r_p).maximizing_input
-    alpha = max(cap.alpha - delta, 0.0)
-    a = admissible_alpha_slots(n, alpha, tau)
-    w1, w2 = a // tau, (n - a) // (tau + 1)
-    widths = [tau] * w1 + [tau + 1] * w2
-    laws = {tau: p1.probs, tau + 1: p2.probs}
-    lattice = _ScoreLattice(widths, r_p)
+    template, p1, p2 = _scheme_3user(n, r_p, tau_max, delta, capacity)
+    laws = {p.k: p.probs for p in (p1, p2)}
+    lattice = _ScoreLattice(template.widths.tolist(), r_p)
 
-    template = ProbeTemplate(n=n, alpha_slots=a, tau_star=tau)
-    probe_full = np.append(probe_stream(template).slots, np.int8(1))
-    decoder = ArrivalSchedule(DECODER, probe_full)
-    backlog = n + tau + 1
+    def draw(rng):
+        xs = _draw_counts(rng, template, (p1, p2))
+        return xs, template.image(xs)
 
-    rng = np.random.default_rng(seed)
     err_prob_sum = 0.0
-    for _ in range(trials):
-        s1 = rng.choice(tau + 1, size=w1, p=p1.probs)
-        s2 = rng.choice(tau + 2, size=w2, p=p2.probs)
-        xs = np.concatenate([s1, s2]).astype(np.int64)
-        bits = np.zeros(n + 1, dtype=np.int8)
-        pos = 0
-        for x, w in zip(xs, widths):
-            bits[pos : pos + int(x)] = 1
-            pos += w
-        encoder = ArrivalSchedule(ENCODER, bits)
-        background = ArrivalSchedule.bernoulli(BACKGROUND, r_p, n + 1, rng)
-        trace = simulate(decoder, encoder, background, initial_backlog=backlog)
+    run = _transmissions(template, draw, r_p, seed, None)
+    for xs, trace, _ in itertools.islice(run, trials):
         obs = observe(trace)
-        if not all(o.buffered for o in obs):
-            raise UnbufferedIntervalError("ensemble trial ran unbuffered")
-        ys = np.array([o.y for o in obs], dtype=np.int64)
-
-        tensor, origin = lattice.competitor_distribution(ys, laws)
-        t_coords = lattice.true_coords(ys, xs)
+        _check_observations(obs, template)
+        tensor, origin = lattice.competitor_distribution(obs.y, laws)
+        t_coords = lattice.true_coords(obs.y, xs)
         rel = t_coords - origin
         q_eq = 0.0
         if all(0 <= r < s for r, s in zip(rel, tensor.shape)):
@@ -631,7 +625,12 @@ def dump_codebook(cb: Codebook) -> str:
 
 def load_codebook(text: str) -> Codebook:
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("codebook text is empty")
     fields = dict(item.split("=", 1) for item in lines[0].split())
+    missing = {"n", "M", "alpha_slots", "tau_star", "seed", "p1", "p2"} - fields.keys()
+    if missing:
+        raise ValueError(f"codebook header lacks {sorted(missing)}")
     n, M = int(fields["n"]), int(fields["M"])
     cw = np.array(
         [[int(c) for c in line.strip()] for line in lines[1 : 1 + M]], dtype=np.int8

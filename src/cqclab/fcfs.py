@@ -15,7 +15,7 @@ rather than a per-slot event loop; million-slot horizons are cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +28,10 @@ _OWNER_LETTER = {0: "s", 1: "d", 2: "e", 3: "b"}
 
 class TooFewProbesError(ValueError):
     """A probe observation needs at least two decoder packets."""
+
+
+class UnbufferedIntervalError(RuntimeError):
+    """A probe interval ran with too little backlog; counts are unreliable."""
 
 
 @dataclass(frozen=True)
@@ -85,11 +89,24 @@ class SchedulerTrace:
 
 
 @dataclass(frozen=True)
-class ProbeObservation:
-    tau: int
-    y: int
-    buffered: bool
-    arrival_slot: int
+class ProbeObservations:
+    """Columns over the intervals between consecutive probe packets: the
+    spacing `tau`, the observed count `y`, the `buffered` flag and the
+    `arrival_slot` of the interval's opening probe. The columns are
+    read-only 1-D arrays of one length."""
+
+    tau: np.ndarray
+    y: np.ndarray
+    buffered: np.ndarray
+    arrival_slot: np.ndarray
+
+    def __post_init__(self):
+        columns = {f.name: np.asarray(getattr(self, f.name)).view() for f in fields(self)}
+        if len({c.shape for c in columns.values()}) != 1 or columns["tau"].ndim != 1:
+            raise ValueError("observation columns must be 1-D arrays of one length")
+        for name, col in columns.items():
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
 
 
 def simulate(
@@ -165,26 +182,24 @@ def simulate(
     )
 
 
-def observe(trace: SchedulerTrace, decoder_id: str = DECODER) -> list[ProbeObservation]:
-    """Per-interval observations between consecutive probe packets.
+def observe(trace: SchedulerTrace) -> ProbeObservations:
+    """Columnar observations of the intervals between consecutive probes.
 
     For interval i: tau = A_{i+1} - A_i, the observed count
     Y = D_{i+1} - D_i - 1, and the buffered flag records whether the queue
     reading D_i - A_i - 1 was at least tau - 1 (the condition under which Y
     is exactly the count of other users' packets in the interval).
     """
-    arr, dep = trace.packets_of(decoder_id)
+    arr, dep = trace.packets_of(DECODER)
     if arr.size < 2:
         raise TooFewProbesError("need at least two decoder packets to observe")
-    taus = np.diff(arr)
-    ys = np.diff(dep) - 1
-    backlog = dep[:-1] - arr[:-1] - 1
-    return [
-        ProbeObservation(
-            tau=int(t), y=int(y), buffered=bool(b >= t - 1), arrival_slot=int(a)
-        )
-        for t, y, b, a in zip(taus, ys, backlog, arr[:-1])
-    ]
+    tau = np.diff(arr)
+    return ProbeObservations(
+        tau=tau,
+        y=np.diff(dep) - 1,
+        buffered=dep[:-1] - arr[:-1] - 1 >= tau - 1,
+        arrival_slot=arr[:-1],
+    )
 
 
 @dataclass(frozen=True)
@@ -294,10 +309,11 @@ def empirical_channel_law(
     background = ArrivalSchedule.bernoulli(BACKGROUND, r_p, n, rng)
     trace = simulate(decoder, encoder, background, initial_backlog=n)
     obs = observe(trace)
-    assert all(o.buffered for o in obs)
+    if not obs.buffered.all():
+        raise UnbufferedIntervalError("an interval ran unbuffered; counts unreliable")
     enc = np.asarray(encoder.slots)
     x = enc[: tau * intervals].reshape(intervals, tau).sum(axis=1)
-    diff = np.array([o.y for o in obs]) - x
+    diff = obs.y - x
     if diff.min() < 0 or diff.max() > tau:
         raise AssertionError("buffered intervals must give Y - X within [0, tau]")
     counts = np.bincount(diff, minlength=tau + 1).astype(float)

@@ -1,9 +1,14 @@
 import time
 
 import pytest
+from hypothesis import settings
 
 from cqclab.capacity2 import solve_capacity_2user
 from cqclab.capacity3 import solve_capacity_3user
+
+# property tests draw the same examples on every run, with no time limit
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

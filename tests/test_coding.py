@@ -25,7 +25,7 @@ from cqclab.fcfs import (
     DECODER,
     ENCODER,
     ArrivalSchedule,
-    ProbeObservation,
+    ProbeObservations,
     observe,
     simulate,
 )
@@ -44,10 +44,14 @@ def _handmade_codebook(rows, tau_star=1, alpha_slots=0):
     )
 
 
-def _obs(pairs):
-    return [
-        ProbeObservation(tau=t, y=y, buffered=True, arrival_slot=0) for t, y in pairs
-    ]
+def _obs(pairs, buffered=True):
+    tau = [t for t, _ in pairs]
+    return ProbeObservations(
+        tau=tau,
+        y=[y for _, y in pairs],
+        buffered=[buffered] * len(pairs),
+        arrival_slot=np.cumsum([0] + tau[:-1]),
+    )
 
 
 class TestSegmentSplit:
@@ -87,6 +91,12 @@ class TestSymbolMap:
         cb = _handmade_codebook([[1, 1, 0, 0], [1, 0, 1, 1]], alpha_slots=2)
         assert cb.window_counts_of(cb.codewords[0]).tolist() == [1, 1, 0]
         assert cb.window_counts_of(cb.codewords[1]).tolist() == [1, 0, 2]
+
+    @pytest.mark.parametrize("length", [29, 31, 32])
+    def test_window_counts_of_rejects_wrong_length(self, length):
+        cb = build_codebook_2user(30, 4, seed=1)
+        with pytest.raises(ValueError):
+            cb.window_counts_of(np.zeros(length, dtype=np.int8))
 
 
 class TestCodebook2User:
@@ -140,6 +150,12 @@ class TestCodebook3User:
         assert cb.alpha_slots == 6  # same admissible split as the two-user build
         assert np.abs(cb.p1.probs - [0.57, 0.43]).max() < 0.01
         assert np.abs(cb.p2.probs - [0.43, 0.325, 0.245]).max() < 0.01
+
+    def test_rejects_capacity_solved_at_another_rate(self, cap3_rp01):
+        with pytest.raises(ValueError):
+            build_codebook_3user(60, 4, 0.5, capacity=cap3_rp01)
+        with pytest.raises(ValueError):
+            ensemble_error_rate(60, 4, 0.5, trials=1, seed=0, capacity=cap3_rp01)
 
     def test_symbol_blocks_match_window_widths(self, cap3_rp01):
         cb = build_codebook_3user(60, 4, 0.1, capacity=cap3_rp01, seed=2)
@@ -206,9 +222,8 @@ class TestDecode2User:
 
     def test_unbuffered_rejected(self):
         cb = _handmade_codebook([[0, 0], [1, 0]])
-        obs = [ProbeObservation(tau=2, y=0, buffered=False, arrival_slot=0)]
         with pytest.raises(UnbufferedIntervalError):
-            decode_2user(obs, cb)
+            decode_2user(_obs([(2, 0)], buffered=False), cb)
 
     def test_window_count_mismatch(self):
         cb = _handmade_codebook([[0, 0], [1, 0]])
@@ -287,11 +302,6 @@ class TestRunTransmission:
         cb = _handmade_codebook([np.zeros(12, dtype=np.int8)])
         with pytest.raises(UnbufferedIntervalError):
             run_transmission(cb, trials=1, seed=0, initial_backlog=2)
-
-    def test_template_mismatch_rejected(self):
-        cb = build_codebook_2user(30, 4, seed=2)
-        with pytest.raises(ValueError):
-            run_transmission(cb, probe=ProbeTemplate(n=30, alpha_slots=8, tau_star=1))
 
     def test_three_user_small_codebook(self, cap3_rp01):
         cb = build_codebook_3user(60, 2, 0.1, capacity=cap3_rp01, seed=1)
@@ -391,6 +401,18 @@ class TestCodebookText:
         text = dump_codebook(cb)
         with pytest.raises(ValueError):
             load_codebook(text.rsplit("\n", 2)[0] + "\n")
+
+    def test_empty_text_rejected(self):
+        for text in ("", "\n  \n"):
+            with pytest.raises(ValueError):
+                load_codebook(text)
+
+    @pytest.mark.parametrize("field", ["n", "M", "alpha_slots", "tau_star", "seed", "p1", "p2"])
+    def test_header_missing_field_rejected(self, field):
+        header, *rows = dump_codebook(build_codebook_2user(30, 4, seed=3)).splitlines()
+        header = " ".join(i for i in header.split() if not i.startswith(field + "="))
+        with pytest.raises(ValueError):
+            load_codebook("\n".join([header, *rows]) + "\n")
 
 
 class TestEnsembleEstimator:

@@ -1,0 +1,129 @@
+"""Property tests: the scheduler and its observations against a naive
+per-slot FIFO queue, and the noiseless decode round trip on handmade
+window layouts."""
+
+from collections import deque
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cqclab.coding import (
+    Codebook,
+    ProbeTemplate,
+    decode_2user,
+    decode_3user,
+    probe_stream,
+    symbol_image,
+)
+from cqclab.dist import Pmf
+from cqclab.fcfs import (
+    _OWNER_CODE,
+    BACKGROUND,
+    DECODER,
+    ENCODER,
+    SENTINEL,
+    ArrivalSchedule,
+    TooFewProbesError,
+    observe,
+    simulate,
+)
+
+
+def reference_queue(streams, backlog):
+    """Slot by slot: arrivals join the tail in priority order, then the head
+    is served and departs at the next slot boundary.
+
+    Returns the (owner, arrival, departure) records in service order, the
+    end-of-slot queue lengths, and the number of packets ahead of each
+    decoder packet when it joined.
+    """
+    n = len(streams[0][1])
+    queue = deque((SENTINEL, -1) for _ in range(backlog))
+    served, queue_len, ahead = [], [], []
+    t = 0
+    while t < n or queue:
+        for user, bits in streams if t < n else ():
+            if bits[t]:
+                if user == DECODER:
+                    ahead.append(len(queue))
+                queue.append((user, t))
+        if queue:
+            owner, arrival = queue.popleft()
+            served.append((owner, arrival, t + 1))
+        queue_len.append(len(queue))
+        t += 1
+    return served, queue_len, ahead
+
+
+@st.composite
+def schedules(draw):
+    n = draw(st.integers(1, 40))
+    users = [DECODER, ENCODER] + ([BACKGROUND] if draw(st.booleans()) else [])
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    streams = [(user, draw(bits)) for user in users]
+    return streams, draw(st.integers(0, 8))
+
+
+@given(schedules())
+def test_simulate_and_observe_match_reference_queue(case):
+    streams, backlog = case
+    schedule = [ArrivalSchedule(user, np.array(bits, dtype=np.int8)) for user, bits in streams]
+    trace = simulate(*schedule, initial_backlog=backlog)
+    served, queue_len, ahead = reference_queue(streams, backlog)
+
+    assert trace.owners.tolist() == [_OWNER_CODE[owner] for owner, _, _ in served]
+    assert trace.arrivals.tolist() == [arrival for _, arrival, _ in served]
+    assert trace.departures.tolist() == [departure for _, _, departure in served]
+    assert trace.queue_len.tolist() == queue_len
+
+    probes = [(i, arrival) for i, (owner, arrival, _) in enumerate(served) if owner == DECODER]
+    if len(probes) < 2:
+        with pytest.raises(TooFewProbesError):
+            observe(trace)
+        return
+    obs = observe(trace)
+    pairs = list(zip(probes, probes[1:]))
+    tau = [a1 - a0 for (_, a0), (_, a1) in pairs]
+    buffered = [q >= t - 1 for q, t in zip(ahead, tau)]
+    assert obs.tau.tolist() == tau
+    assert obs.y.tolist() == [served[i1][2] - served[i0][2] - 1 for (i0, _), (i1, _) in pairs]
+    assert obs.buffered.tolist() == buffered
+    assert obs.arrival_slot.tolist() == [a for _, a in probes[:-1]]
+    # a buffered interval's count is the number of packets served between its probes
+    for y, b, ((i0, _), (i1, _)) in zip(obs.y, buffered, pairs):
+        assert not b or y == i1 - i0 - 1
+    for column in (obs.tau, obs.y, obs.buffered, obs.arrival_slot):
+        assert not column.flags.writeable
+
+
+@st.composite
+def handmade_codebooks(draw):
+    tau = draw(st.sampled_from([2, 3]))
+    w1, w2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    widths = [tau] * w1 + [tau + 1] * w2
+    symbols = st.tuples(*(st.integers(0, w) for w in widths))
+    messages = draw(st.lists(symbols, min_size=1, max_size=8, unique=True))
+    rows = [np.concatenate([symbol_image(c, w) for c, w in zip(m, widths)]) for m in messages]
+    return Codebook(
+        n=len(rows[0]),
+        tau_star=tau,
+        alpha_slots=w1 * tau,
+        codewords=np.array(rows),
+        p1=Pmf.uniform(tau),
+        p2=Pmf.uniform(tau + 1),
+        seed=0,
+    )
+
+
+@given(handmade_codebooks())
+def test_noiseless_round_trip_on_handmade_layouts(cb):
+    decoder = ArrivalSchedule(
+        DECODER, np.append(probe_stream(ProbeTemplate.for_codebook(cb)).slots, np.int8(1))
+    )
+    for msg in range(cb.M):
+        encoder = ArrivalSchedule(ENCODER, np.append(cb.codewords[msg], np.int8(0)))
+        obs = observe(simulate(decoder, encoder, initial_backlog=cb.n + cb.tau_star + 1))
+        assert decode_2user(obs, cb) == msg
+        assert decode_3user(obs, cb, 0.0) == msg
