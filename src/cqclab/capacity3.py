@@ -15,8 +15,17 @@ and strictly concave, solved by a log-barrier Newton path with an LP duality
 gap certificate below GAP_TOL = 1e-9 nats. One solver serves a single point
 and a whole stack of mean constraints alike: every row advances in the same
 batched KKT solve, so an i_tilde table or a sweep group takes about as many
-numpy calls as its slowest point. A point that cannot be certified raises
-UncertifiedSolveError instead of being returned.
+numpy calls as its slowest point. The same path also solves the free-mean
+problem max H(Y) - s * E X, certified by its simplex LP gap. A point that
+cannot be certified raises UncertifiedSolveError instead of being returned.
+
+The best mix of windows k in {tau, tau + 1} at budget c = 1 - r_p is the
+concave envelope of the curves u -> i_tilde(u - 1/k, k, r_p), read at c. It
+equals the one-multiplier Lagrangian dual
+min_s s*c + max_k g_k(s), g_k(s) = max_p [H(Y) - s*E X - H(Bin(k, r_p)) - s] / k
+(Blahut 1972), a convex problem in s whose g_k come from batched free-mean
+solves. The windows touching the envelope at the minimizing s give the
+primal mix, and dual minus primal is a certified gap.
 """
 
 from __future__ import annotations
@@ -25,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dist import Pmf, binomial_pmf, entropy
 
@@ -35,8 +43,10 @@ GAP_TOL = 1e-9  # nats; certified suboptimality of the inner maximization
 FEAS_TOL = 1e-10  # largest sum / mean residual of a certified inner maximizer
 _MU_STAGES = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 5e-13)
 
-TABLE_STEP = 2e-3  # gamma resolution of the interpolation tables
-GRID_STEP = 1e-3  # (alpha, gamma1) scan resolution, as in the two-user solver
+S_BRACKET = 32.0  # bits per unit of budget; the first multiplier bracket is +-S_BRACKET
+ZOOM_POINTS = 33  # multipliers per round of the bracket zoom
+S_TOL = 1e-10  # width at which the zoom stops
+PAIR_GAP_TOL = 1e-9  # bits; largest duality gap of a certified window pair
 
 
 class InfeasibleError(ValueError):
@@ -45,7 +55,8 @@ class InfeasibleError(ValueError):
 
 class UncertifiedSolveError(RuntimeError):
     """An inner max-entropy solve kept an LP gap above GAP_TOL, or a point
-    off its constraint slice, from every start of the three-start guard."""
+    off its constraint slice, from every start of the three-start guard; or
+    a window pair's duality gap exceeds PAIR_GAP_TOL."""
 
 
 @dataclass(frozen=True)
@@ -96,6 +107,9 @@ class CapacityResult3:
     tau_star: int
     constraint_residual: float
     per_tau: dict[int, float] = field(default_factory=dict)
+    per_tau_gap: dict[int, float] = field(default_factory=dict)  # bits, dual minus primal
+    gap_bits: float = 0.0  # the certified gap of the winning pair
+    windows: tuple[tuple[int, float], ...] = ()  # (window length, share) with share > 0
 
     def __post_init__(self):
         if self.constraint_residual > 1e-8:
@@ -214,30 +228,43 @@ class _SliceEntropySolver:
         py = np.maximum(np.maximum(p, 0.0) @ self.B, 1e-300)
         return -((np.log(py) + 1.0) @ self.Bt)
 
-    def _barrier_path(self, p: np.ndarray, m: np.ndarray) -> np.ndarray:
+    def _barrier_path(
+        self, p: np.ndarray, m: np.ndarray | None = None, tilt: np.ndarray | None = None
+    ) -> np.ndarray:
         """Run every mu stage of the barrier path on each row of p.
 
+        Each row maximizes H(B p) on the slice with mean m[row], or, given
+        `tilt` (nats per unit of mean) in place of m, maximizes
+        H(B p) - tilt[row] * mean(p) over the whole simplex: the mean row of
+        the KKT system is dropped and the tilt enters the gradient.
         A row leaves a stage after 60 Newton steps, on a step below 1e-14,
         when its line search fails, or once it moves less than 1e-13.
         """
         rows, n = p.shape
         B, Bt, x = self.B, self.Bt, self.x
-        kkt = np.zeros((rows, n + 2, n + 2))
+        free = tilt is not None
+        size = n + 1 if free else n + 2
+        kkt = np.zeros((rows, size, size))
         kkt[:, :n, n] = kkt[:, n, :n] = 1.0
-        kkt[:, :n, n + 1] = kkt[:, n + 1, :n] = x
-        rhs = np.empty((rows, n + 2, 1))
+        if not free:
+            kkt[:, :n, n + 1] = kkt[:, n + 1, :n] = x
+        rhs = np.empty((rows, size, 1))
         for mu in _MU_STAGES:
             p = np.maximum(p, 1e-150)  # barrier needs strict positivity (and p**2 > 0)
-            live, q, mm = np.arange(rows), p, m  # rows still moving, their iterates and means
+            # rows still moving, their iterates and their means (or tilts)
+            live, q, mm = np.arange(rows), p, (tilt if free else m)
             for _ in range(60):
                 K, r = kkt[: live.size], rhs[: live.size]
                 py = np.maximum(q @ B, 1e-300)
                 logpy = np.log(py)
                 np.matmul(B / -py[:, None, :], Bt, out=K[:, :n, :n])
-                K.reshape(live.size, -1)[:, : n * (n + 3) : n + 3] -= mu / q**2  # diagonal
+                K.reshape(live.size, -1)[:, : n * (size + 1) : size + 1] -= mu / q**2  # diagonal
                 r[:, :n, 0] = (logpy + 1.0) @ Bt - mu / q
                 r[:, n, 0] = 1.0 - q.sum(axis=1)
-                r[:, n + 1, 0] = mm - q @ x
+                if free:
+                    r[:, :n, 0] += mm[:, None] * x
+                else:
+                    r[:, n + 1, 0] = mm - q @ x
                 try:
                     sol = np.linalg.solve(K, r)
                 except np.linalg.LinAlgError:  # a singular row: least squares, row by row
@@ -249,6 +276,8 @@ class _SliceEntropySolver:
                 t = np.minimum(1.0, 0.99 * ratio.min(axis=1))
 
                 base = _entropy_rows(py) + mu * np.log(q).sum(axis=1)
+                if free:
+                    base -= mm * (q @ x)
                 todo = step >= 1e-14
                 accepted = np.zeros(live.size, dtype=bool)
                 for _ in range(50):
@@ -256,6 +285,8 @@ class _SliceEntropySolver:
                     pos = cand > 0
                     barrier = np.log(np.where(pos, cand, 1.0)).sum(axis=1)
                     merit = self.values_nats(cand) + mu * barrier
+                    if free:
+                        merit -= mm * (cand @ x)
                     ok = todo & pos.all(axis=1) & (merit >= base - 1e-12)
                     accepted |= ok
                     todo &= ~ok
@@ -316,6 +347,32 @@ class _SliceEntropySolver:
                 q[bad], gap[bad] = self._guard(g[bad], retry_base=init is not None)
             p[inner], gaps[inner] = q, gap
         return self.values_nats(p) / LN2, p, gaps
+
+    def solve_free(self, tilts):
+        """max H(B p) - tilt * mean(p) over the whole simplex, one row per
+        tilt (nats per unit of mean), all in one batch.
+
+        Rows start from the pmf proportional to exp(-tilt * x). Returns
+        (output entropy in bits, maximizing pmfs, certified gaps in nats).
+        Each row is certified by the simplex LP gap max_i g_i - <g, p> of
+        its tilted objective; a row above GAP_TOL, or off the simplex,
+        raises UncertifiedSolveError.
+        """
+        t = np.asarray(tilts, dtype=float)
+        logw = -t[:, None] * self.x
+        w = np.exp(logw - logw.max(axis=1, keepdims=True))
+        p = self._barrier_path(w / w.sum(axis=1, keepdims=True), tilt=t)
+        g = self.grads_nats(p) - t[:, None] * self.x
+        gap = g.max(axis=1) - (g * p).sum(axis=1)
+        gap[~(np.abs(p.sum(axis=1) - 1.0) <= FEAS_TOL)] = np.inf  # a NaN row is uncertified too
+        bad = np.flatnonzero(~(gap <= GAP_TOL))
+        if bad.size:
+            j = int(bad[0])
+            raise UncertifiedSolveError(
+                f"free-mean solve at tilt={t[j]} nats, k={self.k}, r_p={self.r_p} has "
+                f"LP gap {gap[j]:.3e} nats > GAP_TOL={GAP_TOL:.0e}"
+            )
+        return self.values_nats(p) / LN2, p, gap
 
     def _guard(self, g: np.ndarray, retry_base: bool):
         """Re-solve uncertified rows from the other default starts, batched."""
@@ -405,11 +462,59 @@ def i_tilde_curve(gammas, k: int, r_p: float) -> np.ndarray:
     return np.maximum((bits - sv.noise_entropy_bits) / k, 0.0)
 
 
-def _i_tilde_fast(gamma: float, k: int, r_p: float, warm: dict) -> float:
+def _tangent_points(k: int, r_p: float, s: np.ndarray):
+    """Where lines of slope s touch the curve u -> i_tilde(u - 1/k, k, r_p).
+
+    One batched free-mean solve gives, per multiplier s (bits per unit of
+    budget), the intercept g_k(s) = max_u i_tilde(u - 1/k, k) - s*u, the
+    touching gamma and ceiling, and the certified slack of g_k, all in
+    bits; a row that cannot be certified raises UncertifiedSolveError.
+    """
     sv = _solver(k, r_p)
-    bits, p, _ = sv.solve([gamma], init=warm.get(k))
-    warm[k] = p
-    return max((float(bits[0]) - sv.noise_entropy_bits) / k, 0.0)
+    bits, p, gap = sv.solve_free(s * LN2)
+    gamma = (p @ sv.x) / k
+    info = (bits - sv.noise_entropy_bits) / k
+    return info - s * (gamma + 1.0 / k), gamma, info, gap / (LN2 * k)
+
+
+def _solve_pair(tau: int, r_p: float, budget: float):
+    """Best mix of windows tau and tau + 1 under the budget, certified by
+    its Lagrangian dual.
+
+    The dual min_s s*budget + max(g_tau(s), g_tau+1(s)) is convex in s;
+    each round evaluates it on ZOOM_POINTS multipliers and keeps the two
+    cells around the smallest, until the bracket is narrower than S_TOL.
+    The primal value is the best of three candidates: the mix of the two
+    touching points at s*, pure window tau and pure window tau + 1 (the
+    pure ones by `i_tilde`, so they also cover optima at gamma = 0, where
+    s* would be unbounded). Returns (value, alpha, gamma1, gamma2, gap in
+    bits), the gap being the dual bound at s* minus the primal value.
+    """
+    ks = (tau, tau + 1)
+    lo, hi = -S_BRACKET, S_BRACKET
+    while True:
+        s = np.linspace(lo, hi, ZOOM_POINTS)
+        pts = [_tangent_points(k, r_p, s) for k in ks]
+        j = int(np.argmin(s * budget + np.max([pt[0] for pt in pts], axis=0)))
+        lo, hi = s[max(j - 1, 0)], s[min(j + 1, s.size - 1)]
+        if hi - lo < S_TOL:
+            break
+    at = [[float(arr[j]) for arr in pt] for pt in pts]  # (g, gamma, ceiling, slack) per window
+    dual = float(s[j]) * budget + max(g + slack for g, _, _, slack in at)
+    (_, gm1, i1, _), (_, gm2, i2, _) = at
+
+    cands = []
+    g_end = budget - 1.0 / tau  # alpha = 1 pins gamma1; gamma2 is then irrelevant
+    if 0.0 <= g_end <= 1.0:
+        cands.append((i_tilde(g_end, tau, r_p).bits_per_slot, 1.0, g_end, 0.0))
+    g_end = max(budget - 1.0 / (tau + 1), 0.0)
+    cands.append((i_tilde(g_end, tau + 1, r_p).bits_per_slot, 0.0, 0.0, g_end))
+    u1, u2 = gm1 + 1.0 / tau, gm2 + 1.0 / (tau + 1)
+    a = (budget - u2) / (u1 - u2) if u1 != u2 else -1.0
+    if 0.0 <= a <= 1.0:
+        cands.append((a * i1 + (1.0 - a) * i2, a, gm1, gm2))
+    best = max(cands, key=lambda c: c[0])  # ties keep a pure window, so alpha stays exact
+    return (*best, dual - best[0])
 
 
 def solve_capacity_3user(r_p: float, tau_max: int = 8) -> CapacityResult3:
@@ -418,16 +523,20 @@ def solve_capacity_3user(r_p: float, tau_max: int = 8) -> CapacityResult3:
     For tau = 1, 2, ... the solver maximizes
     alpha * i_tilde(gamma1, tau) + (1 - alpha) * i_tilde(gamma2, tau + 1)
     subject to alpha*(gamma1 + 1/tau) + (1 - alpha)*(gamma2 + 1/(tau+1))
-    = 1 - r_p, stopping at the first tau whose optimum decreases. Mixing
-    only adjacent lengths (tau, tau + 1), and stopping early, is a
-    restriction. It is backed at r_p = 0, where the mixed-window concavity
-    inequality is a theorem, but that inequality has certified
-    counterexamples for r_p > 0, so there the returned value can fall short
-    of the best mix over all window lengths up to tau_max. Each
-    per-tau problem eliminates gamma2, scans (alpha, gamma1) on a 1e-3 grid
-    against interpolated i_tilde tables (each window length's table is
-    built once per call and shared by the two tau steps that use it), then
-    refines on the exact objective. All per-tau optima are kept for audit.
+    = 1 - r_p, stopping at the first tau whose optimum decreases (a tie
+    keeps the earlier tau). Mixing only adjacent lengths (tau, tau + 1),
+    and stopping early, is a restriction. It is backed at r_p = 0, where
+    the mixed-window concavity inequality is a theorem, but that inequality
+    has certified counterexamples for r_p > 0, so there the returned value
+    can fall short of the best mix over all window lengths up to tau_max.
+
+    Each pair is the concave envelope of its two ceiling curves at the
+    budget, solved exactly through its one-multiplier Lagrangian dual (see
+    `_solve_pair`): batched free-mean max-entropy solves, no grid scan and
+    no polish. Every per-tau optimum is kept for audit with its certified
+    duality gap, and a gap above PAIR_GAP_TOL bits raises
+    UncertifiedSolveError. `windows` lists the window lengths of the
+    optimal mix with their shares.
     """
     if not 0.0 <= r_p < 1.0:
         raise ValueError("r_p must lie in [0, 1)")
@@ -440,71 +549,26 @@ def solve_capacity_3user(r_p: float, tau_max: int = 8) -> CapacityResult3:
             f"rate budget {budget} cannot be met with tau <= {tau_max - 1}"
         )
 
-    gammas = np.arange(0.0, 1.0 + TABLE_STEP / 2, TABLE_STEP)
-    alphas = np.arange(0.0, 1.0, GRID_STEP)
-    tables: dict[int, np.ndarray] = {}  # window length -> i_tilde table, built once
     per_tau: dict[int, float] = {}
+    per_tau_gap: dict[int, float] = {}
     best = None
     prev_val = -np.inf
     for tau in feasible_taus:
-        for k in (tau, tau + 1):
-            if k not in tables:
-                tables[k] = i_tilde_curve(gammas, k, r_p)
-        table1, table2 = tables[tau], tables[tau + 1]
-        inv1, inv2 = 1.0 / tau, 1.0 / (tau + 1)
-
-        A, G1 = np.meshgrid(alphas, gammas, indexing="ij")
-        G2 = (budget - A * (G1 + inv1)) / (1.0 - A) - inv2
-        ok = (G2 >= -1e-12) & (G2 <= 1.0 + 1e-12)
-        obj = np.where(
-            ok,
-            A * np.interp(G1, gammas, table1)
-            + (1.0 - A) * np.interp(np.clip(G2, 0.0, 1.0), gammas, table2),
-            -np.inf,
-        )
-        ia, ig = np.unravel_index(int(np.argmax(obj)), obj.shape)
-
-        warm: dict[int, np.ndarray] = {}
-
-        def exact_neg(xv, _tau=tau, _inv1=inv1, _inv2=inv2, _warm=warm):
-            a, g1 = float(xv[0]), float(xv[1])
-            if not (0.0 <= a < 1.0 and 0.0 <= g1 <= 1.0):
-                return np.inf
-            g2 = (budget - a * (g1 + _inv1)) / (1.0 - a) - _inv2
-            if not -1e-9 <= g2 <= 1.0 + 1e-9:
-                return np.inf
-            g2 = min(max(g2, 0.0), 1.0)
-            return -(
-                a * _i_tilde_fast(g1, _tau, r_p, _warm)
-                + (1.0 - a) * _i_tilde_fast(g2, _tau + 1, r_p, _warm)
+        val, a_opt, g1_opt, g2_opt, gap = _solve_pair(tau, r_p, budget)
+        if not gap <= PAIR_GAP_TOL:
+            raise UncertifiedSolveError(
+                f"window pair ({tau}, {tau + 1}) at r_p={r_p} has duality gap "
+                f"{gap:.3e} bits > PAIR_GAP_TOL={PAIR_GAP_TOL:.0e}"
             )
-
-        res = minimize(
-            exact_neg,
-            np.array([alphas[ia], gammas[ig]]),
-            method="Nelder-Mead",
-            options=dict(xatol=1e-7, fatol=1e-10, maxiter=400),
-        )
-        val, a_opt, g1_opt = -float(res.fun), float(res.x[0]), float(res.x[1])
-        g2_opt = min(max((budget - a_opt * (g1_opt + inv1)) / (1.0 - a_opt) - inv2, 0.0), 1.0)
-
-        # alpha = 1 pins gamma1 through the budget; gamma2 is then irrelevant
-        g1_end = budget - inv1
-        if 0.0 <= g1_end <= 1.0:
-            end_val = i_tilde(g1_end, tau, r_p).bits_per_slot
-            if end_val > val:
-                val, a_opt, g1_opt, g2_opt = end_val, 1.0, g1_end, 0.0
-
-        per_tau[tau] = val
+        per_tau[tau], per_tau_gap[tau] = val, gap
         if best is None or val > best[0]:
-            best = (val, a_opt, g1_opt, g2_opt, tau)
+            best = (val, a_opt, g1_opt, g2_opt, tau, gap)
         if val < prev_val:
             break
         prev_val = val
 
-    val, a_opt, g1_opt, g2_opt, tau = best
+    val, a_opt, g1_opt, g2_opt, tau, gap = best
     lhs = a_opt * (g1_opt + 1.0 / tau) + (1.0 - a_opt) * (g2_opt + 1.0 / (tau + 1))
-    residual = abs(lhs - budget) if a_opt < 1.0 else abs(g1_opt + 1.0 / tau - budget)
     return CapacityResult3(
         r_p=r_p,
         capacity_bits_per_slot=val,
@@ -512,8 +576,11 @@ def solve_capacity_3user(r_p: float, tau_max: int = 8) -> CapacityResult3:
         gamma1=g1_opt,
         gamma2=g2_opt,
         tau_star=tau,
-        constraint_residual=residual,
+        constraint_residual=abs(lhs - budget),
         per_tau=per_tau,
+        per_tau_gap=per_tau_gap,
+        gap_bits=gap,
+        windows=tuple((k, w) for k, w in ((tau, a_opt), (tau + 1, 1.0 - a_opt)) if w > 0.0),
     )
 
 

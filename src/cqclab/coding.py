@@ -18,6 +18,7 @@ shifted-binomial noise in the three-user case. Decoders read the columns of
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -309,6 +310,16 @@ def decode_2user(observations: ProbeObservations, codebook: Codebook) -> int:
     return int(hits[0])
 
 
+@functools.lru_cache(maxsize=64)
+def _log_channel_table(width: int, r_p: float) -> np.ndarray:
+    """Read-only log P(Y = y | X = x) of the width-slot channel, -1e30 where
+    impossible; built once per (width, r_p)."""
+    rows = channel_matrix(width, r_p).rows
+    table = np.where(rows > 0, np.log(np.maximum(rows, 1e-300)), -1e30)
+    table.flags.writeable = False
+    return table
+
+
 def decode_3user(observations: ProbeObservations, codebook: Codebook, r_p: float) -> int:
     """Maximum-likelihood decoding through the shifted-binomial channel.
 
@@ -324,8 +335,7 @@ def decode_3user(observations: ProbeObservations, codebook: Codebook, r_p: float
         yw = y[cols]
         if yw.min() < 0 or yw.max() > 2 * width:
             raise DecodeMatchError("observed count outside the channel alphabet")
-        rows = channel_matrix(int(width), r_p).rows
-        table = np.where(rows > 0, np.log(np.maximum(rows, 1e-300)), -1e30)
+        table = _log_channel_table(int(width), float(r_p))
         # compress keeps each message's terms contiguous, which fixes the
         # order of the row sums (and so the tie-breaks between -1e30 scores)
         loglik += table[counts.compress(cols, axis=1), yw].sum(axis=1)

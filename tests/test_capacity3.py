@@ -298,6 +298,30 @@ class TestBatchedSolver:
         assert (gaps <= GAP_TOL).all()
 
 
+    @pytest.mark.parametrize("k, r_p", [(1, 0.0), (3, 0.3), (6, 0.7)])
+    def test_free_mean_rows_match_slice_solves(self, k, r_p):
+        # a free-mean maximizer is also the slice maximizer at its own mean,
+        # and no point of a slice grid beats its tilted objective
+        sv = capacity3._SliceEntropySolver(k, r_p)
+        tilts = np.linspace(-20.0, 20.0, 17)
+        bits, p, gaps = sv.solve_free(tilts)
+        assert (gaps <= GAP_TOL).all()
+        assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
+        means = p @ np.arange(k + 1.0)
+        slice_bits, _, _ = sv.solve(np.clip(means / k, 0.0, 1.0))
+        assert np.allclose(bits, slice_bits, atol=1e-9)
+        gs = np.linspace(0.0, 1.0, 201)
+        grid_bits, _, _ = sv.solve(gs)
+        scale = tilts[:, None] / capacity3.LN2
+        best = (grid_bits[None, :] - scale * k * gs[None, :]).max(axis=1)
+        assert (bits - scale[:, 0] * means >= best - 1e-9).all()
+
+    def test_uncertified_free_mean_raises(self, monkeypatch):
+        monkeypatch.setattr(capacity3, "GAP_TOL", 1e-30)
+        with pytest.raises(UncertifiedSolveError):
+            capacity3._SliceEntropySolver(3, 0.2).solve_free([0.5])
+
+
 class TestCapacity3:
     def test_noiseless_matches_two_user(self, cap3_rp0, cap2):
         assert cap3_rp0.capacity_bits_per_slot == pytest.approx(
@@ -343,24 +367,90 @@ class TestCapacity3:
         with pytest.raises(InfeasibleError):
             solve_capacity_3user(0.6, tau_max=2)
 
-    def test_each_table_built_once(self, monkeypatch):
+    def test_each_solver_built_once(self, monkeypatch):
         built = Counter()
-        real = capacity3.i_tilde_curve
 
-        def counting(gammas, k, r_p):
-            built[k] += 1
-            return real(gammas, k, r_p)
+        class Counting(capacity3._SliceEntropySolver):
+            def __init__(self, k, r_p):
+                built[k] += 1
+                super().__init__(k, r_p)
 
-        monkeypatch.setattr(capacity3, "i_tilde_curve", counting)
+        monkeypatch.setattr(capacity3, "_solver_cache", {})
+        monkeypatch.setattr(capacity3, "_SliceEntropySolver", Counting)
         res = solve_capacity_3user(0.3, tau_max=8)
         assert res.tau_star == 2
         assert built == {1: 1, 2: 1, 3: 1, 4: 1}
+
+    def test_exact_result_at_rp01(self, cap3_rp01):
+        # window 2 alone is optimal for both pairs (1, 2) and (2, 3); the
+        # two pure candidates are the same i_tilde call, so the tie is exact
+        # and goes to tau = 1
+        pure = i_tilde(1.0 - 0.1 - 1.0 / 2, 2, 0.1).bits_per_slot
+        assert cap3_rp01.tau_star == 1
+        assert (cap3_rp01.alpha, cap3_rp01.gamma1, cap3_rp01.gamma2) == (0.0, 0.0, 0.4)
+        assert cap3_rp01.capacity_bits_per_slot == pure
+        assert cap3_rp01.per_tau[1] == cap3_rp01.per_tau[2] == pure
+        assert cap3_rp01.windows == ((2, 1.0),)
+        assert cap3_rp01.constraint_residual == 0.0
+
+    def test_windows_and_gap_of_a_mix(self, cap3_rp0):
+        (k1, w1), (k2, w2) = cap3_rp0.windows
+        assert (k1, k2) == (1, 2)
+        assert w1 == cap3_rp0.alpha and w1 + w2 == pytest.approx(1.0, abs=1e-15)
+        assert 0.1 < w1 < 0.2
+        assert 0.0 <= cap3_rp0.gap_bits <= capacity3.PAIR_GAP_TOL
+        assert cap3_rp0.gap_bits == cap3_rp0.per_tau_gap[cap3_rp0.tau_star]
+        assert set(cap3_rp0.per_tau_gap) == set(cap3_rp0.per_tau)
+
+    def test_no_nelder_mead(self, monkeypatch):
+        import scipy.optimize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.optimize.minimize called")
+
+        monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+        res = solve_capacity_3user(0.2, tau_max=8)
+        assert res.tau_star == 2
+
+    def test_pair_gap_enforced(self, monkeypatch):
+        monkeypatch.setattr(capacity3, "PAIR_GAP_TOL", -1.0)
+        with pytest.raises(UncertifiedSolveError):
+            solve_capacity_3user(0.0, tau_max=2)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             solve_capacity_3user(-0.1)
         with pytest.raises(ValueError):
             solve_capacity_3user(0.2, tau_max=1)
+
+
+class TestDualAgainstPrimal:
+    """Every pair optimum beats a dense feasible grid, and the grid stays
+    below the optimum plus its certified gap."""
+
+    @staticmethod
+    def _grid_best(tau, r_p):
+        gammas = np.linspace(0.0, 1.0, 501)
+        t1, t2 = i_tilde_curve(gammas, tau, r_p), i_tilde_curve(gammas, tau + 1, r_p)
+        A, G1 = np.meshgrid(np.linspace(0.0, 1.0, 1001)[:-1], gammas, indexing="ij")
+        G2 = (1.0 - r_p - A * (G1 + 1.0 / tau)) / (1.0 - A) - 1.0 / (tau + 1)
+        ok = (G2 >= 0.0) & (G2 <= 1.0)
+        # linear interpolation of the concave ceiling is a lower bound, so
+        # every grid value is achieved by some feasible point
+        vals = A * np.interp(G1, gammas, t1) + (1.0 - A) * np.interp(G2, gammas, t2)
+        return np.where(ok, vals, -np.inf).max()
+
+    @pytest.mark.parametrize("r_p", [0.0, 0.05, 0.1, 0.3, 0.5])
+    def test_pairs_bound_the_grid(self, r_p, cap3_rp0, cap3_rp005, cap3_rp01):
+        known = {0.0: cap3_rp0, 0.05: cap3_rp005, 0.1: cap3_rp01}
+        res = known.get(r_p) or solve_capacity_3user(r_p, tau_max=8)
+        assert res.gap_bits <= capacity3.PAIR_GAP_TOL
+        for tau, val in res.per_tau.items():
+            gap = res.per_tau_gap[tau]
+            assert 0.0 <= gap <= capacity3.PAIR_GAP_TOL
+            best = self._grid_best(tau, r_p)
+            assert val >= best - 1e-12
+            assert best <= val + gap
 
 
 class TestMixedWindowConcavity:
