@@ -3,22 +3,24 @@
 The operating point mixes probe inter-arrival windows of length 1 (weight
 alpha) and length 2 (weight 1 - alpha), subject to the heavy-traffic budget
 alpha*(gamma1 + 1) + (1 - alpha)*(gamma2 + 1/2) = 1. The objective is the
-matching mixture of per-slot entropy ceilings h_tilde. The solver eliminates
-gamma2 through the budget, grid-scans (alpha, gamma1) at step 1e-3, then
-polishes with a Nelder-Mead descent on the exact objective.
+matching mixture of per-slot entropy ceilings h_tilde.
+
+This is the three-user problem without background traffic (r_p = 0)
+restricted to the window pair (1, 2), so it is solved by the same engine:
+the pair's Lagrangian dual min_s s + max(g_1(s), g_2(s)) (see
+`capacity3._solve_pair`), or, with the mix frozen at alpha,
+min_s s + alpha*g_1(s) + (1 - alpha)*g_2(s). The reported capacity is the
+objective above, evaluated by h_tilde at the returned point, which meets the
+budget; `gap_bits` is the dual bound minus it, and a gap above
+PAIR_GAP_TOL raises UncertifiedSolveError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import minimize
-
-from .dist import h_tilde, h_tilde_grid
-
-GRID_STEP = 1e-3
+from .capacity3 import PAIR_GAP_TOL, UncertifiedSolveError, _solve_pair
+from .dist import h_tilde
 
 # gamma boxes for the two-window mixture: both rates live in [0, 1/2]
 _G_HI = 0.5
@@ -35,6 +37,7 @@ class CapacityResult2:
     gamma1: float
     gamma2: float
     constraint_residual: float
+    gap_bits: float = 0.0  # certified: the dual bound minus capacity_bits_per_slot
 
     def __post_init__(self):
         if not 0.0 <= self.capacity_bits_per_slot <= 1.0 + 1e-12:
@@ -71,87 +74,42 @@ def eliminate_gamma2(alpha: float, gamma1: float) -> float:
     return (1.0 - alpha * (gamma1 + 1.0)) / (1.0 - alpha) - 0.5
 
 
-def _objective_reduced(alpha: float, gamma1: float) -> float:
-    """Objective on the constraint surface; -inf when infeasible."""
-    if alpha >= 1.0:
-        # the budget forces gamma1 = 0, hence a zero-rate, zero-value point
-        return 0.0 if abs(gamma1) < 1e-9 else -math.inf
-    if not (0.0 <= alpha and 0.0 <= gamma1 <= _G_HI):
-        return -math.inf
-    g2 = eliminate_gamma2(alpha, gamma1)
-    if not -1e-12 <= g2 <= _G_HI + 1e-12:
-        return -math.inf
-    g2 = min(max(g2, 0.0), _G_HI)
-    return objective_2user(alpha, gamma1, g2)
-
-
-def solve_capacity_2user(tolerance: float = 1e-6) -> CapacityResult2:
-    """Globally maximize the two-user objective on the budget surface.
-
-    Coarse 1e-3 grid over (alpha, gamma1) with gamma2 eliminated, followed by
-    Nelder-Mead refinement of the exact objective down to `tolerance`. The
-    grid argmax uses a deterministic first-hit tie-break, lexicographic in
-    (alpha, gamma1).
-    """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    alphas = np.arange(0.0, 1.0, GRID_STEP)
-    g1s = np.arange(0.0, _G_HI + GRID_STEP / 2, GRID_STEP)
-    h1 = h_tilde_grid(g1s, 1)
-
-    A, G1 = np.meshgrid(alphas, g1s, indexing="ij")
-    G2 = (1.0 - A * (G1 + 1.0)) / (1.0 - A) - 0.5
-    feasible = (G2 >= -1e-12) & (G2 <= _G_HI + 1e-12)
-    H2 = h_tilde_grid(np.clip(G2, 0.0, _G_HI), 2)
-    obj = np.where(feasible, A * h1[np.newaxis, :] + (1.0 - A) * H2, -np.inf)
-
-    ia, ig = np.unravel_index(int(np.argmax(obj)), obj.shape)
-    x0 = np.array([alphas[ia], g1s[ig]])
-
-    res = minimize(
-        lambda x: -_objective_reduced(x[0], x[1]),
-        x0,
-        method="Nelder-Mead",
-        options=dict(xatol=tolerance * 1e-2, fatol=tolerance * 1e-4, maxiter=2000),
-    )
-    alpha, gamma1 = float(res.x[0]), float(res.x[1])
-    value = -float(res.fun)
-    if value < float(obj[ia, ig]):  # refinement must never lose to the grid
-        alpha, gamma1, value = float(alphas[ia]), float(g1s[ig]), float(obj[ia, ig])
-    gamma2 = min(max(eliminate_gamma2(alpha, gamma1), 0.0), _G_HI)
+def _solve(alpha: float | None) -> CapacityResult2:
+    """The window pair (1, 2) at r_p = 0 by its dual, with the mix free
+    (alpha None) or frozen at alpha < 1."""
+    value, alpha, gamma1, gamma2, gap = _solve_pair(1, 0.0, 1.0, alpha=alpha)
+    if gamma1 > _G_HI:
+        # alpha near 0: the touching gamma1 is 1/2 up to the solver's few 1e-9,
+        # and past 1/2 a window of length 1 only spends budget
+        gamma1 = _G_HI
+        gamma2 = eliminate_gamma2(alpha, gamma1)
+    capacity = objective_2user(alpha, gamma1, gamma2)
+    gap_bits = value + gap - capacity
+    if not gap_bits <= PAIR_GAP_TOL:
+        raise UncertifiedSolveError(
+            f"two-user solve at alpha={alpha} has duality gap {gap_bits:.3e} bits "
+            f"> PAIR_GAP_TOL={PAIR_GAP_TOL:.0e}"
+        )
     return CapacityResult2(
-        capacity_bits_per_slot=value,
+        capacity_bits_per_slot=capacity,
         alpha=alpha,
         gamma1=gamma1,
         gamma2=gamma2,
         constraint_residual=abs(constraint_value(alpha, gamma1, gamma2) - 1.0),
+        gap_bits=gap_bits,
     )
 
 
-def solve_on_alpha_slice(alpha: float, tolerance: float = 1e-6) -> CapacityResult2:
+def solve_capacity_2user() -> CapacityResult2:
+    """Maximize the two-user objective on the budget surface, certified by
+    the dual of the window pair (1, 2)."""
+    return _solve(None)
+
+
+def solve_on_alpha_slice(alpha: float) -> CapacityResult2:
     """Best feasible point with the window mix frozen at `alpha`."""
     if not 0.0 <= alpha <= 1.0:
         raise BoxViolationError(f"alpha={alpha} outside [0, 1]")
-    if alpha == 1.0:
+    if alpha == 1.0:  # the budget pins gamma1 = 0: a zero-rate point
         return CapacityResult2(0.0, 1.0, 0.0, 0.0, 0.0)
-    g1s = np.arange(0.0, _G_HI + GRID_STEP / 2, GRID_STEP)
-    vals = np.array([_objective_reduced(alpha, g) for g in g1s])
-    best = int(np.argmax(vals))
-    res = minimize(
-        lambda x: -_objective_reduced(alpha, float(x[0])),
-        np.array([g1s[best]]),
-        method="Nelder-Mead",
-        options=dict(xatol=tolerance * 1e-2, fatol=tolerance * 1e-4, maxiter=500),
-    )
-    gamma1 = float(res.x[0])
-    value = -float(res.fun)
-    if value < vals[best]:
-        gamma1, value = float(g1s[best]), float(vals[best])
-    gamma2 = min(max(eliminate_gamma2(alpha, gamma1), 0.0), _G_HI)
-    return CapacityResult2(
-        capacity_bits_per_slot=value,
-        alpha=alpha,
-        gamma1=gamma1,
-        gamma2=gamma2,
-        constraint_residual=abs(constraint_value(alpha, gamma1, gamma2) - 1.0),
-    )
+    return _solve(alpha)

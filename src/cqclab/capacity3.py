@@ -25,7 +25,9 @@ equals the one-multiplier Lagrangian dual
 min_s s*c + max_k g_k(s), g_k(s) = max_p [H(Y) - s*E X - H(Bin(k, r_p)) - s] / k
 (Blahut 1972), a convex problem in s whose g_k come from batched free-mean
 solves. The windows touching the envelope at the minimizing s give the
-primal mix, and dual minus primal is a certified gap.
+primal mix, and dual minus primal is a certified gap. With the mix weights
+fixed, the max becomes the weighted sum of the g_k. The two-user capacity
+(`capacity2`) is the pair (1, 2) of this engine at r_p = 0.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import Pmf, binomial_pmf, entropy
+from .dist import Pmf, _tilt_logw_to_mean, binomial_pmf, entropy
 
 LN2 = math.log(2.0)
 
@@ -157,37 +159,6 @@ def _lp_gaps(g: np.ndarray, p: np.ndarray, m: np.ndarray) -> np.ndarray:
     vals = np.where(J > I, ((J - mm) * gi + (mm - I) * gj) / span, gi)
     vals = np.where((I <= mm) & (J >= mm), vals, -np.inf)
     return vals.max(axis=(1, 2)) - (g * p).sum(axis=1)
-
-
-def _tilt_logw_to_mean(logw: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Exponentially tilt each row of log-weights so its normalized pmf has
-    mean m[row].
-
-    The mean is increasing in the tilt s, with derivative the variance, so
-    each row takes Newton steps from s = 0 and bisects instead whenever a
-    step leaves the bracket its signs have established, within |s| <= 1e5.
-    A row whose root lies beyond that gets the pmf at the limit.
-    """
-    i = np.arange(logw.shape[1], dtype=float)
-    lo = np.full(m.size, -1e5)
-    hi = np.full(m.size, 1e5)
-    s = np.zeros(m.size)
-    for _ in range(200):
-        z = logw + s[:, None] * i
-        w = np.exp(z - z.max(axis=1, keepdims=True))
-        p = w / w.sum(axis=1, keepdims=True)
-        mean = p @ i
-        f = mean - m
-        lo = np.where(f < 0, s, lo)
-        hi = np.where(f > 0, s, hi)
-        var = ((i - mean[:, None]) ** 2 * p).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = s - f / var
-        s_new = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
-        if (np.abs(s_new - s) <= 1e-13 + 8.9e-16 * np.abs(s)).all():
-            break
-        s = s_new
-    return p
 
 
 def _entropy_rows(py: np.ndarray) -> np.ndarray:
@@ -341,7 +312,7 @@ class _SliceEntropySolver:
                 logw = np.zeros((g.size, k + 1))
             else:
                 logw = np.log(np.maximum(np.asarray(init, dtype=float)[inner], 1e-300))
-            q, _, gap = self._certify(_tilt_logw_to_mean(logw, m), m)
+            q, _, gap = self._certify(_tilt_logw_to_mean(logw, m)[1], m)
             bad = np.flatnonzero(gap > GAP_TOL)
             if bad.size:
                 q[bad], gap[bad] = self._guard(g[bad], retry_base=init is not None)
@@ -377,7 +348,7 @@ class _SliceEntropySolver:
     def _guard(self, g: np.ndarray, retry_base: bool):
         """Re-solve uncertified rows from the other default starts, batched."""
         k = self.k
-        base = _tilt_logw_to_mean(np.zeros((g.size, k + 1)), k * g)
+        base = _tilt_logw_to_mean(np.zeros((g.size, k + 1)), k * g)[1]
         w = 2 * np.minimum(g, 1 - g)  # uniform share; the rest sits on the near endpoint
         unif_mix = w[:, None] * np.full(k + 1, 1.0 / (k + 1))
         unif_mix[np.arange(g.size), np.where(g <= 0.5, 0, k)] += 1 - w
@@ -388,7 +359,7 @@ class _SliceEntropySolver:
             starts.insert(0, base)
         m = np.tile(k * g, len(starts))
         logw = np.log(np.maximum(np.concatenate(starts), 1e-300))
-        p, val, gap = self._certify(_tilt_logw_to_mean(logw, m), m)
+        p, val, gap = self._certify(_tilt_logw_to_mean(logw, m)[1], m)
         shape = (len(starts), g.size)
         p, val, gap = p.reshape(*shape, k + 1), val.reshape(shape), gap.reshape(shape)
         val = np.where(gap <= GAP_TOL, val, -np.inf)
@@ -477,7 +448,7 @@ def _tangent_points(k: int, r_p: float, s: np.ndarray):
     return info - s * (gamma + 1.0 / k), gamma, info, gap / (LN2 * k)
 
 
-def _solve_pair(tau: int, r_p: float, budget: float):
+def _solve_pair(tau: int, r_p: float, budget: float, alpha: float | None = None):
     """Best mix of windows tau and tau + 1 under the budget, certified by
     its Lagrangian dual.
 
@@ -489,20 +460,42 @@ def _solve_pair(tau: int, r_p: float, budget: float):
     pure ones by `i_tilde`, so they also cover optima at gamma = 0, where
     s* would be unbounded). Returns (value, alpha, gamma1, gamma2, gap in
     bits), the gap being the dual bound at s* minus the primal value.
+
+    A given `alpha` < 1 freezes the mix: the dual becomes
+    min_s s*budget + alpha*g_tau(s) + (1 - alpha)*g_tau+1(s), and the
+    primal point keeps the touching gamma of the lighter window at s* (0
+    when alpha = 0, where window tau carries no weight) and takes the other
+    from the budget.
     """
     ks = (tau, tau + 1)
+
+    def envelope(g):  # the two windows' intercepts, one row each
+        return g.max(axis=0) if alpha is None else alpha * g[0] + (1.0 - alpha) * g[1]
+
     lo, hi = -S_BRACKET, S_BRACKET
     while True:
         s = np.linspace(lo, hi, ZOOM_POINTS)
         pts = [_tangent_points(k, r_p, s) for k in ks]
-        j = int(np.argmin(s * budget + np.max([pt[0] for pt in pts], axis=0)))
+        j = int(np.argmin(s * budget + envelope(np.array([pt[0] for pt in pts]))))
         lo, hi = s[max(j - 1, 0)], s[min(j + 1, s.size - 1)]
         if hi - lo < S_TOL:
             break
     at = [[float(arr[j]) for arr in pt] for pt in pts]  # (g, gamma, ceiling, slack) per window
-    dual = float(s[j]) * budget + max(g + slack for g, _, _, slack in at)
+    dual = float(s[j]) * budget + float(envelope(np.array([g + sl for g, _, _, sl in at])))
     (_, gm1, i1, _), (_, gm2, i2, _) = at
 
+    if alpha is not None:
+        # the budget fixes the heavier window's gamma from the lighter one's,
+        # which damps the error of the touching point instead of amplifying it
+        if alpha <= 0.5:
+            gm1 = gm1 if alpha > 0.0 else 0.0
+            gm2 = (budget - alpha * (gm1 + 1.0 / tau)) / (1.0 - alpha) - 1.0 / (tau + 1)
+            i2 = i_tilde(gm2, tau + 1, r_p).bits_per_slot
+        else:
+            gm1 = (budget - (1.0 - alpha) * (gm2 + 1.0 / (tau + 1))) / alpha - 1.0 / tau
+            i1 = i_tilde(gm1, tau, r_p).bits_per_slot
+        value = alpha * i1 + (1.0 - alpha) * i2
+        return value, alpha, gm1, gm2, dual - value
     cands = []
     g_end = budget - 1.0 / tau  # alpha = 1 pins gamma1; gamma2 is then irrelevant
     if 0.0 <= g_end <= 1.0:

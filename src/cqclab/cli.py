@@ -73,14 +73,14 @@ def cmd_htilde(args) -> int:
 
 
 def cmd_capacity2(args) -> int:
-    tol = args.tolerance if args.tolerance is not None else 1e-6
     if args.alpha_fixed is not None:
-        res = solve_on_alpha_slice(args.alpha_fixed, tolerance=tol)
+        res = solve_on_alpha_slice(args.alpha_fixed)
     else:
-        res = solve_capacity_2user(tolerance=tol)
+        res = solve_capacity_2user()
     print(
         f"two-user capacity: {res.capacity_bits_per_slot:.4f} bits/slot "
-        f"(alpha={res.alpha:.4f}, gamma1={res.gamma1:.4f}, gamma2={res.gamma2:.4f})"
+        f"(alpha={res.alpha:.4f}, gamma1={res.gamma1:.4f}, gamma2={res.gamma2:.4f}; "
+        f"certified gap {res.gap_bits:.1e} bits)"
     )
     lines = [
         "capacity,alpha,gamma1,gamma2,constraint_residual",
@@ -95,7 +95,7 @@ def cmd_capacity2(args) -> int:
             )
         ),
     ]
-    _emit(args, {"tolerance": tol, "alpha_fixed": args.alpha_fixed}, lines)
+    _emit(args, {"alpha_fixed": args.alpha_fixed}, lines)
     return 0
 
 
@@ -313,7 +313,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser.add_argument("--out", type=str, default=None, help="CSV output path")
     parser.add_argument("--config", type=str, default=None, help="JSON config file")
     parser.add_argument(
-        "--tolerance", type=float, default=None, help="override numeric tolerance"
+        "--tolerance", type=float, default=None, help="override the validate tolerances"
     )
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers: dict[str, argparse.ArgumentParser] = {}
@@ -379,6 +379,10 @@ def main(argv: list[str] | None = None) -> int:
         for sp in subparsers.values():
             sp.set_defaults(**{k: v for k, v in cfg.items() if k != "command"})
         args = parser.parse_args(argv)
+    if args.tolerance is not None and args.command != "validate":
+        print(f"usage error: --tolerance applies only to validate, not {args.command}",
+              file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ValueError, LookupError, RuntimeError) as exc:

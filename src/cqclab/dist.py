@@ -6,6 +6,10 @@ constraint), the log-moment generating function of the uniform distribution
 and its Legendre-Fenchel rate function, and the per-slot entropy ceiling
 h_tilde built from them.
 
+One batched tilt solver, `_tilt_logw_to_mean`, finds every tilt: solve_tilt,
+rate_function and h_tilde are its one-row cases, h_tilde_grid its batched
+case, and capacity3 starts its inner solves from it.
+
 Entropies and divergences are in bits; rate_function returns nats (its
 consumers convert via log2(e)).
 """
@@ -16,13 +20,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 LOG2E = math.log2(math.e)
 
 _SUM_TOL = 1e-12
 _MEAN_TOL = 1e-10
-_BRACKET = 60.0
 
 
 class SupportMismatchError(ValueError):
@@ -35,6 +37,10 @@ class AbsoluteContinuityError(ValueError):
 
 class TiltEndpointError(ValueError):
     """Tilt solve requested at a degenerate mean (0 or k)."""
+
+
+class TiltConvergenceError(RuntimeError):
+    """A tilt solve ended away from its target mean."""
 
 
 @dataclass(frozen=True)
@@ -146,20 +152,87 @@ def tilted_pmf(k: int, lam: float) -> Pmf:
     return Pmf(w / w.sum())
 
 
-def _tilted_mean(k: int, lam: float) -> float:
-    z = np.arange(k + 1) * lam
-    z -= z.max()
-    w = np.exp(z)
-    return float(np.arange(k + 1) @ w / w.sum())
+def _tilt_logw_to_mean(logw: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exponentially tilt each row of log-weights so its normalized pmf has
+    mean m[row]; return the tilts s and the pmfs, proportional to
+    exp(logw + s * i) on {0..k}.
+
+    Each row takes Newton steps from s = 0 on the log of its mean's distance
+    to the endpoint nearer its target (the mean itself up to k/2, k minus
+    the mean above). On an exponential tail that log is linear in s, so a
+    target such as 1e-300 takes a few steps rather than one per unit of s.
+    A step that leaves the bracket the signs so far establish, within
+    |s| <= 1e5, is replaced by bisection. The rows stop together once each
+    has taken a Newton step below 1e-9, or any step at the rounding level
+    of s, and the pmfs are evaluated at the tilts reached. A target outside
+    (0, k) raises TiltEndpointError, and a row that ends more than a
+    relative 1e-10 off its target raises TiltConvergenceError.
+    """
+    k = logw.shape[1] - 1
+    m = np.asarray(m, dtype=float)
+    if not ((m > 0.0) & (m < k)).all():
+        raise TiltEndpointError(f"target means must lie strictly inside (0, {k})")
+    i = np.arange(k + 1.0)
+    low = m <= 0.5 * k
+    d = np.where(low[:, None], i, k - i)  # distance of each point to the near endpoint
+    log_target = np.log(np.where(low, m, k - m))
+    sign = np.where(low, 1.0, -1.0)
+
+    def tilted(s):  # pmfs, distances and log-residuals (increasing in s) at tilts s
+        z = logw + s[:, None] * i
+        z -= z.max(axis=1, keepdims=True)
+        p = np.exp(z, out=z)
+        p /= p.sum(axis=1, keepdims=True)
+        dist = (p * d).sum(axis=1)
+        return p, dist, sign * (np.log(dist) - log_target)
+
+    lo = np.full(m.size, -1e5)
+    hi = np.full(m.size, 1e5)
+    s = np.zeros(m.size)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a distance may underflow to 0
+        for _ in range(100):
+            p, dist, f = tilted(s)
+            var = ((d - dist[:, None]) ** 2 * p).sum(axis=1)  # f has slope var / dist
+            newton = s - f * dist / var
+            np.copyto(lo, s, where=f < 0)
+            np.copyto(hi, s, where=f > 0)
+            in_bracket = (newton >= lo) & (newton <= hi)
+            s_new = np.where(in_bracket, newton, 0.5 * (lo + hi))
+            step = np.abs(s_new - s)
+            # a Newton step leaves an error of the order of its square
+            done = (in_bracket & (step <= 1e-9)) | (step <= 1e-13 + 8.9e-16 * np.abs(s))
+            s = s_new
+            if done.all():
+                break
+        p, _, f = tilted(s)
+    off = np.flatnonzero(~(np.abs(f) <= 1e-10))
+    if off.size:
+        j = int(off[0])
+        raise TiltConvergenceError(
+            f"tilt for target mean {m[j]!r} on {{0..{k}}} stopped at s={s[j]!r}, "
+            f"relative residual {abs(f[j]):.3e}"
+        )
+    return s, p
+
+
+def _rate_grid(k: int, x: np.ndarray) -> np.ndarray:
+    """Rate function (nats) of the uniform law on {0..k} at interior means x:
+    lam * x - psi(lam) at the tilt lam matching each mean, with psi the
+    uniform log-MGF."""
+    lam, _ = _tilt_logw_to_mean(np.zeros((x.size, k + 1)), x)
+    z = np.multiply.outer(lam, np.arange(k + 1.0))
+    zmax = z.max(axis=1)
+    psi = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1)) - math.log(k + 1)
+    return lam * x - psi
 
 
 def solve_tilt(k: int, target_mean: float) -> TiltSolution:
     """Find the tilt parameter whose pmf on {0..k} has the given mean.
 
     The mean map lam -> mean(tilted_pmf(k, lam)) is strictly increasing, so
-    the root is unique; it is bracketed (expanding from [-60, 60] if needed)
-    and polished to a mean residual below 1e-10. Degenerate means 0 and k
-    are rejected: the corresponding pmfs are point masses with infinite tilt.
+    the root is unique; it is the one-row case of the batched tilt solve,
+    polished to a mean residual below 1e-10. Degenerate means 0 and k are
+    rejected: the corresponding pmfs are point masses with infinite tilt.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -167,33 +240,14 @@ def solve_tilt(k: int, target_mean: float) -> TiltSolution:
         raise TiltEndpointError(
             f"target mean {target_mean} must lie strictly inside (0, {k})"
         )
-    lo, hi = -_BRACKET, _BRACKET
-    while _tilted_mean(k, lo) > target_mean and lo > -1e6:
-        lo *= 2.0
-    while _tilted_mean(k, hi) < target_mean and hi < 1e6:
-        hi *= 2.0
-    lam = brentq(
-        lambda l: _tilted_mean(k, l) - target_mean,
-        lo,
-        hi,
-        xtol=1e-14,
-        rtol=8.9e-16,
-        maxiter=300,
-    )
-    pmf = tilted_pmf(k, lam)
+    lam, p = _tilt_logw_to_mean(np.zeros((1, k + 1)), np.array([float(target_mean)]))
+    pmf = Pmf(p[0])
     return TiltSolution(
-        lam=float(lam),
+        lam=float(lam[0]),
         pmf=pmf,
         target_mean=float(target_mean),
         residual=abs(pmf.mean() - target_mean),
     )
-
-
-def _log_mgf_uniform(k: int, lam: float) -> float:
-    """psi(lam) = ln E[exp(lam * U)] for U uniform on {0..k}, in nats."""
-    z = np.arange(k + 1) * lam
-    zmax = z.max()
-    return float(zmax + np.log(np.exp(z - zmax).sum()) - math.log(k + 1))
 
 
 def rate_function(k: int, x: float) -> float:
@@ -208,14 +262,13 @@ def rate_function(k: int, x: float) -> float:
         raise ValueError(f"x={x} outside [0, {k}]")
     if x == 0.0 or x == float(k):
         return math.log(k + 1)
-    lam = solve_tilt(k, x).lam
-    return lam * x - _log_mgf_uniform(k, lam)
+    return float(_rate_grid(k, np.array([float(x)]))[0])
 
 
 def h_tilde(gamma: float, k: int) -> HTildeValue:
     """Largest per-slot entropy of a count on {0..k} with mean k*gamma.
 
-    Evaluated through the rate-function identity
+    The one-point case of `h_tilde_grid`, through the rate-function identity
     (log2(k+1) - rate_function(k, k*gamma) * log2(e)) / k; the direct route
     (entropy of the mean-matched tilted pmf over k) must agree to 1e-9 and is
     reconciled against this one in the test suite.
@@ -224,10 +277,8 @@ def h_tilde(gamma: float, k: int) -> HTildeValue:
         raise ValueError("k must be >= 1")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma={gamma} outside [0, 1]")
-    if gamma == 0.0 or gamma == 1.0:
-        return HTildeValue(gamma=gamma, k=k, bits_per_slot=0.0)
-    bits = (math.log2(k + 1) - rate_function(k, k * gamma) * LOG2E) / k
-    return HTildeValue(gamma=gamma, k=k, bits_per_slot=max(bits, 0.0))
+    bits = float(h_tilde_grid(np.array([float(gamma)]), k)[0])
+    return HTildeValue(gamma=gamma, k=k, bits_per_slot=bits)
 
 
 def binomial_pmf(k: int, p: float) -> Pmf:
@@ -246,58 +297,16 @@ def binomial_pmf(k: int, p: float) -> Pmf:
     return Pmf(probs / probs.sum())
 
 
-def _tilt_lambda_grid(k: int, means: np.ndarray, iters: int = 100) -> np.ndarray:
-    """Vectorized bisection for the tilt parameter at many target means.
-
-    Means must lie strictly inside (0, k). Used by the capacity grid sweeps
-    where per-point brentq calls would dominate the runtime.
-    """
-    means = np.asarray(means, dtype=float)
-    i = np.arange(k + 1.0)
-    lo = np.full(means.shape, -_BRACKET * 16)
-    hi = np.full(means.shape, _BRACKET * 16)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        z = np.multiply.outer(mid, i)
-        z -= z.max(axis=-1, keepdims=True)
-        w = np.exp(z)
-        m = (w @ i) / w.sum(axis=-1)
-        takes_lo = m < means
-        lo = np.where(takes_lo, mid, lo)
-        hi = np.where(takes_lo, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def h_tilde_grid(gammas: np.ndarray, k: int) -> np.ndarray:
     """Vectorized h_tilde values (bits per slot) over an array of gammas.
 
-    k = 1 collapses analytically to the binary entropy function and k = 2
-    admits a closed-form tilt (quadratic in exp(lam)); larger k fall back to
-    the vectorized bisection. All three branches evaluate the same
-    rate-function formula as the scalar h_tilde.
+    One batched tilt solve for every interior gamma, then the rate-function
+    formula of the scalar h_tilde; gamma = 0 and 1 give 0.
     """
     gammas = np.asarray(gammas, dtype=float)
     out = np.zeros(gammas.shape)
     interior = (gammas > 0.0) & (gammas < 1.0)
-    if not interior.any():
-        return out
-    g = gammas[interior]
-    if k == 1:
-        out[interior] = -(g * np.log2(g) + (1.0 - g) * np.log2(1.0 - g))
-        return out
-    if k == 2:
-        m = 2.0 * g
-        # (2 - m) u^2 + (1 - m) u - m = 0, u = exp(lam) > 0
-        u = (-(1.0 - m) + np.sqrt((1.0 - m) ** 2 + 4.0 * (2.0 - m) * m)) / (
-            2.0 * (2.0 - m)
-        )
-        lam = np.log(u)
-    else:
-        lam = _tilt_lambda_grid(k, k * g)
-    i = np.arange(k + 1.0)
-    z = np.multiply.outer(lam, i)
-    zmax = z.max(axis=-1)
-    psi = zmax + np.log(np.exp(z - zmax[..., None]).sum(axis=-1)) - math.log(k + 1)
-    rate = lam * (k * g) - psi
-    out[interior] = np.maximum((math.log2(k + 1) - rate * LOG2E) / k, 0.0)
+    if interior.any():
+        rate = _rate_grid(k, k * gammas[interior])
+        out[interior] = np.maximum((math.log2(k + 1) - rate * LOG2E) / k, 0.0)
     return out

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cqclab import capacity3
 from cqclab.capacity2 import (
     BoxViolationError,
     constraint_value,
@@ -11,7 +12,32 @@ from cqclab.capacity2 import (
     solve_capacity_2user,
     solve_on_alpha_slice,
 )
+from cqclab.capacity3 import UncertifiedSolveError
 from cqclab.dist import h_tilde
+
+
+def _g(k: int, s: float) -> float:
+    """Noiseless dual intercept g_k(s) = [log2 sum_{x=0..k} 2^(-s x) - s] / k, in bits."""
+    return (math.log2(sum(2.0 ** (-s * x) for x in range(k + 1))) - s) / k
+
+
+def _dual_reference(alpha: float | None) -> float:
+    """min_s s + max(g_1, g_2), or s + alpha g_1 + (1 - alpha) g_2 with the mix
+    frozen, by golden-section search: the dual is convex in s."""
+
+    def dual(s):
+        g1, g2 = _g(1, s), _g(2, s)
+        return s + (max(g1, g2) if alpha is None else alpha * g1 + (1.0 - alpha) * g2)
+
+    lo, hi = -32.0, 32.0
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(200):
+        a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        if dual(a) <= dual(b):
+            hi = b
+        else:
+            lo = a
+    return dual(0.5 * (lo + hi))
 
 
 class TestObjective:
@@ -75,9 +101,45 @@ class TestSolve:
         assert constraint_value(1.0, 0.0, 0.0) == pytest.approx(1.0)
         assert objective_2user(1.0, 0.0, 0.0) == 0.0
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            solve_capacity_2user(tolerance=0.0)
+
+class TestDualReference:
+    """The solvers against the closed-form noiseless dual, which shares no
+    code with the engine."""
+
+    def test_capacity(self, cap2):
+        assert abs(cap2.capacity_bits_per_slot - _dual_reference(None)) <= 1e-10
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5, 0.9, 0.999])
+    def test_alpha_slice(self, alpha):
+        res = solve_on_alpha_slice(alpha)
+        assert abs(res.capacity_bits_per_slot - _dual_reference(alpha)) <= 1e-10
+        assert res.alpha == alpha
+        assert 0.0 <= res.gap_bits <= capacity3.PAIR_GAP_TOL
+        assert res.constraint_residual <= 1e-15
+
+
+class TestCertificate:
+    def test_gap_and_three_user_agreement(self, cap2, cap3_rp0):
+        assert -1e-15 <= cap2.gap_bits <= 1e-9
+        assert abs(cap2.capacity_bits_per_slot - cap3_rp0.capacity_bits_per_slot) <= 1e-15
+        assert cap2.alpha == pytest.approx(cap3_rp0.alpha, abs=1e-12)
+
+    def test_reported_capacity_is_the_objective(self, cap2):
+        assert cap2.capacity_bits_per_slot == objective_2user(cap2.alpha, cap2.gamma1, cap2.gamma2)
+
+    @pytest.mark.parametrize("alpha", [None, 0.5])
+    def test_large_gap_raises(self, monkeypatch, alpha):
+        # one zoom round leaves the multiplier up to 2 off, far from certified
+        monkeypatch.setattr(capacity3, "S_TOL", 10.0)
+        with pytest.raises(UncertifiedSolveError):
+            solve_capacity_2user() if alpha is None else solve_on_alpha_slice(alpha)
+
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-9, 1 - 1e-6, 1 - 1e-9])
+    def test_extreme_weights(self, alpha):
+        res = solve_on_alpha_slice(alpha)
+        assert 0.0 <= res.gamma1 <= 0.5 and 0.0 <= res.gamma2 <= 0.5
+        assert res.gap_bits <= capacity3.PAIR_GAP_TOL
+        assert res.constraint_residual <= 1e-12
 
 
 class TestConcavityAlongConstraint:

@@ -20,7 +20,7 @@ from cqclab.capacity3 import (
     solve_capacity_3user,
     validate_i_concavity,
 )
-from cqclab.dist import Pmf, binomial_pmf, entropy, h_tilde
+from cqclab.dist import Pmf, _tilt_logw_to_mean, binomial_pmf, entropy, h_tilde
 
 
 class TestChannelMatrix:
@@ -250,7 +250,7 @@ class TestBatchedSolver:
         rng = np.random.default_rng(12)
         logw = np.log(rng.dirichlet(np.ones(5), size=30))
         m = rng.uniform(0.01, 3.99, size=30)
-        got = capacity3._tilt_logw_to_mean(logw, m)
+        _, got = _tilt_logw_to_mean(logw, m)
         idx = np.arange(5.0)
 
         def pm(row, s):

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cqclab
 from cqclab.cli import main
 
 
@@ -51,6 +56,17 @@ class TestCapacity2:
         assert float(_rows(body)[1].split(",")[0]) == pytest.approx(
             math.log2(3) / 2, abs=1e-9
         )
+
+    def test_header_has_no_tolerance(self, tmp_path):
+        _, body = _run(tmp_path, "capacity2")
+        assert any('"alpha_fixed": null' in ln for ln in body.splitlines())
+        assert "tolerance" not in body
+
+    def test_tolerance_is_a_usage_error(self, tmp_path, capsys):
+        code, body = _run(tmp_path, "--tolerance", "1e-6", "capacity2")
+        assert code == 2
+        assert body == ""
+        assert "--tolerance applies only to validate" in capsys.readouterr().err
 
 
 class TestCapacity3:
@@ -203,3 +219,25 @@ def test_header_contains_effective_config(tmp_path):
     assert any("tool=cqclab" in ln for ln in head)
     assert any('"gamma_step": 0.5' in ln for ln in head)
     assert any("seed=5" in ln for ln in head)
+
+
+def test_runs_without_scipy():
+    # scipy is a test dependency only: with it unimportable the package,
+    # its CLI and the solvers all still work
+    code = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "import numpy as np",
+        "import cqclab, cqclab.cli",
+        "from cqclab.capacity2 import solve_capacity_2user, solve_on_alpha_slice",
+        "from cqclab.dist import h_tilde_grid, solve_tilt",
+        "assert abs(solve_capacity_2user().capacity_bits_per_slot - 0.8113704627516) < 1e-12",
+        "assert solve_on_alpha_slice(0.5).gap_bits <= 1e-9",
+        "assert abs(solve_tilt(2, 0.86).pmf.mean() - 0.86) < 1e-12",
+        "assert h_tilde_grid(np.array([0.5]), 2)[0] > 0.79",
+    ])
+    src = str(Path(cqclab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

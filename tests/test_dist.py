@@ -9,6 +9,7 @@ from cqclab.dist import (
     Pmf,
     SupportMismatchError,
     TiltEndpointError,
+    _tilt_logw_to_mean,
     binomial_pmf,
     entropy,
     h_tilde,
@@ -151,6 +152,62 @@ class TestSolveTilt:
         assert abs(sol.pmf.mean() - 1e-6) < 1e-10
 
 
+TAIL_MEANS = [1e-30, 1e-100, 1e-300]
+
+
+class TestTiltTails:
+    """The tilt solver reaches roots far out on the exponential tail, where
+    the mean is e^lam (1 + O(e^lam)), so the root is ln(m) to rounding."""
+
+    @pytest.mark.parametrize("m", TAIL_MEANS)
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_reaches_tail_root(self, k, m):
+        s, p = _tilt_logw_to_mean(np.zeros((1, k + 1)), np.array([m]))
+        assert s[0] == pytest.approx(math.log(m), rel=1e-14)
+        assert p[0] @ np.arange(k + 1.0) == pytest.approx(m, rel=1e-12)
+        sol = solve_tilt(k, m)
+        assert sol.lam == s[0]
+        assert sol.pmf.mean() == pytest.approx(m, rel=1e-12)
+
+    def test_tail_rows_in_one_batch(self):
+        m = np.array([0.5, *TAIL_MEANS, 1.5])
+        s, p = _tilt_logw_to_mean(np.zeros((m.size, 3)), m)
+        assert s[1:4] == pytest.approx(np.log(TAIL_MEANS), rel=1e-14)
+        assert p @ np.arange(3.0) == pytest.approx(m, rel=1e-12)
+
+    @pytest.mark.parametrize("m", TAIL_MEANS)
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_mirror_is_the_endpoint(self, k, m):
+        # k - m rounds to k in double precision, so the mirrored target is
+        # the degenerate endpoint: it is rejected, never solved to a wrong tilt
+        assert k - m == k
+        with pytest.raises(TiltEndpointError):
+            solve_tilt(k, k - m)
+        with pytest.raises(TiltEndpointError):
+            _tilt_logw_to_mean(np.zeros((1, k + 1)), np.array([k - m]))
+
+    @pytest.mark.parametrize("d", [1e-3, 1e-8, 1e-15])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_mirror_of_representable_tails(self, k, d):
+        up = k - d
+        d = k - up  # exact: the distance the upper target really has
+        s_lo, p_lo = _tilt_logw_to_mean(np.zeros((1, k + 1)), np.array([d]))
+        s_up, p_up = _tilt_logw_to_mean(np.zeros((1, k + 1)), np.array([up]))
+        assert s_up[0] == pytest.approx(-s_lo[0], rel=1e-12)
+        assert np.allclose(p_up[0], p_lo[0][::-1], rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("slope", [-700.0, 700.0])
+    def test_far_root_from_skewed_weights(self, slope):
+        # weights e^(slope * i) put the start on one tail and the root near
+        # -slope on the other side, for a target in either half
+        k = 4
+        logw = np.tile(slope * np.arange(k + 1.0), (2, 1))
+        m = np.array([0.7, 3.3])
+        s, p = _tilt_logw_to_mean(logw, m)
+        assert p @ np.arange(k + 1.0) == pytest.approx(m, rel=1e-12)
+        assert np.abs(s + slope).max() < 5.0
+
+
 class TestRateFunction:
     def test_vanishes_at_midpoint(self):
         for k in (1, 2, 5, 8):
@@ -213,6 +270,20 @@ class TestHTilde:
                 assert h_tilde(g, k).bits_per_slot == pytest.approx(
                     h_tilde(1 - g, k).bits_per_slot, abs=1e-10
                 )
+
+    def test_grid_matches_closed_forms(self):
+        # k = 1 is the binary entropy; for k = 2 the tilt u = exp(lam) solves
+        # (2 - m) u^2 + (1 - m) u - m = 0 at mean m = 2 gamma, and the ceiling
+        # is (log2(1 + u + u^2) - m log2(u)) / 2
+        gs = np.concatenate([[1e-9, 1e-4], np.arange(0.01, 1.0, 0.01), [1 - 1e-4, 1 - 1e-9]])
+        binary = -(gs * np.log2(gs) + (1.0 - gs) * np.log2(1.0 - gs))
+        assert np.abs(h_tilde_grid(gs, 1) - binary).max() <= 1e-12
+        m = 2.0 * gs
+        root = np.sqrt((1.0 - m) ** 2 + 4.0 * (2.0 - m) * m)
+        # each branch of the quadratic formula where it has no cancellation
+        u = np.where(m < 1.0, 2.0 * m / ((1.0 - m) + root), (m - 1.0 + root) / (2.0 * (2.0 - m)))
+        ternary = (np.log2(1.0 + u + u * u) - m * np.log2(u)) / 2.0
+        assert np.abs(h_tilde_grid(gs, 2) - ternary).max() <= 1e-12
 
     def test_grid_matches_scalar(self):
         gs = np.arange(0.0, 1.0001, 0.03)
