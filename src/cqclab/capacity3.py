@@ -16,8 +16,8 @@ gap certificate below GAP_TOL = 1e-9 nats. One solver serves a single point
 and a whole stack of mean constraints alike: every row advances in the same
 batched KKT solve, so an i_tilde table or a sweep group takes about as many
 numpy calls as its slowest point. The same path also solves the free-mean
-problem max H(Y) - s * E X, certified by its simplex LP gap. A point that
-cannot be certified raises UncertifiedSolveError instead of being returned.
+problem max H(Y) - s * E X, certified by its simplex LP gap. An uncertified
+slice point raises UncertifiedSolveError; a free-mean row gets an infinite gap.
 
 The best mix of windows k in {tau, tau + 1} at budget c = 1 - r_p is the
 concave envelope of the curves u -> i_tilde(u - 1/k, k, r_p), read at c. It
@@ -56,9 +56,9 @@ class InfeasibleError(ValueError):
 
 
 class UncertifiedSolveError(RuntimeError):
-    """An inner max-entropy solve kept an LP gap above GAP_TOL, or a point
-    off its constraint slice, from every start of the three-start guard; or
-    a window pair's duality gap exceeds PAIR_GAP_TOL."""
+    """An inner solve stayed uncertified (LP gap above GAP_TOL, or off its
+    slice) from every start of its guard, a window pair's dual zoom met
+    uncertified rows next to its minimum, or its gap exceeds PAIR_GAP_TOL."""
 
 
 @dataclass(frozen=True)
@@ -282,17 +282,14 @@ class _SliceEntropySolver:
         gap[residual > FEAS_TOL] = np.inf
         return p, self.values_nats(p), gap
 
-    def solve(self, gammas, init: np.ndarray | None = None):
+    def solve(self, gammas):
         """Solve every mean constraint k * gammas[row] in one batch.
 
-        `init` optionally holds one warm-start pmf per row. Returns (max
-        entropy in bits, maximizing pmfs, certified gaps in nats), one row
-        per gamma. Interior rows start from `init` (re-tilted onto their
-        mean) or the tilted pmf; rows left uncertified (gap above GAP_TOL or
-        off the slice, reported as an infinite gap) are re-solved from the
-        remaining default starts (uniform-feasible and endpoint mixtures,
-        plus the tilted pmf after a warm start) and keep the best certified
-        result.
+        Returns (max entropy in bits, maximizing pmfs, certified gaps in
+        nats), one row per gamma. Interior rows start from the tilted pmf;
+        rows left uncertified (gap above GAP_TOL, or off the slice) are
+        re-solved from the uniform-feasible and endpoint mixtures and keep
+        the best certified result.
         """
         k = self.k
         gammas = np.asarray(gammas, dtype=float)
@@ -308,14 +305,10 @@ class _SliceEntropySolver:
         if inner.size:
             g = gammas[inner]
             m = k * g
-            if init is None:
-                logw = np.zeros((g.size, k + 1))
-            else:
-                logw = np.log(np.maximum(np.asarray(init, dtype=float)[inner], 1e-300))
-            q, _, gap = self._certify(_tilt_logw_to_mean(logw, m)[1], m)
+            q, _, gap = self._certify(_tilt_logw_to_mean(np.zeros((g.size, k + 1)), m)[1], m)
             bad = np.flatnonzero(gap > GAP_TOL)
             if bad.size:
-                q[bad], gap[bad] = self._guard(g[bad], retry_base=init is not None)
+                q[bad], gap[bad] = self._guard(g[bad])
             p[inner], gaps[inner] = q, gap
         return self.values_nats(p) / LN2, p, gaps
 
@@ -324,10 +317,10 @@ class _SliceEntropySolver:
         tilt (nats per unit of mean), all in one batch.
 
         Rows start from the pmf proportional to exp(-tilt * x). Returns
-        (output entropy in bits, maximizing pmfs, certified gaps in nats).
-        Each row is certified by the simplex LP gap max_i g_i - <g, p> of
-        its tilted objective; a row above GAP_TOL, or off the simplex,
-        raises UncertifiedSolveError.
+        (output entropy in bits, maximizing pmfs, gaps in nats). Each row is
+        certified by the simplex LP gap max_i g_i - <g, p> of its tilted
+        objective; a row above GAP_TOL, off the simplex or NaN gets an
+        infinite gap.
         """
         t = np.asarray(tilts, dtype=float)
         logw = -t[:, None] * self.x
@@ -336,16 +329,10 @@ class _SliceEntropySolver:
         g = self.grads_nats(p) - t[:, None] * self.x
         gap = g.max(axis=1) - (g * p).sum(axis=1)
         gap[~(np.abs(p.sum(axis=1) - 1.0) <= FEAS_TOL)] = np.inf  # a NaN row is uncertified too
-        bad = np.flatnonzero(~(gap <= GAP_TOL))
-        if bad.size:
-            j = int(bad[0])
-            raise UncertifiedSolveError(
-                f"free-mean solve at tilt={t[j]} nats, k={self.k}, r_p={self.r_p} has "
-                f"LP gap {gap[j]:.3e} nats > GAP_TOL={GAP_TOL:.0e}"
-            )
+        gap[~(gap <= GAP_TOL)] = np.inf
         return self.values_nats(p) / LN2, p, gap
 
-    def _guard(self, g: np.ndarray, retry_base: bool):
+    def _guard(self, g: np.ndarray):
         """Re-solve uncertified rows from the other default starts, batched."""
         k = self.k
         base = _tilt_logw_to_mean(np.zeros((g.size, k + 1)), k * g)[1]
@@ -355,8 +342,6 @@ class _SliceEntropySolver:
         endpoint = np.zeros_like(base)
         endpoint[:, 0], endpoint[:, k] = 1 - g, g
         starts = [0.99 * unif_mix + 0.01 * base, 0.99 * endpoint + 0.01 * base]
-        if retry_base:
-            starts.insert(0, base)
         m = np.tile(k * g, len(starts))
         logw = np.log(np.maximum(np.concatenate(starts), 1e-300))
         p, val, gap = self._certify(_tilt_logw_to_mean(logw, m)[1], m)
@@ -439,7 +424,7 @@ def _tangent_points(k: int, r_p: float, s: np.ndarray):
     One batched free-mean solve gives, per multiplier s (bits per unit of
     budget), the intercept g_k(s) = max_u i_tilde(u - 1/k, k) - s*u, the
     touching gamma and ceiling, and the certified slack of g_k, all in
-    bits; a row that cannot be certified raises UncertifiedSolveError.
+    bits; a row that cannot be certified has an infinite slack.
     """
     sv = _solver(k, r_p)
     bits, p, gap = sv.solve_free(s * LN2)
@@ -455,6 +440,9 @@ def _solve_pair(tau: int, r_p: float, budget: float, alpha: float | None = None)
     The dual min_s s*budget + max(g_tau(s), g_tau+1(s)) is convex in s;
     each round evaluates it on ZOOM_POINTS multipliers and keeps the two
     cells around the smallest, until the bracket is narrower than S_TOL.
+    A multiplier with an uncertified free-mean row counts as +inf: by
+    convexity the minimizer stays in the kept bracket if the smallest cell
+    and its neighbours are certified, else UncertifiedSolveError is raised.
     The primal value is the best of three candidates: the mix of the two
     touching points at s*, pure window tau and pure window tau + 1 (the
     pure ones by `i_tilde`, so they also cover optima at gamma = 0, where
@@ -476,8 +464,15 @@ def _solve_pair(tau: int, r_p: float, budget: float, alpha: float | None = None)
     while True:
         s = np.linspace(lo, hi, ZOOM_POINTS)
         pts = [_tangent_points(k, r_p, s) for k in ks]
-        j = int(np.argmin(s * budget + envelope(np.array([pt[0] for pt in pts]))))
-        lo, hi = s[max(j - 1, 0)], s[min(j + 1, s.size - 1)]
+        certified = np.isfinite(np.array([pt[3] for pt in pts])).all(axis=0)
+        vals = s * budget + envelope(np.array([pt[0] for pt in pts]))
+        j = int(np.argmin(np.where(certified, vals, np.inf)))
+        cells = slice(max(j - 1, 0), min(j + 2, s.size))
+        if not certified[cells].all():
+            raise UncertifiedSolveError(
+                f"window pair ({tau}, {tau + 1}), r_p={r_p}: uncertified rows at s={s[j]:.6g}"
+            )
+        lo, hi = s[cells][0], s[cells][-1]
         if hi - lo < S_TOL:
             break
     at = [[float(arr[j]) for arr in pt] for pt in pts]  # (g, gamma, ceiling, slack) per window

@@ -430,106 +430,77 @@ def run_transmission(
 # that can be materialized, but the ensemble-average error probability of
 # ML decoding is still exactly computable per trial: only the true codeword
 # and the channel are sampled, and the score distribution of one random
-# competitor codeword factorizes over windows. Window log-likelihoods live
-# on an integer lattice spanned by log(2), log(3), ... (prime factors of the
-# binomial coefficients) and the count difference, so the competitor score
-# distribution is an exact small-tensor convolution.
-
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
+# competitor codeword factorizes over windows. A width-w window with d
+# background packets scores log C(w, d) + d * beta (beta the log odds of
+# r_p), a point of an integer lattice: the exponents of the primes up to
+# the widest window, then d.
 
 
-def _prime_exponents(value: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    v = value
-    for p in _PRIMES:
-        while v % p == 0:
-            out[p] = out.get(p, 0) + 1
-            v //= p
-    if v != 1:
-        raise ValueError(f"{value} has a prime factor beyond the supported table")
-    return out
+def _lattice_tables(widths: list[int], r_p: float):
+    """Per window width w, an int table whose row d holds the prime exponents
+    of C(w, d), then d; with the prime logs and beta. If the exact odds
+    r_p / (1 - r_p) factor over the primes (r_p = 1/2 or 1/4, say), d is
+    folded into the exponents and beta is None: equal scores share a cell."""
+    primes = [p for p in range(2, max(widths) + 1) if all(p % q for q in range(2, p))]
+
+    def exponents(num: int, den: int = 1) -> np.ndarray | None:  # of num / den; None: no factoring
+        out = np.zeros(len(primes), dtype=int)
+        for i, p in enumerate(primes):
+            while num % p == 0:
+                num, out[i] = num // p, out[i] + 1
+            while den % p == 0:
+                den, out[i] = den // p, out[i] - 1
+        return out if num == den == 1 else None
+
+    fold, beta = None, 0.0
+    if 0 < r_p < 1:
+        a, b = float(r_p).as_integer_ratio()  # r_p = a / b exactly
+        fold = exponents(a, b - a)
+        beta = math.log(r_p) - math.log1p(-r_p) if fold is None else None
+
+    def table(w):
+        d = np.arange(w + 1)
+        exps = np.array([exponents(math.comb(w, k)) for k in range(w + 1)])
+        return np.column_stack((exps, d)) if fold is None else exps + np.outer(d, fold)
+
+    return {w: table(w) for w in set(widths)}, [math.log(p) for p in primes], beta
 
 
-class _ScoreLattice:
-    """Exact distribution of one random codeword's ML score given the
-    observations, on the integer lattice (prime exponents, total count)."""
-
-    def __init__(self, widths: list[int], r_p: float):
-        self.r_p = r_p
-        prime_set: set[int] = set()
-        self.coeff_exp: dict[int, list[dict[int, int]]] = {}
-        for w in set(widths):
-            exps = [_prime_exponents(math.comb(w, d)) for d in range(w + 1)]
-            self.coeff_exp[w] = exps
-            for e in exps:
-                prime_set.update(e)
-        self.primes = sorted(prime_set)
-        self.widths = widths
-        self.beta = math.log(r_p) - math.log1p(-r_p) if 0 < r_p < 1 else 0.0
-
-    def _coords(self, w: int, d: int) -> tuple[int, ...]:
-        e = self.coeff_exp[w][d]
-        return tuple(e.get(p, 0) for p in self.primes) + (d,)
-
-    def score_value(self, coords: np.ndarray) -> float:
-        v = float(coords[-1]) * self.beta
-        for p, c in zip(self.primes, coords[:-1]):
-            v += float(c) * math.log(p)
-        return v
-
-    def competitor_distribution(
-        self, ys: np.ndarray, symbol_laws: dict[int, np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(tensor of probabilities, base offset) over lattice coordinates.
-
-        Mass that falls off the tensor corresponds to competitors with an
-        impossible window (score -inf); it never beats the true codeword.
-        """
-        mins = None
-        maxs = None
-        per_window = []
-        for w, y in zip(self.widths, ys):
-            moves = []
-            law = symbol_laws[w]
-            for x in range(w + 1):
-                d = int(y) - x
-                if 0 <= d <= w and law[x] > 0:
-                    moves.append((self._coords(w, d), float(law[x])))
-            per_window.append(moves)
-            if moves:
-                lo = np.min([m[0] for m in moves], axis=0)
-                hi = np.max([m[0] for m in moves], axis=0)
-                mins = lo if mins is None else mins + lo
-                maxs = hi if maxs is None else maxs + hi
-        if mins is None:
-            raise ValueError("no window admits any competitor symbol")
-        shape = tuple(int(h - l) + 1 for l, h in zip(mins, maxs))
-        tensor = np.zeros(shape)
-        tensor[tuple(np.zeros(len(shape), dtype=int))] = 1.0
-        # running origin starts at `mins`; each window shifts by move - lo
-        for moves in per_window:
-            if not moves:
-                continue
-            lo = np.min([m[0] for m in moves], axis=0)
-            new = np.zeros_like(tensor)
-            for coords, prob in moves:
-                off = np.asarray(coords) - lo
-                src = tuple(
-                    slice(0, s - o if o else None) for s, o in zip(shape, off)
-                )
-                dst = tuple(slice(o, None) for o in off)
-                new[dst] += prob * tensor[src]
-            tensor = new
-        return tensor, mins
-
-    def true_coords(self, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        total = np.zeros(len(self.primes) + 1, dtype=np.int64)
-        for w, y, x in zip(self.widths, ys, xs):
-            d = int(y) - int(x)
-            if not 0 <= d <= w:
-                raise ValueError("true codeword scored an impossible window")
-            total += np.asarray(self._coords(w, d))
-        return total
+def _competitor_probs(lattice, laws: dict[int, np.ndarray], widths, ys, xs) -> tuple[float, float]:
+    """(q_gt, q_eq): the probabilities that one competitor drawn from `laws`
+    scores strictly above, or exactly at, the true window counts `xs` given
+    the observed `ys`, by exact convolution on one flat mixed-radix tensor."""
+    tables, logs, beta = lattice
+    d = ys - xs
+    if ((d < 0) | (d > widths)).any():
+        raise ValueError("true codeword scored an impossible window")
+    moves = []  # per window: lattice rows of the competitor symbols, in x order, and their laws
+    for w, y in zip(widths.tolist(), ys.tolist()):
+        x = np.arange(max(y - w, 0), min(y, w) + 1)
+        x = x[laws[w][x] > 0]
+        moves.append((tables[w][y - x], laws[w][x]))
+    lows = [rows.min(axis=0) for rows, _ in moves]
+    origin = np.sum(lows, axis=0)
+    shape = np.sum([rows.max(axis=0) for rows, _ in moves], axis=0) - origin + 1
+    strides = np.array([math.prod(shape[i + 1 :]) for i in range(shape.size)], dtype=int)
+    tensor = np.zeros(math.prod(shape))
+    tensor[0] = 1.0
+    for (rows, probs), low in zip(moves, lows):
+        new = np.zeros_like(tensor)
+        for off, p in zip(((rows - low) @ strides).tolist(), probs):
+            new[off:] += p * tensor[: tensor.size - off]
+        tensor = new
+    true = np.sum([tables[w][k] for w, k in zip(widths.tolist(), d.tolist())], axis=0)
+    # the summation orders below are fixed: recorded ensemble outputs depend on them bitwise
+    t_val = float(true[-1]) * beta if beta is not None else 0.0
+    for c, log_p in zip(true.tolist(), logs):  # d * beta first, then the primes
+        t_val += c * log_p
+    weights = logs + ([beta] if beta is not None else [])  # cells: the primes in order, then d
+    axes = np.ix_(*[(np.arange(s) + o) * c for o, s, c in zip(origin, shape, weights)])
+    t_idx = int((true - origin) @ strides)
+    beats = functools.reduce(np.add, axes, np.zeros(())).ravel() > t_val
+    beats[t_idx] = False
+    return float(tensor[beats].sum()), float(tensor[t_idx])
 
 
 def _prob_correct(q_lt: float, q_eq: float, M: float) -> float:
@@ -572,12 +543,17 @@ def ensemble_error_rate(
     M - 1 further i.i.d. codewords fails, via the lattice distribution of a
     competitor's score. Monte Carlo averages over the true codeword and the
     channel only, so M may be astronomically large.
+
+    Competitors are i.i.d. with replacement, so a copy of the true codeword
+    is a tie, while the builders draw distinct codewords: at n = 30, M = 16
+    this gives 0.020 / 0.16 against 0.013 / 0.080 for explicit codebooks at
+    r_p = 0.3 / 0.5, and a negligible gap at 0.1.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     template, p1, p2 = _scheme_3user(n, r_p, tau_max, delta, capacity)
     laws = {p.k: p.probs for p in (p1, p2)}
-    lattice = _ScoreLattice(template.widths.tolist(), r_p)
+    lattice = _lattice_tables(template.widths.tolist(), r_p)
 
     def draw(rng):
         xs = _draw_counts(rng, template, (p1, p2))
@@ -588,24 +564,7 @@ def ensemble_error_rate(
     for xs, trace, _ in itertools.islice(run, trials):
         obs = observe(trace)
         _check_observations(obs, template)
-        tensor, origin = lattice.competitor_distribution(obs.y, laws)
-        t_coords = lattice.true_coords(obs.y, xs)
-        rel = t_coords - origin
-        q_eq = 0.0
-        if all(0 <= r < s for r, s in zip(rel, tensor.shape)):
-            q_eq = float(tensor[tuple(int(r) for r in rel)])
-        t_val = lattice.score_value(t_coords)
-        idx_grids = np.meshgrid(
-            *[np.arange(s) + o for s, o in zip(tensor.shape, origin)], indexing="ij"
-        )
-        values = np.zeros(tensor.shape)
-        coefs = [math.log(p) for p in lattice.primes] + [lattice.beta]
-        for grid, c in zip(idx_grids, coefs):
-            values += grid * c
-        same = np.ones(tensor.shape, dtype=bool)
-        for grid, t in zip(idx_grids, t_coords):
-            same &= grid == t
-        q_gt = float(tensor[(values > t_val) & ~same].sum())
+        q_gt, q_eq = _competitor_probs(lattice, laws, template.widths, obs.y, xs)
         q_lt = max(1.0 - q_gt - q_eq, 0.0)
         err_prob_sum += 1.0 - _prob_correct(q_lt, q_eq, float(M))
 

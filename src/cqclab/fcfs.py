@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dist import Pmf, binomial_pmf
+from .dist import Pmf
 
 DECODER, ENCODER, BACKGROUND, SENTINEL = "decoder", "encoder", "background", "sentinel"
 _OWNER_CODE = {SENTINEL: 0, DECODER: 1, ENCODER: 2, BACKGROUND: 3}
@@ -325,10 +325,6 @@ def total_variation(p: Pmf, q: Pmf) -> float:
     if p.k != q.k:
         raise ValueError("supports differ")
     return 0.5 * float(np.abs(p.probs - q.probs).sum())
-
-
-def expected_channel_law(tau: int, r_p: float) -> Pmf:
-    return binomial_pmf(tau, r_p)
 
 
 def trace_to_csv_rows(

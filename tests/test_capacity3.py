@@ -274,12 +274,12 @@ class TestBatchedSolver:
             assert row @ np.arange(5.0) == pytest.approx(4 * g, abs=1e-9)
 
     def test_guard_starts_reach_the_same_optimum(self):
-        # the fallback starts (tilted, uniform-feasible and endpoint
-        # mixtures) must certify the point the first start finds
+        # the fallback starts (uniform-feasible and endpoint mixtures) must
+        # certify the point the tilted start finds
         sv = capacity3._SliceEntropySolver(5, 0.3)
         gs = np.array([0.02, 0.3, 0.5, 0.71, 0.98])
         bits, p, _ = sv.solve(gs)
-        q, gaps = sv._guard(gs, retry_base=True)
+        q, gaps = sv._guard(gs)
         assert (gaps <= GAP_TOL).all()
         assert np.allclose(sv.values_nats(q) / capacity3.LN2, bits, atol=1e-12)
         assert np.allclose(q, p, atol=1e-9)
@@ -316,10 +316,16 @@ class TestBatchedSolver:
         best = (grid_bits[None, :] - scale * k * gs[None, :]).max(axis=1)
         assert (bits - scale[:, 0] * means >= best - 1e-9).all()
 
+    def test_uncertified_free_mean_rows_have_infinite_gaps(self, monkeypatch):
+        monkeypatch.setattr(capacity3, "GAP_TOL", 1e-30)
+        _, _, gaps = capacity3._SliceEntropySolver(3, 0.2).solve_free([0.5, 3.0])
+        assert np.isinf(gaps).all()
+
     def test_uncertified_free_mean_raises(self, monkeypatch):
+        # with no row certified, the capacity solve must refuse
         monkeypatch.setattr(capacity3, "GAP_TOL", 1e-30)
         with pytest.raises(UncertifiedSolveError):
-            capacity3._SliceEntropySolver(3, 0.2).solve_free([0.5])
+            solve_capacity_3user(0.2, tau_max=3)
 
 
 class TestCapacity3:
@@ -392,6 +398,36 @@ class TestCapacity3:
         assert cap3_rp01.per_tau[1] == cap3_rp01.per_tau[2] == pure
         assert cap3_rp01.windows == ((2, 1.0),)
         assert cap3_rp01.constraint_residual == 0.0
+
+    def test_certified_at_rp04(self):
+        # the first zoom round asks windows 5 to 8 for multipliers far above
+        # s*, where free-mean rows fail to certify; those are stepped around
+        res = solve_capacity_3user(0.4, tau_max=8)
+        assert res.tau_star == 2
+        assert res.windows == ((3, 1.0),)
+        assert res.capacity_bits_per_slot == i_tilde((1.0 - 0.4) - 1.0 / 3, 3, 0.4).bits_per_slot
+        assert res.capacity_bits_per_slot == pytest.approx(0.244297972331, abs=1e-11)
+        assert 0.0 <= res.gap_bits <= capacity3.PAIR_GAP_TOL
+
+    def test_zoom_steps_around_uncertified_multipliers(self, monkeypatch):
+        ref = solve_capacity_3user(0.3, tau_max=8)
+        real = capacity3._tangent_points
+
+        def failing_above(limit):
+            def tangent_points(k, r_p, s):
+                g, gamma, info, slack = real(k, r_p, s)
+                bad = s > limit
+                return np.where(bad, np.nan, g), gamma, info, np.where(bad, np.inf, slack)
+
+            return tangent_points
+
+        # failures far from s* leave the result unchanged
+        monkeypatch.setattr(capacity3, "_tangent_points", failing_above(20.0))
+        assert solve_capacity_3user(0.3, tau_max=8) == ref
+        # s* > 0, so the smallest certified cell s = 0 has an uncertified neighbour
+        monkeypatch.setattr(capacity3, "_tangent_points", failing_above(0.0))
+        with pytest.raises(UncertifiedSolveError):
+            solve_capacity_3user(0.3, tau_max=8)
 
     def test_windows_and_gap_of_a_mix(self, cap3_rp0):
         (k1, w1), (k2, w2) = cap3_rp0.windows
