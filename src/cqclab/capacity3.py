@@ -32,6 +32,7 @@ fixed, the max becomes the weighted sum of the g_k. The two-user capacity
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -360,16 +361,9 @@ class _SliceEntropySolver:
         return p[best, cols], gap[best, cols]
 
 
-_solver_cache: dict[tuple[int, float], _SliceEntropySolver] = {}
-
-
+@functools.lru_cache(maxsize=256)
 def _solver(k: int, r_p: float) -> _SliceEntropySolver:
-    key = (k, float(r_p))
-    if key not in _solver_cache:
-        if len(_solver_cache) > 256:
-            _solver_cache.clear()
-        _solver_cache[key] = _SliceEntropySolver(k, r_p)
-    return _solver_cache[key]
+    return _SliceEntropySolver(k, r_p)
 
 
 def h_check(gamma: float, k: int, r_p: float) -> tuple[float, Pmf]:

@@ -323,9 +323,12 @@ def _log_channel_table(width: int, r_p: float) -> np.ndarray:
 def decode_3user(observations: ProbeObservations, codebook: Codebook, r_p: float) -> int:
     """Maximum-likelihood decoding through the shifted-binomial channel.
 
-    Scores every message by the product over windows of
-    P(Y = y | X = count) with X + Bin(tau, r_p) noise; ties resolve to the
-    lowest message index.
+    Scores every message by the float sum over windows of
+    log P(Y = y | X = count) with X + Bin(tau, r_p) noise. Equal float scores
+    go to the lowest message index, but an exact likelihood tie (the same
+    window terms in other positions) can differ in the last bit of its
+    sums and then goes to whichever sum rounds higher; integer-lattice
+    scores would make ties exact (ROADMAP.md, item 5).
     """
     _check_observations(observations, codebook.template)
     widths, y, counts = codebook.template.widths, observations.y, codebook.window_counts

@@ -8,9 +8,13 @@ slot t departs at t + 1. A packet arriving at t with q packets ahead of it
 therefore departs at t + q + 1, which makes the probe's queue-length reading
 D - A - 1 exact.
 
-Departures follow the recursion D_i = max(D_{i-1}, t_i) + 1 over packets in
-FIFO order, so the whole trace is computed with vectorized prefix maxima
-rather than a per-slot event loop; million-slot horizons are cheap.
+The FIFO order is read in one pass over the (slot x user) issue matrix with
+its columns in priority order: row-major nonzero lists packets by slot and,
+within a slot, by priority, linear in slots and with no sort. The
+`initial_backlog` sentinels stay in the trace as packets (owner code 0,
+arrival -1) at its head. Departures follow the recursion
+D_i = max(D_{i-1}, t_i) + 1 in FIFO order, computed with vectorized prefix
+maxima rather than a per-slot event loop; million-slot horizons are cheap.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .dist import Pmf
 
 DECODER, ENCODER, BACKGROUND, SENTINEL = "decoder", "encoder", "background", "sentinel"
 _OWNER_CODE = {SENTINEL: 0, DECODER: 1, ENCODER: 2, BACKGROUND: 3}
-_OWNER_LETTER = {0: "s", 1: "d", 2: "e", 3: "b"}
+_OWNER_LETTER = np.array(["s", "d", "e", "b"], dtype=object)  # indexed by owner code
 
 
 class TooFewProbesError(ValueError):
@@ -134,37 +138,17 @@ def simulate(
     if any(len(s) != n for s in streams):
         raise ValueError("all arrival streams must have the same length")
 
-    rank = {user: i for i, user in enumerate(priority)}
-    owner_parts = [np.zeros(initial_backlog, dtype=np.int64)]
-    slot_parts = [np.full(initial_backlog, -1, dtype=np.int64)]
-    rank_parts = [np.full(initial_backlog, -1, dtype=np.int64)]
-    for s in streams:
-        t = np.nonzero(s.slots)[0].astype(np.int64)
-        owner_parts.append(np.full(t.size, _OWNER_CODE[s.user], dtype=np.int64))
-        slot_parts.append(t)
-        rank_parts.append(np.full(t.size, rank[s.user], dtype=np.int64))
-    owners = np.concatenate(owner_parts)
-    slots = np.concatenate(slot_parts)
-    ranks = np.concatenate(rank_parts)
+    columns = [s for user in priority for s in streams if s.user == user]
+    slot, col = np.nonzero(np.stack([s.slots for s in columns], axis=1))
+    codes = np.array([_OWNER_CODE[s.user] for s in columns], dtype=np.int64)
+    owners = np.concatenate([np.zeros(initial_backlog, dtype=np.int64), codes[col]])
+    slots = np.concatenate([np.full(initial_backlog, -1, dtype=np.int64), slot])
 
-    order = np.lexsort((ranks, slots))
-    owners, slots = owners[order], slots[order]
-
-    m = owners.size
-    if m == 0:
-        return SchedulerTrace(
-            owners=owners,
-            arrivals=slots,
-            departures=slots.copy(),
-            queue_len=np.zeros(n, dtype=np.int64),
-            horizon=n,
-            initial_backlog=initial_backlog,
-        )
-    idx = np.arange(m)
+    idx = np.arange(owners.size)
     service_start = np.maximum(slots, 0)  # sentinels are in queue from slot 0
     departures = np.maximum.accumulate(service_start - idx) + idx + 1
 
-    length = max(n, int(departures.max()))
+    length = max(n, int(departures.max(initial=0)))
     arr_count = np.bincount(np.maximum(slots, 0), minlength=length)
     dep_count = np.bincount(departures, minlength=length + 1)
     # end-of-slot-u queue: arrived by u (incl. preload) minus departed by u+1
@@ -254,10 +238,8 @@ def stability_probe(
     )
     q_end = trace.queue_len[:horizon].astype(float)
     q_start = np.concatenate([[float(initial_backlog)], q_end[:-1]])
-    arrivals = sum(np.asarray(s.slots, dtype=float) for s in streams.values())
-    served = np.minimum(q_start + arrivals, 1.0) > 0  # one service when busy
-    inc = arrivals - served.astype(float)
-    k_hat = float((inc**2).mean())
+    # the queue series is q(t+1) = q(t) + a(t) - s(t), so its steps are a - s
+    k_hat = float(((q_end - q_start) ** 2).mean())
 
     total = sum(rates)
     threshold = k_hat / (2.0 * (1.0 - total)) if total < 1.0 else None
@@ -340,9 +322,7 @@ def trace_to_csv_rows(
     """
     length = trace.queue_len.size
     served = np.full(length, "-", dtype=object)
-    service_slots = trace.departures - 1
-    for s, owner in zip(service_slots, trace.owners):
-        served[s] = _OWNER_LETTER[int(owner)]
+    served[trace.departures - 1] = _OWNER_LETTER[trace.owners]  # one departure per slot
     streams = [decoder, encoder] + ([background] if background is not None else [])
     rows = []
     for t in range(length):

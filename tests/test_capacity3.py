@@ -381,9 +381,12 @@ class TestCapacity3:
                 built[k] += 1
                 super().__init__(k, r_p)
 
-        monkeypatch.setattr(capacity3, "_solver_cache", {})
         monkeypatch.setattr(capacity3, "_SliceEntropySolver", Counting)
-        res = solve_capacity_3user(0.3, tau_max=8)
+        capacity3._solver.cache_clear()
+        try:
+            res = solve_capacity_3user(0.3, tau_max=8)
+        finally:
+            capacity3._solver.cache_clear()  # drop the counting solvers
         assert res.tau_star == 2
         assert built == {1: 1, 2: 1, 3: 1, 4: 1}
 

@@ -186,6 +186,22 @@ class TestStability:
         assert rep.total_rate == pytest.approx(0.9)
         assert rep.mean_queue_second_half < 50
 
+    @pytest.mark.parametrize("rates", [(0.475, 0.475), (0.525, 0.525), (0.3, 0.3, 0.3), (0.0,)])
+    def test_squared_increment_matches_arrivals_minus_service(self, rates):
+        # independent reference: redraw the schedules and run the queue slot
+        # by slot with one service per busy slot, K = E[(a - s)^2]
+        horizon, seed = 10**5, 3
+        rng = np.random.default_rng(seed)
+        arrivals = sum((rng.random(horizon) < r).astype(int) for r in rates)
+        q, inc = 0, np.empty(horizon)
+        for t, a in enumerate(arrivals.tolist()):
+            s = 1 if q + a > 0 else 0
+            inc[t] = a - s
+            q += a - s
+        rep = stability_probe(rates, horizon, seed=seed)
+        assert rep.squared_increment_mean == float((inc**2).mean())
+        assert rep.final_queue == q
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             stability_probe((), 100, seed=0)

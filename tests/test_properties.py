@@ -63,15 +63,17 @@ def schedules(draw):
     users = [DECODER, ENCODER] + ([BACKGROUND] if draw(st.booleans()) else [])
     bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
     streams = [(user, draw(bits)) for user in users]
-    return streams, draw(st.integers(0, 8))
+    priority = (DECODER, *draw(st.permutations([ENCODER, BACKGROUND])))
+    return streams, draw(st.integers(0, 8)), priority
 
 
 @given(schedules())
 def test_simulate_and_observe_match_reference_queue(case):
-    streams, backlog = case
+    streams, backlog, priority = case
     schedule = [ArrivalSchedule(user, np.array(bits, dtype=np.int8)) for user, bits in streams]
-    trace = simulate(*schedule, initial_backlog=backlog)
-    served, queue_len, ahead = reference_queue(streams, backlog)
+    trace = simulate(*schedule, initial_backlog=backlog, priority=priority)
+    by_priority = sorted(streams, key=lambda s: priority.index(s[0]))
+    served, queue_len, ahead = reference_queue(by_priority, backlog)
 
     assert trace.owners.tolist() == [_OWNER_CODE[owner] for owner, _, _ in served]
     assert trace.arrivals.tolist() == [arrival for _, arrival, _ in served]
