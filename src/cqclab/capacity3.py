@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import Pmf, _tilt_logw_to_mean, binomial_pmf, entropy
+from .dist import Pmf, binomial_pmf, entropy
 
 LN2 = math.log(2.0)
 
@@ -57,9 +57,9 @@ class InfeasibleError(ValueError):
 
 
 class UncertifiedSolveError(RuntimeError):
-    """An inner solve stayed uncertified (LP gap above GAP_TOL, or off its
-    slice) from every start of its guard, a window pair's dual zoom met
-    uncertified rows next to its minimum, or its gap exceeds PAIR_GAP_TOL."""
+    """An inner solve ended uncertified (LP gap above GAP_TOL, or off its
+    slice), a window pair's dual zoom met uncertified rows next to its
+    minimum, or its gap exceeds PAIR_GAP_TOL."""
 
 
 @dataclass(frozen=True)
@@ -174,13 +174,13 @@ class _SliceEntropySolver:
     Log-barrier Newton path following: the objective is strictly concave
     (the shifted-binomial rows are linearly independent), the barrier keeps
     iterates strictly positive, and each stage's equality-constrained Newton
-    system carries a residual-correction term so slightly infeasible warm
-    starts are pulled back onto the constraint plane. Every row advances in
-    the same batched KKT solve but keeps its own step length, line search
-    and stopping test; a single point is the one-row case. Each final
-    iterate is certified by its LP gap and its distance from the slice; an
-    uncertified row is re-solved from the other default starts, and one
-    still uncertified raises UncertifiedSolveError.
+    system carries a residual-correction term that pulls rounding drift back
+    onto the constraint plane. Each row is solved once, from a central
+    start (Boyd & Vandenberghe 2004, sec. 11.3). Every row advances in the
+    same batched KKT solve but keeps its own step length, line search and
+    stopping test; a single point is the one-row case. Each final iterate
+    is certified by its LP gap and its distance from the slice; an
+    uncertified slice row raises UncertifiedSolveError.
     """
 
     def __init__(self, k: int, r_p: float):
@@ -210,7 +210,10 @@ class _SliceEntropySolver:
         H(B p) - tilt[row] * mean(p) over the whole simplex: the mean row of
         the KKT system is dropped and the tilt enters the gradient.
         A row leaves a stage after 60 Newton steps, on a step below 1e-14,
-        when its line search fails, or once it moves less than 1e-13.
+        when its line search fails, or once it moves less than 1e-13. In the
+        last stage a row that moves less than 1e-13 keeps going while its
+        Newton decrement -dp' H dp is at least 1e-18: its entries near 1e-12,
+        which set the LP gap, may still be moving.
         """
         rows, n = p.shape
         B, Bt, x = self.B, self.Bt, self.x
@@ -222,6 +225,7 @@ class _SliceEntropySolver:
             kkt[:, :n, n + 1] = kkt[:, n + 1, :n] = x
         rhs = np.empty((rows, size, 1))
         for mu in _MU_STAGES:
+            last = mu == _MU_STAGES[-1]
             p = np.maximum(p, 1e-150)  # barrier needs strict positivity (and p**2 > 0)
             # rows still moving, their iterates and their means (or tilts)
             live, q, mm = np.arange(rows), p, (tilt if free else m)
@@ -244,6 +248,8 @@ class _SliceEntropySolver:
                                     for a, b in zip(K, r)])
                 dp = sol[:, :n, 0]
                 step = np.abs(dp).max(axis=1)
+                # Newton decrement -dp' H dp of the barrier objective, last stage only
+                moving = last and np.einsum("ri,rij,rj->r", dp, K[:, :n, :n], dp) <= -1e-18
                 ratio = np.divide(q, -dp, out=np.full_like(q, np.inf), where=dp < 0)
                 t = np.minimum(1.0, 0.99 * ratio.min(axis=1))
 
@@ -266,7 +272,7 @@ class _SliceEntropySolver:
                         break
                     t[todo] *= 0.5
                 q = np.where(accepted[:, None], np.maximum(cand, 1e-150), q)
-                keep = accepted & (step * t >= 1e-13)
+                keep = accepted & ((step * t >= 1e-13) | moving)
                 if not keep.all():
                     p[live] = q
                     live, q, mm = live[keep], q[keep], mm[keep]
@@ -275,22 +281,15 @@ class _SliceEntropySolver:
             p[live] = q
         return p
 
-    def _certify(self, starts: np.ndarray, m: np.ndarray):
-        p = self._barrier_path(starts, m)
-        gap = _lp_gaps(self.grads_nats(p), p, m)
-        # the LP bound certifies only a point on the constraint slice
-        residual = np.maximum(np.abs(p.sum(axis=1) - 1.0), np.abs(p @ self.x - m))
-        gap[residual > FEAS_TOL] = np.inf
-        return p, self.values_nats(p), gap
-
     def solve(self, gammas):
         """Solve every mean constraint k * gammas[row] in one batch.
 
         Returns (max entropy in bits, maximizing pmfs, certified gaps in
-        nats), one row per gamma. Interior rows start from the tilted pmf;
-        rows left uncertified (gap above GAP_TOL, or off the slice) are
-        re-solved from the uniform-feasible and endpoint mixtures and keep
-        the best certified result.
+        nats), one row per gamma. Each interior row starts from the centre
+        of its slice: a share 2 * min(gamma, 1 - gamma) on the uniform pmf
+        and the rest on the near endpoint, which meets the mean exactly. A
+        row left uncertified (gap above GAP_TOL, or off the slice) raises
+        UncertifiedSolveError.
         """
         k = self.k
         gammas = np.asarray(gammas, dtype=float)
@@ -306,10 +305,21 @@ class _SliceEntropySolver:
         if inner.size:
             g = gammas[inner]
             m = k * g
-            q, _, gap = self._certify(_tilt_logw_to_mean(np.zeros((g.size, k + 1)), m)[1], m)
-            bad = np.flatnonzero(gap > GAP_TOL)
+            w = 2 * np.minimum(g, 1 - g)  # uniform share; the rest on the near endpoint
+            q = np.repeat(w[:, None] / (k + 1), k + 1, axis=1)
+            q[np.arange(g.size), np.where(g <= 0.5, 0, k)] += 1 - w
+            q = self._barrier_path(q, m)
+            gap = _lp_gaps(self.grads_nats(q), q, m)
+            # the LP bound certifies only a point on the constraint slice
+            residual = np.maximum(np.abs(q.sum(axis=1) - 1.0), np.abs(q @ self.x - m))
+            gap[~(residual <= FEAS_TOL)] = np.inf
+            bad = np.flatnonzero(~(gap <= GAP_TOL))
             if bad.size:
-                q[bad], gap[bad] = self._guard(g[bad])
+                j = bad[0]
+                raise UncertifiedSolveError(
+                    f"inner solve at gamma={g[j]}, k={k}, r_p={self.r_p} has LP gap "
+                    f"{gap[j]:.3e} nats > GAP_TOL={GAP_TOL:.0e}"
+                )
             p[inner], gaps[inner] = q, gap
         return self.values_nats(p) / LN2, p, gaps
 
@@ -317,48 +327,18 @@ class _SliceEntropySolver:
         """max H(B p) - tilt * mean(p) over the whole simplex, one row per
         tilt (nats per unit of mean), all in one batch.
 
-        Rows start from the pmf proportional to exp(-tilt * x). Returns
-        (output entropy in bits, maximizing pmfs, gaps in nats). Each row is
-        certified by the simplex LP gap max_i g_i - <g, p> of its tilted
-        objective; a row above GAP_TOL, off the simplex or NaN gets an
-        infinite gap.
+        Rows start from the uniform pmf. Returns (output entropy in bits,
+        maximizing pmfs, gaps in nats). Each row is certified by the simplex
+        LP gap max_i g_i - <g, p> of its tilted objective; a row above
+        GAP_TOL, off the simplex or NaN gets an infinite gap.
         """
         t = np.asarray(tilts, dtype=float)
-        logw = -t[:, None] * self.x
-        w = np.exp(logw - logw.max(axis=1, keepdims=True))
-        p = self._barrier_path(w / w.sum(axis=1, keepdims=True), tilt=t)
+        p = self._barrier_path(np.full((t.size, self.k + 1), 1.0 / (self.k + 1)), tilt=t)
         g = self.grads_nats(p) - t[:, None] * self.x
         gap = g.max(axis=1) - (g * p).sum(axis=1)
         gap[~(np.abs(p.sum(axis=1) - 1.0) <= FEAS_TOL)] = np.inf  # a NaN row is uncertified too
         gap[~(gap <= GAP_TOL)] = np.inf
         return self.values_nats(p) / LN2, p, gap
-
-    def _guard(self, g: np.ndarray):
-        """Re-solve uncertified rows from the other default starts, batched."""
-        k = self.k
-        base = _tilt_logw_to_mean(np.zeros((g.size, k + 1)), k * g)[1]
-        w = 2 * np.minimum(g, 1 - g)  # uniform share; the rest sits on the near endpoint
-        unif_mix = w[:, None] * np.full(k + 1, 1.0 / (k + 1))
-        unif_mix[np.arange(g.size), np.where(g <= 0.5, 0, k)] += 1 - w
-        endpoint = np.zeros_like(base)
-        endpoint[:, 0], endpoint[:, k] = 1 - g, g
-        starts = [0.99 * unif_mix + 0.01 * base, 0.99 * endpoint + 0.01 * base]
-        m = np.tile(k * g, len(starts))
-        logw = np.log(np.maximum(np.concatenate(starts), 1e-300))
-        p, val, gap = self._certify(_tilt_logw_to_mean(logw, m)[1], m)
-        shape = (len(starts), g.size)
-        p, val, gap = p.reshape(*shape, k + 1), val.reshape(shape), gap.reshape(shape)
-        val = np.where(gap <= GAP_TOL, val, -np.inf)
-        best = val.argmax(axis=0)
-        cols = np.arange(g.size)
-        uncertified = np.isinf(val[best, cols])
-        if uncertified.any():
-            j = int(np.flatnonzero(uncertified)[0])
-            raise UncertifiedSolveError(
-                f"inner solve at gamma={g[j]}, k={k}, r_p={self.r_p} has LP gap "
-                f"{gap[:, j].min():.3e} nats > GAP_TOL={GAP_TOL:.0e} from every start"
-            )
-        return p[best, cols], gap[best, cols]
 
 
 @functools.lru_cache(maxsize=256)
@@ -370,9 +350,9 @@ def h_check(gamma: float, k: int, r_p: float) -> tuple[float, Pmf]:
     """Maximum output entropy (bits) over inputs on {0..k} with mean k*gamma.
 
     The output is the input convolved with Bin(k, r_p). Solved via the
-    barrier Newton path with a three-start guard (tilted, uniform-feasible
-    mixture, endpoint mixture); the returned point carries an LP gap below
-    GAP_TOL (1e-9 nats), or UncertifiedSolveError is raised.
+    barrier Newton path from the centre of the slice; the returned point
+    carries an LP gap below GAP_TOL (1e-9 nats), or UncertifiedSolveError
+    is raised.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

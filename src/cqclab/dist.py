@@ -8,7 +8,7 @@ h_tilde built from them.
 
 One batched tilt solver, `_tilt_logw_to_mean`, finds every tilt: solve_tilt,
 rate_function and h_tilde are its one-row cases, h_tilde_grid its batched
-case, and capacity3 starts its inner solves from it.
+case.
 
 Entropies and divergences are in bits; rate_function returns nats (its
 consumers convert via log2(e)).

@@ -110,9 +110,9 @@ class TestHCheck:
 
     @pytest.mark.parametrize("g, k, rp", [(1e-12, 4, 0.3), (1e-9, 4, 0.3), (1e-8, 8, 0.7)])
     def test_tiny_mean_stays_on_the_slice(self, g, k, rp):
-        # from the tilted start the barrier path drifts off the constraint
-        # plane here (sum well above 1, negative LP gap); that point must
-        # not pass as certified, and the guard's other starts find the optimum
+        # started from the tilted pmf (entries down to 1e-57) the barrier path
+        # can drift off the constraint plane here (sum well above 1, negative
+        # LP gap); such a point must not pass as certified
         bits, p = h_check(g, k, rp)
         assert p.mean() == pytest.approx(k * g, abs=1e-10)
         q = np.zeros(k + 1)
@@ -132,6 +132,11 @@ class TestITilde:
                 assert i_tilde(g, k, 0.0).bits_per_slot == pytest.approx(
                     h_tilde(g, k).bits_per_slot, abs=1e-6
                 )
+        # extreme means at long windows, where the ceiling itself is ~1e-6
+        for g, k in ((4.8286e-8, 11), (1 - 4.14e-8, 12)):
+            assert i_tilde(g, k, 0.0).bits_per_slot == pytest.approx(
+                h_tilde(g, k).bits_per_slot, abs=1e-9
+            )
 
     def test_degenerate_input_carries_nothing(self):
         for k in (1, 4):
@@ -205,8 +210,8 @@ class TestITilde:
             i_tilde_curve(gammas, 2, 0.1)
 
     def test_uncertified_solve_raises(self, monkeypatch):
-        # no barrier iterate reaches a gap of 1e-30 nats, so every start of
-        # the guard fails and the solve must refuse rather than return
+        # no barrier iterate reaches a gap of 1e-30 nats, so the solve must
+        # refuse rather than return
         monkeypatch.setattr(capacity3, "GAP_TOL", 1e-30)
         with pytest.raises(UncertifiedSolveError):
             h_check(0.3, 3, 0.2)
@@ -273,16 +278,36 @@ class TestBatchedSolver:
             assert np.allclose(row, p1[0], atol=1e-9)
             assert row @ np.arange(5.0) == pytest.approx(4 * g, abs=1e-9)
 
-    def test_guard_starts_reach_the_same_optimum(self):
-        # the fallback starts (uniform-feasible and endpoint mixtures) must
-        # certify the point the tilted start finds
+    def test_path_does_not_depend_on_its_start(self):
+        # from the tilted pmf, far from the slice's centre, the barrier path
+        # reaches the optimum that the central start certifies
         sv = capacity3._SliceEntropySolver(5, 0.3)
         gs = np.array([0.02, 0.3, 0.5, 0.71, 0.98])
-        bits, p, _ = sv.solve(gs)
-        q, gaps = sv._guard(gs)
+        bits, p, gaps = sv.solve(gs)
         assert (gaps <= GAP_TOL).all()
+        m = 5 * gs
+        _, tilted = _tilt_logw_to_mean(np.zeros((gs.size, 6)), m)
+        q = sv._barrier_path(tilted, m)
         assert np.allclose(sv.values_nats(q) / capacity3.LN2, bits, atol=1e-12)
         assert np.allclose(q, p, atol=1e-9)
+
+    def test_every_slice_row_certifies(self):
+        # means down to 1e-12 from either end, plus the two extreme means
+        # of test_noiseless_equals_ceiling
+        j = np.arange(1.0, 13.0)
+        gs = np.concatenate([10.0**-j, 1 - 10.0**-j, [4.8286e-8, 1 - 4.14e-8]])
+        for k in (2, 4, 8, 11, 12, 16):
+            for rp in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9):
+                _, p, gaps = capacity3._SliceEntropySolver(k, rp).solve(gs)
+                assert (gaps <= GAP_TOL).all(), (k, rp)
+                assert np.allclose(p @ np.arange(k + 1.0), k * gs, atol=1e-10)
+
+    def test_every_free_row_certifies(self):
+        s = np.arange(-32.0, 33.0)
+        for k in (5, 8, 12, 24, 64):
+            for rp in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9):
+                slack = capacity3._tangent_points(k, rp, s)[3]
+                assert np.isfinite(slack).all(), (k, rp, s[~np.isfinite(slack)])
 
     def test_singular_kkt_falls_back_to_least_squares(self, monkeypatch):
         sv = capacity3._SliceEntropySolver(3, 0.2)
@@ -403,8 +428,7 @@ class TestCapacity3:
         assert cap3_rp01.constraint_residual == 0.0
 
     def test_certified_at_rp04(self):
-        # the first zoom round asks windows 5 to 8 for multipliers far above
-        # s*, where free-mean rows fail to certify; those are stepped around
+        # the first zoom round asks windows 5 to 8 for multipliers far above s*
         res = solve_capacity_3user(0.4, tau_max=8)
         assert res.tau_star == 2
         assert res.windows == ((3, 1.0),)
