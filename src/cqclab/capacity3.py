@@ -14,10 +14,15 @@ The inner maximization (max output entropy over a simplex slice) is smooth
 and strictly concave, solved by a log-barrier Newton path with an LP duality
 gap certificate below GAP_TOL = 1e-9 nats. One solver serves a single point
 and a whole stack of mean constraints alike: every row advances in the same
-batched KKT solve, so an i_tilde table or a sweep group takes about as many
-numpy calls as its slowest point. The same path also solves the free-mean
-problem max H(Y) - s * E X, certified by its simplex LP gap. An uncertified
-slice point raises UncertifiedSolveError; a free-mean row gets an infinite gap.
+batched KKT solve, so an i_tilde table takes about as many numpy calls as
+its slowest point. The rows of one batch may also sit at different noise
+rates: each row then takes its channel from a stack with one entry per
+distinct rate, so a sweep over many rates (`validate_i_concavity`,
+`degradation_violations`) is one solve per window length. A one-rate batch
+keeps its products as plain 2-D matrix products. The same path also solves
+the free-mean problem max H(Y) - s * E X, certified by its simplex LP gap.
+An uncertified slice point raises UncertifiedSolveError naming its k, gamma
+and r_p; a free-mean row gets an infinite gap.
 
 The best mix of windows k in {tau, tau + 1} at budget c = 1 - r_p is the
 concave envelope of the curves u -> i_tilde(u - 1/k, k, r_p), read at c. It
@@ -167,9 +172,15 @@ def _entropy_rows(py: np.ndarray) -> np.ndarray:
     return -(py * np.log(np.where(py > 1e-300, py, 1.0))).sum(axis=1)
 
 
+def _times(v: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """v[r] @ M for every row r, or v[r] @ M[r] when M stacks one matrix per row."""
+    return v @ M if M.ndim == 2 else np.matmul(v[:, None, :], M)[:, 0]
+
+
 class _SliceEntropySolver:
-    """max H(B p) over {p >= 0, sum p = 1, mean p = m} for one (k, r_p),
-    for a whole stack of mean constraints at once.
+    """max H(B p) over {p >= 0, sum p = 1, mean p = m} for one window
+    length k and one or more noise rates, for a whole stack of mean
+    constraints at once.
 
     Log-barrier Newton path following: the objective is strictly concave
     (the shifted-binomial rows are linearly independent), the barrier keeps
@@ -181,34 +192,57 @@ class _SliceEntropySolver:
     stopping test; a single point is the one-row case. Each final iterate
     is certified by its LP gap and its distance from the slice; an
     uncertified slice row raises UncertifiedSolveError.
+
+    With one rate, every product with the channel B is one 2-D matrix
+    product. Given several rates, `rates`, each row takes its channel from
+    a stack with one entry per rate, picked by the row's index into
+    `rates`, and the products go row by row. Columns that are zero in
+    every channel of the solver (the outputs above k when every rate is 0)
+    are dropped.
     """
 
-    def __init__(self, k: int, r_p: float):
+    def __init__(self, k: int, *rates: float):
         self.k = k
-        self.r_p = r_p
-        full = channel_matrix(k, r_p).rows
-        self.col_mask = full.sum(axis=0) > 0
-        self.B = np.ascontiguousarray(full[:, self.col_mask])
-        self.Bt = np.ascontiguousarray(self.B.T)
+        self.rates = rates
+        full = np.stack([channel_matrix(k, r).rows for r in rates])
+        self.col_mask = full.sum(axis=(0, 1)) > 0
+        B = full[:, :, self.col_mask]
+        self.B = np.ascontiguousarray(B[0] if len(rates) == 1 else B)
+        self.Bt = np.ascontiguousarray(self.B.T) if len(rates) == 1 else None
         self.x = np.arange(k + 1.0)
-        self.noise_entropy_bits = entropy(binomial_pmf(k, r_p))
+        self.noise_entropy_bits = np.array([entropy(binomial_pmf(k, r)) for r in rates])
 
-    def values_nats(self, p: np.ndarray) -> np.ndarray:
-        return _entropy_rows(np.maximum(p, 0.0) @ self.B)
+    def _channels(self, rate: np.ndarray | None):
+        """The channel and its transpose for rows with rate indices `rate`:
+        the one 2-D channel of a one-rate solver, else one per row (the
+        transpose a view of the gathered stack)."""
+        if self.B.ndim == 2:
+            return self.B, self.Bt
+        B = self.B[rate]
+        return B, B.transpose(0, 2, 1)
 
-    def grads_nats(self, p: np.ndarray) -> np.ndarray:
-        py = np.maximum(np.maximum(p, 0.0) @ self.B, 1e-300)
-        return -((np.log(py) + 1.0) @ self.Bt)
+    def values_nats(self, p: np.ndarray, rate: np.ndarray | None = None) -> np.ndarray:
+        return _entropy_rows(_times(np.maximum(p, 0.0), self._channels(rate)[0]))
+
+    def grads_nats(self, p: np.ndarray, rate: np.ndarray | None = None) -> np.ndarray:
+        B, Bt = self._channels(rate)
+        py = np.maximum(_times(np.maximum(p, 0.0), B), 1e-300)
+        return -_times(np.log(py) + 1.0, Bt)
 
     def _barrier_path(
-        self, p: np.ndarray, m: np.ndarray | None = None, tilt: np.ndarray | None = None
+        self,
+        p: np.ndarray,
+        m: np.ndarray | None = None,
+        tilt: np.ndarray | None = None,
+        rate: np.ndarray | None = None,
     ) -> np.ndarray:
         """Run every mu stage of the barrier path on each row of p.
 
         Each row maximizes H(B p) on the slice with mean m[row], or, given
         `tilt` (nats per unit of mean) in place of m, maximizes
         H(B p) - tilt[row] * mean(p) over the whole simplex: the mean row of
-        the KKT system is dropped and the tilt enters the gradient.
+        the KKT system is dropped and the tilt enters the gradient. With
+        several rates, row r uses the channel of rates[rate[r]].
         A row leaves a stage after 60 Newton steps, on a step below 1e-14,
         when its line search fails, or once it moves less than 1e-13. In the
         last stage a row that moves less than 1e-13 keeps going while its
@@ -216,7 +250,9 @@ class _SliceEntropySolver:
         which set the LP gap, may still be moving.
         """
         rows, n = p.shape
-        B, Bt, x = self.B, self.Bt, self.x
+        x = self.x
+        B_all, Bt_all = self._channels(rate)
+        per_row = B_all.ndim == 3
         free = tilt is not None
         size = n + 1 if free else n + 2
         kkt = np.zeros((rows, size, size))
@@ -227,15 +263,15 @@ class _SliceEntropySolver:
         for mu in _MU_STAGES:
             last = mu == _MU_STAGES[-1]
             p = np.maximum(p, 1e-150)  # barrier needs strict positivity (and p**2 > 0)
-            # rows still moving, their iterates and their means (or tilts)
-            live, q, mm = np.arange(rows), p, (tilt if free else m)
+            # rows still moving, their iterates, their means (or tilts) and channels
+            live, q, mm, B, Bt = np.arange(rows), p, (tilt if free else m), B_all, Bt_all
             for _ in range(60):
                 K, r = kkt[: live.size], rhs[: live.size]
-                py = np.maximum(q @ B, 1e-300)
+                py = np.maximum(_times(q, B), 1e-300)
                 logpy = np.log(py)
                 np.matmul(B / -py[:, None, :], Bt, out=K[:, :n, :n])
                 K.reshape(live.size, -1)[:, : n * (size + 1) : size + 1] -= mu / q**2  # diagonal
-                r[:, :n, 0] = (logpy + 1.0) @ Bt - mu / q
+                r[:, :n, 0] = _times(logpy + 1.0, Bt) - mu / q
                 r[:, n, 0] = 1.0 - q.sum(axis=1)
                 if free:
                     r[:, :n, 0] += mm[:, None] * x
@@ -262,7 +298,7 @@ class _SliceEntropySolver:
                     cand = q + t[:, None] * dp
                     pos = cand > 0
                     barrier = np.log(np.where(pos, cand, 1.0)).sum(axis=1)
-                    merit = self.values_nats(cand) + mu * barrier
+                    merit = _entropy_rows(_times(np.maximum(cand, 0.0), B)) + mu * barrier
                     if free:
                         merit -= mm * (cand @ x)
                     ok = todo & pos.all(axis=1) & (merit >= base - 1e-12)
@@ -276,23 +312,28 @@ class _SliceEntropySolver:
                 if not keep.all():
                     p[live] = q
                     live, q, mm = live[keep], q[keep], mm[keep]
+                    if per_row:
+                        B = B[keep]
+                        Bt = B.transpose(0, 2, 1)
                     if live.size == 0:
                         break
             p[live] = q
         return p
 
-    def solve(self, gammas):
-        """Solve every mean constraint k * gammas[row] in one batch.
+    def solve(self, gammas, rate=None):
+        """Solve every mean constraint k * gammas[row] in one batch; with
+        several rates, row r is solved at rates[rate[r]].
 
         Returns (max entropy in bits, maximizing pmfs, certified gaps in
         nats), one row per gamma. Each interior row starts from the centre
         of its slice: a share 2 * min(gamma, 1 - gamma) on the uniform pmf
         and the rest on the near endpoint, which meets the mean exactly. A
         row left uncertified (gap above GAP_TOL, or off the slice) raises
-        UncertifiedSolveError.
+        UncertifiedSolveError naming its k, gamma and r_p.
         """
         k = self.k
         gammas = np.asarray(gammas, dtype=float)
+        rate = np.zeros(gammas.size, dtype=int) if rate is None else np.asarray(rate)
         p = np.zeros((gammas.size, k + 1))
         gaps = np.zeros(gammas.size)
         if k == 1:
@@ -303,13 +344,13 @@ class _SliceEntropySolver:
             p[gammas >= 1.0, k] = 1.0
             inner = np.flatnonzero((gammas > 0.0) & (gammas < 1.0))
         if inner.size:
-            g = gammas[inner]
+            g, ri = gammas[inner], rate[inner]
             m = k * g
             w = 2 * np.minimum(g, 1 - g)  # uniform share; the rest on the near endpoint
             q = np.repeat(w[:, None] / (k + 1), k + 1, axis=1)
             q[np.arange(g.size), np.where(g <= 0.5, 0, k)] += 1 - w
-            q = self._barrier_path(q, m)
-            gap = _lp_gaps(self.grads_nats(q), q, m)
+            q = self._barrier_path(q, m, rate=ri)
+            gap = _lp_gaps(self.grads_nats(q, ri), q, m)
             # the LP bound certifies only a point on the constraint slice
             residual = np.maximum(np.abs(q.sum(axis=1) - 1.0), np.abs(q @ self.x - m))
             gap[~(residual <= FEAS_TOL)] = np.inf
@@ -317,15 +358,16 @@ class _SliceEntropySolver:
             if bad.size:
                 j = bad[0]
                 raise UncertifiedSolveError(
-                    f"inner solve at gamma={g[j]}, k={k}, r_p={self.r_p} has LP gap "
+                    f"inner solve at gamma={g[j]}, k={k}, r_p={self.rates[ri[j]]} has LP gap "
                     f"{gap[j]:.3e} nats > GAP_TOL={GAP_TOL:.0e}"
                 )
             p[inner], gaps[inner] = q, gap
-        return self.values_nats(p) / LN2, p, gaps
+        return self.values_nats(p, rate) / LN2, p, gaps
 
     def solve_free(self, tilts):
         """max H(B p) - tilt * mean(p) over the whole simplex, one row per
-        tilt (nats per unit of mean), all in one batch.
+        tilt (nats per unit of mean), all in one batch, for a one-rate
+        solver.
 
         Rows start from the uniform pmf. Returns (output entropy in bits,
         maximizing pmfs, gaps in nats). Each row is certified by the simplex
@@ -344,6 +386,16 @@ class _SliceEntropySolver:
 @functools.lru_cache(maxsize=256)
 def _solver(k: int, r_p: float) -> _SliceEntropySolver:
     return _SliceEntropySolver(k, r_p)
+
+
+def _slices_across_rates(k: int, gammas: np.ndarray, rps: np.ndarray):
+    """Slice solves for window k with each row at its own noise rate, all in
+    one barrier path. Returns (max output entropy in bits, certified gaps
+    in nats, noise entropy H(Bin(k, r_p)) in bits), one entry per row."""
+    rates, rate = np.unique(rps, return_inverse=True)
+    sv = _SliceEntropySolver(k, *rates.tolist())
+    bits, _, gaps = sv.solve(gammas, rate)
+    return bits, gaps, sv.noise_entropy_bits[rate]
 
 
 def h_check(gamma: float, k: int, r_p: float) -> tuple[float, Pmf]:
@@ -365,7 +417,7 @@ def h_check(gamma: float, k: int, r_p: float) -> tuple[float, Pmf]:
 def i_tilde(gamma: float, k: int, r_p: float) -> ITildeValue:
     """Per-slot information ceiling through the shifted-binomial channel."""
     bits, p = h_check(gamma, k, r_p)
-    noise_bits = _solver(k, r_p).noise_entropy_bits
+    noise_bits = float(_solver(k, r_p).noise_entropy_bits[0])
     return ITildeValue(
         gamma=gamma,
         k=k,
@@ -389,7 +441,7 @@ def i_tilde_curve(gammas, k: int, r_p: float) -> np.ndarray:
         raise ValueError("gammas must be finite and lie in [0, 1]")
     sv = _solver(k, r_p)
     bits, _, _ = sv.solve(gammas)
-    return np.maximum((bits - sv.noise_entropy_bits) / k, 0.0)
+    return np.maximum((bits - sv.noise_entropy_bits[0]) / k, 0.0)
 
 
 def _tangent_points(k: int, r_p: float, s: np.ndarray):
@@ -403,7 +455,7 @@ def _tangent_points(k: int, r_p: float, s: np.ndarray):
     sv = _solver(k, r_p)
     bits, p, gap = sv.solve_free(s * LN2)
     gamma = (p @ sv.x) / k
-    info = (bits - sv.noise_entropy_bits) / k
+    info = (bits - sv.noise_entropy_bits[0]) / k
     return info - s * (gamma + 1.0 / k), gamma, info, gap / (LN2 * k)
 
 
@@ -556,18 +608,28 @@ def degradation_violations(
 
     Returns (k, gamma, r_p_low, r_p_high, increase) for every adjacent pair
     on the noise grid where i_tilde increases by more than `tolerance`.
+    Each window length is one slice solve over every gamma at every rate.
     Such points exist: the noise is an additive count, so r_p -> 1 is again
     deterministic and the ceiling is not globally monotone.
     """
     if rp_grid is None:
         rp_grid = np.arange(0.0, 0.51, 0.05)
+    gammas = np.asarray(gammas, dtype=float).reshape(-1)
+    rps = np.asarray(rp_grid, dtype=float).reshape(-1)
     out = []
+    if gammas.size == 0 or rps.size == 0:
+        return out
     for k in ks:
-        for g in gammas:
-            vals = [i_tilde(float(g), int(k), float(rp)).bits_per_slot for rp in rp_grid]
-            for (r1, v1), (r2, v2) in zip(zip(rp_grid, vals), zip(rp_grid[1:], vals[1:])):
-                if v2 > v1 + tolerance:
-                    out.append((int(k), float(g), float(r1), float(r2), v2 - v1))
+        k = int(k)
+        # one batch per window length: every gamma at every rate
+        bits, _, noise = _slices_across_rates(
+            k, np.repeat(gammas, rps.size), np.tile(rps, gammas.size)
+        )
+        vals = np.maximum((bits - noise) / k, 0.0).reshape(gammas.size, rps.size)
+        for g, row in zip(gammas, vals):
+            for j in np.flatnonzero(row[1:] > row[:-1] + tolerance):
+                out.append((k, float(g), float(rps[j]), float(rps[j + 1]),
+                            float(row[j + 1] - row[j])))
     return out
 
 
@@ -642,43 +704,62 @@ def validate_i_concavity(
     grid to {0}); for r_p > 0 the sweep finds certified violations. The
     report carries the largest inner-solve duality gap as `max_gap_nats`,
     which certifies them.
+
+    All triples are drawn first, k by k as in a sequential sweep. Window
+    length j then serves as window k - 1, k or k + 1 of the draws at
+    k = j + 1, j and j - 1, so each j = 1..tau_max is solved once, across
+    all noise rates, and the H_check values are scattered back to their
+    margins. Each value agrees with the one-rate solve of its point to
+    rounding (1e-12 bits).
     """
     if tau_max < 3:
         raise ValueError("tau_max must be >= 3")
+    ks = range(2, tau_max)
+    if samples == 0:
+        return ConcavityReport(samples=0, tau_max=tau_max, worst_margin=np.inf,
+                               worst_location=(0, 0.0, 0.0, 0.0), violations=0,
+                               tolerance=tolerance)
     rng = np.random.default_rng(seed)
     rp_grid = np.arange(0.0, 1.0, r_p_step)
-    worst = (np.inf, (0, 0.0, 0.0, 0.0))
-    violations = 0
-    total = 0
-    max_gap = 0.0
-    for k in range(2, tau_max):
+    draws = {}  # k -> (gamma1, gamma2, gamma3, r_p) samples, drawn k by k
+    for k in ks:
         g1s = rng.uniform(0.0, 1.0, size=samples)
         g3s = rng.uniform(0.0, 1.0, size=samples)
         rps = rng.choice(rp_grid, size=samples)
         alpha = (k - 1) / (2.0 * k)
-        g2s = alpha * g1s + (1 - alpha) * g3s
-        margins = np.empty(samples)
-        for rp in np.unique(rps):
-            sel = rps == rp
-            b2, _, gap2 = _solver(k, rp).solve(g2s[sel])
-            b1, _, gap1 = _solver(k - 1, rp).solve(g1s[sel])
-            b3, _, gap3 = _solver(k + 1, rp).solve(g3s[sel])
-            max_gap = max(max_gap, gap1.max(), gap2.max(), gap3.max())
-            margins[sel] = 2 * b2 - b1 - b3 + binomial_entropy_gap(k, float(rp))
-        total += samples
+        draws[k] = (g1s, alpha * g1s + (1 - alpha) * g3s, g3s, rps)
+    # window j is window k - 1, k or k + 1 (gamma1, gamma2 or gamma3) of the
+    # draws at k = j + 1, j or j - 1: one solve per window across all rates
+    bits = {}  # (k, 0 | 1 | 2) -> H_check at gamma1 | gamma2 | gamma3
+    max_gap = 0.0
+    for j in range(1, tau_max + 1):
+        parts = [(k, pos) for pos, k in enumerate((j + 1, j, j - 1)) if k in draws]
+        b, gaps, _ = _slices_across_rates(
+            j,
+            np.concatenate([draws[k][pos] for k, pos in parts]),
+            np.concatenate([draws[k][3] for k, _ in parts]),
+        )
+        max_gap = max(max_gap, float(gaps.max()))
+        bits.update(zip(parts, np.split(b, len(parts))))
+    worst = (np.inf, (0, 0.0, 0.0, 0.0))
+    violations = 0
+    for k in ks:
+        g1s, g2s, g3s, rps = draws[k]
+        rates, at = np.unique(rps, return_inverse=True)
+        noise_gap = np.array([binomial_entropy_gap(k, float(rp)) for rp in rates])[at]
+        margins = 2 * bits[k, 1] - bits[k, 0] - bits[k, 2] + noise_gap
         violations += int((margins < -tolerance).sum())
-        if samples:
-            # ties go to the first sample in (r_p, gamma2) order
-            order = np.lexsort((g2s, rps))
-            i = int(order[np.argmin(margins[order])])
-            if margins[i] < worst[0]:
-                worst = (float(margins[i]), (k, float(g1s[i]), float(g3s[i]), float(rps[i])))
+        # ties go to the first sample in (r_p, gamma2) order
+        order = np.lexsort((g2s, rps))
+        i = int(order[np.argmin(margins[order])])
+        if margins[i] < worst[0]:
+            worst = (float(margins[i]), (k, float(g1s[i]), float(g3s[i]), float(rps[i])))
     return ConcavityReport(
-        samples=total,
+        samples=samples * len(ks),
         tau_max=tau_max,
         worst_margin=worst[0],
         worst_location=worst[1],
         violations=violations,
         tolerance=tolerance,
-        max_gap_nats=float(max_gap),
+        max_gap_nats=max_gap,
     )

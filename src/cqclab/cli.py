@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -24,7 +23,7 @@ from .coding import (
     build_codebook_3user,
     run_transmission,
 )
-from .dist import entropy, h_tilde, solve_tilt
+from .dist import h_tilde_grid, solve_tilt_grid
 from .fcfs import stability_probe, trace_to_csv_rows
 
 
@@ -66,8 +65,8 @@ def cmd_htilde(args) -> int:
     gammas = np.arange(step, 1.0, step)
     lines = ["gamma,k,h_tilde"]
     for k in ks:
-        for g in gammas:
-            lines.append(f"{_fmt(float(g))},{k},{_fmt(h_tilde(float(g), k).bits_per_slot)}")
+        for g, val in zip(gammas, h_tilde_grid(gammas, k)):
+            lines.append(f"{_fmt(float(g))},{k},{_fmt(float(val))}")
     _emit(args, {"gamma_step": step, "k_set": ks}, lines)
     return 0
 
@@ -236,25 +235,8 @@ def cmd_validate(args) -> int:
     tol_conc = args.tolerance if args.tolerance is not None else 1e-9
     tol_mix = args.tolerance if args.tolerance is not None else 1e-6
 
-    # dual-formula equivalence of the entropy ceiling
-    worst_dual = 0.0
-    for k in range(1, 9):
-        for g in np.arange(0.01, 1.0, 0.01):
-            via_rate = h_tilde(float(g), k).bits_per_slot
-            via_tilt = entropy(solve_tilt(k, k * float(g)).pmf) / k
-            worst_dual = max(worst_dual, abs(via_rate - via_tilt))
-
-    # mirror symmetry of the entropy ceiling
-    worst_sym = 0.0
-    for k in range(1, 9):
-        for g in np.arange(0.01, 0.5, 0.01):
-            worst_sym = max(
-                worst_sym,
-                abs(h_tilde(float(g), k).bits_per_slot - h_tilde(1 - float(g), k).bits_per_slot),
-            )
-
-    # concavity of the entropy ceiling in (gamma, 1/k)
-    worst_conc = math.inf
+    # the h_tilde concavity check's seeded samples, drawn one sample at a time
+    draws = []
     for _ in range(max(args.samples * 4, 100)):
         k1 = int(rng.integers(1, 9))
         k3 = int(rng.integers(1, 9))
@@ -265,12 +247,30 @@ def cmd_validate(args) -> int:
         else:
             a = (1.0 / k2 - 1.0 / k3) / (1.0 / k1 - 1.0 / k3)
         g1, g3 = rng.uniform(size=2)
-        g2 = a * g1 + (1 - a) * g3
-        lhs = (
-            a * h_tilde(float(g1), k1).bits_per_slot
-            + (1 - a) * h_tilde(float(g3), k3).bits_per_slot
-        )
-        worst_conc = min(worst_conc, h_tilde(float(g2), k2).bits_per_slot - lhs)
+        draws.append((k1, k2, k3, a, g1, a * g1 + (1 - a) * g3, g3))
+    draws = np.array(draws)
+    ks, a, gs = draws[:, :3].astype(int), draws[:, 3], draws[:, 4:]
+
+    # one h_tilde_grid call and one batched tilt solve per window length
+    dual_g = np.arange(0.01, 1.0, 0.01)
+    sym_g = np.arange(0.01, 0.5, 0.01)
+    h = np.empty(gs.shape)  # h_tilde at the drawn (gamma1, gamma2, gamma3)
+    worst_dual = worst_sym = 0.0
+    for k in range(1, 9):
+        at_k = ks == k
+        vals = h_tilde_grid(np.concatenate([dual_g, sym_g, 1 - sym_g, gs[at_k]]), k)
+        via_rate, sym, mirror, h[at_k] = np.split(
+            vals, np.cumsum([dual_g.size, sym_g.size, sym_g.size]))
+        # dual-formula equivalence of the entropy ceiling
+        _, p = solve_tilt_grid(k, k * dual_g)
+        via_tilt = -(p * np.log2(np.where(p > 0, p, 1.0))).sum(axis=1) / k
+        worst_dual = max(worst_dual, float(np.abs(via_rate - via_tilt).max()))
+        # mirror symmetry of the entropy ceiling
+        worst_sym = max(worst_sym, float(np.abs(sym - mirror).max()))
+
+    # concavity of the entropy ceiling in (gamma, 1/k)
+    lhs = a * h[:, 0] + (1 - a) * h[:, 2]
+    worst_conc = min((h[:, 1] - lhs).tolist())
 
     # mixed-window concavity of the noisy ceiling
     report = validate_i_concavity(

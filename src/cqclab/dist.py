@@ -7,8 +7,10 @@ and its Legendre-Fenchel rate function, and the per-slot entropy ceiling
 h_tilde built from them.
 
 One batched tilt solver, `_tilt_logw_to_mean`, finds every tilt: solve_tilt,
-rate_function and h_tilde are its one-row cases, h_tilde_grid its batched
-case.
+rate_function and h_tilde are its one-row cases, solve_tilt_grid and
+h_tilde_grid its batched cases. Batched rows are independent: each row
+freezes at its own stopping test and shares no arithmetic with the others,
+so a batch returns, bitwise, the values of its one-row solves.
 
 Entropies and divergences are in bits; rate_function returns nats (its
 consumers convert via log2(e)).
@@ -162,11 +164,13 @@ def _tilt_logw_to_mean(logw: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.
     the mean above). On an exponential tail that log is linear in s, so a
     target such as 1e-300 takes a few steps rather than one per unit of s.
     A step that leaves the bracket the signs so far establish, within
-    |s| <= 1e5, is replaced by bisection. The rows stop together once each
-    has taken a Newton step below 1e-9, or any step at the rounding level
-    of s, and the pmfs are evaluated at the tilts reached. A target outside
-    (0, k) raises TiltEndpointError, and a row that ends more than a
-    relative 1e-10 off its target raises TiltConvergenceError.
+    |s| <= 1e5, is replaced by bisection. A row freezes at the tilt it
+    reaches on its first Newton step below 1e-9, or on any step at the
+    rounding level of s; the pmfs are evaluated at the tilts reached. Rows
+    share no arithmetic, so each row of a batch is bitwise the one-row
+    solve of its target. A target outside (0, k) raises TiltEndpointError,
+    and a row that ends more than a relative 1e-10 off its target raises
+    TiltConvergenceError.
     """
     k = logw.shape[1] - 1
     m = np.asarray(m, dtype=float)
@@ -178,33 +182,36 @@ def _tilt_logw_to_mean(logw: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.
     log_target = np.log(np.where(low, m, k - m))
     sign = np.where(low, 1.0, -1.0)
 
-    def tilted(s):  # pmfs, distances and log-residuals (increasing in s) at tilts s
-        z = logw + s[:, None] * i
+    def tilted(s, rows):  # pmfs, distances and log-residuals (increasing in s) at tilts s
+        z = logw[rows] + s[:, None] * i
         z -= z.max(axis=1, keepdims=True)
         p = np.exp(z, out=z)
         p /= p.sum(axis=1, keepdims=True)
-        dist = (p * d).sum(axis=1)
-        return p, dist, sign * (np.log(dist) - log_target)
+        dist = (p * d[rows]).sum(axis=1)
+        return p, dist, sign[rows] * (np.log(dist) - log_target[rows])
 
     lo = np.full(m.size, -1e5)
     hi = np.full(m.size, 1e5)
     s = np.zeros(m.size)
+    live = np.arange(m.size)  # rows still stepping; a row freezes at its own stopping test
     with np.errstate(divide="ignore", invalid="ignore"):  # a distance may underflow to 0
         for _ in range(100):
-            p, dist, f = tilted(s)
-            var = ((d - dist[:, None]) ** 2 * p).sum(axis=1)  # f has slope var / dist
-            newton = s - f * dist / var
-            np.copyto(lo, s, where=f < 0)
-            np.copyto(hi, s, where=f > 0)
-            in_bracket = (newton >= lo) & (newton <= hi)
-            s_new = np.where(in_bracket, newton, 0.5 * (lo + hi))
-            step = np.abs(s_new - s)
+            sl = s[live]
+            p, dist, f = tilted(sl, live)
+            var = ((d[live] - dist[:, None]) ** 2 * p).sum(axis=1)  # f has slope var / dist
+            newton = sl - f * dist / var
+            lo[live] = lol = np.where(f < 0, sl, lo[live])
+            hi[live] = hil = np.where(f > 0, sl, hi[live])
+            in_bracket = (newton >= lol) & (newton <= hil)
+            s_new = np.where(in_bracket, newton, 0.5 * (lol + hil))
+            step = np.abs(s_new - sl)
             # a Newton step leaves an error of the order of its square
-            done = (in_bracket & (step <= 1e-9)) | (step <= 1e-13 + 8.9e-16 * np.abs(s))
-            s = s_new
-            if done.all():
+            done = (in_bracket & (step <= 1e-9)) | (step <= 1e-13 + 8.9e-16 * np.abs(sl))
+            s[live] = s_new
+            live = live[~done]
+            if live.size == 0:
                 break
-        p, _, f = tilted(s)
+        p, _, f = tilted(s, slice(None))
     off = np.flatnonzero(~(np.abs(f) <= 1e-10))
     if off.size:
         j = int(off[0])
@@ -226,11 +233,32 @@ def _rate_grid(k: int, x: np.ndarray) -> np.ndarray:
     return lam * x - psi
 
 
+def solve_tilt_grid(k: int, target_means) -> tuple[np.ndarray, np.ndarray]:
+    """Tilts and tilted pmfs on {0..k}, one row per target mean, in one
+    batched tilt solve.
+
+    Each row is bitwise the `solve_tilt` of its target and meets it to the
+    same absolute mean residual, 1e-10 (ValueError otherwise). Degenerate
+    means 0 and k are rejected (TiltEndpointError).
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    m = np.asarray(target_means, dtype=float).reshape(-1)
+    lam, p = _tilt_logw_to_mean(np.zeros((m.size, k + 1)), m)
+    residual = np.abs(p @ np.arange(k + 1.0) - m)
+    off = np.flatnonzero(~(residual <= _MEAN_TOL))
+    if off.size:
+        raise ValueError(
+            f"tilt solution residual {residual[off[0]]:.3e} exceeds {_MEAN_TOL:.0e}"
+        )
+    return lam, p
+
+
 def solve_tilt(k: int, target_mean: float) -> TiltSolution:
     """Find the tilt parameter whose pmf on {0..k} has the given mean.
 
     The mean map lam -> mean(tilted_pmf(k, lam)) is strictly increasing, so
-    the root is unique; it is the one-row case of the batched tilt solve,
+    the root is unique; it is the one-row case of `solve_tilt_grid`,
     polished to a mean residual below 1e-10. Degenerate means 0 and k are
     rejected: the corresponding pmfs are point masses with infinite tilt.
     """
@@ -240,7 +268,7 @@ def solve_tilt(k: int, target_mean: float) -> TiltSolution:
         raise TiltEndpointError(
             f"target mean {target_mean} must lie strictly inside (0, {k})"
         )
-    lam, p = _tilt_logw_to_mean(np.zeros((1, k + 1)), np.array([float(target_mean)]))
+    lam, p = solve_tilt_grid(k, [float(target_mean)])
     pmf = Pmf(p[0])
     return TiltSolution(
         lam=float(lam[0]),
@@ -301,12 +329,22 @@ def h_tilde_grid(gammas: np.ndarray, k: int) -> np.ndarray:
     """Vectorized h_tilde values (bits per slot) over an array of gammas.
 
     One batched tilt solve for every interior gamma, then the rate-function
-    formula of the scalar h_tilde; gamma = 0 and 1 give 0.
+    formula of the scalar h_tilde; gamma = 0 and 1 give 0. Each value is
+    bitwise the scalar `h_tilde`, and every one is held to `HTildeValue`'s
+    range [0, log2(k+1)/k] (ValueError otherwise).
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     gammas = np.asarray(gammas, dtype=float)
+    if not ((gammas >= 0.0) & (gammas <= 1.0)).all():
+        raise ValueError("gammas must lie in [0, 1]")
     out = np.zeros(gammas.shape)
     interior = (gammas > 0.0) & (gammas < 1.0)
     if interior.any():
         rate = _rate_grid(k, k * gammas[interior])
         out[interior] = np.maximum((math.log2(k + 1) - rate * LOG2E) / k, 0.0)
+    hi = math.log2(k + 1) / k
+    off = np.flatnonzero(~((out >= -1e-12) & (out <= hi + 1e-12)))
+    if off.size:
+        raise ValueError(f"bits_per_slot {out.flat[off[0]]} outside [0, log2(k+1)/k]")
     return out

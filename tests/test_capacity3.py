@@ -174,6 +174,21 @@ class TestITilde:
         assert inc > 1e-4
         assert not degradation_violations([0.5], [1, 2, 3])
 
+    def test_degradation_violations_match_pointwise_solves(self):
+        gammas, ks, rps = [0.1, 0.25, 0.6], [1, 2, 3], np.arange(0.0, 0.96, 0.05)
+        expected = []
+        for k in ks:
+            for g in gammas:
+                vals = [i_tilde(g, k, float(rp)).bits_per_slot for rp in rps]
+                for j in range(rps.size - 1):
+                    if vals[j + 1] > vals[j] + 1e-6:
+                        expected.append((k, g, float(rps[j]), float(rps[j + 1]),
+                                         vals[j + 1] - vals[j]))
+        found = degradation_violations(gammas, ks, rps)
+        assert expected, "the grid should reach the non-monotone region"
+        assert [f[:4] for f in found] == [e[:4] for e in expected]
+        assert [f[4] for f in found] == pytest.approx([e[4] for e in expected], abs=1e-12)
+
     def test_decomposition_matches_joint_mutual_information(self):
         # independent route: I(X;Y) from the joint law directly, against the
         # output-entropy-minus-noise-entropy decomposition
@@ -322,6 +337,30 @@ class TestBatchedSolver:
         assert np.allclose(bits, ref, atol=1e-12)
         assert (gaps <= GAP_TOL).all()
 
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_rates_in_one_batch_match_per_rate_solves(self, k):
+        rng = np.random.default_rng(k)
+        gs = np.concatenate([rng.uniform(size=40), [0.0, 1.0, 1e-12, 1 - 1e-12] * 2])
+        rps = rng.choice([0.0, 0.05, 0.3, 0.8, 0.95], size=gs.size)
+        bits, gaps, noise = capacity3._slices_across_rates(k, gs, rps)
+        assert (gaps <= GAP_TOL).all()
+        for rp in np.unique(rps):
+            sel = rps == rp
+            sv = capacity3._solver(k, rp)
+            ref, _, _ = sv.solve(gs[sel])
+            assert np.abs(bits[sel] - ref).max() <= 1e-12, rp
+            assert (noise[sel] == sv.noise_entropy_bits[0]).all()
+
+    def test_all_noiseless_batch_drops_the_zero_columns(self):
+        sv = capacity3._SliceEntropySolver(4, 0.0, 0.0)
+        assert sv.B.shape == (2, 5, 5)
+        assert capacity3._SliceEntropySolver(4, 0.0, 0.2).B.shape == (2, 5, 9)
+
+    def test_uncertified_row_of_a_rate_batch_names_its_point(self, monkeypatch):
+        monkeypatch.setattr(capacity3, "GAP_TOL", 1e-30)
+        with pytest.raises(UncertifiedSolveError, match=r"gamma=0\.4, k=3, r_p=0\.2 "):
+            capacity3._slices_across_rates(3, np.array([0.4, 0.6]), np.array([0.2, 0.7]))
 
     @pytest.mark.parametrize("k, r_p", [(1, 0.0), (3, 0.3), (6, 0.7)])
     def test_free_mean_rows_match_slice_solves(self, k, r_p):
@@ -563,6 +602,23 @@ class TestMixedWindowConcavity:
         assert report.worst_margin >= -1e-9
         assert report.passed
         assert report.max_gap_nats <= GAP_TOL
+
+    def test_sweep_matches_pointwise_margins(self):
+        # the sweep solves each window length once across all rates; the
+        # same draws through concavity_margin solve point by point
+        rng = np.random.default_rng(4)
+        margins, where = [], []
+        for k in (2, 3, 4):
+            g1s, g3s = rng.uniform(size=15), rng.uniform(size=15)
+            rps = rng.choice(np.arange(0.0, 1.0, 0.05), size=15)
+            for g1, g3, rp in zip(g1s, g3s, rps):
+                margins.append(concavity_margin(k, float(g1), float(g3), float(rp)))
+                where.append((k, float(g1), float(g3), float(rp)))
+        report = validate_i_concavity(tau_max=5, samples=15, seed=4)
+        assert report.samples == len(margins)
+        assert report.violations == sum(m < -1e-6 for m in margins)
+        assert report.worst_margin == pytest.approx(min(margins), abs=1e-12)
+        assert report.worst_location == where[int(np.argmin(margins))]
 
     def test_binomial_entropy_gap_matches_direct(self):
         for k in (2, 5):

@@ -180,6 +180,34 @@ class TestValidate:
         assert table["mixed_window_concavity"] < -1e-6
         assert "FAIL" in capsys.readouterr().out
 
+    # bodies of `validate --tau-max 8 --samples 50`, recorded from the
+    # sequential sweep (one h_tilde / solve_tilt call per point, one slice
+    # solve per (k, r_p) group); the batched sweep must reproduce them
+    GOLDEN = {
+        0: [
+            "check,worst_margin,tolerance",
+            "dual_formula,8.74300631892e-16,1e-09",
+            "symmetry,1.11022302463e-15,1e-10",
+            "h_tilde_concavity,0,-1e-09",
+            "mixed_window_concavity,-0.014351648551,-1e-06",
+        ],
+        3: [
+            "check,worst_margin,tolerance",
+            "dual_formula,8.74300631892e-16,1e-09",
+            "symmetry,1.11022302463e-15,1e-10",
+            "h_tilde_concavity,0,-1e-09",
+            "mixed_window_concavity,-0.016492363267,-1e-06",
+        ],
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_body_matches_the_sequential_sweep(self, tmp_path, seed):
+        code, body = _run(
+            tmp_path, "--seed", str(seed), "validate", "--tau-max", "8", "--samples", "50"
+        )
+        assert code == 1
+        assert _rows(body) == self.GOLDEN[seed]
+
     def test_absurd_tolerance_fails(self, tmp_path):
         code, _ = _run(
             tmp_path, "--tolerance", "1e-300", "validate", "--tau-max", "3",

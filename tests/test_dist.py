@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cqclab import dist
 from cqclab.dist import (
     AbsoluteContinuityError,
     HTildeValue,
@@ -17,6 +20,7 @@ from cqclab.dist import (
     kl_divergence,
     rate_function,
     solve_tilt,
+    solve_tilt_grid,
     tilted_pmf,
 )
 
@@ -293,6 +297,54 @@ class TestHTilde:
                 assert v == pytest.approx(
                     h_tilde(float(g), k).bits_per_slot, abs=1e-12
                 )
+
+
+EDGE_GAMMAS = st.sampled_from([1e-12, 1 - 1e-12, 0.5])
+INTERIOR_GAMMAS = st.one_of(EDGE_GAMMAS, st.floats(1e-12, 1 - 1e-12))
+
+
+class TestBatchedRows:
+    """A batched row freezes at its own stopping test, so every batch
+    returns, bitwise, the values of its one-row solves."""
+
+    @given(k=st.integers(1, 40), gammas=st.lists(INTERIOR_GAMMAS, min_size=1, max_size=16))
+    def test_tilt_rows_equal_scalar_solves(self, k, gammas):
+        lam, p = solve_tilt_grid(k, k * np.array(gammas))
+        for j, g in enumerate(gammas):
+            sol = solve_tilt(k, k * g)
+            assert lam[j] == sol.lam
+            assert np.array_equal(p[j], sol.pmf.probs)
+
+    @given(
+        k=st.integers(1, 40),
+        gammas=st.lists(st.one_of(INTERIOR_GAMMAS, st.sampled_from([0.0, 1.0])),
+                        min_size=1, max_size=16),
+    )
+    def test_h_tilde_rows_equal_scalar_values(self, k, gammas):
+        grid = h_tilde_grid(np.array(gammas), k)
+        assert [float(v) for v in grid] == [h_tilde(g, k).bits_per_slot for g in gammas]
+
+    def test_h_tilde_grid_holds_the_range_bound(self, monkeypatch):
+        # a negative rate would put the ceiling above log2(k+1)/k
+        monkeypatch.setattr(dist, "_rate_grid", lambda k, x: np.full(x.shape, -1.0))
+        with pytest.raises(ValueError, match="outside"):
+            h_tilde_grid(np.array([0.3, 0.6]), 3)
+
+    @pytest.mark.parametrize("gammas", [[-0.1, 0.5], [0.5, 1.5], [float("nan")]])
+    def test_h_tilde_grid_rejects_gammas_outside_unit_interval(self, gammas):
+        with pytest.raises(ValueError):
+            h_tilde_grid(np.array(gammas), 2)
+
+    def test_tilt_grid_holds_the_mean_residual_bound(self, monkeypatch):
+        lam, p = solve_tilt_grid(4, [0.2, 2.0, 3.9])
+        assert np.abs(p @ np.arange(5.0) - [0.2, 2.0, 3.9]).max() <= 1e-10
+        monkeypatch.setattr(dist, "_MEAN_TOL", -1.0)  # no residual can meet it
+        with pytest.raises(ValueError, match="residual"):
+            solve_tilt_grid(4, [0.2, 2.0, 3.9])
+
+    def test_tilt_grid_rejects_endpoints(self):
+        with pytest.raises(TiltEndpointError):
+            solve_tilt_grid(3, [1.0, 3.0])
 
 
 class TestBinomialPmf:
