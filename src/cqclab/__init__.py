@@ -19,6 +19,7 @@ from .capacity3 import (
     i_tilde_curve,
     output_mean_check,
     solve_capacity_3user,
+    solve_capacity_grid,
     validate_i_concavity,
 )
 from .coding import (
@@ -95,6 +96,7 @@ __all__ = [
     "simulate",
     "solve_capacity_2user",
     "solve_capacity_3user",
+    "solve_capacity_grid",
     "solve_tilt",
     "stability_probe",
     "tilted_pmf",

@@ -8,7 +8,7 @@ matching mixture of per-slot entropy ceilings h_tilde.
 This is the three-user problem without background traffic (r_p = 0)
 restricted to the window pair (1, 2), so it is solved by the same engine:
 the pair's Lagrangian dual min_s s + max(g_1(s), g_2(s)) (see
-`capacity3._solve_pair`), or, with the mix frozen at alpha,
+`capacity3._solve_pairs`), or, with the mix frozen at alpha,
 min_s s + alpha*g_1(s) + (1 - alpha)*g_2(s). The reported capacity is the
 objective above, evaluated by h_tilde at the returned point, which meets the
 budget; `gap_bits` is the dual bound minus it, and a gap above
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .capacity3 import PAIR_GAP_TOL, UncertifiedSolveError, _solve_pair
+from .capacity3 import PAIR_GAP_TOL, UncertifiedSolveError, _solve_pairs
 from .dist import h_tilde
 
 # gamma boxes for the two-window mixture: both rates live in [0, 1/2]
@@ -77,7 +77,7 @@ def eliminate_gamma2(alpha: float, gamma1: float) -> float:
 def _solve(alpha: float | None) -> CapacityResult2:
     """The window pair (1, 2) at r_p = 0 by its dual, with the mix free
     (alpha None) or frozen at alpha < 1."""
-    value, alpha, gamma1, gamma2, gap = _solve_pair(1, 0.0, 1.0, alpha=alpha)
+    [(value, alpha, gamma1, gamma2, gap)] = _solve_pairs([(1, 0.0, 1.0)], alpha=alpha)
     if gamma1 > _G_HI:
         # alpha near 0: the touching gamma1 is 1/2 up to the solver's few 1e-9,
         # and past 1/2 a window of length 1 only spends budget

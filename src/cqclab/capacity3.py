@@ -12,17 +12,19 @@ mixed-window concavity inequality has certified counterexamples (see
 
 The inner maximization (max output entropy over a simplex slice) is smooth
 and strictly concave, solved by a log-barrier Newton path with an LP duality
-gap certificate below GAP_TOL = 1e-9 nats. One solver serves a single point
-and a whole stack of mean constraints alike: every row advances in the same
-batched KKT solve, so an i_tilde table takes about as many numpy calls as
-its slowest point. The rows of one batch may also sit at different noise
-rates: each row then takes its channel from a stack with one entry per
-distinct rate, so a sweep over many rates (`validate_i_concavity`,
-`degradation_violations`) is one solve per window length. A one-rate batch
-keeps its products as plain 2-D matrix products. The same path also solves
-the free-mean problem max H(Y) - s * E X, certified by its simplex LP gap.
-An uncertified slice point raises UncertifiedSolveError naming its k, gamma
-and r_p; a free-mean row gets an infinite gap.
+gap certificate below GAP_TOL = 1e-9 nats. One row-stacked solver serves a
+single point and a whole stack of rows alike: every row advances in the
+same batched KKT solve, so an i_tilde table takes about as many numpy calls
+as its slowest point. Each row may have its own window length k and noise
+rate r_p: it takes its channel from a stack with one entry per distinct
+(k, r_p), padded to the largest window of the call, so a sweep over many
+rates (`validate_i_concavity`, `degradation_violations`) is one solve per
+window length and a round of the capacity zoom is one solve for both
+windows of every pair in play that shares its tau. A call at one (k, r_p) keeps its products as
+plain 2-D matrix products. The same path also solves the free-mean problem
+max H(Y) - s * E X, certified by its simplex LP gap. An uncertified slice
+point raises UncertifiedSolveError naming its k, gamma and r_p; a free-mean
+row gets an infinite gap.
 
 The best mix of windows k in {tau, tau + 1} at budget c = 1 - r_p is the
 concave envelope of the curves u -> i_tilde(u - 1/k, k, r_p), read at c. It
@@ -31,8 +33,11 @@ min_s s*c + max_k g_k(s), g_k(s) = max_p [H(Y) - s*E X - H(Bin(k, r_p)) - s] / k
 (Blahut 1972), a convex problem in s whose g_k come from batched free-mean
 solves. The windows touching the envelope at the minimizing s give the
 primal mix, and dual minus primal is a certified gap. With the mix weights
-fixed, the max becomes the weighted sum of the g_k. The two-user capacity
-(`capacity2`) is the pair (1, 2) of this engine at r_p = 0.
+fixed, the max becomes the weighted sum of the g_k. `solve_capacity_grid`
+runs the tau loops of many rates in lockstep, each zoom round of all their
+current pairs in shared solves, and `solve_capacity_3user` is its one-rate
+case. The two-user capacity (`capacity2`) is the pair (1, 2) of this engine
+at r_p = 0.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ LN2 = math.log(2.0)
 GAP_TOL = 1e-9  # nats; certified suboptimality of the inner maximization
 FEAS_TOL = 1e-10  # largest sum / mean residual of a certified inner maximizer
 _MU_STAGES = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 5e-13)
+_CHUNK_INPUTS = 1280  # rows x padded inputs per barrier path of a stacked solve (~0.7 MB at most)
 
 S_BRACKET = 32.0  # bits per unit of budget; the first multiplier bracket is +-S_BRACKET
 ZOOM_POINTS = 33  # multipliers per round of the bracket zoom
@@ -151,11 +157,12 @@ def output_mean_check(input_pmf: Pmf, tau: int, r_p: float) -> float:
     return float(np.arange(py.size) @ py)
 
 
-def _lp_gaps(g: np.ndarray, p: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _lp_gaps(g: np.ndarray, p: np.ndarray, m: np.ndarray, k=None) -> np.ndarray:
     """Linearized suboptimality bound max over the slice of <g, q - p>, per row.
 
     The vertices of {q >= 0, sum q = 1, mean q = m} are two-point mixtures
-    on (i, j) with i <= m <= j, so each row's LP maximum is explicit.
+    on (i, j) with i <= m <= j, so each row's LP maximum is explicit. Given
+    `k`, row r lives on {0..k[r]} and the entries above k[r] are padding.
     """
     idx = np.arange(p.shape[1], dtype=float)
     I, J = idx[:, None], idx[None, :]
@@ -163,7 +170,10 @@ def _lp_gaps(g: np.ndarray, p: np.ndarray, m: np.ndarray) -> np.ndarray:
     gi, gj = g[:, :, None], g[:, None, :]
     span = np.where(J > I, J - I, 1.0)
     vals = np.where(J > I, ((J - mm) * gi + (mm - I) * gj) / span, gi)
-    vals = np.where((I <= mm) & (J >= mm), vals, -np.inf)
+    vertex = (I <= mm) & (J >= mm)
+    if k is not None:
+        vertex &= J <= k[:, None, None]
+    vals = np.where(vertex, vals, -np.inf)
     return vals.max(axis=(1, 2)) - (g * p).sum(axis=1)
 
 
@@ -177,10 +187,17 @@ def _times(v: np.ndarray, M: np.ndarray) -> np.ndarray:
     return v @ M if M.ndim == 2 else np.matmul(v[:, None, :], M)[:, 0]
 
 
+@functools.lru_cache(maxsize=1024)
+def _channel(k: int, r_p: float) -> tuple[np.ndarray, float]:
+    """The rows of channel_matrix(k, r_p) and the noise entropy H(Bin(k, r_p))
+    in bits, built once per (k, r_p)."""
+    return channel_matrix(k, r_p).rows, entropy(binomial_pmf(k, r_p))
+
+
 class _SliceEntropySolver:
-    """max H(B p) over {p >= 0, sum p = 1, mean p = m} for one window
-    length k and one or more noise rates, for a whole stack of mean
-    constraints at once.
+    """max H(B p) over {p >= 0, sum p = 1, mean p = m}, for a whole stack of
+    rows at once, each row with its own channel (k, r_p) and its own mean
+    constraint (or, in `solve_free`, its own tilt).
 
     Log-barrier Newton path following: the objective is strictly concave
     (the shifted-binomial rows are linearly independent), the barrier keeps
@@ -193,39 +210,64 @@ class _SliceEntropySolver:
     is certified by its LP gap and its distance from the slice; an
     uncertified slice row raises UncertifiedSolveError.
 
-    With one rate, every product with the channel B is one 2-D matrix
-    product. Given several rates, `rates`, each row takes its channel from
-    a stack with one entry per rate, picked by the row's index into
-    `rates`, and the products go row by row. Columns that are zero in
-    every channel of the solver (the outputs above k when every rate is 0)
-    are dropped.
+    Built from one window length k and one noise rate r_p, the solver is
+    plain: every product with the channel B is one 2-D matrix product, and
+    the outputs that B never reaches (those above k when r_p = 0) are
+    dropped. Built from sequences `k` and `r_p`, one channel per entry, it
+    is row-stacked: row r takes channel chan[r], and the products go row by
+    row, so a row's arithmetic does not depend on the other rows of its
+    call (short of a singular KKT matrix, which sends every row of its
+    Newton step to least squares). Every row of a stacked call is padded to K + 1 inputs and 2K + 1
+    outputs, K the largest window of the solver; the inputs above a row's
+    own k are held at exactly 0 by identity rows of the KKT system and are
+    left out of the barrier, the entropy, the mean row and the LP gap. A
+    stacked call runs its rows through the path in chunks of
+    _CHUNK_INPUTS // (K + 1) rows, which bounds its memory.
     """
 
-    def __init__(self, k: int, *rates: float):
-        self.k = k
-        self.rates = rates
-        full = np.stack([channel_matrix(k, r).rows for r in rates])
-        self.col_mask = full.sum(axis=(0, 1)) > 0
-        B = full[:, :, self.col_mask]
-        self.B = np.ascontiguousarray(B[0] if len(rates) == 1 else B)
-        self.Bt = np.ascontiguousarray(self.B.T) if len(rates) == 1 else None
-        self.x = np.arange(k + 1.0)
-        self.noise_entropy_bits = np.array([entropy(binomial_pmf(k, r)) for r in rates])
+    def __init__(self, k, r_p):
+        ks, rates = (np.ravel(a) for a in np.broadcast_arrays(k, r_p))
+        self.ks, self.rates = ks.astype(int), rates.astype(float)
+        self.k = int(self.ks.max())
+        chans = [_channel(int(kc), float(rc)) for kc, rc in zip(self.ks, self.rates)]
+        if np.ndim(k) == 0 and np.ndim(r_p) == 0:
+            rows = chans[0][0]
+            self.B = np.ascontiguousarray(rows[:, rows.sum(axis=0) > 0])
+            self.Bt = np.ascontiguousarray(self.B.T)
+        else:
+            self.B = np.zeros((len(chans), self.k + 1, 2 * self.k + 1))
+            for c, (kc, (rows, _)) in enumerate(zip(self.ks, chans)):
+                self.B[c, : kc + 1, : 2 * kc + 1] = rows
+            self.Bt = None
+        self.x = np.arange(self.k + 1.0)
+        self.noise_entropy_bits = np.array([bits for _, bits in chans])
 
-    def _channels(self, rate: np.ndarray | None):
-        """The channel and its transpose for rows with rate indices `rate`:
-        the one 2-D channel of a one-rate solver, else one per row (the
+    def _channels(self, chan: np.ndarray | None):
+        """The channel and its transpose for rows with channel indices
+        `chan`: the one 2-D channel of a plain solver, else one per row (the
         transpose a view of the gathered stack)."""
-        if self.B.ndim == 2:
+        if self.Bt is not None:
             return self.B, self.Bt
-        B = self.B[rate]
+        B = self.B[chan]
         return B, B.transpose(0, 2, 1)
 
-    def values_nats(self, p: np.ndarray, rate: np.ndarray | None = None) -> np.ndarray:
-        return _entropy_rows(_times(np.maximum(p, 0.0), self._channels(rate)[0]))
+    def _mean(self, p: np.ndarray) -> np.ndarray:
+        """mean(p) of every row: one matrix-vector product when plain, a
+        per-row sum when stacked (a row's sum does not depend on its
+        batch-mates; a matrix-vector product may)."""
+        return p @ self.x if self.Bt is not None else (p * self.x).sum(axis=1)
 
-    def grads_nats(self, p: np.ndarray, rate: np.ndarray | None = None) -> np.ndarray:
-        B, Bt = self._channels(rate)
+    def _chunks(self, rows: int):
+        """Row slices of one call: all rows when plain, _CHUNK_INPUTS // (K + 1)
+        when stacked."""
+        size = max(rows, 1) if self.Bt is not None else _CHUNK_INPUTS // (self.k + 1)
+        return [slice(i, i + size) for i in range(0, max(rows, 1), size)]
+
+    def values_nats(self, p: np.ndarray, chan: np.ndarray | None = None) -> np.ndarray:
+        return _entropy_rows(_times(np.maximum(p, 0.0), self._channels(chan)[0]))
+
+    def grads_nats(self, p: np.ndarray, chan: np.ndarray | None = None) -> np.ndarray:
+        B, Bt = self._channels(chan)
         py = np.maximum(_times(np.maximum(p, 0.0), B), 1e-300)
         return -_times(np.log(py) + 1.0, Bt)
 
@@ -234,15 +276,16 @@ class _SliceEntropySolver:
         p: np.ndarray,
         m: np.ndarray | None = None,
         tilt: np.ndarray | None = None,
-        rate: np.ndarray | None = None,
+        chan: np.ndarray | None = None,
     ) -> np.ndarray:
         """Run every mu stage of the barrier path on each row of p.
 
         Each row maximizes H(B p) on the slice with mean m[row], or, given
         `tilt` (nats per unit of mean) in place of m, maximizes
         H(B p) - tilt[row] * mean(p) over the whole simplex: the mean row of
-        the KKT system is dropped and the tilt enters the gradient. With
-        several rates, row r uses the channel of rates[rate[r]].
+        the KKT system is dropped and the tilt enters the gradient. In a
+        stacked solver row r uses channel chan[r], and its entries above
+        that channel's window length must be 0; they stay exactly 0.
         A row leaves a stage after 60 Newton steps, on a step below 1e-14,
         when its line search fails, or once it moves less than 1e-13. In the
         last stage a row that moves less than 1e-13 keeps going while its
@@ -251,32 +294,47 @@ class _SliceEntropySolver:
         """
         rows, n = p.shape
         x = self.x
-        B_all, Bt_all = self._channels(rate)
-        per_row = B_all.ndim == 3
+        per_row = self.Bt is None
         free = tilt is not None
         size = n + 1 if free else n + 2
         kkt = np.zeros((rows, size, size))
-        kkt[:, :n, n] = kkt[:, n, :n] = 1.0
-        if not free:
-            kkt[:, :n, n + 1] = kkt[:, n + 1, :n] = x
         rhs = np.empty((rows, size, 1))
+        pad_all = x > self.ks[chan][:, None] if per_row else None  # padded inputs
+        if pad_all is not None and not pad_all.any():
+            pad_all = None
+
+        def constraints(K, pad):  # the sum and mean rows, without the padded inputs
+            w = 1.0 if pad is None else ~pad
+            K[:, :n, n] = K[:, n, :n] = w
+            if not free:
+                K[:, :n, n + 1] = K[:, n + 1, :n] = x * w
+
         for mu in _MU_STAGES:
             last = mu == _MU_STAGES[-1]
             p = np.maximum(p, 1e-150)  # barrier needs strict positivity (and p**2 > 0)
-            # rows still moving, their iterates, their means (or tilts) and channels
-            live, q, mm, B, Bt = np.arange(rows), p, (tilt if free else m), B_all, Bt_all
+            if pad_all is not None:
+                p[pad_all] = 0.0
+            constraints(kkt, pad_all)
+            # rows still moving, their iterates, their means (or tilts), channels and padding
+            live, q, mm, pad = np.arange(rows), p, (tilt if free else m), pad_all
+            B, Bt = self._channels(chan)  # a stack is gathered anew each stage, then shrinks
             for _ in range(60):
                 K, r = kkt[: live.size], rhs[: live.size]
                 py = np.maximum(_times(q, B), 1e-300)
                 logpy = np.log(py)
                 np.matmul(B / -py[:, None, :], Bt, out=K[:, :n, :n])
-                K.reshape(live.size, -1)[:, : n * (size + 1) : size + 1] -= mu / q**2  # diagonal
-                r[:, :n, 0] = _times(logpy + 1.0, Bt) - mu / q
+                if pad is None:
+                    qs, hess, grad = q, mu / q**2, mu / q
+                else:  # a padded input gets an identity row and a zero right-hand side
+                    qs = np.where(pad, 1.0, q)
+                    hess, grad = np.where(pad, -1.0, mu / qs**2), np.where(pad, 0.0, mu / qs)
+                K.reshape(live.size, -1)[:, : n * (size + 1) : size + 1] -= hess  # diagonal
+                r[:, :n, 0] = _times(logpy + 1.0, Bt) - grad
                 r[:, n, 0] = 1.0 - q.sum(axis=1)
                 if free:
-                    r[:, :n, 0] += mm[:, None] * x
+                    r[:, :n, 0] += mm[:, None] * (x if pad is None else np.where(pad, 0.0, x))
                 else:
-                    r[:, n + 1, 0] = mm - q @ x
+                    r[:, n + 1, 0] = mm - self._mean(q)
                 try:
                     sol = np.linalg.solve(K, r)
                 except np.linalg.LinAlgError:  # a singular row: least squares, row by row
@@ -289,9 +347,9 @@ class _SliceEntropySolver:
                 ratio = np.divide(q, -dp, out=np.full_like(q, np.inf), where=dp < 0)
                 t = np.minimum(1.0, 0.99 * ratio.min(axis=1))
 
-                base = _entropy_rows(py) + mu * np.log(q).sum(axis=1)
+                base = _entropy_rows(py) + mu * np.log(qs).sum(axis=1)
                 if free:
-                    base -= mm * (q @ x)
+                    base -= mm * self._mean(q)
                 todo = step >= 1e-14
                 accepted = np.zeros(live.size, dtype=bool)
                 for _ in range(50):
@@ -300,14 +358,18 @@ class _SliceEntropySolver:
                     barrier = np.log(np.where(pos, cand, 1.0)).sum(axis=1)
                     merit = _entropy_rows(_times(np.maximum(cand, 0.0), B)) + mu * barrier
                     if free:
-                        merit -= mm * (cand @ x)
-                    ok = todo & pos.all(axis=1) & (merit >= base - 1e-12)
+                        merit -= mm * self._mean(cand)
+                    inside = pos.all(axis=1) if pad is None else (pos | pad).all(axis=1)
+                    ok = todo & inside & (merit >= base - 1e-12)
                     accepted |= ok
                     todo &= ~ok
                     if not todo.any():
                         break
                     t[todo] *= 0.5
-                q = np.where(accepted[:, None], np.maximum(cand, 1e-150), q)
+                step_to = np.maximum(cand, 1e-150)
+                if pad is not None:
+                    step_to[pad] = 0.0
+                q = np.where(accepted[:, None], step_to, q)
                 keep = accepted & ((step * t >= 1e-13) | moving)
                 if not keep.all():
                     p[live] = q
@@ -315,59 +377,71 @@ class _SliceEntropySolver:
                     if per_row:
                         B = B[keep]
                         Bt = B.transpose(0, 2, 1)
+                    if pad is not None:
+                        pad = pad[keep]
+                        constraints(kkt[: live.size], pad)
                     if live.size == 0:
                         break
             p[live] = q
         return p
 
-    def solve(self, gammas, rate=None):
-        """Solve every mean constraint k * gammas[row] in one batch; with
-        several rates, row r is solved at rates[rate[r]].
+    def solve(self, gammas, chan=None, pmfs=True):
+        """Solve every mean constraint k * gammas[row] in one batch; in a
+        stacked solver row r is solved on channel chan[r].
 
         Returns (max entropy in bits, maximizing pmfs, certified gaps in
-        nats), one row per gamma. Each interior row starts from the centre
-        of its slice: a share 2 * min(gamma, 1 - gamma) on the uniform pmf
-        and the rest on the near endpoint, which meets the mean exactly. A
-        row left uncertified (gap above GAP_TOL, or off the slice) raises
-        UncertifiedSolveError naming its k, gamma and r_p.
+        nats), one row per gamma; the pmfs are None if `pmfs` is false. Each
+        interior row starts from the centre of its slice: a share
+        2 * min(gamma, 1 - gamma) on the uniform pmf and the rest on the near
+        endpoint, which meets the mean exactly. A row left uncertified (gap
+        above GAP_TOL, or off the slice) raises UncertifiedSolveError naming
+        its k, gamma and r_p.
         """
-        k = self.k
         gammas = np.asarray(gammas, dtype=float)
-        rate = np.zeros(gammas.size, dtype=int) if rate is None else np.asarray(rate)
-        p = np.zeros((gammas.size, k + 1))
+        chan = np.zeros(gammas.size, dtype=int) if chan is None else np.asarray(chan)
+        bits, gaps = np.empty(gammas.size), np.empty(gammas.size)
+        p = np.empty((gammas.size, self.k + 1)) if pmfs else None
+        for c in self._chunks(gammas.size):
+            bits[c], pc, gaps[c] = self._solve_rows(gammas[c], chan[c])
+            if pmfs:
+                p[c] = pc
+        return bits, p, gaps
+
+    def _solve_rows(self, gammas, chan):
+        kk = self.ks[chan]
+        p = np.zeros((gammas.size, self.k + 1))
         gaps = np.zeros(gammas.size)
-        if k == 1:
-            p[:, 0], p[:, 1] = 1.0 - gammas, gammas
-            inner = np.empty(0, dtype=int)
-        else:
-            p[gammas <= 0.0, 0] = 1.0
-            p[gammas >= 1.0, k] = 1.0
-            inner = np.flatnonzero((gammas > 0.0) & (gammas < 1.0))
+        one = kk == 1  # a window of length 1 has a one-point slice
+        p[one, 0], p[one, 1] = 1.0 - gammas[one], gammas[one]
+        p[~one & (gammas <= 0.0), 0] = 1.0
+        top = np.flatnonzero(~one & (gammas >= 1.0))
+        p[top, kk[top]] = 1.0
+        inner = np.flatnonzero(~one & (gammas > 0.0) & (gammas < 1.0))
         if inner.size:
-            g, ri = gammas[inner], rate[inner]
+            g, ci, k = gammas[inner], chan[inner], kk[inner]
             m = k * g
             w = 2 * np.minimum(g, 1 - g)  # uniform share; the rest on the near endpoint
-            q = np.repeat(w[:, None] / (k + 1), k + 1, axis=1)
+            q = np.where(self.x <= k[:, None], (w / (k + 1))[:, None], 0.0)
             q[np.arange(g.size), np.where(g <= 0.5, 0, k)] += 1 - w
-            q = self._barrier_path(q, m, rate=ri)
-            gap = _lp_gaps(self.grads_nats(q, ri), q, m)
+            q = self._barrier_path(q, m, chan=ci)
+            gap = _lp_gaps(self.grads_nats(q, ci), q, m, None if self.Bt is not None else k)
             # the LP bound certifies only a point on the constraint slice
-            residual = np.maximum(np.abs(q.sum(axis=1) - 1.0), np.abs(q @ self.x - m))
+            residual = np.maximum(np.abs(q.sum(axis=1) - 1.0), np.abs(self._mean(q) - m))
             gap[~(residual <= FEAS_TOL)] = np.inf
             bad = np.flatnonzero(~(gap <= GAP_TOL))
             if bad.size:
                 j = bad[0]
                 raise UncertifiedSolveError(
-                    f"inner solve at gamma={g[j]}, k={k}, r_p={self.rates[ri[j]]} has LP gap "
+                    f"inner solve at gamma={g[j]}, k={k[j]}, r_p={self.rates[ci[j]]} has LP gap "
                     f"{gap[j]:.3e} nats > GAP_TOL={GAP_TOL:.0e}"
                 )
             p[inner], gaps[inner] = q, gap
-        return self.values_nats(p, rate) / LN2, p, gaps
+        return self.values_nats(p, chan) / LN2, p, gaps
 
-    def solve_free(self, tilts):
+    def solve_free(self, tilts, chan=None):
         """max H(B p) - tilt * mean(p) over the whole simplex, one row per
-        tilt (nats per unit of mean), all in one batch, for a one-rate
-        solver.
+        tilt (nats per unit of mean), all in one batch; in a stacked solver
+        row r is solved on channel chan[r].
 
         Rows start from the uniform pmf. Returns (output entropy in bits,
         maximizing pmfs, gaps in nats). Each row is certified by the simplex
@@ -375,12 +449,21 @@ class _SliceEntropySolver:
         GAP_TOL, off the simplex or NaN gets an infinite gap.
         """
         t = np.asarray(tilts, dtype=float)
-        p = self._barrier_path(np.full((t.size, self.k + 1), 1.0 / (self.k + 1)), tilt=t)
-        g = self.grads_nats(p) - t[:, None] * self.x
-        gap = g.max(axis=1) - (g * p).sum(axis=1)
+        chan = np.zeros(t.size, dtype=int) if chan is None else np.asarray(chan)
+        out = np.empty(t.size), np.empty((t.size, self.k + 1)), np.empty(t.size)
+        for c in self._chunks(t.size):
+            out[0][c], out[1][c], out[2][c] = self._free_rows(t[c], chan[c])
+        return out
+
+    def _free_rows(self, t, chan):
+        kk = self.ks[chan][:, None]
+        real = self.x <= kk
+        p = self._barrier_path(np.where(real, 1.0 / (kk + 1), 0.0), tilt=t, chan=chan)
+        g = self.grads_nats(p, chan) - t[:, None] * self.x
+        gap = np.where(real, g, -np.inf).max(axis=1) - (g * p).sum(axis=1)
         gap[~(np.abs(p.sum(axis=1) - 1.0) <= FEAS_TOL)] = np.inf  # a NaN row is uncertified too
         gap[~(gap <= GAP_TOL)] = np.inf
-        return self.values_nats(p) / LN2, p, gap
+        return self.values_nats(p, chan) / LN2, p, gap
 
 
 @functools.lru_cache(maxsize=256)
@@ -388,14 +471,33 @@ def _solver(k: int, r_p: float) -> _SliceEntropySolver:
     return _SliceEntropySolver(k, r_p)
 
 
-def _slices_across_rates(k: int, gammas: np.ndarray, rps: np.ndarray):
-    """Slice solves for window k with each row at its own noise rate, all in
-    one barrier path. Returns (max output entropy in bits, certified gaps
-    in nats, noise entropy H(Bin(k, r_p)) in bits), one entry per row."""
-    rates, rate = np.unique(rps, return_inverse=True)
-    sv = _SliceEntropySolver(k, *rates.tolist())
-    bits, _, gaps = sv.solve(gammas, rate)
-    return bits, gaps, sv.noise_entropy_bits[rate]
+def _stack(k, r_p, rows: int):
+    """The solver for `rows` rows at windows k and noise rates r_p (each one
+    value, or one per row) and the channel index of every row. Rows that
+    all share one (k, r_p) get its cached plain solver."""
+    if np.ndim(k) == 0 and np.ndim(r_p) == 0:
+        return _solver(int(k), float(r_p)), np.zeros(rows, dtype=int)
+    # the distinct channels in (k, r_p) order (np.unique would load numpy.ma)
+    ks, rps = np.broadcast_to(k, rows), np.broadcast_to(r_p, rows)
+    order = np.lexsort((rps, ks))
+    first = np.concatenate(([True], (np.diff(ks[order]) != 0) | (np.diff(rps[order]) != 0)))
+    chan = np.empty(rows, dtype=int)
+    chan[order] = np.cumsum(first) - 1
+    ks, rps = ks[order[first]], rps[order[first]]
+    if ks.size == 1:
+        return _solver(int(ks[0]), float(rps[0])), chan
+    return _SliceEntropySolver(ks, rps), chan
+
+
+def _slices(k, r_p, gammas):
+    """Slice solves with row i at window k[i] and noise rate r_p[i] (either
+    may be one value for every row), all in one row-stacked solve. Returns
+    (max output entropy in bits, certified gaps in nats, noise entropy
+    H(Bin(k, r_p)) in bits), one entry per row."""
+    gammas = np.asarray(gammas, dtype=float)
+    sv, chan = _stack(k, r_p, gammas.size)
+    bits, _, gaps = sv.solve(gammas, chan, pmfs=False)
+    return bits, gaps, sv.noise_entropy_bits[chan]
 
 
 def h_check(gamma: float, k: int, r_p: float) -> tuple[float, Pmf]:
@@ -444,65 +546,96 @@ def i_tilde_curve(gammas, k: int, r_p: float) -> np.ndarray:
     return np.maximum((bits - sv.noise_entropy_bits[0]) / k, 0.0)
 
 
-def _tangent_points(k: int, r_p: float, s: np.ndarray):
+def _tangent_points(k, r_p, s: np.ndarray):
     """Where lines of slope s touch the curve u -> i_tilde(u - 1/k, k, r_p).
 
     One batched free-mean solve gives, per multiplier s (bits per unit of
     budget), the intercept g_k(s) = max_u i_tilde(u - 1/k, k) - s*u, the
     touching gamma and ceiling, and the certified slack of g_k, all in
-    bits; a row that cannot be certified has an infinite slack.
+    bits; a row that cannot be certified has an infinite slack. The window
+    k and rate r_p are one value for every multiplier, or one per
+    multiplier: then every row is in one row-stacked solve.
     """
-    sv = _solver(k, r_p)
-    bits, p, gap = sv.solve_free(s * LN2)
-    gamma = (p @ sv.x) / k
-    info = (bits - sv.noise_entropy_bits[0]) / k
+    s = np.asarray(s, dtype=float)
+    sv, chan = _stack(k, r_p, s.size)
+    bits, p, gap = sv.solve_free(s * LN2, chan)
+    k = sv.ks[chan]
+    gamma = sv._mean(p) / k
+    info = (bits - sv.noise_entropy_bits[chan]) / k
     return info - s * (gamma + 1.0 / k), gamma, info, gap / (LN2 * k)
 
 
-def _solve_pair(tau: int, r_p: float, budget: float, alpha: float | None = None):
-    """Best mix of windows tau and tau + 1 under the budget, certified by
-    its Lagrangian dual.
+def _envelope(g: np.ndarray, alpha: float | None):
+    """A pair's intercept from its two windows' intercepts g[0] and g[1]:
+    their max, or their alpha-mix when the mix is frozen."""
+    return g.max(axis=0) if alpha is None else alpha * g[0] + (1.0 - alpha) * g[1]
 
-    The dual min_s s*budget + max(g_tau(s), g_tau+1(s)) is convex in s;
-    each round evaluates it on ZOOM_POINTS multipliers and keeps the two
+
+def _solve_pairs(pairs, alpha: float | None = None) -> list[tuple]:
+    """Best mix of windows tau and tau + 1 under the budget, for every
+    (tau, r_p, budget) in `pairs`, each certified by its Lagrangian dual.
+
+    A pair's dual min_s s*budget + max(g_tau(s), g_tau+1(s)) is convex in
+    s; each round evaluates it on ZOOM_POINTS multipliers and keeps the two
     cells around the smallest, until the bracket is narrower than S_TOL.
+    The pairs zoom in lockstep: a round evaluates both windows of every
+    pair still zooming in one `_tangent_points` call per tau. Grouping by
+    tau pads every row of a pair to tau + 1 inputs whichever pairs share
+    the round, so a pair's result does not depend on the others.
     A multiplier with an uncertified free-mean row counts as +inf: by
     convexity the minimizer stays in the kept bracket if the smallest cell
-    and its neighbours are certified, else UncertifiedSolveError is raised.
+    and its neighbours are certified, else UncertifiedSolveError is raised,
+    naming the pair, its r_p and the first uncertified row's k and s.
     The primal value is the best of three candidates: the mix of the two
     touching points at s*, pure window tau and pure window tau + 1 (the
     pure ones by `i_tilde`, so they also cover optima at gamma = 0, where
-    s* would be unbounded). Returns (value, alpha, gamma1, gamma2, gap in
-    bits), the gap being the dual bound at s* minus the primal value.
+    s* would be unbounded). Returns one (value, alpha, gamma1, gamma2, gap
+    in bits) per pair, the gap being the dual bound at s* minus the primal
+    value.
 
-    A given `alpha` < 1 freezes the mix: the dual becomes
+    A given `alpha` < 1 freezes the mix of every pair: the dual becomes
     min_s s*budget + alpha*g_tau(s) + (1 - alpha)*g_tau+1(s), and the
     primal point keeps the touching gamma of the lighter window at s* (0
     when alpha = 0, where window tau carries no weight) and takes the other
     from the budget.
     """
-    ks = (tau, tau + 1)
+    brackets = {i: (-S_BRACKET, S_BRACKET) for i in range(len(pairs))}
+    minima = {}  # pair -> (s*, [(g, gamma, ceiling, slack) per window])
+    while brackets:
+        for tau in sorted({pairs[i][0] for i in brackets}):
+            group = [i for i in brackets if pairs[i][0] == tau]
+            s = np.array([np.linspace(*brackets[i], ZOOM_POINTS) for i in group])
+            ks = np.repeat(np.tile([tau, tau + 1], len(group)), ZOOM_POINTS)
+            rps = np.repeat([pairs[i][1] for i in group], 2 * ZOOM_POINTS)
+            pts = _tangent_points(ks, rps, np.repeat(s, 2, axis=0).ravel())
+            pts = [a.reshape(len(group), 2, ZOOM_POINTS) for a in pts]
+            for row, i in enumerate(group):
+                _, r_p, budget = pairs[i]
+                g, slack, si = pts[0][row], pts[3][row], s[row]
+                certified = np.isfinite(slack).all(axis=0)
+                vals = si * budget + _envelope(g, alpha)
+                j = int(np.argmin(np.where(certified, vals, np.inf)))
+                cells = slice(max(j - 1, 0), min(j + 2, si.size))
+                if not certified[cells].all():
+                    w, c = np.argwhere(~np.isfinite(slack[:, cells]))[0]
+                    raise UncertifiedSolveError(
+                        f"window pair ({tau}, {tau + 1}), r_p={r_p}: the free-mean row "
+                        f"k={tau + w}, s={si[cells][c]:.6g} next to the smallest cell is "
+                        f"uncertified"
+                    )
+                lo, hi = si[cells][0], si[cells][-1]
+                if hi - lo < S_TOL:
+                    del brackets[i]
+                    minima[i] = float(si[j]), [[float(a[row, w, j]) for a in pts] for w in (0, 1)]
+                else:
+                    brackets[i] = (lo, hi)
+    return [_pair_point(*pairs[i], alpha, *minima[i]) for i in range(len(pairs))]
 
-    def envelope(g):  # the two windows' intercepts, one row each
-        return g.max(axis=0) if alpha is None else alpha * g[0] + (1.0 - alpha) * g[1]
 
-    lo, hi = -S_BRACKET, S_BRACKET
-    while True:
-        s = np.linspace(lo, hi, ZOOM_POINTS)
-        pts = [_tangent_points(k, r_p, s) for k in ks]
-        certified = np.isfinite(np.array([pt[3] for pt in pts])).all(axis=0)
-        vals = s * budget + envelope(np.array([pt[0] for pt in pts]))
-        j = int(np.argmin(np.where(certified, vals, np.inf)))
-        cells = slice(max(j - 1, 0), min(j + 2, s.size))
-        if not certified[cells].all():
-            raise UncertifiedSolveError(
-                f"window pair ({tau}, {tau + 1}), r_p={r_p}: uncertified rows at s={s[j]:.6g}"
-            )
-        lo, hi = s[cells][0], s[cells][-1]
-        if hi - lo < S_TOL:
-            break
-    at = [[float(arr[j]) for arr in pt] for pt in pts]  # (g, gamma, ceiling, slack) per window
-    dual = float(s[j]) * budget + float(envelope(np.array([g + sl for g, _, _, sl in at])))
+def _pair_point(tau: int, r_p: float, budget: float, alpha, s_star: float, at):
+    """The primal point and certified gap of one window pair from its dual
+    minimizer s_star and the windows' tangent points `at` there."""
+    dual = s_star * budget + float(_envelope(np.array([g + sl for g, _, _, sl in at]), alpha))
     (_, gm1, i1, _), (_, gm2, i2, _) = at
 
     if alpha is not None:
@@ -531,6 +664,67 @@ def _solve_pair(tau: int, r_p: float, budget: float, alpha: float | None = None)
     return (*best, dual - best[0])
 
 
+def solve_capacity_grid(rps, tau_max: int = 8) -> list[CapacityResult3]:
+    """Capacity of the channel at every background rate r_p in `rps`, one
+    result per rate, each equal to `solve_capacity_3user(r_p, tau_max)`.
+
+    Each rate keeps its own feasible taus, its own stop at the first tau
+    whose optimum decreases and its own tie rules. The rates' tau loops
+    advance in lockstep: each step solves the current pair of every rate
+    still in its loop in one `_solve_pairs` call, whose zoom rounds share
+    row-stacked solves, and a rate's result does not depend on the others.
+    """
+    if not all(0.0 <= r_p < 1.0 for r_p in rps):
+        raise ValueError("r_p must lie in [0, 1)")
+    if tau_max < 2:
+        raise ValueError("tau_max must be >= 2")
+    taus = [[t for t in range(1, tau_max) if 1.0 - r_p >= 1.0 / (t + 1) - 1e-12] for r_p in rps]
+    for r_p, feasible in zip(rps, taus):
+        if not feasible:
+            raise InfeasibleError(
+                f"rate budget {1.0 - r_p} cannot be met with tau <= {tau_max - 1}"
+            )
+
+    per_tau, per_tau_gap = [{} for _ in rps], [{} for _ in rps]
+    best = [None] * len(rps)  # per rate: (value, alpha, gamma1, gamma2, tau, gap)
+    step = dict.fromkeys(range(len(rps)), 0)  # rate -> index of its current pair in taus
+    while step:
+        pairs = [(taus[i][j], rps[i], 1.0 - rps[i]) for i, j in step.items()]
+        for i, (tau, r_p, _), (val, a_opt, g1_opt, g2_opt, gap) in zip(
+            list(step), pairs, _solve_pairs(pairs)
+        ):
+            if not gap <= PAIR_GAP_TOL:
+                raise UncertifiedSolveError(
+                    f"window pair ({tau}, {tau + 1}) at r_p={r_p} has duality gap "
+                    f"{gap:.3e} bits > PAIR_GAP_TOL={PAIR_GAP_TOL:.0e}"
+                )
+            prev_val = per_tau[i][tau - 1] if step[i] else -np.inf
+            per_tau[i][tau], per_tau_gap[i][tau] = val, gap
+            if best[i] is None or val > best[i][0]:
+                best[i] = (val, a_opt, g1_opt, g2_opt, tau, gap)
+            step[i] += 1
+            if val < prev_val or step[i] == len(taus[i]):
+                del step[i]
+
+    results = []
+    for r_p, pt, pg, (val, a_opt, g1_opt, g2_opt, tau, gap) in zip(rps, per_tau, per_tau_gap, best):
+        lhs = a_opt * (g1_opt + 1.0 / tau) + (1.0 - a_opt) * (g2_opt + 1.0 / (tau + 1))
+        results.append(CapacityResult3(
+            r_p=r_p,
+            capacity_bits_per_slot=val,
+            alpha=a_opt,
+            gamma1=g1_opt,
+            gamma2=g2_opt,
+            tau_star=tau,
+            constraint_residual=abs(lhs - (1.0 - r_p)),
+            per_tau=pt,
+            per_tau_gap=pg,
+            gap_bits=gap,
+            windows=tuple((k, w) for k, w in ((tau, a_opt), (tau + 1, 1.0 - a_opt)) if w > 0.0),
+        ))
+    return results
+
+
 def solve_capacity_3user(r_p: float, tau_max: int = 8) -> CapacityResult3:
     """Capacity of the channel when a Bernoulli(r_p) background user is present.
 
@@ -546,56 +740,14 @@ def solve_capacity_3user(r_p: float, tau_max: int = 8) -> CapacityResult3:
 
     Each pair is the concave envelope of its two ceiling curves at the
     budget, solved exactly through its one-multiplier Lagrangian dual (see
-    `_solve_pair`): batched free-mean max-entropy solves, no grid scan and
-    no polish. Every per-tau optimum is kept for audit with its certified
-    duality gap, and a gap above PAIR_GAP_TOL bits raises
-    UncertifiedSolveError. `windows` lists the window lengths of the
-    optimal mix with their shares.
+    `_solve_pairs`): each zoom round is one row-stacked free-mean solve
+    that carries the multipliers of both windows, with no grid scan and no
+    polish. This is the one-rate case of `solve_capacity_grid`. Every
+    per-tau optimum is kept for audit with its certified duality gap, and a
+    gap above PAIR_GAP_TOL bits raises UncertifiedSolveError. `windows`
+    lists the window lengths of the optimal mix with their shares.
     """
-    if not 0.0 <= r_p < 1.0:
-        raise ValueError("r_p must lie in [0, 1)")
-    if tau_max < 2:
-        raise ValueError("tau_max must be >= 2")
-    budget = 1.0 - r_p
-    feasible_taus = [t for t in range(1, tau_max) if budget >= 1.0 / (t + 1) - 1e-12]
-    if not feasible_taus:
-        raise InfeasibleError(
-            f"rate budget {budget} cannot be met with tau <= {tau_max - 1}"
-        )
-
-    per_tau: dict[int, float] = {}
-    per_tau_gap: dict[int, float] = {}
-    best = None
-    prev_val = -np.inf
-    for tau in feasible_taus:
-        val, a_opt, g1_opt, g2_opt, gap = _solve_pair(tau, r_p, budget)
-        if not gap <= PAIR_GAP_TOL:
-            raise UncertifiedSolveError(
-                f"window pair ({tau}, {tau + 1}) at r_p={r_p} has duality gap "
-                f"{gap:.3e} bits > PAIR_GAP_TOL={PAIR_GAP_TOL:.0e}"
-            )
-        per_tau[tau], per_tau_gap[tau] = val, gap
-        if best is None or val > best[0]:
-            best = (val, a_opt, g1_opt, g2_opt, tau, gap)
-        if val < prev_val:
-            break
-        prev_val = val
-
-    val, a_opt, g1_opt, g2_opt, tau, gap = best
-    lhs = a_opt * (g1_opt + 1.0 / tau) + (1.0 - a_opt) * (g2_opt + 1.0 / (tau + 1))
-    return CapacityResult3(
-        r_p=r_p,
-        capacity_bits_per_slot=val,
-        alpha=a_opt,
-        gamma1=g1_opt,
-        gamma2=g2_opt,
-        tau_star=tau,
-        constraint_residual=abs(lhs - budget),
-        per_tau=per_tau,
-        per_tau_gap=per_tau_gap,
-        gap_bits=gap,
-        windows=tuple((k, w) for k, w in ((tau, a_opt), (tau + 1, 1.0 - a_opt)) if w > 0.0),
-    )
+    return solve_capacity_grid([r_p], tau_max)[0]
 
 
 def degradation_violations(
@@ -622,9 +774,7 @@ def degradation_violations(
     for k in ks:
         k = int(k)
         # one batch per window length: every gamma at every rate
-        bits, _, noise = _slices_across_rates(
-            k, np.repeat(gammas, rps.size), np.tile(rps, gammas.size)
-        )
+        bits, _, noise = _slices(k, np.tile(rps, gammas.size), np.repeat(gammas, rps.size))
         vals = np.maximum((bits - noise) / k, 0.0).reshape(gammas.size, rps.size)
         for g, row in zip(gammas, vals):
             for j in np.flatnonzero(row[1:] > row[:-1] + tolerance):
@@ -729,31 +879,40 @@ def validate_i_concavity(
         alpha = (k - 1) / (2.0 * k)
         draws[k] = (g1s, alpha * g1s + (1 - alpha) * g3s, g3s, rps)
     # window j is window k - 1, k or k + 1 (gamma1, gamma2 or gamma3) of the
-    # draws at k = j + 1, j or j - 1: one solve per window across all rates
-    bits = {}  # (k, 0 | 1 | 2) -> H_check at gamma1 | gamma2 | gamma3
+    # draws at k = j + 1, j or j - 1: one solve per window across all rates.
+    # Windows k - 1, k and k + 1 arrive in that order, so each folds its
+    # H_check into the margin 2*H(gamma2) - H(gamma1) - H(gamma3) as soon
+    # as it is solved, in the order of that expression
+    margins = {}
     max_gap = 0.0
     for j in range(1, tau_max + 1):
         parts = [(k, pos) for pos, k in enumerate((j + 1, j, j - 1)) if k in draws]
-        b, gaps, _ = _slices_across_rates(
+        b, gaps, _ = _slices(
             j,
-            np.concatenate([draws[k][pos] for k, pos in parts]),
             np.concatenate([draws[k][3] for k, _ in parts]),
+            np.concatenate([draws[k][pos] for k, pos in parts]),
         )
         max_gap = max(max_gap, float(gaps.max()))
-        bits.update(zip(parts, np.split(b, len(parts))))
+        for (k, pos), h in zip(parts, np.split(b, len(parts))):
+            if pos == 0:
+                margins[k] = -h
+            elif pos == 1:
+                margins[k] = 2 * h + margins[k]
+            else:
+                margins[k] -= h
     worst = (np.inf, (0, 0.0, 0.0, 0.0))
     violations = 0
     for k in ks:
         g1s, g2s, g3s, rps = draws[k]
         rates, at = np.unique(rps, return_inverse=True)
         noise_gap = np.array([binomial_entropy_gap(k, float(rp)) for rp in rates])[at]
-        margins = 2 * bits[k, 1] - bits[k, 0] - bits[k, 2] + noise_gap
-        violations += int((margins < -tolerance).sum())
+        margins[k] += noise_gap
+        violations += int((margins[k] < -tolerance).sum())
         # ties go to the first sample in (r_p, gamma2) order
         order = np.lexsort((g2s, rps))
-        i = int(order[np.argmin(margins[order])])
-        if margins[i] < worst[0]:
-            worst = (float(margins[i]), (k, float(g1s[i]), float(g3s[i]), float(rps[i])))
+        i = int(order[np.argmin(margins[k][order])])
+        if margins[k][i] < worst[0]:
+            worst = (float(margins[k][i]), (k, float(g1s[i]), float(g3s[i]), float(rps[i])))
     return ConcavityReport(
         samples=samples * len(ks),
         tau_max=tau_max,

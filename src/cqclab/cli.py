@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .capacity2 import solve_capacity_2user, solve_on_alpha_slice
-from .capacity3 import i_tilde_curve, solve_capacity_3user, validate_i_concavity
+from .capacity3 import i_tilde_curve, solve_capacity_grid, validate_i_concavity
 from .coding import (
     _codebook_transmissions,
     build_codebook_2user,
@@ -115,8 +115,7 @@ def cmd_capacity3(args) -> int:
         _emit(args, cfg, lines)
         return 0
     lines = ["r_p,capacity,alpha,gamma1,gamma2,tau_star"]
-    for rp in rps:
-        res = solve_capacity_3user(rp, tau_max=args.tau_max)
+    for rp, res in zip(rps, solve_capacity_grid(rps, tau_max=args.tau_max)):
         lines.append(
             ",".join(
                 _fmt(v)
@@ -228,16 +227,12 @@ def cmd_stability(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    tol_dual = args.tolerance if args.tolerance is not None else 1e-9
-    tol_sym = args.tolerance if args.tolerance is not None else 1e-10
-    tol_conc = args.tolerance if args.tolerance is not None else 1e-9
-    tol_mix = args.tolerance if args.tolerance is not None else 1e-6
-
+def _h_tilde_checks(rng, samples: int) -> tuple[float, float, float]:
+    """Worst deviations of the dual formula and the mirror symmetry of
+    h_tilde, and its worst concavity margin over seeded samples."""
     # the h_tilde concavity check's seeded samples, drawn one sample at a time
-    draws = []
-    for _ in range(max(args.samples * 4, 100)):
+    draws = np.empty((max(samples * 4, 100), 7))
+    for row in draws:
         k1 = int(rng.integers(1, 9))
         k3 = int(rng.integers(1, 9))
         klo, khi = min(k1, k3), max(k1, k3)
@@ -247,8 +242,7 @@ def cmd_validate(args) -> int:
         else:
             a = (1.0 / k2 - 1.0 / k3) / (1.0 / k1 - 1.0 / k3)
         g1, g3 = rng.uniform(size=2)
-        draws.append((k1, k2, k3, a, g1, a * g1 + (1 - a) * g3, g3))
-    draws = np.array(draws)
+        row[:] = k1, k2, k3, a, g1, a * g1 + (1 - a) * g3, g3
     ks, a, gs = draws[:, :3].astype(int), draws[:, 3], draws[:, 4:]
 
     # one h_tilde_grid call and one batched tilt solve per window length
@@ -270,7 +264,16 @@ def cmd_validate(args) -> int:
 
     # concavity of the entropy ceiling in (gamma, 1/k)
     lhs = a * h[:, 0] + (1 - a) * h[:, 2]
-    worst_conc = min((h[:, 1] - lhs).tolist())
+    return worst_dual, worst_sym, float((h[:, 1] - lhs).min())
+
+
+def cmd_validate(args) -> int:
+    rng = np.random.default_rng(args.seed)
+    tol_dual = args.tolerance if args.tolerance is not None else 1e-9
+    tol_sym = args.tolerance if args.tolerance is not None else 1e-10
+    tol_conc = args.tolerance if args.tolerance is not None else 1e-9
+    tol_mix = args.tolerance if args.tolerance is not None else 1e-6
+    worst_dual, worst_sym, worst_conc = _h_tilde_checks(rng, args.samples)
 
     # mixed-window concavity of the noisy ceiling
     report = validate_i_concavity(

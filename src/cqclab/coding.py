@@ -328,7 +328,8 @@ def decode_3user(observations: ProbeObservations, codebook: Codebook, r_p: float
     go to the lowest message index, but an exact likelihood tie (the same
     window terms in other positions) can differ in the last bit of its
     sums and then goes to whichever sum rounds higher; integer-lattice
-    scores would make ties exact (ROADMAP.md, item 5).
+    scores would make ties exact (ROADMAP.md, "Exact maximum-likelihood
+    decoding on the integer lattice").
     """
     _check_observations(observations, codebook.template)
     widths, y, counts = codebook.template.widths, observations.y, codebook.window_counts

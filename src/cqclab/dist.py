@@ -27,6 +27,7 @@ LOG2E = math.log2(math.e)
 
 _SUM_TOL = 1e-12
 _MEAN_TOL = 1e-10
+_GRID_ROWS = 1024  # rows per batched tilt solve of h_tilde_grid; bounds its memory
 
 
 class SupportMismatchError(ValueError):
@@ -328,10 +329,10 @@ def binomial_pmf(k: int, p: float) -> Pmf:
 def h_tilde_grid(gammas: np.ndarray, k: int) -> np.ndarray:
     """Vectorized h_tilde values (bits per slot) over an array of gammas.
 
-    One batched tilt solve for every interior gamma, then the rate-function
-    formula of the scalar h_tilde; gamma = 0 and 1 give 0. Each value is
-    bitwise the scalar `h_tilde`, and every one is held to `HTildeValue`'s
-    range [0, log2(k+1)/k] (ValueError otherwise).
+    Batched tilt solves for the interior gammas, _GRID_ROWS at a time, then
+    the rate-function formula of the scalar h_tilde; gamma = 0 and 1 give 0.
+    Each value is bitwise the scalar `h_tilde`, and every one is held to
+    `HTildeValue`'s range [0, log2(k+1)/k] (ValueError otherwise).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -341,7 +342,9 @@ def h_tilde_grid(gammas: np.ndarray, k: int) -> np.ndarray:
     out = np.zeros(gammas.shape)
     interior = (gammas > 0.0) & (gammas < 1.0)
     if interior.any():
-        rate = _rate_grid(k, k * gammas[interior])
+        x = k * gammas[interior]
+        rate = np.concatenate([_rate_grid(k, x[i : i + _GRID_ROWS])
+                               for i in range(0, x.size, _GRID_ROWS)])
         out[interior] = np.maximum((math.log2(k + 1) - rate * LOG2E) / k, 0.0)
     hi = math.log2(k + 1) / k
     off = np.flatnonzero(~((out >= -1e-12) & (out <= hi + 1e-12)))

@@ -343,7 +343,7 @@ class TestBatchedSolver:
         rng = np.random.default_rng(k)
         gs = np.concatenate([rng.uniform(size=40), [0.0, 1.0, 1e-12, 1 - 1e-12] * 2])
         rps = rng.choice([0.0, 0.05, 0.3, 0.8, 0.95], size=gs.size)
-        bits, gaps, noise = capacity3._slices_across_rates(k, gs, rps)
+        bits, gaps, noise = capacity3._slices(k, rps, gs)
         assert (gaps <= GAP_TOL).all()
         for rp in np.unique(rps):
             sel = rps == rp
@@ -353,14 +353,74 @@ class TestBatchedSolver:
             assert (noise[sel] == sv.noise_entropy_bits[0]).all()
 
     def test_all_noiseless_batch_drops_the_zero_columns(self):
-        sv = capacity3._SliceEntropySolver(4, 0.0, 0.0)
-        assert sv.B.shape == (2, 5, 5)
-        assert capacity3._SliceEntropySolver(4, 0.0, 0.2).B.shape == (2, 5, 9)
+        # a one-channel batch drops the outputs above k that r_p = 0 never
+        # reaches; a stacked solver keeps all 2K + 1, so the arithmetic of a
+        # row does not depend on which channels share its call
+        sv, chan = capacity3._stack(4, 0.0, 3)
+        assert sv.B.shape == (5, 5) and (chan == 0).all()
+        assert capacity3._SliceEntropySolver(4, [0.0, 0.0]).B.shape == (2, 5, 9)
+        assert capacity3._SliceEntropySolver([2, 4], [0.0, 0.2]).B.shape == (2, 5, 9)
 
     def test_uncertified_row_of_a_rate_batch_names_its_point(self, monkeypatch):
         monkeypatch.setattr(capacity3, "GAP_TOL", 1e-30)
         with pytest.raises(UncertifiedSolveError, match=r"gamma=0\.4, k=3, r_p=0\.2 "):
-            capacity3._slices_across_rates(3, np.array([0.4, 0.6]), np.array([0.2, 0.7]))
+            capacity3._slices(3, np.array([0.2, 0.7]), np.array([0.4, 0.6]))
+
+    @pytest.fixture(scope="class")
+    def mixed_rows(self):
+        # every (k, r_p) of a mixed batch, in shuffled order
+        rng = np.random.default_rng(42)
+        chans = [(k, rp) for k in (1, 2, 3, 5, 8) for rp in (0.0, 0.1, 0.3, 0.7)]
+        at = rng.permutation(np.repeat(np.arange(len(chans)), 14))
+        ks = np.array([chans[c][0] for c in at])
+        rps = np.array([chans[c][1] for c in at])
+        return chans, ks, rps
+
+    def test_mixed_slice_rows_match_per_channel_solves(self, mixed_rows):
+        chans, ks, rps = mixed_rows
+        gs = np.random.default_rng(43).uniform(size=ks.size)
+        gs[:6] = [0.0, 1.0, 1e-12, 1 - 1e-12, 0.5, 1e-6]
+        bits, gaps, noise = capacity3._slices(ks, rps, gs)
+        assert (gaps <= GAP_TOL).all()
+        for k, rp in chans:
+            sel = (ks == k) & (rps == rp)
+            sv = capacity3._solver(k, rp)
+            ref, _, _ = sv.solve(gs[sel])
+            assert np.abs(bits[sel] - ref).max() <= 1e-12, (k, rp)
+            assert (noise[sel] == sv.noise_entropy_bits[0]).all()
+
+    def test_mixed_free_rows_match_per_channel_solves(self, mixed_rows):
+        chans, ks, rps = mixed_rows
+        s = np.random.default_rng(44).uniform(-32.0, 32.0, size=ks.size)
+        g, gamma, info, slack = capacity3._tangent_points(ks, rps, s)
+        assert np.isfinite(slack).all()
+        for k, rp in chans:
+            sel = (ks == k) & (rps == rp)
+            ref = capacity3._tangent_points(k, rp, s[sel])
+            assert np.abs(g[sel] - ref[0]).max() <= 1e-12, (k, rp)
+            assert np.abs(info[sel] - ref[2]).max() <= 1e-12, (k, rp)
+            assert np.abs(gamma[sel] - ref[1]).max() <= 1e-9, (k, rp)
+
+    def test_uncertified_row_of_a_mixed_batch_names_its_point(self, monkeypatch):
+        # rows at k = 1 and at gamma = 0 are exact and always certify
+        monkeypatch.setattr(capacity3, "GAP_TOL", 1e-30)
+        ks, rps = np.array([1, 2, 5, 3]), np.array([0.1, 0.0, 0.7, 0.3])
+        with pytest.raises(UncertifiedSolveError, match=r"gamma=0\.45, k=5, r_p=0\.7 "):
+            capacity3._slices(ks, rps, np.array([0.3, 0.0, 0.45, 0.5]))
+        slack = capacity3._tangent_points(ks, rps, np.array([-3.0, 0.5, 2.0, 9.0]))[3]
+        assert np.isinf(slack).all()
+
+    def test_uncertified_free_row_of_a_grid_names_its_point(self, monkeypatch):
+        real = capacity3._tangent_points
+
+        def failing(k, r_p, s):  # window 2 at r_p = 0.3 never certifies
+            g, gamma, info, slack = real(k, r_p, s)
+            return g, gamma, info, np.where((k == 2) & (r_p == 0.3), np.inf, slack)
+
+        monkeypatch.setattr(capacity3, "_tangent_points", failing)
+        with pytest.raises(UncertifiedSolveError,
+                           match=r"\(1, 2\), r_p=0\.3: the free-mean row k=2, s=-?\d"):
+            capacity3.solve_capacity_grid([0.0, 0.3], tau_max=3)
 
     @pytest.mark.parametrize("k, r_p", [(1, 0.0), (3, 0.3), (6, 0.7)])
     def test_free_mean_rows_match_slice_solves(self, k, r_p):
@@ -438,21 +498,25 @@ class TestCapacity3:
             solve_capacity_3user(0.6, tau_max=2)
 
     def test_each_solver_built_once(self, monkeypatch):
+        # each (k, r_p) channel is built once per solve, whether it serves
+        # a row-stacked zoom round or a one-channel i_tilde
         built = Counter()
+        real = capacity3.channel_matrix
 
-        class Counting(capacity3._SliceEntropySolver):
-            def __init__(self, k, r_p):
-                built[k] += 1
-                super().__init__(k, r_p)
+        def counting(tau, r_p):
+            built[tau, r_p] += 1
+            return real(tau, r_p)
 
-        monkeypatch.setattr(capacity3, "_SliceEntropySolver", Counting)
+        monkeypatch.setattr(capacity3, "channel_matrix", counting)
+        capacity3._channel.cache_clear()
         capacity3._solver.cache_clear()
         try:
             res = solve_capacity_3user(0.3, tau_max=8)
-        finally:
-            capacity3._solver.cache_clear()  # drop the counting solvers
+        finally:  # drop the channels and solvers built under the counter
+            capacity3._channel.cache_clear()
+            capacity3._solver.cache_clear()
         assert res.tau_star == 2
-        assert built == {1: 1, 2: 1, 3: 1, 4: 1}
+        assert built == {(1, 0.3): 1, (2, 0.3): 1, (3, 0.3): 1, (4, 0.3): 1}
 
     def test_exact_result_at_rp01(self, cap3_rp01):
         # window 2 alone is optimal for both pairs (1, 2) and (2, 3); the
@@ -494,6 +558,19 @@ class TestCapacity3:
         monkeypatch.setattr(capacity3, "_tangent_points", failing_above(0.0))
         with pytest.raises(UncertifiedSolveError):
             solve_capacity_3user(0.3, tau_max=8)
+
+    def test_grid_results_equal_one_rate_solves(self, cap3_rp0, cap3_rp005, cap3_rp01):
+        # a rate's result does not depend on which rates share its batches
+        rates = [round(0.05 * i, 2) for i in range(17)]
+        solo = {0.0: cap3_rp0, 0.05: cap3_rp005, 0.1: cap3_rp01}
+        for r_p, res in zip(rates, capacity3.solve_capacity_grid(rates, 8)):
+            assert res == (solo.get(r_p) or solve_capacity_3user(r_p, 8)), r_p
+
+    def test_grid_rejects_bad_args(self):
+        with pytest.raises(ValueError):
+            capacity3.solve_capacity_grid([0.1, 1.0])
+        with pytest.raises(InfeasibleError):
+            capacity3.solve_capacity_grid([0.1, 0.6], tau_max=2)
 
     def test_windows_and_gap_of_a_mix(self, cap3_rp0):
         (k1, w1), (k2, w2) = cap3_rp0.windows

@@ -1,13 +1,16 @@
 import json
+from collections import Counter
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cqclab
+from cqclab import capacity3
 from cqclab.cli import main
 
 
@@ -103,6 +106,29 @@ class TestCapacity3:
     def test_bad_rate_exits_2(self, tmp_path):
         code, _ = _run(tmp_path, "capacity3", "--rp-grid", "1.5")
         assert code == 2
+
+    def test_one_free_mean_path_per_zoom_round(self, tmp_path, monkeypatch):
+        # the rates advance in lockstep, and each zoom round evaluates both
+        # windows of every rate's current pair in one barrier path
+        paths, rounds = Counter(), Counter()
+        real_path, real_points = capacity3._SliceEntropySolver._barrier_path, capacity3._tangent_points
+
+        def path(self, p, m=None, tilt=None, chan=None):
+            paths["free" if tilt is not None else "slice"] += 1
+            return real_path(self, p, m, tilt, chan)
+
+        def points(k, r_p, s):
+            rounds[tuple(np.unique(k))] += 1
+            return real_points(k, r_p, s)
+
+        monkeypatch.setattr(capacity3._SliceEntropySolver, "_barrier_path", path)
+        monkeypatch.setattr(capacity3, "_tangent_points", points)
+        code, _ = _run(tmp_path, "capacity3", "--rp-grid", "0,0.1,0.3", "--tau-max", "8")
+        assert code == 0
+        # three lockstep steps, the pairs (1, 2), (2, 3) and (3, 4), of ten
+        # rounds each; one rate at a time made 160 free-mean paths
+        assert rounds == {(1, 2): 10, (2, 3): 10, (3, 4): 10}
+        assert paths["free"] == 30
 
 
 class TestSimulate:
