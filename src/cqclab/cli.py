@@ -18,13 +18,15 @@ from . import __version__
 from .capacity2 import solve_capacity_2user, solve_on_alpha_slice
 from .capacity3 import i_tilde_curve, solve_capacity_grid, validate_i_concavity
 from .coding import (
-    _codebook_transmissions,
+    _backlog,
+    _codebook_chunks,
+    _schedules,
     build_codebook_2user,
     build_codebook_3user,
     run_transmission,
 )
 from .dist import h_tilde_grid, solve_tilt_grid
-from .fcfs import stability_probe, trace_to_csv_rows
+from .fcfs import simulate, stability_probe, trace_to_csv_rows
 
 
 def _fmt(x) -> str:
@@ -182,12 +184,13 @@ def cmd_simulate(args) -> int:
     _emit(args, cfg, lines)
     if args.trace:
         # the first message of the run above, on the same seed
-        run = _codebook_transmissions(cb, background, args.seed, args.backlog)
-        msg, trace, schedules = next(run)
+        messages, issues = next(_codebook_chunks(cb, background, args.seed, trials=1))
+        schedules = _schedules(issues[0])
+        trace = simulate(*schedules, initial_backlog=_backlog(cb.template, args.backlog))
         rows = trace_to_csv_rows(trace, *schedules)
         with open(args.trace, "w") as fh:
             fh.write(f"# tool=cqclab version={__version__}\n")
-            fh.write(f"# command=simulate-trace message={msg} seed={args.seed}\n")
+            fh.write(f"# command=simulate-trace message={messages[0]} seed={args.seed}\n")
             fh.write("slot,arrivals_by_user,served_owner,queue_len\n")
             for slot, arr, srv, q in rows:
                 fh.write(f"{slot},{arr},{srv},{q}\n")

@@ -19,7 +19,6 @@ shifted-binomial noise in the three-user case. Decoders read the columns of
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -34,8 +33,7 @@ from .fcfs import (
     ArrivalSchedule,
     ProbeObservations,
     UnbufferedIntervalError,
-    observe,
-    simulate,
+    _observe_batch,
 )
 
 # two-user operating point: window mix and within-window symbol laws
@@ -105,6 +103,16 @@ class ProbeTemplate:
     @staticmethod
     def for_codebook(cb: "Codebook") -> "ProbeTemplate":
         return cb.template
+
+    def segments(self) -> list[tuple[int, slice]]:
+        """(width, window slice) of each nonempty segment, in slot order and
+        so by ascending width."""
+        first = self.alpha_slots // self.tau_star
+        parts = [
+            (self.tau_star, slice(0, first)),
+            (self.tau_star + 1, slice(first, self.widths.size)),
+        ]
+        return [(w, s) for w, s in parts if s.start < s.stop]
 
     def image(self, counts: np.ndarray) -> np.ndarray:
         """Bits of window counts over the layout: each window's count in
@@ -287,14 +295,25 @@ def probe_stream(template: ProbeTemplate) -> ArrivalSchedule:
     return ArrivalSchedule(DECODER, slots)
 
 
-def _check_observations(observations: ProbeObservations, template: ProbeTemplate):
-    if not observations.buffered.all():
+def _check_intervals(tau: np.ndarray, buffered: np.ndarray, template: ProbeTemplate):
+    """Reject observed intervals, one row or a (messages, windows) block,
+    that ran unbuffered or do not fall on the template's windows."""
+    if not buffered.all():
         raise UnbufferedIntervalError("an interval ran unbuffered; counts unreliable")
-    if not np.array_equal(observations.tau, template.widths):
+    if tau.shape[-1] != template.widths.size or (tau != template.widths).any():
         raise DecodeMatchError(
             f"probe spacings do not match the codebook windows "
-            f"({observations.tau.size} intervals, {template.widths.size} windows)"
+            f"({tau.shape[-1]} intervals, {template.widths.size} windows)"
         )
+
+
+def _decode_rows_2user(y: np.ndarray, codebook: Codebook) -> np.ndarray:
+    """Exact-match decoding of a (messages, windows) block of counts: the
+    first codeword whose window counts equal each row."""
+    hits = (codebook.window_counts == y[:, None, :]).all(axis=2)
+    if not hits.any(axis=1).all():
+        raise DecodeMatchError("observed counts match no codeword")
+    return hits.argmax(axis=1)
 
 
 def decode_2user(observations: ProbeObservations, codebook: Codebook) -> int:
@@ -303,11 +322,8 @@ def decode_2user(observations: ProbeObservations, codebook: Codebook) -> int:
     Window counts identify symbols uniquely, so the count sequence is looked
     up against the codebook; a miss means the trace and codebook disagree.
     """
-    _check_observations(observations, codebook.template)
-    hits = np.flatnonzero((codebook.window_counts == observations.y).all(axis=1))
-    if hits.size == 0:
-        raise DecodeMatchError("observed counts match no codeword")
-    return int(hits[0])
+    _check_intervals(observations.tau, observations.buffered, codebook.template)
+    return int(_decode_rows_2user(observations.y[None], codebook)[0])
 
 
 @functools.lru_cache(maxsize=64)
@@ -318,6 +334,24 @@ def _log_channel_table(width: int, r_p: float) -> np.ndarray:
     table = np.where(rows > 0, np.log(np.maximum(rows, 1e-300)), -1e30)
     table.flags.writeable = False
     return table
+
+
+def _decode_rows_3user(y: np.ndarray, codebook: Codebook, r_p: float) -> np.ndarray:
+    """Maximum-likelihood decoding of a (messages, windows) block of counts;
+    see `decode_3user`."""
+    counts = codebook.window_counts
+    loglik = np.zeros((y.shape[0], codebook.M))
+    for width, cols in codebook.template.segments():
+        yw = y[:, cols]
+        if yw.min() < 0 or yw.max() > 2 * width:
+            raise DecodeMatchError("observed count outside the channel alphabet")
+        table = _log_channel_table(width, float(r_p))
+        # a C-contiguous (messages, M, windows) gather keeps each score's
+        # terms contiguous, which fixes the order of the sums (and so the
+        # tie-breaks between -1e30 scores)
+        terms = np.ascontiguousarray(table[counts[None, :, cols], yw[:, None, :]])
+        loglik += terms.sum(axis=2)
+    return loglik.argmax(axis=1)
 
 
 def decode_3user(observations: ProbeObservations, codebook: Codebook, r_p: float) -> int:
@@ -331,19 +365,8 @@ def decode_3user(observations: ProbeObservations, codebook: Codebook, r_p: float
     scores would make ties exact (ROADMAP.md, "Exact maximum-likelihood
     decoding on the integer lattice").
     """
-    _check_observations(observations, codebook.template)
-    widths, y, counts = codebook.template.widths, observations.y, codebook.window_counts
-    loglik = np.zeros(codebook.M)
-    for width in np.unique(widths):
-        cols = widths == width
-        yw = y[cols]
-        if yw.min() < 0 or yw.max() > 2 * width:
-            raise DecodeMatchError("observed count outside the channel alphabet")
-        table = _log_channel_table(int(width), float(r_p))
-        # compress keeps each message's terms contiguous, which fixes the
-        # order of the row sums (and so the tie-breaks between -1e30 scores)
-        loglik += table[counts.compress(cols, axis=1), yw].sum(axis=1)
-    return int(np.argmax(loglik))
+    _check_intervals(observations.tau, observations.buffered, codebook.template)
+    return int(_decode_rows_3user(observations.y[None], codebook, r_p)[0])
 
 
 @dataclass(frozen=True)
@@ -359,36 +382,70 @@ class TransmissionReport:
             raise ValueError("empirical rate cannot exceed 1 bit per slot")
 
 
-def _transmissions(template: ProbeTemplate, draw, background_rate, seed, initial_backlog):
-    """Messages sent one after another on one random stream: each step
-    queues the bits of `draw(rng) -> (message, bits)` against the probe
-    stream plus a closing probe at slot n and, unless the rate is None,
-    Bernoulli background traffic. The default backlog n + tau_star + 1 keeps
-    every interval buffered. Yields (message, trace, schedules)."""
+_CHUNK = 32  # messages queued, observed and decoded together
+
+
+def _backlog(template: ProbeTemplate, initial_backlog: int | None) -> int:
+    """The transmission backlog: by default n + tau_star + 1, which keeps
+    every interval buffered; at least tau_star + 1."""
     longest = template.tau_star + 1
     backlog = initial_backlog if initial_backlog is not None else template.n + longest
     if backlog < longest:
         raise ValueError(f"initial_backlog must be >= {longest}")
-    decoder = ArrivalSchedule(DECODER, np.append(probe_stream(template).slots, np.int8(1)))
+    return backlog
+
+
+def _message_chunks(template: ProbeTemplate, draw, background_rate, seed, trials):
+    """Messages sent one after another on one random stream: each message
+    draws `draw(rng) -> (message, bits)` and then, unless the rate is None,
+    its Bernoulli background traffic over the n + 1 slots. Yields
+    (messages, issues) per chunk of up to _CHUNK messages; `issues` is the
+    (message x slot x user) tensor of the probe stream plus a closing probe
+    at slot n, the bits and the background, in the users' priority order."""
+    if background_rate is not None and not 0.0 <= background_rate <= 1.0:
+        raise ValueError("rate must lie in [0, 1]")
+    probes = np.append(probe_stream(template).slots, np.int8(1))
+    users = 2 if background_rate is None else 3
     rng = np.random.default_rng(seed)
-    while True:
-        msg, bits = draw(rng)
-        encoder = ArrivalSchedule(ENCODER, np.append(bits, np.int8(0)))
-        background = None
-        if background_rate is not None:
-            background = ArrivalSchedule.bernoulli(BACKGROUND, background_rate, len(decoder), rng)
-        trace = simulate(decoder, encoder, background, initial_backlog=backlog)
-        yield msg, trace, (decoder, encoder, background)
+    for first in range(0, trials, _CHUNK):
+        issues = np.zeros((min(_CHUNK, trials - first), probes.size, users), dtype=np.int8)
+        issues[:, :, 0] = probes
+        messages = []
+        for row in issues:
+            msg, bits = draw(rng)
+            messages.append(msg)
+            row[:-1, 1] = bits
+            if background_rate is not None:
+                row[:, 2] = rng.random(probes.size) < background_rate
+        yield messages, issues
 
 
-def _codebook_transmissions(codebook: Codebook, background_rate, seed, initial_backlog):
-    """`_transmissions` of uniformly drawn messages of the codebook."""
+def _schedules(issues: np.ndarray) -> list[ArrivalSchedule]:
+    """The decoder, encoder and (if any) background schedules of one message
+    of a `_message_chunks` issue tensor."""
+    users = (DECODER, ENCODER, BACKGROUND)[: issues.shape[1]]
+    return [ArrivalSchedule(user, issues[:, j]) for j, user in enumerate(users)]
+
+
+def _codebook_chunks(codebook: Codebook, background_rate, seed, trials):
+    """`_message_chunks` of uniformly drawn messages of the codebook."""
 
     def draw(rng):
         msg = int(rng.integers(codebook.M))
         return msg, codebook.codewords[msg]
 
-    return _transmissions(codebook.template, draw, background_rate, seed, initial_backlog)
+    return _message_chunks(codebook.template, draw, background_rate, seed, trials)
+
+
+def _observed(chunks, template: ProbeTemplate, initial_backlog: int | None):
+    """Each chunk of `_message_chunks` queued behind the backlog in one pass
+    of the FCFS kernel: yields (messages, y) with y the (messages, windows)
+    block of observed counts. An unbuffered interval raises."""
+    backlog = _backlog(template, initial_backlog)
+    for messages, issues in chunks:
+        tau, y, buffered = _observe_batch(issues, backlog)
+        _check_intervals(tau, buffered, template)
+        yield messages, y
 
 
 def run_transmission(
@@ -400,25 +457,27 @@ def run_transmission(
 ) -> TransmissionReport:
     """End-to-end Monte Carlo: encode, queue, observe, decode, compare.
 
-    Each trial draws a uniform message, runs the FCFS scheduler with the
-    codebook's probe stream (plus the closing boundary probe) and optional
-    Bernoulli background traffic, and decodes from the probe observations -
-    exact matching without background, maximum likelihood with it. The
-    default backlog n + tau_star + 1 keeps every interval buffered
-    regardless of the codeword; an unbuffered interval raises instead of
-    degrading silently.
+    Each trial draws a uniform message and then its optional Bernoulli
+    background traffic, one message after another on one random stream.
+    Chunks of messages then run together through one pass of the segmented
+    FCFS kernel, with the codebook's probe stream plus the closing boundary
+    probe, and are decoded as one block from the probe observations: exact
+    matching without background, maximum likelihood with it. Every result
+    equals that of sending the messages one at a time through `simulate`,
+    `observe` and `decode_2user` / `decode_3user`. The default backlog
+    n + tau_star + 1 keeps every interval buffered regardless of the
+    codeword; an unbuffered interval raises instead of degrading silently.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     errors = 0
-    run = _codebook_transmissions(codebook, background_rate, seed, initial_backlog)
-    for msg, trace, _ in itertools.islice(run, trials):
-        obs = observe(trace)
+    chunks = _codebook_chunks(codebook, background_rate, seed, trials)
+    for messages, y in _observed(chunks, codebook.template, initial_backlog):
         if background_rate is None:
-            decoded = decode_2user(obs, codebook)
+            decoded = _decode_rows_2user(y, codebook)
         else:
-            decoded = decode_3user(obs, codebook, background_rate)
-        errors += decoded != msg
+            decoded = _decode_rows_3user(y, codebook, background_rate)
+        errors += int((decoded != messages).sum())
     return TransmissionReport(
         messages_sent=trials,
         errors=errors,
@@ -541,12 +600,13 @@ def ensemble_error_rate(
 ) -> TransmissionReport:
     """Random-coding ensemble error rate of the three-user scheme.
 
-    Every trial samples a true codeword from the scheme's symbol laws, runs
-    it through the FCFS scheduler against Bernoulli(r_p) background traffic,
-    and computes the exact probability that ML decoding over a codebook of
-    M - 1 further i.i.d. codewords fails, via the lattice distribution of a
-    competitor's score. Monte Carlo averages over the true codeword and the
-    channel only, so M may be astronomically large.
+    Every trial samples a true codeword from the scheme's symbol laws and
+    its Bernoulli(r_p) background traffic, runs through the FCFS scheduler
+    in chunks of trials, as `run_transmission` does, and computes the exact
+    probability that ML decoding over a codebook of M - 1 further i.i.d.
+    codewords fails, via the lattice distribution of a competitor's score.
+    Monte Carlo averages over the true codeword and the channel only, so M
+    may be astronomically large.
 
     Competitors are i.i.d. with replacement, so a copy of the true codeword
     is a tie, while the builders draw distinct codewords: at n = 30, M = 16
@@ -564,13 +624,12 @@ def ensemble_error_rate(
         return xs, template.image(xs)
 
     err_prob_sum = 0.0
-    run = _transmissions(template, draw, r_p, seed, None)
-    for xs, trace, _ in itertools.islice(run, trials):
-        obs = observe(trace)
-        _check_observations(obs, template)
-        q_gt, q_eq = _competitor_probs(lattice, laws, template.widths, obs.y, xs)
-        q_lt = max(1.0 - q_gt - q_eq, 0.0)
-        err_prob_sum += 1.0 - _prob_correct(q_lt, q_eq, float(M))
+    chunks = _message_chunks(template, draw, r_p, seed, trials)
+    for true_counts, y in _observed(chunks, template, None):
+        for xs, ys in zip(true_counts, y):
+            q_gt, q_eq = _competitor_probs(lattice, laws, template.widths, ys, xs)
+            q_lt = max(1.0 - q_gt - q_eq, 0.0)
+            err_prob_sum += 1.0 - _prob_correct(q_lt, q_eq, float(M))
 
     rate = float(math.log2(M)) / n if M >= 1 else 0.0
     return TransmissionReport(

@@ -8,13 +8,18 @@ slot t departs at t + 1. A packet arriving at t with q packets ahead of it
 therefore departs at t + q + 1, which makes the probe's queue-length reading
 D - A - 1 exact.
 
-The FIFO order is read in one pass over the (slot x user) issue matrix with
-its columns in priority order: row-major nonzero lists packets by slot and,
-within a slot, by priority, linear in slots and with no sort. The
-`initial_backlog` sentinels stay in the trace as packets (owner code 0,
-arrival -1) at its head. Departures follow the recursion
-D_i = max(D_{i-1}, t_i) + 1 in FIFO order, computed with vectorized prefix
-maxima rather than a per-slot event loop; million-slot horizons are cheap.
+One segmented kernel serves many independent traces at once. The FIFO order
+is read in one pass over the (trace x slot x user) issue tensor with its
+user columns in priority order: row-major nonzero lists packets by trace,
+within a trace by slot and within a slot by priority, linear in slots and
+with no sort. Departures follow the recursion D_i = max(D_{i-1}, t_i) + 1
+in FIFO order, started from the `initial_backlog` packets queued ahead of
+slot 0, computed with one prefix maximum over all traces rather than a
+per-slot event loop; a per-trace offset keeps every trace's running maximum
+clear of the traces before it. `simulate` is the one-trace case, and keeps
+the backlog in its trace as sentinel packets (owner code 0, arrival -1) at
+the head; million-slot horizons are cheap. Monte-Carlo transmissions queue
+a chunk of short traces through the kernel and observe them together.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ class ArrivalSchedule:
         s = np.asarray(self.slots)
         if s.ndim != 1:
             raise ValueError("slots must be 1-D")
-        if not np.isin(s, (0, 1)).all():
+        if not ((s == 0) | (s == 1)).all():
             raise ValueError("at most one packet per user per slot (entries 0/1)")
         s = s.astype(np.int8)
         s.flags.writeable = False
@@ -113,6 +118,51 @@ class ProbeObservations:
             object.__setattr__(self, name, col)
 
 
+def _fifo(issues: np.ndarray, initial_backlog: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Departures of independent traces, served in one pass.
+
+    `issues` is a (trace x slot x user) 0/1 tensor with its user columns in
+    priority order; every trace starts with `initial_backlog` packets queued
+    ahead of slot 0. Returns the (slot, user column, departure) of every
+    issued packet, trace by trace in FIFO order. In-trace packet k arriving
+    at t departs at max(initial_backlog, max_{j <= k} (t_j - j)) + k + 1;
+    trace i's values carry the offset i * slots, which lifts its backlog
+    floor above every value of the traces before it, so one running maximum
+    serves them all.
+    """
+    trace, slot, col = np.nonzero(issues)
+    k = np.arange(slot.size)
+    k -= np.searchsorted(trace, np.arange(issues.shape[0]))[trace]  # index within the trace
+    offset = trace * issues.shape[1]
+    del trace  # the dels and in-place steps bound the memory of million-slot traces
+    dep = slot - k
+    dep += offset
+    np.maximum.accumulate(dep, out=dep)
+    dep -= offset
+    del offset
+    np.maximum(dep, initial_backlog, out=dep)
+    dep += k
+    dep += 1
+    return slot, col, dep
+
+
+def _intervals(arr: np.ndarray, dep: np.ndarray):
+    """(tau, y, buffered) of the intervals between consecutive probes, along
+    the last axis of the probes' arrivals and departures."""
+    tau = np.diff(arr, axis=-1)
+    return tau, np.diff(dep, axis=-1) - 1, dep[..., :-1] - arr[..., :-1] - 1 >= tau - 1
+
+
+def _observe_batch(issues: np.ndarray, initial_backlog: int):
+    """`observe` of every trace of a `_fifo` issue tensor whose traces all
+    issue the same number of decoder (first column) packets: (tau, y,
+    buffered), each of shape (traces, intervals)."""
+    slot, col, dep = _fifo(issues, initial_backlog)
+    probes = col == 0
+    shape = (issues.shape[0], -1)
+    return _intervals(slot[probes].reshape(shape), dep[probes].reshape(shape))
+
+
 def simulate(
     decoder: ArrivalSchedule,
     encoder: ArrivalSchedule,
@@ -120,7 +170,8 @@ def simulate(
     initial_backlog: int = 0,
     priority: tuple[str, ...] = (DECODER, ENCODER, BACKGROUND),
 ) -> SchedulerTrace:
-    """Run the FCFS scheduler over the given arrival streams.
+    """Run the FCFS scheduler over the given arrival streams: the one-trace
+    case of the segmented kernel that also serves batched transmissions.
 
     Streams must share one length n; service continues past slot n until the
     queue drains so every packet has a departure. `initial_backlog` dummy
@@ -139,14 +190,15 @@ def simulate(
         raise ValueError("all arrival streams must have the same length")
 
     columns = [s for user in priority for s in streams if s.user == user]
-    slot, col = np.nonzero(np.stack([s.slots for s in columns], axis=1))
+    slot, col, dep = _fifo(np.stack([s.slots for s in columns], axis=1)[None], initial_backlog)
     codes = np.array([_OWNER_CODE[s.user] for s in columns], dtype=np.int64)
     owners = np.concatenate([np.zeros(initial_backlog, dtype=np.int64), codes[col]])
+    del col
     slots = np.concatenate([np.full(initial_backlog, -1, dtype=np.int64), slot])
-
-    idx = np.arange(owners.size)
-    service_start = np.maximum(slots, 0)  # sentinels are in queue from slot 0
-    departures = np.maximum.accumulate(service_start - idx) + idx + 1
+    del slot
+    # the sentinels are served first, one per slot from slot 0
+    departures = np.concatenate([np.arange(1, initial_backlog + 1), dep])
+    del dep
 
     length = max(n, int(departures.max(initial=0)))
     arr_count = np.bincount(np.maximum(slots, 0), minlength=length)
@@ -177,13 +229,8 @@ def observe(trace: SchedulerTrace) -> ProbeObservations:
     arr, dep = trace.packets_of(DECODER)
     if arr.size < 2:
         raise TooFewProbesError("need at least two decoder packets to observe")
-    tau = np.diff(arr)
-    return ProbeObservations(
-        tau=tau,
-        y=np.diff(dep) - 1,
-        buffered=dep[:-1] - arr[:-1] - 1 >= tau - 1,
-        arrival_slot=arr[:-1],
-    )
+    tau, y, buffered = _intervals(arr, dep)
+    return ProbeObservations(tau=tau, y=y, buffered=buffered, arrival_slot=arr[:-1])
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,15 @@ import pytest
 import cqclab
 from cqclab import capacity3
 from cqclab.cli import main
+from cqclab.coding import build_codebook_3user, probe_stream
+from cqclab.fcfs import (
+    BACKGROUND,
+    DECODER,
+    ENCODER,
+    ArrivalSchedule,
+    simulate,
+    trace_to_csv_rows,
+)
 
 
 def _run(tmp_path, *argv):
@@ -160,6 +169,25 @@ class TestSimulate:
         lines = [ln for ln in trace.read_text().splitlines() if not ln.startswith("#")]
         assert lines[0] == "slot,arrivals_by_user,served_owner,queue_len"
         assert len(lines) >= 31
+
+    @pytest.mark.parametrize("backlog", [None, 40])
+    def test_trace_is_the_first_message_of_the_run(self, tmp_path, cap3_rp01, backlog):
+        trace = tmp_path / "trace.csv"
+        argv = ["--seed", "4", "--out", str(tmp_path / "o.csv"), "simulate", "--users", "3",
+                "--rp", "0.1", "--n", "30", "--M", "16", "--trials", "40", "--trace", str(trace)]
+        assert main(argv + ([] if backlog is None else ["--backlog", str(backlog)])) == 0
+        # the first message and its background, drawn and queued on their own
+        cb = build_codebook_3user(30, 16, 0.1, capacity=cap3_rp01, seed=4)
+        rng = np.random.default_rng(4)
+        msg = int(rng.integers(cb.M))
+        decoder = ArrivalSchedule(DECODER, np.append(probe_stream(cb.template).slots, np.int8(1)))
+        encoder = ArrivalSchedule(ENCODER, np.append(cb.codewords[msg], np.int8(0)))
+        background = ArrivalSchedule.bernoulli(BACKGROUND, 0.1, 31, rng)
+        tr = simulate(decoder, encoder, background, initial_backlog=backlog or 30 + cb.tau_star + 1)
+        lines = trace.read_text().splitlines()
+        assert lines[1] == f"# command=simulate-trace message={msg} seed=4"
+        rows = trace_to_csv_rows(tr, decoder, encoder, background)
+        assert lines[3:] == [",".join(map(str, row)) for row in rows]
 
     def test_three_user_needs_rate(self, tmp_path):
         code, _ = _run(tmp_path, "simulate", "--users", "3", "--n", "30")

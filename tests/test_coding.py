@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cqclab
+from cqclab import coding
 from cqclab.coding import (
     ALPHA_2USER,
     Codebook,
@@ -19,9 +26,13 @@ from cqclab.coding import (
     probe_stream,
     run_transmission,
     symbol_image,
+    _CHUNK,
+    _decode_rows_2user,
+    _decode_rows_3user,
 )
 from cqclab.dist import Pmf
 from cqclab.fcfs import (
+    BACKGROUND,
     DECODER,
     ENCODER,
     ArrivalSchedule,
@@ -307,6 +318,110 @@ class TestRunTransmission:
         cb = build_codebook_3user(60, 2, 0.1, capacity=cap3_rp01, seed=1)
         rep = run_transmission(cb, background_rate=0.1, trials=2000, seed=2)
         assert rep.empirical_error_rate < 0.05
+
+
+def _spelled_out_errors(codebook, background_rate, trials, seed):
+    """`run_transmission` one message at a time: draw the message and its
+    background, then simulate, observe and decode."""
+    decoder = ArrivalSchedule(DECODER, np.append(probe_stream(codebook.template).slots, np.int8(1)))
+    backlog = codebook.n + codebook.tau_star + 1
+    rng = np.random.default_rng(seed)
+    errors = 0
+    for _ in range(trials):
+        msg = int(rng.integers(codebook.M))
+        encoder = ArrivalSchedule(ENCODER, np.append(codebook.codewords[msg], np.int8(0)))
+        background = None
+        if background_rate is not None:
+            background = ArrivalSchedule.bernoulli(BACKGROUND, background_rate, codebook.n + 1, rng)
+        obs = observe(simulate(decoder, encoder, background, initial_backlog=backlog))
+        if background_rate is None:
+            decoded = decode_2user(obs, codebook)
+        else:
+            decoded = decode_3user(obs, codebook, background_rate)
+        errors += decoded != msg
+    return errors
+
+
+class TestBatchedTransmission:
+    # codebooks built for r_p = 0.1, sent at 0.1 and at 0.3 (above capacity)
+    @pytest.mark.parametrize(
+        "n, book_seed, tx_seed, errors",
+        [(16, 3, 4, (71, 187)), (16, 5, 9, (53, 193)), (30, 1, 2, (2, 24)), (20, 8, 8, (19, 115))],
+    )
+    def test_error_counts_match_spelled_out_loop(self, cap3_rp01, n, book_seed, tx_seed, errors):
+        cb = build_codebook_3user(n, 256, 0.1, capacity=cap3_rp01, seed=book_seed)
+        for rp, expected in zip((0.1, 0.3), errors):
+            rep = run_transmission(cb, background_rate=rp, trials=300, seed=tx_seed)
+            assert rep.errors == _spelled_out_errors(cb, rp, 300, tx_seed) == expected
+
+    @pytest.mark.parametrize("trials", [1, _CHUNK - 1, _CHUNK + 1])
+    def test_partial_chunks_match_spelled_out_loop(self, cap3_rp01, trials):
+        cb = build_codebook_3user(16, 256, 0.1, capacity=cap3_rp01, seed=3)
+        for seed in range(3):
+            rep = run_transmission(cb, background_rate=0.3, trials=trials, seed=seed)
+            assert rep.errors == _spelled_out_errors(cb, 0.3, trials, seed)
+
+    @pytest.mark.parametrize("chunk", [1, _CHUNK - 1, _CHUNK + 1])
+    def test_results_do_not_depend_on_the_chunk_size(self, cap3_rp01, monkeypatch, chunk):
+        cb = build_codebook_3user(16, 256, 0.1, capacity=cap3_rp01, seed=5)
+
+        def results():
+            return (
+                run_transmission(cb, background_rate=0.3, trials=2 * _CHUNK + 5, seed=9),
+                ensemble_error_rate(30, 2.0**10, 0.1, trials=_CHUNK + 3, seed=2, capacity=cap3_rp01),
+            )
+
+        expected = results()
+        monkeypatch.setattr(coding, "_CHUNK", chunk)
+        assert results() == expected
+
+    def test_unbuffered_interval_raises_past_the_first_chunk(self):
+        cb = _handmade_codebook([np.zeros(12, dtype=np.int8)])
+        with pytest.raises(UnbufferedIntervalError):
+            run_transmission(cb, trials=2 * _CHUNK + 1, seed=0, initial_backlog=2)
+
+    def test_codebook_counts_disagreeing_with_codewords_raise(self):
+        cb = build_codebook_2user(30, 8, seed=1)
+        # stored window counts that no transmitted codeword can produce
+        object.__setattr__(cb, "window_counts", cb.window_counts + 3)
+        with pytest.raises(DecodeMatchError):
+            run_transmission(cb, trials=_CHUNK + 1, seed=0)
+
+    def test_row_decoders_reject_any_bad_row(self):
+        cb = _handmade_codebook([[1, 0, 0, 0], [1, 1, 1, 0]])
+        with pytest.raises(DecodeMatchError):
+            _decode_rows_2user(np.array([[1, 0], [2, 2]]), cb)  # row 1 matches no codeword
+        with pytest.raises(DecodeMatchError):
+            _decode_rows_3user(np.array([[1, 0], [5, 0]]), cb, 0.3)  # 5 > 2 * width
+
+    @pytest.mark.parametrize("rp", [0.1, 0.5])
+    def test_row_decoders_match_one_row_decoders(self, rp):
+        cb = build_codebook_3user(30, 64, rp, seed=2)
+        widths = cb.template.widths
+        rng = np.random.default_rng(6)
+        y = rng.integers(0, 2 * widths + 1, size=(50, widths.size))
+        rows2 = cb.window_counts[rng.integers(cb.M, size=50)]
+        decoded3, decoded2 = _decode_rows_3user(y, cb, rp), _decode_rows_2user(rows2, cb)
+        for y3, y2, d3, d2 in zip(y, rows2, decoded3, decoded2):
+            assert decode_3user(_obs(list(zip(widths, y3))), cb, rp) == d3
+            assert decode_2user(_obs(list(zip(widths, y2))), cb) == d2
+
+    def test_transmissions_leave_numpy_ma_unloaded(self):
+        # np.unique on integers imports numpy.ma, about 1.6 MB of peak RSS
+        code = "\n".join([
+            "import sys",
+            "import cqclab as cq",
+            "cap = cq.solve_capacity_3user(0.1)",
+            "cb = cq.build_codebook_3user(30, 16, 0.1, capacity=cap, seed=1)",
+            "cq.run_transmission(cb, background_rate=0.1, trials=40, seed=2)",
+            "cq.ensemble_error_rate(30, 16, 0.1, trials=5, seed=1, capacity=cap)",
+            "assert 'numpy.ma' not in sys.modules",
+        ])
+        src = str(Path(cqclab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestEnsembleInternals:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cqclab.dist import binomial_pmf
 from cqclab.fcfs import (
@@ -8,6 +10,8 @@ from cqclab.fcfs import (
     ENCODER,
     ArrivalSchedule,
     TooFewProbesError,
+    _fifo,
+    _observe_batch,
     empirical_channel_law,
     observe,
     simulate,
@@ -33,6 +37,15 @@ class TestSchedule:
     def test_rejects_nonbinary(self):
         with pytest.raises(ValueError):
             _sched(DECODER, [0, 2, 0])
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_rejects_every_non_binary_entry(self, bad):
+        with pytest.raises(ValueError):
+            ArrivalSchedule(DECODER, np.array([0.0, 1.0, bad, 0.0]))
+
+    @pytest.mark.parametrize("good", [[0.0, 1.0], [False, True], [0, 1]])
+    def test_accepts_binary_entries_of_any_dtype(self, good):
+        assert ArrivalSchedule(DECODER, np.array(good)).slots.tolist() == [0, 1]
 
     def test_rejects_unknown_user(self):
         with pytest.raises(ValueError):
@@ -144,6 +157,62 @@ class TestSimulate:
                 _sched(ENCODER, [0]),
                 priority=(ENCODER, DECODER, BACKGROUND),
             )
+
+
+@st.composite
+def _issue_batches(draw):
+    """(issues, backlog) for a few traces of one length: Bernoulli streams
+    at drawn rates, with or without background, behind a backlog of 0, a
+    small one (intervals run unbuffered) or one of the whole horizon."""
+    traces = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 40))
+    users = draw(st.sampled_from([2, 3]))
+    rates = draw(st.lists(st.floats(0.0, 1.0), min_size=users, max_size=users))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    issues = (rng.random((traces, n, users)) < rates).astype(np.int8)
+    backlog = draw(st.sampled_from([0, draw(st.integers(1, 3)), n]))
+    return issues, backlog
+
+
+def _streams_of(issues):
+    """The schedules of one trace's (slot x user) issue matrix."""
+    users = (DECODER, ENCODER, BACKGROUND)[: issues.shape[1]]
+    return [ArrivalSchedule(u, issues[:, j]) for j, u in enumerate(users)]
+
+
+class TestSegmentedKernel:
+    @given(_issue_batches())
+    def test_every_trace_matches_its_own_simulate(self, batch):
+        issues, backlog = batch
+        slot, col, dep = _fifo(issues, backlog)
+        sizes = issues.sum(axis=(1, 2))
+        bounds = np.cumsum(sizes)
+        for i, stop in enumerate(bounds):
+            rows = slice(stop - sizes[i], stop)
+            tr = simulate(*_streams_of(issues[i]), initial_backlog=backlog)
+            assert np.array_equal(tr.owners[backlog:], col[rows] + 1)
+            assert np.array_equal(tr.arrivals[backlog:], slot[rows])
+            assert np.array_equal(tr.departures[backlog:], dep[rows])
+            # the recursion D = max(D_prev, t) + 1 packet by packet, from the backlog
+            last, expected = backlog, []
+            for t in slot[rows].tolist():
+                last = max(last, t) + 1
+                expected.append(last)
+            assert dep[rows].tolist() == expected
+
+    @given(_issue_batches())
+    def test_batched_observe_matches_observe(self, batch):
+        issues, backlog = batch
+        issues[:, :, 0] = 0
+        issues[:, ::2, 0] = 1  # one probe stream shared by every trace
+        if issues[0, :, 0].sum() < 2:
+            return
+        tau, y, buffered = _observe_batch(issues, backlog)
+        for i, row in enumerate(issues):
+            obs = observe(simulate(*_streams_of(row), initial_backlog=backlog))
+            assert np.array_equal(obs.tau, tau[i])
+            assert np.array_equal(obs.y, y[i])
+            assert np.array_equal(obs.buffered, buffered[i])
 
 
 class TestObserve:
