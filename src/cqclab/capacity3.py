@@ -20,11 +20,13 @@ rate r_p: it takes its channel from a stack with one entry per distinct
 (k, r_p), padded to the largest window of the call, so a sweep over many
 rates (`validate_i_concavity`, `degradation_violations`) is one solve per
 window length and a round of the capacity zoom is one solve for both
-windows of every pair in play that shares its tau. A call at one (k, r_p) keeps its products as
-plain 2-D matrix products. The same path also solves the free-mean problem
-max H(Y) - s * E X, certified by its simplex LP gap. An uncertified slice
-point raises UncertifiedSolveError naming its k, gamma and r_p; a free-mean
-row gets an infinite gap.
+windows of every pair in play that shares its tau. A call at one (k, r_p)
+keeps its products as plain 2-D matrix products. Every call builds its
+solver afresh from channels that are built once per (k, r_p) and cached
+with their noise entropies. The same path also solves the free-mean
+problem max H(Y) - s * E X, certified by its simplex LP gap. An
+uncertified slice point raises UncertifiedSolveError naming its k, gamma
+and r_p; a free-mean row gets an infinite gap.
 
 The best mix of windows k in {tau, tau + 1} at budget c = 1 - r_p is the
 concave envelope of the curves u -> i_tilde(u - 1/k, k, r_p), read at c. It
@@ -466,17 +468,12 @@ class _SliceEntropySolver:
         return self.values_nats(p, chan) / LN2, p, gap
 
 
-@functools.lru_cache(maxsize=256)
-def _solver(k: int, r_p: float) -> _SliceEntropySolver:
-    return _SliceEntropySolver(k, r_p)
-
-
 def _stack(k, r_p, rows: int):
     """The solver for `rows` rows at windows k and noise rates r_p (each one
     value, or one per row) and the channel index of every row. Rows that
-    all share one (k, r_p) get its cached plain solver."""
+    all share one (k, r_p) get a plain solver."""
     if np.ndim(k) == 0 and np.ndim(r_p) == 0:
-        return _solver(int(k), float(r_p)), np.zeros(rows, dtype=int)
+        return _SliceEntropySolver(int(k), float(r_p)), np.zeros(rows, dtype=int)
     # the distinct channels in (k, r_p) order (np.unique would load numpy.ma)
     ks, rps = np.broadcast_to(k, rows), np.broadcast_to(r_p, rows)
     order = np.lexsort((rps, ks))
@@ -485,7 +482,7 @@ def _stack(k, r_p, rows: int):
     chan[order] = np.cumsum(first) - 1
     ks, rps = ks[order[first]], rps[order[first]]
     if ks.size == 1:
-        return _solver(int(ks[0]), float(rps[0])), chan
+        return _SliceEntropySolver(int(ks[0]), float(rps[0])), chan
     return _SliceEntropySolver(ks, rps), chan
 
 
@@ -512,14 +509,14 @@ def h_check(gamma: float, k: int, r_p: float) -> tuple[float, Pmf]:
         raise ValueError("k must be >= 1")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"infeasible mean: gamma={gamma} outside [0, 1]")
-    bits, p, _gap = _solver(k, r_p).solve([gamma])
+    bits, p, _gap = _SliceEntropySolver(k, r_p).solve([gamma])
     return float(bits[0]), Pmf(p[0])
 
 
 def i_tilde(gamma: float, k: int, r_p: float) -> ITildeValue:
     """Per-slot information ceiling through the shifted-binomial channel."""
     bits, p = h_check(gamma, k, r_p)
-    noise_bits = float(_solver(k, r_p).noise_entropy_bits[0])
+    _, noise_bits = _channel(k, r_p)
     return ITildeValue(
         gamma=gamma,
         k=k,
@@ -541,7 +538,7 @@ def i_tilde_curve(gammas, k: int, r_p: float) -> np.ndarray:
         raise ValueError("gammas must be a nondecreasing 1-D grid")
     if not (np.isfinite(gammas) & (gammas >= 0.0) & (gammas <= 1.0)).all():
         raise ValueError("gammas must be finite and lie in [0, 1]")
-    sv = _solver(k, r_p)
+    sv = _SliceEntropySolver(k, r_p)
     bits, _, _ = sv.solve(gammas)
     return np.maximum((bits - sv.noise_entropy_bits[0]) / k, 0.0)
 
@@ -860,10 +857,12 @@ def validate_i_concavity(
     k = j + 1, j and j - 1, so each j = 1..tau_max is solved once, across
     all noise rates, and the H_check values are scattered back to their
     margins. Each value agrees with the one-rate solve of its point to
-    rounding (1e-12 bits).
+    rounding (1e-12 bits). A negative `samples` raises ValueError.
     """
     if tau_max < 3:
         raise ValueError("tau_max must be >= 3")
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
     ks = range(2, tau_max)
     if samples == 0:
         return ConcavityReport(samples=0, tau_max=tau_max, worst_margin=np.inf,
@@ -878,12 +877,10 @@ def validate_i_concavity(
         rps = rng.choice(rp_grid, size=samples)
         alpha = (k - 1) / (2.0 * k)
         draws[k] = (g1s, alpha * g1s + (1 - alpha) * g3s, g3s, rps)
-    # window j is window k - 1, k or k + 1 (gamma1, gamma2 or gamma3) of the
-    # draws at k = j + 1, j or j - 1: one solve per window across all rates.
-    # Windows k - 1, k and k + 1 arrive in that order, so each folds its
-    # H_check into the margin 2*H(gamma2) - H(gamma1) - H(gamma3) as soon
-    # as it is solved, in the order of that expression
-    margins = {}
+    # window j is window k - 1, k or k + 1 (gamma1, gamma2 or gamma3, position
+    # 0, 1 or 2) of the draws at k = j + 1, j or j - 1: one solve per window
+    # across all rates
+    h = {}  # (k, position) -> H_check values of the draws at k
     max_gap = 0.0
     for j in range(1, tau_max + 1):
         parts = [(k, pos) for pos, k in enumerate((j + 1, j, j - 1)) if k in draws]
@@ -893,26 +890,20 @@ def validate_i_concavity(
             np.concatenate([draws[k][pos] for k, pos in parts]),
         )
         max_gap = max(max_gap, float(gaps.max()))
-        for (k, pos), h in zip(parts, np.split(b, len(parts))):
-            if pos == 0:
-                margins[k] = -h
-            elif pos == 1:
-                margins[k] = 2 * h + margins[k]
-            else:
-                margins[k] -= h
+        h.update(zip(parts, np.split(b, len(parts))))
     worst = (np.inf, (0, 0.0, 0.0, 0.0))
     violations = 0
     for k in ks:
         g1s, g2s, g3s, rps = draws[k]
         rates, at = np.unique(rps, return_inverse=True)
         noise_gap = np.array([binomial_entropy_gap(k, float(rp)) for rp in rates])[at]
-        margins[k] += noise_gap
-        violations += int((margins[k] < -tolerance).sum())
+        margins = 2 * h[k, 1] - h[k, 0] - h[k, 2] + noise_gap
+        violations += int((margins < -tolerance).sum())
         # ties go to the first sample in (r_p, gamma2) order
         order = np.lexsort((g2s, rps))
-        i = int(order[np.argmin(margins[k][order])])
-        if margins[k][i] < worst[0]:
-            worst = (float(margins[k][i]), (k, float(g1s[i]), float(g3s[i]), float(rps[i])))
+        i = int(order[np.argmin(margins[order])])
+        if margins[i] < worst[0]:
+            worst = (float(margins[i]), (k, float(g1s[i]), float(g3s[i]), float(rps[i])))
     return ConcavityReport(
         samples=samples * len(ks),
         tau_max=tau_max,

@@ -3,7 +3,9 @@ property validation, all emitted as comment-headed CSV.
 
 Every run echoes its effective configuration (command, parameters, seed)
 into the output header; identical headers imply byte-identical bodies.
-Exit codes: 0 success, 1 validation failure, 2 usage error.
+Every command, and the `simulate --trace` file, writes through one writer
+that formats each cell with `_fmt`. Exit codes: 0 success, 1 validation
+failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -30,24 +32,34 @@ from .fcfs import simulate, stability_probe, trace_to_csv_rows
 
 
 def _fmt(x) -> str:
+    """One CSV cell: floats to 12 significant digits, None (no value) as nan."""
+    if x is None:
+        return "nan"
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
 
 
-def _emit(args, header_cfg: dict, lines: list[str]):
-    out = [
-        f"# tool=cqclab version={__version__}",
-        f"# command={args.command}",
-        f"# config={json.dumps(header_cfg, sort_keys=True)}",
-        f"# seed={args.seed}",
-    ] + lines
-    text = "\n".join(out) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
+def _write(path: str | None, comments: list[str], header: str, rows) -> None:
+    """Write the comment lines, the CSV header and the rows, every cell
+    formatted by `_fmt`, to `path` (stdout when None)."""
+    lines = [f"# {c}" for c in comments] + [header] + [",".join(map(_fmt, r)) for r in rows]
+    text = "\n".join(lines) + "\n"
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, header_cfg: dict, header: str, rows) -> None:
+    comments = [
+        f"tool=cqclab version={__version__}",
+        f"command={args.command}",
+        f"config={json.dumps(header_cfg, sort_keys=True)}",
+        f"seed={args.seed}",
+    ]
+    _write(args.out, comments, header, rows)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -58,18 +70,20 @@ def _parse_ints(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip() != ""]
 
 
-def cmd_htilde(args) -> int:
+def _gamma_grid(args) -> tuple[np.ndarray, list[int]]:
+    """The gamma grid step, 2 * step, ... below 1 and the window lengths of
+    `htilde` and `capacity3 --itilde`; a step outside (0, 1) or a window
+    below 1 is a usage error."""
     ks = _parse_ints(args.k_set)
-    step = args.gamma_step
-    if step <= 0 or step >= 1 or any(k < 1 for k in ks):
-        print("invalid gamma step or k set", file=sys.stderr)
-        return 2
-    gammas = np.arange(step, 1.0, step)
-    lines = ["gamma,k,h_tilde"]
-    for k in ks:
-        for g, val in zip(gammas, h_tilde_grid(gammas, k)):
-            lines.append(f"{_fmt(float(g))},{k},{_fmt(float(val))}")
-    _emit(args, {"gamma_step": step, "k_set": ks}, lines)
+    if not 0 < args.gamma_step < 1 or any(k < 1 for k in ks):
+        raise ValueError("invalid gamma step or k set")
+    return np.arange(args.gamma_step, 1.0, args.gamma_step), ks
+
+
+def cmd_htilde(args) -> int:
+    gammas, ks = _gamma_grid(args)
+    rows = [(g, k, val) for k in ks for g, val in zip(gammas, h_tilde_grid(gammas, k))]
+    _emit(args, {"gamma_step": args.gamma_step, "k_set": ks}, "gamma,k,h_tilde", rows)
     return 0
 
 
@@ -83,20 +97,15 @@ def cmd_capacity2(args) -> int:
         f"(alpha={res.alpha:.4f}, gamma1={res.gamma1:.4f}, gamma2={res.gamma2:.4f}; "
         f"certified gap {res.gap_bits:.1e} bits)"
     )
-    lines = [
-        "capacity,alpha,gamma1,gamma2,constraint_residual",
-        ",".join(
-            _fmt(v)
-            for v in (
-                res.capacity_bits_per_slot,
-                res.alpha,
-                res.gamma1,
-                res.gamma2,
-                res.constraint_residual,
-            )
-        ),
-    ]
-    _emit(args, {"alpha_fixed": args.alpha_fixed}, lines)
+    row = (
+        res.capacity_bits_per_slot,
+        res.alpha,
+        res.gamma1,
+        res.gamma2,
+        res.constraint_residual,
+    )
+    header = "capacity,alpha,gamma1,gamma2,constraint_residual"
+    _emit(args, {"alpha_fixed": args.alpha_fixed}, header, [row])
     return 0
 
 
@@ -106,32 +115,29 @@ def cmd_capacity3(args) -> int:
         print("background rates must lie in [0, 1)", file=sys.stderr)
         return 2
     if args.itilde:
-        ks = _parse_ints(args.k_set)
-        gammas = np.arange(args.gamma_step, 1.0, args.gamma_step)
-        lines = ["gamma,k,r_p,i_tilde"]
-        for rp in rps:
-            for k in ks:
-                for g, val in zip(gammas, i_tilde_curve(gammas, k, rp)):
-                    lines.append(f"{_fmt(float(g))},{k},{_fmt(rp)},{_fmt(float(val))}")
+        gammas, ks = _gamma_grid(args)
+        rows = [
+            (g, k, rp, val)
+            for rp in rps
+            for k in ks
+            for g, val in zip(gammas, i_tilde_curve(gammas, k, rp))
+        ]
         cfg = {"rp_grid": rps, "k_set": ks, "gamma_step": args.gamma_step, "itilde": True}
-        _emit(args, cfg, lines)
+        _emit(args, cfg, "gamma,k,r_p,i_tilde", rows)
         return 0
-    lines = ["r_p,capacity,alpha,gamma1,gamma2,tau_star"]
-    for rp, res in zip(rps, solve_capacity_grid(rps, tau_max=args.tau_max)):
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    rp,
-                    res.capacity_bits_per_slot,
-                    res.alpha,
-                    res.gamma1,
-                    res.gamma2,
-                    res.tau_star,
-                )
-            )
+    rows = [
+        (
+            rp,
+            res.capacity_bits_per_slot,
+            res.alpha,
+            res.gamma1,
+            res.gamma2,
+            res.tau_star,
         )
-    _emit(args, {"rp_grid": rps, "tau_max": args.tau_max}, lines)
+        for rp, res in zip(rps, solve_capacity_grid(rps, tau_max=args.tau_max))
+    ]
+    header = "r_p,capacity,alpha,gamma1,gamma2,tau_star"
+    _emit(args, {"rp_grid": rps, "tau_max": args.tau_max}, header, rows)
     return 0
 
 
@@ -159,19 +165,14 @@ def cmd_simulate(args) -> int:
         f"bits/slot: {report.errors} errors "
         f"(rate {report.empirical_error_rate:.4f})"
     )
-    lines = [
-        "messages_sent,errors,empirical_error_rate,empirical_rate_bits_per_slot,seed",
-        ",".join(
-            _fmt(v)
-            for v in (
-                report.messages_sent,
-                report.errors,
-                report.empirical_error_rate,
-                report.empirical_rate_bits_per_slot,
-                report.seed,
-            )
-        ),
-    ]
+    row = (
+        report.messages_sent,
+        report.errors,
+        report.empirical_error_rate,
+        report.empirical_rate_bits_per_slot,
+        report.seed,
+    )
+    header = "messages_sent,errors,empirical_error_rate,empirical_rate_bits_per_slot,seed"
     cfg = {
         "users": args.users,
         "n": args.n,
@@ -181,19 +182,18 @@ def cmd_simulate(args) -> int:
         "delta": args.delta,
         "backlog": args.backlog,
     }
-    _emit(args, cfg, lines)
+    _emit(args, cfg, header, [row])
     if args.trace:
         # the first message of the run above, on the same seed
         messages, issues = next(_codebook_chunks(cb, background, args.seed, trials=1))
         schedules = _schedules(issues[0])
         trace = simulate(*schedules, initial_backlog=_backlog(cb.template, args.backlog))
-        rows = trace_to_csv_rows(trace, *schedules)
-        with open(args.trace, "w") as fh:
-            fh.write(f"# tool=cqclab version={__version__}\n")
-            fh.write(f"# command=simulate-trace message={messages[0]} seed={args.seed}\n")
-            fh.write("slot,arrivals_by_user,served_owner,queue_len\n")
-            for slot, arr, srv, q in rows:
-                fh.write(f"{slot},{arr},{srv},{q}\n")
+        comments = [
+            f"tool=cqclab version={__version__}",
+            f"command=simulate-trace message={messages[0]} seed={args.seed}",
+        ]
+        header = "slot,arrivals_by_user,served_owner,queue_len"
+        _write(args.trace, comments, header, trace_to_csv_rows(trace, *schedules))
     return 0
 
 
@@ -208,25 +208,22 @@ def cmd_stability(args) -> int:
         f"second-half mean {report.mean_queue_second_half:.2f}, "
         f"drift above threshold {thr}: {drift}"
     )
-    lines = [
+    row = (
+        report.total_rate,
+        report.horizon,
+        report.final_queue,
+        report.max_queue,
+        report.mean_queue_second_half,
+        report.squared_increment_mean,
+        report.drift_threshold,
+        report.drift_above_threshold,
+        report.slots_above_threshold,
+    )
+    header = (
         "total_rate,horizon,final_queue,max_queue,mean_queue_second_half,"
-        "squared_increment_mean,drift_threshold,drift_above_threshold,slots_above_threshold",
-        ",".join(
-            _fmt(v if v is not None else float("nan"))
-            for v in (
-                report.total_rate,
-                report.horizon,
-                report.final_queue,
-                report.max_queue,
-                report.mean_queue_second_half,
-                report.squared_increment_mean,
-                report.drift_threshold,
-                report.drift_above_threshold,
-                report.slots_above_threshold,
-            )
-        ),
-    ]
-    _emit(args, {"rates": rates, "horizon": args.horizon}, lines)
+        "squared_increment_mean,drift_threshold,drift_above_threshold,slots_above_threshold"
+    )
+    _emit(args, {"rates": rates, "horizon": args.horizon}, header, [row])
     return 0
 
 
@@ -286,15 +283,14 @@ def cmd_validate(args) -> int:
         tolerance=tol_mix,
     )
 
-    lines = [
-        "check,worst_margin,tolerance",
-        f"dual_formula,{_fmt(worst_dual)},{_fmt(tol_dual)}",
-        f"symmetry,{_fmt(worst_sym)},{_fmt(tol_sym)}",
-        f"h_tilde_concavity,{_fmt(worst_conc)},{_fmt(-tol_conc)}",
-        f"mixed_window_concavity,{_fmt(report.worst_margin)},{_fmt(-tol_mix)}",
+    rows = [
+        ("dual_formula", worst_dual, tol_dual),
+        ("symmetry", worst_sym, tol_sym),
+        ("h_tilde_concavity", worst_conc, -tol_conc),
+        ("mixed_window_concavity", report.worst_margin, -tol_mix),
     ]
     cfg = {"tau_max": args.tau_max, "samples": args.samples}
-    _emit(args, cfg, lines)
+    _emit(args, cfg, "check,worst_margin,tolerance", rows)
     ok = (
         worst_dual <= tol_dual
         and worst_sym <= tol_sym

@@ -606,7 +606,8 @@ def ensemble_error_rate(
     probability that ML decoding over a codebook of M - 1 further i.i.d.
     codewords fails, via the lattice distribution of a competitor's score.
     Monte Carlo averages over the true codeword and the channel only, so M
-    may be astronomically large.
+    may be astronomically large; it must be finite and at least 1
+    (ValueError otherwise).
 
     Competitors are i.i.d. with replacement, so a copy of the true codeword
     is a tie, while the builders draw distinct codewords: at n = 30, M = 16
@@ -615,6 +616,8 @@ def ensemble_error_rate(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 1 <= M < math.inf:
+        raise ValueError(f"M must be finite and >= 1, got {M!r}")
     template, p1, p2 = _scheme_3user(n, r_p, tau_max, delta, capacity)
     laws = {p.k: p.probs for p in (p1, p2)}
     lattice = _lattice_tables(template.widths.tolist(), r_p)
@@ -631,7 +634,7 @@ def ensemble_error_rate(
             q_lt = max(1.0 - q_gt - q_eq, 0.0)
             err_prob_sum += 1.0 - _prob_correct(q_lt, q_eq, float(M))
 
-    rate = float(math.log2(M)) / n if M >= 1 else 0.0
+    rate = math.log2(M) / n
     return TransmissionReport(
         messages_sent=trials,
         errors=round(err_prob_sum),

@@ -6,7 +6,7 @@ constraint), the log-moment generating function of the uniform distribution
 and its Legendre-Fenchel rate function, and the per-slot entropy ceiling
 h_tilde built from them.
 
-One batched tilt solver, `_tilt_logw_to_mean`, finds every tilt: solve_tilt,
+One batched tilt solver, `_tilt_to_mean`, finds every tilt: solve_tilt,
 rate_function and h_tilde are its one-row cases, solve_tilt_grid and
 h_tilde_grid its batched cases. Batched rows are independent: each row
 freezes at its own stopping test and shares no arithmetic with the others,
@@ -155,10 +155,10 @@ def tilted_pmf(k: int, lam: float) -> Pmf:
     return Pmf(w / w.sum())
 
 
-def _tilt_logw_to_mean(logw: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exponentially tilt each row of log-weights so its normalized pmf has
-    mean m[row]; return the tilts s and the pmfs, proportional to
-    exp(logw + s * i) on {0..k}.
+def _tilt_to_mean(k: int, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exponentially tilt the uniform law on {0..k} once per target, so that
+    row r has mean m[r]; return the tilts s and the pmfs, proportional to
+    exp(s * i) on {0..k}.
 
     Each row takes Newton steps from s = 0 on the log of its mean's distance
     to the endpoint nearer its target (the mean itself up to k/2, k minus
@@ -173,7 +173,6 @@ def _tilt_logw_to_mean(logw: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.
     and a row that ends more than a relative 1e-10 off its target raises
     TiltConvergenceError.
     """
-    k = logw.shape[1] - 1
     m = np.asarray(m, dtype=float)
     if not ((m > 0.0) & (m < k)).all():
         raise TiltEndpointError(f"target means must lie strictly inside (0, {k})")
@@ -184,7 +183,7 @@ def _tilt_logw_to_mean(logw: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.
     sign = np.where(low, 1.0, -1.0)
 
     def tilted(s, rows):  # pmfs, distances and log-residuals (increasing in s) at tilts s
-        z = logw[rows] + s[:, None] * i
+        z = s[:, None] * i
         z -= z.max(axis=1, keepdims=True)
         p = np.exp(z, out=z)
         p /= p.sum(axis=1, keepdims=True)
@@ -227,7 +226,7 @@ def _rate_grid(k: int, x: np.ndarray) -> np.ndarray:
     """Rate function (nats) of the uniform law on {0..k} at interior means x:
     lam * x - psi(lam) at the tilt lam matching each mean, with psi the
     uniform log-MGF."""
-    lam, _ = _tilt_logw_to_mean(np.zeros((x.size, k + 1)), x)
+    lam, _ = _tilt_to_mean(k, x)
     z = np.multiply.outer(lam, np.arange(k + 1.0))
     zmax = z.max(axis=1)
     psi = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1)) - math.log(k + 1)
@@ -245,7 +244,7 @@ def solve_tilt_grid(k: int, target_means) -> tuple[np.ndarray, np.ndarray]:
     if k < 1:
         raise ValueError("k must be >= 1")
     m = np.asarray(target_means, dtype=float).reshape(-1)
-    lam, p = _tilt_logw_to_mean(np.zeros((m.size, k + 1)), m)
+    lam, p = _tilt_to_mean(k, m)
     residual = np.abs(p @ np.arange(k + 1.0) - m)
     off = np.flatnonzero(~(residual <= _MEAN_TOL))
     if off.size:

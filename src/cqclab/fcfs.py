@@ -321,9 +321,12 @@ def empirical_channel_law(
 
     Probes are sent every tau slots (plus one closing probe); the encoder
     issues i.i.d. Bernoulli(encoder_rate) packets known to the harness, the
-    background i.i.d. Bernoulli(r_p). The initial backlog equals the horizon,
-    which pins every buffered flag, so Y - X isolates the background count
-    per interval; its histogram estimates Bin(tau, r_p).
+    background i.i.d. Bernoulli(r_p). The initial backlog is
+    tau + max(0, max_t (t - A_t)), A_t the packets of all users issued
+    before slot t: the server then never idles, and at least tau packets
+    wait ahead of every probe, which pins every buffered flag. So Y - X
+    isolates the background count per interval; its histogram estimates
+    Bin(tau, r_p).
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
@@ -336,7 +339,9 @@ def empirical_channel_law(
     decoder = ArrivalSchedule(DECODER, probe)
     encoder = ArrivalSchedule.bernoulli(ENCODER, encoder_rate, n, rng)
     background = ArrivalSchedule.bernoulli(BACKGROUND, r_p, n, rng)
-    trace = simulate(decoder, encoder, background, initial_backlog=n)
+    issued = np.cumsum(probe + encoder.slots + background.slots, dtype=np.int64)
+    backlog = tau + max(0, int((np.arange(1, n + 1) - issued).max()))
+    trace = simulate(decoder, encoder, background, initial_backlog=backlog)
     obs = observe(trace)
     if not obs.buffered.all():
         raise UnbufferedIntervalError("an interval ran unbuffered; counts unreliable")

@@ -20,7 +20,7 @@ from cqclab.capacity3 import (
     solve_capacity_3user,
     validate_i_concavity,
 )
-from cqclab.dist import Pmf, _tilt_logw_to_mean, binomial_pmf, entropy, h_tilde
+from cqclab.dist import Pmf, _tilt_to_mean, binomial_pmf, entropy, h_tilde
 
 
 class TestChannelMatrix:
@@ -268,18 +268,17 @@ class TestBatchedSolver:
 
     def test_tilt_matches_scalar_root(self):
         rng = np.random.default_rng(12)
-        logw = np.log(rng.dirichlet(np.ones(5), size=30))
         m = rng.uniform(0.01, 3.99, size=30)
-        _, got = _tilt_logw_to_mean(logw, m)
+        _, got = _tilt_to_mean(4, m)
         idx = np.arange(5.0)
 
-        def pm(row, s):
-            w = np.exp(logw[row] + s * idx - (logw[row] + s * idx).max())
+        def pm(s):
+            w = np.exp(s * idx - (s * idx).max())
             return w / w.sum()
 
         for row in range(30):
-            s = brentq(lambda s: pm(row, s) @ idx - m[row], -200.0, 200.0, xtol=1e-14)
-            assert np.allclose(got[row], pm(row, s), atol=1e-12)
+            s = brentq(lambda s: pm(s) @ idx - m[row], -200.0, 200.0, xtol=1e-14)
+            assert np.allclose(got[row], pm(s), atol=1e-12)
             assert got[row] @ idx == pytest.approx(m[row], abs=1e-12)
 
     def test_batch_rows_match_single_solves(self):
@@ -301,7 +300,7 @@ class TestBatchedSolver:
         bits, p, gaps = sv.solve(gs)
         assert (gaps <= GAP_TOL).all()
         m = 5 * gs
-        _, tilted = _tilt_logw_to_mean(np.zeros((gs.size, 6)), m)
+        _, tilted = _tilt_to_mean(5, m)
         q = sv._barrier_path(tilted, m)
         assert np.allclose(sv.values_nats(q) / capacity3.LN2, bits, atol=1e-12)
         assert np.allclose(q, p, atol=1e-9)
@@ -347,7 +346,7 @@ class TestBatchedSolver:
         assert (gaps <= GAP_TOL).all()
         for rp in np.unique(rps):
             sel = rps == rp
-            sv = capacity3._solver(k, rp)
+            sv = capacity3._SliceEntropySolver(k, rp)
             ref, _, _ = sv.solve(gs[sel])
             assert np.abs(bits[sel] - ref).max() <= 1e-12, rp
             assert (noise[sel] == sv.noise_entropy_bits[0]).all()
@@ -384,7 +383,7 @@ class TestBatchedSolver:
         assert (gaps <= GAP_TOL).all()
         for k, rp in chans:
             sel = (ks == k) & (rps == rp)
-            sv = capacity3._solver(k, rp)
+            sv = capacity3._SliceEntropySolver(k, rp)
             ref, _, _ = sv.solve(gs[sel])
             assert np.abs(bits[sel] - ref).max() <= 1e-12, (k, rp)
             assert (noise[sel] == sv.noise_entropy_bits[0]).all()
@@ -509,12 +508,10 @@ class TestCapacity3:
 
         monkeypatch.setattr(capacity3, "channel_matrix", counting)
         capacity3._channel.cache_clear()
-        capacity3._solver.cache_clear()
         try:
             res = solve_capacity_3user(0.3, tau_max=8)
-        finally:  # drop the channels and solvers built under the counter
+        finally:  # drop the channels built under the counter
             capacity3._channel.cache_clear()
-            capacity3._solver.cache_clear()
         assert res.tau_star == 2
         assert built == {(1, 0.3): 1, (2, 0.3): 1, (3, 0.3): 1, (4, 0.3): 1}
 

@@ -54,6 +54,16 @@ class TestHtilde:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", [["htilde"], ["capacity3", "--itilde"]])
+@pytest.mark.parametrize("grid", [["--gamma-step", s] for s in ("0", "-0.1", "1.5", "nan")]
+                         + [["--k-set", "0,1"]])
+def test_bad_gamma_grid_is_a_usage_error(tmp_path, capsys, command, grid):
+    code, body = _run(tmp_path, *command, *grid)
+    assert code == 2
+    assert body == ""
+    assert capsys.readouterr().err == "error: invalid gamma step or k set\n"
+
+
 class TestCapacity2:
     def test_reports_known_capacity(self, tmp_path, capsys):
         code, body = _run(tmp_path, "capacity2")
@@ -268,6 +278,12 @@ class TestValidate:
             "--samples", "10",
         )
         assert code == 1
+
+    def test_negative_samples_is_a_usage_error(self, tmp_path, capsys):
+        code, body = _run(tmp_path, "validate", "--tau-max", "3", "--samples", "-1")
+        assert code == 2
+        assert body == ""
+        assert capsys.readouterr().err == "error: samples must be >= 0\n"
 
     def test_small_sweep_fits_budget(self, tmp_path):
         import time

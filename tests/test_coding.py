@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -578,6 +579,11 @@ class TestEnsembleEstimator:
     def test_single_message_never_errs(self, cap3_rp01):
         rep = ensemble_error_rate(60, 1, 0.1, trials=50, seed=0, capacity=cap3_rp01)
         assert rep.empirical_error_rate == 0.0
+
+    @pytest.mark.parametrize("M", [0, 0.5, -3, math.nan, math.inf, -math.inf])
+    def test_rejects_codebook_sizes_below_one_or_not_finite(self, M, cap3_rp01):
+        with pytest.raises(ValueError, match="M must be finite and >= 1"):
+            ensemble_error_rate(60, M, 0.1, trials=5, seed=0, capacity=cap3_rp01)
 
     def test_huge_codebook_is_tractable(self, cap3_rp01):
         rep = ensemble_error_rate(60, 2**60, 0.1, trials=20, seed=1, capacity=cap3_rp01)

@@ -291,6 +291,28 @@ class TestEmpiricalChannelLaw:
         law = empirical_channel_law(1, 0.5, 2 * 10**4, seed=12)
         assert law.mean() == pytest.approx(0.5, abs=0.02)
 
+    @pytest.mark.parametrize(
+        "tau, r_p, encoder_rate",
+        [(1, 0.5, 0.5), (1, 0.0, 0.0), (2, 0.3, 0.5), (3, 1.0, 0.1), (8, 0.5, 1.0), (4, 0.0, 0.0)],
+    )
+    def test_equals_the_law_behind_a_horizon_of_backlog(self, tau, r_p, encoder_rate):
+        # the same draws queued behind n sentinel packets, spelled out; at
+        # r_p = 0 and encoder_rate = 0 the queue drains between probes
+        intervals, seed = 400, 5
+        n = tau * intervals + 1
+        rng = np.random.default_rng(seed)
+        probe = np.zeros(n, dtype=np.int8)
+        probe[::tau] = 1
+        encoder = ArrivalSchedule.bernoulli(ENCODER, encoder_rate, n, rng)
+        background = ArrivalSchedule.bernoulli(BACKGROUND, r_p, n, rng)
+        trace = simulate(_sched(DECODER, probe), encoder, background, initial_backlog=n)
+        obs = observe(trace)
+        assert obs.buffered.all()
+        x = encoder.slots[:-1].reshape(intervals, tau).sum(axis=1)
+        counts = np.bincount(obs.y - x, minlength=tau + 1).astype(float)
+        law = empirical_channel_law(tau, r_p, intervals, seed, encoder_rate=encoder_rate)
+        assert (law.probs == counts / counts.sum()).all()
+
 
 class TestTraceCsv:
     def test_rows_cover_drain_and_mark_idle(self):

@@ -1,0 +1,28 @@
+"""Byte-level golden outputs of every CLI command.
+
+`golden_cli.json` holds, per case, the argv (TRACE stands for the trace
+path), the exit code, stdout, the CSV file and the trace file of a small
+run, recorded from the package before its CSV writers were merged into one.
+Any moved byte fails the case.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from cqclab.cli import main
+
+GOLDEN = json.loads((Path(__file__).with_name("golden_cli.json")).read_text())
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_outputs_are_byte_identical(case, tmp_path, capsys):
+    want = GOLDEN[case]
+    out, trace = tmp_path / "out.csv", tmp_path / "trace.csv"
+    argv = [str(trace) if a == "TRACE" else a for a in want["argv"]]
+    code = main(["--out", str(out), *argv])
+    assert code == want["exit"]
+    assert capsys.readouterr().out == want["stdout"]
+    assert out.read_text() == want["csv"]
+    assert (trace.read_text() if trace.exists() else None) == want["trace"]
