@@ -112,8 +112,7 @@ def cmd_capacity2(args) -> int:
 def cmd_capacity3(args) -> int:
     rps = _parse_floats(args.rp_grid)
     if any(not 0 <= r < 1 for r in rps):
-        print("background rates must lie in [0, 1)", file=sys.stderr)
-        return 2
+        raise ValueError("background rates must lie in [0, 1)")
     if args.itilde:
         gammas, ks = _gamma_grid(args)
         rows = [
@@ -268,6 +267,8 @@ def _h_tilde_checks(rng, samples: int) -> tuple[float, float, float]:
 
 
 def cmd_validate(args) -> int:
+    if args.samples < 0:
+        raise ValueError("samples must be >= 0")
     rng = np.random.default_rng(args.seed)
     tol_dual = args.tolerance if args.tolerance is not None else 1e-9
     tol_sym = args.tolerance if args.tolerance is not None else 1e-10

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -529,31 +530,68 @@ def _lattice_tables(widths: list[int], r_p: float):
     return {w: table(w) for w in set(widths)}, [math.log(p) for p in primes], beta
 
 
-def _competitor_probs(lattice, laws: dict[int, np.ndarray], widths, ys, xs) -> tuple[float, float]:
-    """(q_gt, q_eq): the probabilities that one competitor drawn from `laws`
-    scores strictly above, or exactly at, the true window counts `xs` given
-    the observed `ys`, by exact convolution on one flat mixed-radix tensor."""
+def _move_classes(tables, laws: dict[int, np.ndarray]) -> dict:
+    """The competitor moves of a window, which depend only on its width w
+    and observed count y: per (w, y), the lattice rows of the competitor
+    symbols x that can show y, in x order, their probabilities under
+    `laws`, and the rows' min and max. Counts no symbol of positive
+    probability can show have no entry."""
+    classes = {}
+    for w, table in tables.items():
+        for y in range(2 * w + 1):
+            x = np.arange(max(y - w, 0), min(y, w) + 1)
+            x = x[laws[w][x] > 0]
+            if x.size:
+                rows = table[y - x]
+                classes[w, y] = (rows, laws[w][x].tolist(), rows.min(axis=0), rows.max(axis=0))
+    return classes
+
+
+def _competitor_probs(lattice, classes: dict, widths, ys, xs) -> tuple[float, float]:
+    """(q_gt, q_eq): the probabilities that one competitor drawn from the
+    `_move_classes` laws scores strictly above, or exactly at, the true
+    window counts `xs` given the observed `ys`, by exact convolution on one
+    flat mixed-radix tensor.
+
+    The windows are convolved in order, each by one shifted add per move in
+    x order, so every cell sums the same products in the same order as a
+    window-by-window convolution over the whole tensor. The moves' offsets
+    are nonnegative, so the mass stays in a prefix that grows by the
+    window's largest offset; only that prefix is added, between two
+    reused buffers. A window's first move lands on cells that are still
+    0.0, and 0.0 + p * t is p * t exactly for these nonnegative products,
+    so it is written rather than added."""
     tables, logs, beta = lattice
     d = ys - xs
     if ((d < 0) | (d > widths)).any():
         raise ValueError("true codeword scored an impossible window")
-    moves = []  # per window: lattice rows of the competitor symbols, in x order, and their laws
-    for w, y in zip(widths.tolist(), ys.tolist()):
-        x = np.arange(max(y - w, 0), min(y, w) + 1)
-        x = x[laws[w][x] > 0]
-        moves.append((tables[w][y - x], laws[w][x]))
-    lows = [rows.min(axis=0) for rows, _ in moves]
-    origin = np.sum(lows, axis=0)
-    shape = np.sum([rows.max(axis=0) for rows, _ in moves], axis=0) - origin + 1
+    keys = list(zip(widths.tolist(), ys.tolist()))
+    counts = Counter(keys)
+    origin = sum(n * classes[key][2] for key, n in counts.items())
+    shape = sum(n * classes[key][3] for key, n in counts.items()) - origin + 1
     strides = np.array([math.prod(shape[i + 1 :]) for i in range(shape.size)], dtype=int)
-    tensor = np.zeros(math.prod(shape))
+    moves = {}  # per class: the first move, the later moves and the largest offset
+    for key in counts:
+        rows, probs, low, _ = classes[key]
+        offs = ((rows - low) @ strides).tolist()
+        moves[key] = (offs[0], probs[0], list(zip(offs[1:], probs[1:])), max(offs))
+    size = math.prod(shape)
+    tensor, new, scratch = np.zeros(size), np.zeros(size), np.empty(size)
     tensor[0] = 1.0
-    for (rows, probs), low in zip(moves, lows):
-        new = np.zeros_like(tensor)
-        for off, p in zip(((rows - low) @ strides).tolist(), probs):
-            new[off:] += p * tensor[: tensor.size - off]
-        tensor = new
-    true = np.sum([tables[w][k] for w, k in zip(widths.tolist(), d.tolist())], axis=0)
+    hi = 1  # every cell from hi on is 0.0
+    for key in keys:
+        first, p_first, rest, top = moves[key]
+        src, prod = tensor[:hi], scratch[:hi]
+        if first:
+            new[:first] = 0.0
+        if top > first:
+            new[first + hi : hi + top] = 0.0
+        np.multiply(p_first, src, out=new[first : first + hi])
+        for off, p in rest:
+            np.multiply(p, src, out=prod)
+            new[off : off + hi] += prod
+        tensor, new, hi = new, tensor, hi + top
+    true = sum(tables[w][d[widths == w]].sum(axis=0) for w in set(widths.tolist()))
     # the summation orders below are fixed: recorded ensemble outputs depend on them bitwise
     t_val = float(true[-1]) * beta if beta is not None else 0.0
     for c, log_p in zip(true.tolist(), logs):  # d * beta first, then the primes
@@ -606,8 +644,8 @@ def ensemble_error_rate(
     probability that ML decoding over a codebook of M - 1 further i.i.d.
     codewords fails, via the lattice distribution of a competitor's score.
     Monte Carlo averages over the true codeword and the channel only, so M
-    may be astronomically large; it must be finite and at least 1
-    (ValueError otherwise).
+    may be astronomically large; it must be at least 1 and a finite float
+    (ValueError otherwise, also for an int beyond the float range).
 
     Competitors are i.i.d. with replacement, so a copy of the true codeword
     is a tie, while the builders draw distinct codewords: at n = 30, M = 16
@@ -616,11 +654,15 @@ def ensemble_error_rate(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not 1 <= M < math.inf:
+    try:
+        m_float = float(M)
+    except OverflowError:  # an int beyond the float range
+        m_float = math.inf
+    if not 1 <= m_float < math.inf:
         raise ValueError(f"M must be finite and >= 1, got {M!r}")
     template, p1, p2 = _scheme_3user(n, r_p, tau_max, delta, capacity)
-    laws = {p.k: p.probs for p in (p1, p2)}
     lattice = _lattice_tables(template.widths.tolist(), r_p)
+    classes = _move_classes(lattice[0], {p.k: p.probs for p in (p1, p2)})
 
     def draw(rng):
         xs = _draw_counts(rng, template, (p1, p2))
@@ -630,9 +672,9 @@ def ensemble_error_rate(
     chunks = _message_chunks(template, draw, r_p, seed, trials)
     for true_counts, y in _observed(chunks, template, None):
         for xs, ys in zip(true_counts, y):
-            q_gt, q_eq = _competitor_probs(lattice, laws, template.widths, ys, xs)
+            q_gt, q_eq = _competitor_probs(lattice, classes, template.widths, ys, xs)
             q_lt = max(1.0 - q_gt - q_eq, 0.0)
-            err_prob_sum += 1.0 - _prob_correct(q_lt, q_eq, float(M))
+            err_prob_sum += 1.0 - _prob_correct(q_lt, q_eq, m_float)
 
     rate = math.log2(M) / n
     return TransmissionReport(

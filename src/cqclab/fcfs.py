@@ -326,28 +326,28 @@ def empirical_channel_law(
     before slot t: the server then never idles, and at least tau packets
     wait ahead of every probe, which pins every buffered flag. So Y - X
     isolates the background count per interval; its histogram estimates
-    Bin(tau, r_p).
+    Bin(tau, r_p). The probe intervals come straight off the segmented
+    kernel as one trace, with no per-packet trace records.
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
     if intervals < 1:
         raise ValueError("intervals must be >= 1")
+    if not (0.0 <= encoder_rate <= 1.0 and 0.0 <= r_p <= 1.0):
+        raise ValueError("rate must lie in [0, 1]")
     n = tau * intervals + 1
     rng = np.random.default_rng(seed)
-    probe = np.zeros(n, dtype=np.int8)
-    probe[:: tau] = 1
-    decoder = ArrivalSchedule(DECODER, probe)
-    encoder = ArrivalSchedule.bernoulli(ENCODER, encoder_rate, n, rng)
-    background = ArrivalSchedule.bernoulli(BACKGROUND, r_p, n, rng)
-    issued = np.cumsum(probe + encoder.slots + background.slots, dtype=np.int64)
+    issues = np.zeros((1, n, 3), dtype=np.int8)  # decoder, encoder, background
+    issues[0, ::tau, 0] = 1
+    issues[0, :, 1] = rng.random(n) < encoder_rate
+    issues[0, :, 2] = rng.random(n) < r_p
+    issued = np.cumsum(issues[0].sum(axis=1, dtype=np.int64))
     backlog = tau + max(0, int((np.arange(1, n + 1) - issued).max()))
-    trace = simulate(decoder, encoder, background, initial_backlog=backlog)
-    obs = observe(trace)
-    if not obs.buffered.all():
+    _, y, buffered = _observe_batch(issues, backlog)
+    if not buffered.all():
         raise UnbufferedIntervalError("an interval ran unbuffered; counts unreliable")
-    enc = np.asarray(encoder.slots)
-    x = enc[: tau * intervals].reshape(intervals, tau).sum(axis=1)
-    diff = obs.y - x
+    x = issues[0, : tau * intervals, 1].reshape(intervals, tau).sum(axis=1, dtype=np.int64)
+    diff = y[0] - x
     if diff.min() < 0 or diff.max() > tau:
         raise AssertionError("buffered intervals must give Y - X within [0, tau]")
     counts = np.bincount(diff, minlength=tau + 1).astype(float)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cqclab
-from cqclab import capacity3
+from cqclab import capacity3, cli
 from cqclab.cli import main
 from cqclab.coding import build_codebook_3user, probe_stream
 from cqclab.fcfs import (
@@ -125,6 +125,18 @@ class TestCapacity3:
     def test_bad_rate_exits_2(self, tmp_path):
         code, _ = _run(tmp_path, "capacity3", "--rp-grid", "1.5")
         assert code == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--itilde"]])
+    def test_rate_of_one_is_a_usage_error(self, tmp_path, capsys, monkeypatch, extra):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the rates were checked")
+
+        monkeypatch.setattr(cli, "solve_capacity_grid", no_solve)
+        monkeypatch.setattr(cli, "i_tilde_curve", no_solve)
+        code, body = _run(tmp_path, "capacity3", "--rp-grid", "0,1", *extra)
+        assert code == 2
+        assert body == ""
+        assert capsys.readouterr().err == "error: background rates must lie in [0, 1)\n"
 
     def test_one_free_mean_path_per_zoom_round(self, tmp_path, monkeypatch):
         # the rates advance in lockstep, and each zoom round evaluates both
@@ -280,6 +292,16 @@ class TestValidate:
         assert code == 1
 
     def test_negative_samples_is_a_usage_error(self, tmp_path, capsys):
+        code, body = _run(tmp_path, "validate", "--tau-max", "3", "--samples", "-1")
+        assert code == 2
+        assert body == ""
+        assert capsys.readouterr().err == "error: samples must be >= 0\n"
+
+    def test_negative_samples_are_rejected_before_any_check(self, tmp_path, capsys, monkeypatch):
+        def no_checks(*args, **kwargs):
+            raise AssertionError("h_tilde checks ran before the usage check")
+
+        monkeypatch.setattr(cli, "_h_tilde_checks", no_checks)
         code, body = _run(tmp_path, "validate", "--tau-max", "3", "--samples", "-1")
         assert code == 2
         assert body == ""

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cqclab
 from cqclab import coding
@@ -31,6 +34,7 @@ from cqclab.coding import (
     _decode_rows_2user,
     _decode_rows_3user,
 )
+from cqclab.capacity3 import i_tilde, solve_capacity_3user
 from cqclab.dist import Pmf
 from cqclab.fcfs import (
     BACKGROUND,
@@ -469,7 +473,7 @@ class TestEnsembleInternals:
         import math as m
         from fractions import Fraction
 
-        from cqclab.coding import _competitor_probs, _lattice_tables
+        from cqclab.coding import _competitor_probs, _lattice_tables, _move_classes
 
         laws = {
             1: np.array([0.6, 0.4]),
@@ -479,6 +483,7 @@ class TestEnsembleInternals:
         }
         odds = Fraction(rp) / (1 - Fraction(rp))
         lattice = _lattice_tables(widths, rp)
+        classes = _move_classes(lattice[0], laws)
         w_arr = np.array(widths)
         rng = np.random.default_rng(8)
         cross_d_ties = 0
@@ -504,19 +509,19 @@ class TestEnsembleInternals:
                 elif value == true:
                     eq += prob
                     cross_d_ties += sum(cand) != xs.sum()
-            q_gt, q_eq = _competitor_probs(lattice, laws, w_arr, ys, xs)
+            q_gt, q_eq = _competitor_probs(lattice, classes, w_arr, ys, xs)
             assert q_gt == pytest.approx(gt, abs=1e-12)
             assert q_eq == pytest.approx(eq, abs=1e-12)
         if rp == 0.5 or (rp == 0.25 and 3 in widths):
             assert cross_d_ties > 0  # equal scores with unequal background counts occurred
 
     def test_competitor_probs_reject_impossible_true_window(self):
-        from cqclab.coding import _competitor_probs, _lattice_tables
+        from cqclab.coding import _competitor_probs, _lattice_tables, _move_classes
 
-        laws = {2: np.array([0.5, 0.3, 0.2])}
         lattice = _lattice_tables([2, 2], 0.3)
+        classes = _move_classes(lattice[0], {2: np.array([0.5, 0.3, 0.2])})
         with pytest.raises(ValueError):
-            _competitor_probs(lattice, laws, np.array([2, 2]), np.array([1, 0]), np.array([2, 0]))
+            _competitor_probs(lattice, classes, np.array([2, 2]), np.array([1, 0]), np.array([2, 0]))
 
     @pytest.mark.parametrize("rp, folded", [(0.5, True), (0.25, True), (0.3, False), (0.1, False)])
     def test_commensurable_odds_fold_the_count_axis(self, rp, folded):
@@ -525,6 +530,101 @@ class TestEnsembleInternals:
         tables, logs, beta = _lattice_tables([2, 3], rp)
         assert (beta is None) == folded
         assert tables[3].shape == (4, len(logs) + (0 if folded else 1))
+
+
+def _reference_competitor_probs(lattice, laws, widths, ys, xs):
+    """The window-by-window convolution over the whole tensor that
+    `_competitor_probs` replaced, kept verbatim as its bitwise reference."""
+    tables, logs, beta = lattice
+    d = ys - xs
+    if ((d < 0) | (d > widths)).any():
+        raise ValueError("true codeword scored an impossible window")
+    moves = []  # per window: lattice rows of the competitor symbols, in x order, and their laws
+    for w, y in zip(widths.tolist(), ys.tolist()):
+        x = np.arange(max(y - w, 0), min(y, w) + 1)
+        x = x[laws[w][x] > 0]
+        moves.append((tables[w][y - x], laws[w][x]))
+    lows = [rows.min(axis=0) for rows, _ in moves]
+    origin = np.sum(lows, axis=0)
+    shape = np.sum([rows.max(axis=0) for rows, _ in moves], axis=0) - origin + 1
+    strides = np.array([math.prod(shape[i + 1 :]) for i in range(shape.size)], dtype=int)
+    tensor = np.zeros(math.prod(shape))
+    tensor[0] = 1.0
+    for (rows, probs), low in zip(moves, lows):
+        new = np.zeros_like(tensor)
+        for off, p in zip(((rows - low) @ strides).tolist(), probs):
+            new[off:] += p * tensor[: tensor.size - off]
+        tensor = new
+    true = np.sum([tables[w][k] for w, k in zip(widths.tolist(), d.tolist())], axis=0)
+    # the summation orders below are fixed: recorded ensemble outputs depend on them bitwise
+    t_val = float(true[-1]) * beta if beta is not None else 0.0
+    for c, log_p in zip(true.tolist(), logs):  # d * beta first, then the primes
+        t_val += c * log_p
+    weights = logs + ([beta] if beta is not None else [])  # cells: the primes in order, then d
+    axes = np.ix_(*[(np.arange(s) + o) * c for o, s, c in zip(origin, shape, weights)])
+    t_idx = int((true - origin) @ strides)
+    beats = functools.reduce(np.add, axes, np.zeros(())).ravel() > t_val
+    beats[t_idx] = False
+    return float(tensor[beats].sum()), float(tensor[t_idx])
+
+
+_capacity = functools.lru_cache(maxsize=None)(solve_capacity_3user)
+
+
+@functools.lru_cache(maxsize=None)
+def _scheme_moves(tau, rp):
+    """The lattice, the symbol laws of the three-user scheme at r_p (the
+    maximizing inputs at its gamma1 and gamma2) for windows of tau and
+    tau + 1 slots, and one class dict shared by every caller."""
+    cap = _capacity(rp)
+    laws = {
+        tau: i_tilde(cap.gamma1, tau, rp).maximizing_input.probs,
+        tau + 1: i_tilde(cap.gamma2, tau + 1, rp).maximizing_input.probs,
+    }
+    lattice = coding._lattice_tables([tau, tau + 1], rp)
+    return lattice, laws, coding._move_classes(lattice[0], laws)
+
+
+def _feasible_symbols(laws, w, y):
+    """The symbols of positive probability that can show count y in a width-w window."""
+    return [x for x in range(max(y - w, 0), min(y, w) + 1) if laws[w][x] > 0]
+
+
+class TestClassConvolution:
+    # 0.25 and 0.5 fold the count axis into the primes
+    RATES = (0.1, 0.3, 0.25, 0.5)
+
+    @given(tau=st.integers(1, 4), rp=st.sampled_from(RATES), data=st.data())
+    @settings(max_examples=150)
+    def test_equals_the_window_by_window_convolution(self, tau, rp, data):
+        lattice, laws, classes = _scheme_moves(tau, rp)
+        keys = data.draw(st.lists(st.sampled_from(sorted(classes)), min_size=1, max_size=10))
+        xs = [data.draw(st.sampled_from(_feasible_symbols(laws, w, y))) for w, y in keys]
+        widths, ys = (np.array(col) for col in zip(*keys))
+        xs = np.array(xs)
+        expected = _reference_competitor_probs(lattice, laws, widths, ys, xs)
+        assert coding._competitor_probs(lattice, classes, widths, ys, xs) == expected
+
+    @pytest.mark.parametrize("rp", RATES)
+    def test_one_class_dict_serves_trials_of_every_shape(self, rp):
+        lattice, laws, classes = _scheme_moves(2, rp)
+        assert {(3, 0), (3, 6)} <= classes.keys()
+        rng = np.random.default_rng(11)
+        layouts = [[2], [3], [3, 2], [2] * 3 + [3] * 9, [3, 2] * 8, [2] * 20]
+        trials = []
+        for layout in layouts:
+            widths = np.array(layout)
+            for _ in range(3):
+                xs = np.array([rng.choice(w + 1, p=laws[w]) for w in layout])
+                trials.append((widths, xs + rng.binomial(widths, rp), xs))
+            # windows alternating between y = 0 and y = 2w where the laws allow: one move each
+            ends = [[y for y in (0, 2 * w) if (w, y) in classes] for w in layout]
+            ys = [e[i % len(e)] for i, e in enumerate(ends)]
+            xs = [_feasible_symbols(laws, w, y)[0] for w, y in zip(layout, ys)]
+            trials.append((widths, np.array(ys), np.array(xs)))
+        for widths, ys, xs in trials + trials[::-1]:  # the dict is reused in both orders
+            expected = _reference_competitor_probs(lattice, laws, widths, ys, xs)
+            assert coding._competitor_probs(lattice, classes, widths, ys, xs) == expected
 
 
 class TestCodebookText:
@@ -580,7 +680,9 @@ class TestEnsembleEstimator:
         rep = ensemble_error_rate(60, 1, 0.1, trials=50, seed=0, capacity=cap3_rp01)
         assert rep.empirical_error_rate == 0.0
 
-    @pytest.mark.parametrize("M", [0, 0.5, -3, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "M", [0, 0.5, -3, math.nan, math.inf, -math.inf, pytest.param(2**1100, id="2**1100")]
+    )
     def test_rejects_codebook_sizes_below_one_or_not_finite(self, M, cap3_rp01):
         with pytest.raises(ValueError, match="M must be finite and >= 1"):
             ensemble_error_rate(60, M, 0.1, trials=5, seed=0, capacity=cap3_rp01)
