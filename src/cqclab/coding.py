@@ -370,6 +370,9 @@ def decode_3user(observations: ProbeObservations, codebook: Codebook, r_p: float
     return int(_decode_rows_3user(observations.y[None], codebook, r_p)[0])
 
 
+_MAX_RATE = 1.0 + 1e-12  # bits per slot, with slack for the rounding of log2
+
+
 @dataclass(frozen=True)
 class TransmissionReport:
     messages_sent: int
@@ -379,7 +382,7 @@ class TransmissionReport:
     seed: int
 
     def __post_init__(self):
-        if self.empirical_rate_bits_per_slot > 1.0 + 1e-12:
+        if self.empirical_rate_bits_per_slot > _MAX_RATE:
             raise ValueError("empirical rate cannot exceed 1 bit per slot")
 
 
@@ -460,14 +463,15 @@ def run_transmission(
 
     Each trial draws a uniform message and then its optional Bernoulli
     background traffic, one message after another on one random stream.
-    Chunks of messages then run together through one pass of the segmented
-    FCFS kernel, with the codebook's probe stream plus the closing boundary
-    probe, and are decoded as one block from the probe observations: exact
-    matching without background, maximum likelihood with it. Every result
-    equals that of sending the messages one at a time through `simulate`,
-    `observe` and `decode_2user` / `decode_3user`. The default backlog
-    n + tau_star + 1 keeps every interval buffered regardless of the
-    codeword; an unbuffered interval raises instead of degrading silently.
+    Chunks of messages then run together through one pass of the per-slot
+    FCFS queue kernel, with the codebook's probe stream plus the closing
+    boundary probe, and are decoded as one block from the probe
+    observations: exact matching without background, maximum likelihood
+    with it. Every result equals that of sending the messages one at a time
+    through `simulate`, `observe` and `decode_2user` / `decode_3user`. The
+    default backlog n + tau_star + 1 keeps every interval buffered
+    regardless of the codeword; an unbuffered interval raises instead of
+    degrading silently.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -645,7 +649,8 @@ def ensemble_error_rate(
     codewords fails, via the lattice distribution of a competitor's score.
     Monte Carlo averages over the true codeword and the channel only, so M
     may be astronomically large; it must be at least 1 and a finite float
-    (ValueError otherwise, also for an int beyond the float range).
+    (ValueError otherwise, also for an int beyond the float range), and its
+    rate log2(M) / n at most 1 bit per slot, checked before any trial.
 
     Competitors are i.i.d. with replacement, so a copy of the true codeword
     is a tie, while the builders draw distinct codewords: at n = 30, M = 16
@@ -661,6 +666,9 @@ def ensemble_error_rate(
     if not 1 <= m_float < math.inf:
         raise ValueError(f"M must be finite and >= 1, got {M!r}")
     template, p1, p2 = _scheme_3user(n, r_p, tau_max, delta, capacity)
+    rate = math.log2(M) / n
+    if rate > _MAX_RATE:
+        raise ValueError(f"rate log2(M) / n = {rate} exceeds 1 bit per slot (n={n})")
     lattice = _lattice_tables(template.widths.tolist(), r_p)
     classes = _move_classes(lattice[0], {p.k: p.probs for p in (p1, p2)})
 
@@ -676,7 +684,6 @@ def ensemble_error_rate(
             q_lt = max(1.0 - q_gt - q_eq, 0.0)
             err_prob_sum += 1.0 - _prob_correct(q_lt, q_eq, m_float)
 
-    rate = math.log2(M) / n
     return TransmissionReport(
         messages_sent=trials,
         errors=round(err_prob_sum),

@@ -8,18 +8,20 @@ slot t departs at t + 1. A packet arriving at t with q packets ahead of it
 therefore departs at t + q + 1, which makes the probe's queue-length reading
 D - A - 1 exact.
 
-One segmented kernel serves many independent traces at once. The FIFO order
-is read in one pass over the (trace x slot x user) issue tensor with its
-user columns in priority order: row-major nonzero lists packets by trace,
-within a trace by slot and within a slot by priority, linear in slots and
-with no sort. Departures follow the recursion D_i = max(D_{i-1}, t_i) + 1
-in FIFO order, started from the `initial_backlog` packets queued ahead of
-slot 0, computed with one prefix maximum over all traces rather than a
-per-slot event loop; a per-trace offset keeps every trace's running maximum
-clear of the traces before it. `simulate` is the one-trace case, and keeps
-the backlog in its trace as sentinel packets (owner code 0, arrival -1) at
-the head; million-slot horizons are cheap. Monte-Carlo transmissions queue
-a chunk of short traces through the kernel and observe them together.
+One per-slot queue kernel serves many independent traces at once. The queue
+follows Lindley's recursion (Lindley 1952), Q_t = max(Q_{t-1} + a_t - 1, 0)
+with a_t the packets issued at slot t and Q_{-1} the `initial_backlog`, and
+the kernel evaluates it in closed form over the (trace x slot) counts: with
+S_t = backlog + sum_{s <= t} (a_s - 1), Q_t = S_t - min(0, min_{s <= t} S_s),
+one cumulative sum and one running minimum along the slot axis. Everything
+else reads off that queue: a packet issued at t with r packets of higher
+priority in its slot departs at t + Q_{t-1} + r + 1, so a probe (top
+priority) departs at t + Q_{t-1} + 1. `simulate` is the one-trace case with
+per-packet records, and keeps the backlog in its trace as sentinel packets
+(owner code 0, arrival -1) at the head; the stability probe and the probe
+observations of transmissions and of the channel-law estimate need only the
+per-slot counts, so they build no per-packet trace. Million-slot horizons
+are cheap.
 """
 
 from __future__ import annotations
@@ -118,31 +120,47 @@ class ProbeObservations:
             object.__setattr__(self, name, col)
 
 
-def _fifo(issues: np.ndarray, initial_backlog: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Departures of independent traces, served in one pass.
+def _queue(issues: np.ndarray, initial_backlog: int) -> np.ndarray:
+    """Queue lengths of independent traces at every slot boundary.
+
+    `issues` is a (trace x slot x user) 0/1 int8 tensor; every trace starts
+    with `initial_backlog` packets queued ahead of slot 0. Returns the
+    int64 (trace x slot + 1) array whose column t is the queue just before
+    slot t's arrivals, Q_{t-1} in Lindley's recursion (Lindley 1952): column
+    0 is the backlog and column t + 1 the queue at the end of slot t. Closed
+    form: S = backlog + running sum of (a_t - 1) and Q = S - min(0, running
+    minimum of S), from int8 column adds, one cumulative sum and one running
+    minimum along the slot axis.
+    """
+    steps = issues[:, :, 0] - np.int8(1)
+    for j in range(1, issues.shape[2]):
+        steps += issues[:, :, j]
+    queue = np.empty((issues.shape[0], issues.shape[1] + 1), dtype=np.int64)
+    queue[:, 0] = 0
+    np.cumsum(steps, axis=1, out=queue[:, 1:])
+    del steps
+    queue += initial_backlog
+    floor = np.minimum.accumulate(queue, axis=1)
+    np.minimum(floor, 0, out=floor)
+    queue -= floor
+    return queue
+
+
+def _fifo(issues: np.ndarray, queue: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-packet departures of independent traces, read off their queue.
 
     `issues` is a (trace x slot x user) 0/1 tensor with its user columns in
-    priority order; every trace starts with `initial_backlog` packets queued
-    ahead of slot 0. Returns the (slot, user column, departure) of every
-    issued packet, trace by trace in FIFO order. In-trace packet k arriving
-    at t departs at max(initial_backlog, max_{j <= k} (t_j - j)) + k + 1;
-    trace i's values carry the offset i * slots, which lifts its backlog
-    floor above every value of the traces before it, so one running maximum
-    serves them all.
+    priority order and `queue` its `_queue`. Returns the (slot, user column,
+    departure) of every issued packet, trace by trace in FIFO order: the
+    packet issued at t behind r others of its slot departs at
+    t + Q_{t-1} + r + 1.
     """
     trace, slot, col = np.nonzero(issues)
-    k = np.arange(slot.size)
-    k -= np.searchsorted(trace, np.arange(issues.shape[0]))[trace]  # index within the trace
-    offset = trace * issues.shape[1]
-    del trace  # the dels and in-place steps bound the memory of million-slot traces
-    dep = slot - k
-    dep += offset
-    np.maximum.accumulate(dep, out=dep)
-    dep -= offset
-    del offset
-    np.maximum(dep, initial_backlog, out=dep)
-    dep += k
-    dep += 1
+    rank = np.cumsum(issues, axis=2, dtype=np.int8)[trace, slot, col]  # r + 1
+    dep = queue[trace, slot]
+    del trace
+    dep += slot
+    dep += rank
     return slot, col, dep
 
 
@@ -154,13 +172,18 @@ def _intervals(arr: np.ndarray, dep: np.ndarray):
 
 
 def _observe_batch(issues: np.ndarray, initial_backlog: int):
-    """`observe` of every trace of a `_fifo` issue tensor whose traces all
+    """`observe` of every trace of a `_queue` issue tensor whose traces all
     issue the same number of decoder (first column) packets: (tau, y,
-    buffered), each of shape (traces, intervals)."""
-    slot, col, dep = _fifo(issues, initial_backlog)
-    probes = col == 0
+    buffered), each of shape (traces, intervals). A probe issued at t
+    departs at t + Q_{t-1} + 1; only the decoder column is searched."""
+    queue = _queue(issues, initial_backlog)
+    trace, slot = np.nonzero(issues[:, :, 0])
+    dep = queue[trace, slot]
+    del queue, trace
+    dep += slot
+    dep += 1
     shape = (issues.shape[0], -1)
-    return _intervals(slot[probes].reshape(shape), dep[probes].reshape(shape))
+    return _intervals(slot.reshape(shape), dep.reshape(shape))
 
 
 def simulate(
@@ -171,7 +194,7 @@ def simulate(
     priority: tuple[str, ...] = (DECODER, ENCODER, BACKGROUND),
 ) -> SchedulerTrace:
     """Run the FCFS scheduler over the given arrival streams: the one-trace
-    case of the segmented kernel that also serves batched transmissions.
+    case of the per-slot queue kernel, with per-packet records.
 
     Streams must share one length n; service continues past slot n until the
     queue drains so every packet has a departure. `initial_backlog` dummy
@@ -179,6 +202,8 @@ def simulate(
     they prime the queue and are never part of any probe count. Within-slot
     priority defaults to decoder > encoder > background; only the decoder's
     top priority is load-bearing, the rest is declared for determinism.
+    Departures come from `_fifo`; `queue_len` is the kernel's queue at the
+    end of slots 0..n-1 followed by the drain, one packet per slot after n.
     """
     if initial_backlog < 0:
         raise ValueError("initial_backlog must be >= 0")
@@ -190,7 +215,10 @@ def simulate(
         raise ValueError("all arrival streams must have the same length")
 
     columns = [s for user in priority for s in streams if s.user == user]
-    slot, col, dep = _fifo(np.stack([s.slots for s in columns], axis=1)[None], initial_backlog)
+    issues = np.stack([s.slots for s in columns], axis=1)[None]
+    queue = _queue(issues, initial_backlog)
+    slot, col, dep = _fifo(issues, queue)
+    del issues
     codes = np.array([_OWNER_CODE[s.user] for s in columns], dtype=np.int64)
     owners = np.concatenate([np.zeros(initial_backlog, dtype=np.int64), codes[col]])
     del col
@@ -199,12 +227,7 @@ def simulate(
     # the sentinels are served first, one per slot from slot 0
     departures = np.concatenate([np.arange(1, initial_backlog + 1), dep])
     del dep
-
-    length = max(n, int(departures.max(initial=0)))
-    arr_count = np.bincount(np.maximum(slots, 0), minlength=length)
-    dep_count = np.bincount(departures, minlength=length + 1)
-    # end-of-slot-u queue: arrived by u (incl. preload) minus departed by u+1
-    queue_len = np.cumsum(arr_count) - np.cumsum(dep_count[1:])
+    queue_len = np.concatenate([queue[0, 1:], np.arange(queue[0, -1] - 1, -1, -1)])
 
     for a in (owners, slots, departures, queue_len):
         a.flags.writeable = False
@@ -264,27 +287,21 @@ def stability_probe(
     below 1; in that regime the report includes the empirical quadratic
     drift E[q(t+1)^2 - q(t)^2 | q(t) >= threshold] at the threshold
     K / (2 (1 - total_rate)), which queue stability requires to be negative.
+    The queue series comes straight off the per-slot queue kernel (Lindley's
+    recursion in closed form); no per-packet trace is built.
     """
     rates = tuple(float(r) for r in rates)
     if not 1 <= len(rates) <= 3:
         raise ValueError("stability probe supports 1 to 3 users")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if initial_backlog < 0:
+        raise ValueError("initial_backlog must be >= 0")
     rng = np.random.default_rng(seed)
     users = (DECODER, ENCODER, BACKGROUND)
-    streams = {
-        users[i]: ArrivalSchedule.bernoulli(users[i], r, horizon, rng)
-        for i, r in enumerate(rates)
-    }
-    zeros = lambda u: ArrivalSchedule(u, np.zeros(horizon, dtype=np.int8))  # noqa: E731
-    trace = simulate(
-        streams.get(DECODER, zeros(DECODER)),
-        streams.get(ENCODER, zeros(ENCODER)),
-        streams.get(BACKGROUND),
-        initial_backlog=initial_backlog,
-    )
-    q_end = trace.queue_len[:horizon].astype(float)
-    q_start = np.concatenate([[float(initial_backlog)], q_end[:-1]])
+    streams = [ArrivalSchedule.bernoulli(u, r, horizon, rng).slots for u, r in zip(users, rates)]
+    q = _queue(np.stack(streams, axis=1)[None], initial_backlog)[0].astype(float)
+    q_start, q_end = q[:-1], q[1:]
     # the queue series is q(t+1) = q(t) + a(t) - s(t), so its steps are a - s
     k_hat = float(((q_end - q_start) ** 2).mean())
 
@@ -321,13 +338,15 @@ def empirical_channel_law(
 
     Probes are sent every tau slots (plus one closing probe); the encoder
     issues i.i.d. Bernoulli(encoder_rate) packets known to the harness, the
-    background i.i.d. Bernoulli(r_p). The initial backlog is
-    tau + max(0, max_t (t - A_t)), A_t the packets of all users issued
-    before slot t: the server then never idles, and at least tau packets
-    wait ahead of every probe, which pins every buffered flag. So Y - X
-    isolates the background count per interval; its histogram estimates
-    Bin(tau, r_p). The probe intervals come straight off the segmented
-    kernel as one trace, with no per-packet trace records.
+    background i.i.d. Bernoulli(r_p). The probes queue behind a backlog of
+    n = tau * intervals + 1 packets, one per slot of the trace: at most t + 1
+    slots of service have passed by the end of slot t, so the server never
+    idles before the last slot and more than tau packets wait ahead of every
+    opening probe, which pins every buffered flag. So Y - X isolates the
+    background count per interval; its histogram estimates Bin(tau, r_p).
+    The backlog is only an offset of the queue kernel's closed form, so its
+    size costs nothing; the probe intervals come straight off the kernel as
+    one trace, with no per-packet trace records.
     """
     if tau < 1:
         raise ValueError("tau must be >= 1")
@@ -337,16 +356,16 @@ def empirical_channel_law(
         raise ValueError("rate must lie in [0, 1]")
     n = tau * intervals + 1
     rng = np.random.default_rng(seed)
+    encoder = rng.random(n) < encoder_rate
     issues = np.zeros((1, n, 3), dtype=np.int8)  # decoder, encoder, background
     issues[0, ::tau, 0] = 1
-    issues[0, :, 1] = rng.random(n) < encoder_rate
+    issues[0, :, 1] = encoder
     issues[0, :, 2] = rng.random(n) < r_p
-    issued = np.cumsum(issues[0].sum(axis=1, dtype=np.int64))
-    backlog = tau + max(0, int((np.arange(1, n + 1) - issued).max()))
-    _, y, buffered = _observe_batch(issues, backlog)
+    _, y, buffered = _observe_batch(issues, n)
+    del issues
     if not buffered.all():
         raise UnbufferedIntervalError("an interval ran unbuffered; counts unreliable")
-    x = issues[0, : tau * intervals, 1].reshape(intervals, tau).sum(axis=1, dtype=np.int64)
+    x = np.diff(np.cumsum(encoder[:-1], dtype=np.int64)[tau - 1 :: tau], prepend=0)
     diff = y[0] - x
     if diff.min() < 0 or diff.max() > tau:
         raise AssertionError("buffered intervals must give Y - X within [0, tau]")

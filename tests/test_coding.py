@@ -687,6 +687,15 @@ class TestEnsembleEstimator:
         with pytest.raises(ValueError, match="M must be finite and >= 1"):
             ensemble_error_rate(60, M, 0.1, trials=5, seed=0, capacity=cap3_rp01)
 
+    @pytest.mark.parametrize("M", [2**31, pytest.param(2**1023, id="2**1023")])
+    def test_rejects_rates_above_one_bit_before_any_trial(self, M, cap3_rp01, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial was drawn before the rate check")
+
+        monkeypatch.setattr(coding, "_message_chunks", no_trials)
+        with pytest.raises(ValueError, match="exceeds 1 bit per slot"):
+            ensemble_error_rate(30, M, 0.1, trials=5, seed=0, capacity=cap3_rp01)
+
     def test_huge_codebook_is_tractable(self, cap3_rp01):
         rep = ensemble_error_rate(60, 2**60, 0.1, trials=20, seed=1, capacity=cap3_rp01)
         assert 0.0 <= rep.empirical_error_rate <= 1.0

@@ -9,9 +9,11 @@ from cqclab.fcfs import (
     DECODER,
     ENCODER,
     ArrivalSchedule,
+    DriftReport,
     TooFewProbesError,
     _fifo,
     _observe_batch,
+    _queue,
     empirical_channel_law,
     observe,
     simulate,
@@ -184,7 +186,7 @@ class TestSegmentedKernel:
     @given(_issue_batches())
     def test_every_trace_matches_its_own_simulate(self, batch):
         issues, backlog = batch
-        slot, col, dep = _fifo(issues, backlog)
+        slot, col, dep = _fifo(issues, _queue(issues, backlog))
         sizes = issues.sum(axis=(1, 2))
         bounds = np.cumsum(sizes)
         for i, stop in enumerate(bounds):
@@ -199,6 +201,21 @@ class TestSegmentedKernel:
                 last = max(last, t) + 1
                 expected.append(last)
             assert dep[rows].tolist() == expected
+
+    @given(_issue_batches())
+    def test_queue_follows_lindley_and_simulate(self, batch):
+        issues, backlog = batch
+        queue = _queue(issues, backlog)
+        assert queue.shape == (issues.shape[0], issues.shape[1] + 1)
+        for i, row in enumerate(issues):
+            # Lindley's recursion slot by slot: Q_t = max(Q_{t-1} + a_t - 1, 0)
+            q, expected = backlog, [backlog]
+            for a in row.sum(axis=1).tolist():
+                q = max(q + a - 1, 0)
+                expected.append(q)
+            assert queue[i].tolist() == expected
+            tr = simulate(*_streams_of(row), initial_backlog=backlog)
+            assert np.array_equal(tr.queue_len[: row.shape[0]], queue[i, 1:])
 
     @given(_issue_batches())
     def test_batched_observe_matches_observe(self, batch):
@@ -232,7 +249,78 @@ class TestObserve:
             observe(tr)
 
 
+def _reference_stability_probe(
+    rates: tuple[float, ...] | list[float],
+    horizon: int,
+    seed: int,
+    initial_backlog: int = 0,
+) -> DriftReport:
+    """`stability_probe` as it stood before the per-slot queue kernel: the
+    queue series is read off a full per-packet `simulate` trace."""
+    rates = tuple(float(r) for r in rates)
+    if not 1 <= len(rates) <= 3:
+        raise ValueError("stability probe supports 1 to 3 users")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    rng = np.random.default_rng(seed)
+    users = (DECODER, ENCODER, BACKGROUND)
+    streams = {
+        users[i]: ArrivalSchedule.bernoulli(users[i], r, horizon, rng)
+        for i, r in enumerate(rates)
+    }
+    zeros = lambda u: ArrivalSchedule(u, np.zeros(horizon, dtype=np.int8))  # noqa: E731
+    trace = simulate(
+        streams.get(DECODER, zeros(DECODER)),
+        streams.get(ENCODER, zeros(ENCODER)),
+        streams.get(BACKGROUND),
+        initial_backlog=initial_backlog,
+    )
+    q_end = trace.queue_len[:horizon].astype(float)
+    q_start = np.concatenate([[float(initial_backlog)], q_end[:-1]])
+    # the queue series is q(t+1) = q(t) + a(t) - s(t), so its steps are a - s
+    k_hat = float(((q_end - q_start) ** 2).mean())
+
+    total = sum(rates)
+    threshold = k_hat / (2.0 * (1.0 - total)) if total < 1.0 else None
+    drift = None
+    above = 0
+    if threshold is not None:
+        sq_inc = q_end**2 - q_start**2
+        mask = q_start >= threshold
+        above = int(mask.sum())
+        if above:
+            drift = float(sq_inc[mask].mean())
+    half = q_end[horizon // 2 :]
+    return DriftReport(
+        rates=rates,
+        total_rate=total,
+        horizon=horizon,
+        seed=seed,
+        final_queue=int(q_end[-1]),
+        max_queue=int(q_end.max()),
+        mean_queue_second_half=float(half.mean()),
+        squared_increment_mean=k_hat,
+        drift_threshold=threshold,
+        drift_above_threshold=drift,
+        slots_above_threshold=above,
+    )
+
+
 class TestStability:
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            (0.45,), (0.3, 0.2), (0.2, 0.25, 0.3),  # subcritical
+            (1.0,), (0.5, 0.5), (0.2, 0.3, 0.5),  # critical: total rate 1
+            (0.6, 0.5), (0.4, 0.4, 0.3),  # supercritical
+        ],
+    )
+    @pytest.mark.parametrize("initial_backlog", [0, 1, 50])
+    def test_equals_the_per_packet_reference(self, rates, initial_backlog):
+        args = (rates, 20_000, 11)
+        expected = _reference_stability_probe(*args, initial_backlog=initial_backlog)
+        assert stability_probe(*args, initial_backlog=initial_backlog) == expected
+
     def test_subcritical_drift_negative(self):
         rep = stability_probe((0.475, 0.475), 10**5, seed=7)
         assert rep.mean_queue_second_half < 100
