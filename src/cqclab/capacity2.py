@@ -5,21 +5,20 @@ alpha) and length 2 (weight 1 - alpha), subject to the heavy-traffic budget
 alpha*(gamma1 + 1) + (1 - alpha)*(gamma2 + 1/2) = 1. The objective is the
 matching mixture of per-slot entropy ceilings h_tilde.
 
-This is the three-user problem without background traffic (r_p = 0)
-restricted to the window pair (1, 2), so it is solved by the same engine:
-the pair's Lagrangian dual min_s s + max(g_1(s), g_2(s)) (see
-`capacity3._solve_pairs`), or, with the mix frozen at alpha,
-min_s s + alpha*g_1(s) + (1 - alpha)*g_2(s). The reported capacity is the
-objective above, evaluated by h_tilde at the returned point, which meets the
-budget; `gap_bits` is the dual bound minus it, and a gap above
-PAIR_GAP_TOL raises UncertifiedSolveError.
+This is the three-user problem at r_p = 0 restricted to the window pair
+(1, 2), so the same engine solves it: one concave program over both
+windows' share-weighted input laws (`capacity3._pair_programs`), the share
+of window 1 free or frozen at alpha. The capacity is the objective above
+by h_tilde at the returned point, which meets the budget; `gap_bits` is the
+program's certified bound minus it, at most PAIR_GAP_TOL or
+UncertifiedSolveError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .capacity3 import PAIR_GAP_TOL, UncertifiedSolveError, _solve_pairs
+from .capacity3 import PAIR_GAP_TOL, UncertifiedSolveError, _pair_programs
 from .dist import h_tilde
 
 # gamma boxes for the two-window mixture: both rates live in [0, 1/2]
@@ -75,12 +74,12 @@ def eliminate_gamma2(alpha: float, gamma1: float) -> float:
 
 
 def _solve(alpha: float | None) -> CapacityResult2:
-    """The window pair (1, 2) at r_p = 0 by its dual, with the mix free
-    (alpha None) or frozen at alpha < 1."""
-    [(value, alpha, gamma1, gamma2, gap)] = _solve_pairs([(1, 0.0, 1.0)], alpha=alpha)
+    """The window pair (1, 2) at r_p = 0 by its program, with the mix free
+    (alpha None) or frozen at 0 < alpha < 1."""
+    [(value, alpha, gamma1, gamma2, gap, _)] = _pair_programs(1, [0.0], alpha)
     if gamma1 > _G_HI:
-        # alpha near 0: the touching gamma1 is 1/2 up to the solver's few 1e-9,
-        # and past 1/2 a window of length 1 only spends budget
+        # alpha near 0: window 1's law carries a share of only alpha, so its
+        # gamma1 is 1/2 only to about 1e-9, and past 1/2 it only spends budget
         gamma1 = _G_HI
         gamma2 = eliminate_gamma2(alpha, gamma1)
     capacity = objective_2user(alpha, gamma1, gamma2)
@@ -112,4 +111,6 @@ def solve_on_alpha_slice(alpha: float) -> CapacityResult2:
         raise BoxViolationError(f"alpha={alpha} outside [0, 1]")
     if alpha == 1.0:  # the budget pins gamma1 = 0: a zero-rate point
         return CapacityResult2(0.0, 1.0, 0.0, 0.0, 0.0)
+    if alpha == 0.0:  # the budget pins gamma2 = 1/2, the uniform law on {0, 1, 2}
+        return CapacityResult2(h_tilde(0.5, 2).bits_per_slot, 0.0, 0.0, 0.5, 0.0)
     return _solve(alpha)

@@ -19,27 +19,20 @@ as its slowest point. Each row may have its own window length k and noise
 rate r_p: it takes its channel from a stack with one entry per distinct
 (k, r_p), padded to the largest window of the call, so a sweep over many
 rates (`validate_i_concavity`, `degradation_violations`) is one solve per
-window length and a round of the capacity zoom is one solve for both
-windows of every pair in play that shares its tau. A call at one (k, r_p)
-keeps its products as plain 2-D matrix products. Every call builds its
-solver afresh from channels that are built once per (k, r_p) and cached
-with their noise entropies. The same path also solves the free-mean
-problem max H(Y) - s * E X, certified by its simplex LP gap. An
-uncertified slice point raises UncertifiedSolveError naming its k, gamma
-and r_p; a free-mean row gets an infinite gap.
+window length. A call at one (k, r_p) keeps its products as plain 2-D
+matrix products. Channels are built once per (k, r_p) and cached with their
+noise entropies. An uncertified slice point raises UncertifiedSolveError
+naming its k, gamma and r_p.
 
-The best mix of windows k in {tau, tau + 1} at budget c = 1 - r_p is the
-concave envelope of the curves u -> i_tilde(u - 1/k, k, r_p), read at c. It
-equals the one-multiplier Lagrangian dual
-min_s s*c + max_k g_k(s), g_k(s) = max_p [H(Y) - s*E X - H(Bin(k, r_p)) - s] / k
-(Blahut 1972), a convex problem in s whose g_k come from batched free-mean
-solves. The windows touching the envelope at the minimizing s give the
-primal mix, and dual minus primal is a certified gap. With the mix weights
-fixed, the max becomes the weighted sum of the g_k. `solve_capacity_grid`
-runs the tau loops of many rates in lockstep, each zoom round of all their
-current pairs in shared solves, and `solve_capacity_3user` is its one-rate
-case. The two-user capacity (`capacity2`) is the pair (1, 2) of this engine
-at r_p = 0.
+The best mix of windows k in {tau, tau + 1} at budget c = 1 - r_p is one
+concave program: with q_k = alpha_k * p_k, the share-weighted entropy
+alpha_k * H(B_k p_k) is the perspective of a concave function (Boyd &
+Vandenberghe 2004, sec. 3.2.6), so the pair maximizes a concave function
+of q >= 0 under two linear equalities, by one log-barrier Newton path
+(ibid., ch. 11) certified by its LP gap. `solve_capacity_grid` runs the tau
+loops of many rates in lockstep, each step one program path for every
+current pair of a tau, and `solve_capacity_3user` is its one-rate case. The
+two-user capacity (`capacity2`) is the pair (1, 2) of this engine at r_p = 0.
 """
 
 from __future__ import annotations
@@ -57,12 +50,11 @@ LN2 = math.log(2.0)
 GAP_TOL = 1e-9  # nats; certified suboptimality of the inner maximization
 FEAS_TOL = 1e-10  # largest sum / mean residual of a certified inner maximizer
 _MU_STAGES = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 5e-13)
+_PROGRAM_MU_STAGES = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-16)
 _CHUNK_INPUTS = 1280  # rows x padded inputs per barrier path of a stacked solve (~0.7 MB at most)
 
-S_BRACKET = 32.0  # bits per unit of budget; the first multiplier bracket is +-S_BRACKET
-ZOOM_POINTS = 33  # multipliers per round of the bracket zoom
-S_TOL = 1e-10  # width at which the zoom stops
 PAIR_GAP_TOL = 1e-9  # bits; largest duality gap of a certified window pair
+PURE_SHARE = 1e-9  # a window share at or below this reads as 0 (see _pair_programs)
 
 
 class InfeasibleError(ValueError):
@@ -70,9 +62,9 @@ class InfeasibleError(ValueError):
 
 
 class UncertifiedSolveError(RuntimeError):
-    """An inner solve ended uncertified (LP gap above GAP_TOL, or off its
-    slice), a window pair's dual zoom met uncertified rows next to its
-    minimum, or its gap exceeds PAIR_GAP_TOL."""
+    """An inner solve or a pair program ended uncertified (LP gap above
+    GAP_TOL, or off its constraints), or a window pair's gap exceeds
+    PAIR_GAP_TOL."""
 
 
 @dataclass(frozen=True)
@@ -123,9 +115,10 @@ class CapacityResult3:
     tau_star: int
     constraint_residual: float
     per_tau: dict[int, float] = field(default_factory=dict)
-    per_tau_gap: dict[int, float] = field(default_factory=dict)  # bits, dual minus primal
+    per_tau_gap: dict[int, float] = field(default_factory=dict)  # bits, upper bound minus value
     gap_bits: float = 0.0  # the certified gap of the winning pair
     windows: tuple[tuple[int, float], ...] = ()  # (window length, share) with share > 0
+    witness: tuple[tuple[int, float, tuple[float, ...]], ...] = ()  # (k, share, input law) per window
 
     def __post_init__(self):
         if self.constraint_residual > 1e-8:
@@ -159,24 +152,31 @@ def output_mean_check(input_pmf: Pmf, tau: int, r_p: float) -> float:
     return float(np.arange(py.size) @ py)
 
 
-def _lp_gaps(g: np.ndarray, p: np.ndarray, m: np.ndarray, k=None) -> np.ndarray:
-    """Linearized suboptimality bound max over the slice of <g, q - p>, per row.
+def _lp_gaps(g: np.ndarray, p: np.ndarray, m: np.ndarray, pos=None) -> np.ndarray:
+    """Linearized suboptimality bound max over the polytope of <g, q - p>, per row.
 
-    The vertices of {q >= 0, sum q = 1, mean q = m} are two-point mixtures
-    on (i, j) with i <= m <= j, so each row's LP maximum is explicit. Given
-    `k`, row r lives on {0..k[r]} and the entries above k[r] are padding.
+    Entry i sits at pos[i] (one vector, or one per row; NaN marks padding):
+    its mean in a slice solve (the default, its index), its budget cost in a
+    pair program. The vertices of {q >= 0, sum q = 1, <pos, q> = m} are
+    two-point mixtures on (i, j) with pos[i] <= m <= pos[j], so each row's
+    LP maximum is explicit.
     """
-    idx = np.arange(p.shape[1], dtype=float)
-    I, J = idx[:, None], idx[None, :]
+    pos = np.arange(p.shape[1], dtype=float) if pos is None else pos
+    I, J = pos[..., :, None], pos[..., None, :]
     mm = m[:, None, None]
     gi, gj = g[:, :, None], g[:, None, :]
     span = np.where(J > I, J - I, 1.0)
     vals = np.where(J > I, ((J - mm) * gi + (mm - I) * gj) / span, gi)
-    vertex = (I <= mm) & (J >= mm)
-    if k is not None:
-        vertex &= J <= k[:, None, None]
-    vals = np.where(vertex, vals, -np.inf)
+    vals = np.where((I <= mm) & (J >= mm), vals, -np.inf)
     return vals.max(axis=(1, 2)) - (g * p).sum(axis=1)
+
+
+def _kkt_solve(K: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Every row's KKT system; a singular one sends all rows to least squares."""
+    try:
+        return np.linalg.solve(K, r)
+    except np.linalg.LinAlgError:
+        return np.stack([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(K, r)])
 
 
 def _entropy_rows(py: np.ndarray) -> np.ndarray:
@@ -199,7 +199,7 @@ def _channel(k: int, r_p: float) -> tuple[np.ndarray, float]:
 class _SliceEntropySolver:
     """max H(B p) over {p >= 0, sum p = 1, mean p = m}, for a whole stack of
     rows at once, each row with its own channel (k, r_p) and its own mean
-    constraint (or, in `solve_free`, its own tilt).
+    constraint.
 
     Log-barrier Newton path following: the objective is strictly concave
     (the shifted-binomial rows are linearly independent), the barrier keeps
@@ -273,19 +273,10 @@ class _SliceEntropySolver:
         py = np.maximum(_times(np.maximum(p, 0.0), B), 1e-300)
         return -_times(np.log(py) + 1.0, Bt)
 
-    def _barrier_path(
-        self,
-        p: np.ndarray,
-        m: np.ndarray | None = None,
-        tilt: np.ndarray | None = None,
-        chan: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def _barrier_path(self, p: np.ndarray, m: np.ndarray, chan=None) -> np.ndarray:
         """Run every mu stage of the barrier path on each row of p.
 
-        Each row maximizes H(B p) on the slice with mean m[row], or, given
-        `tilt` (nats per unit of mean) in place of m, maximizes
-        H(B p) - tilt[row] * mean(p) over the whole simplex: the mean row of
-        the KKT system is dropped and the tilt enters the gradient. In a
+        Each row maximizes H(B p) on the slice with mean m[row]. In a
         stacked solver row r uses channel chan[r], and its entries above
         that channel's window length must be 0; they stay exactly 0.
         A row leaves a stage after 60 Newton steps, on a step below 1e-14,
@@ -297,8 +288,7 @@ class _SliceEntropySolver:
         rows, n = p.shape
         x = self.x
         per_row = self.Bt is None
-        free = tilt is not None
-        size = n + 1 if free else n + 2
+        size = n + 2
         kkt = np.zeros((rows, size, size))
         rhs = np.empty((rows, size, 1))
         pad_all = x > self.ks[chan][:, None] if per_row else None  # padded inputs
@@ -308,8 +298,7 @@ class _SliceEntropySolver:
         def constraints(K, pad):  # the sum and mean rows, without the padded inputs
             w = 1.0 if pad is None else ~pad
             K[:, :n, n] = K[:, n, :n] = w
-            if not free:
-                K[:, :n, n + 1] = K[:, n + 1, :n] = x * w
+            K[:, :n, n + 1] = K[:, n + 1, :n] = x * w
 
         for mu in _MU_STAGES:
             last = mu == _MU_STAGES[-1]
@@ -317,8 +306,8 @@ class _SliceEntropySolver:
             if pad_all is not None:
                 p[pad_all] = 0.0
             constraints(kkt, pad_all)
-            # rows still moving, their iterates, their means (or tilts), channels and padding
-            live, q, mm, pad = np.arange(rows), p, (tilt if free else m), pad_all
+            # rows still moving, their iterates, their means, channels and padding
+            live, q, mm, pad = np.arange(rows), p, m, pad_all
             B, Bt = self._channels(chan)  # a stack is gathered anew each stage, then shrinks
             for _ in range(60):
                 K, r = kkt[: live.size], rhs[: live.size]
@@ -333,16 +322,8 @@ class _SliceEntropySolver:
                 K.reshape(live.size, -1)[:, : n * (size + 1) : size + 1] -= hess  # diagonal
                 r[:, :n, 0] = _times(logpy + 1.0, Bt) - grad
                 r[:, n, 0] = 1.0 - q.sum(axis=1)
-                if free:
-                    r[:, :n, 0] += mm[:, None] * (x if pad is None else np.where(pad, 0.0, x))
-                else:
-                    r[:, n + 1, 0] = mm - self._mean(q)
-                try:
-                    sol = np.linalg.solve(K, r)
-                except np.linalg.LinAlgError:  # a singular row: least squares, row by row
-                    sol = np.stack([np.linalg.lstsq(a, b, rcond=None)[0]
-                                    for a, b in zip(K, r)])
-                dp = sol[:, :n, 0]
+                r[:, n + 1, 0] = mm - self._mean(q)
+                dp = _kkt_solve(K, r)[:, :n, 0]
                 step = np.abs(dp).max(axis=1)
                 # Newton decrement -dp' H dp of the barrier objective, last stage only
                 moving = last and np.einsum("ri,rij,rj->r", dp, K[:, :n, :n], dp) <= -1e-18
@@ -350,8 +331,6 @@ class _SliceEntropySolver:
                 t = np.minimum(1.0, 0.99 * ratio.min(axis=1))
 
                 base = _entropy_rows(py) + mu * np.log(qs).sum(axis=1)
-                if free:
-                    base -= mm * self._mean(q)
                 todo = step >= 1e-14
                 accepted = np.zeros(live.size, dtype=bool)
                 for _ in range(50):
@@ -359,8 +338,6 @@ class _SliceEntropySolver:
                     pos = cand > 0
                     barrier = np.log(np.where(pos, cand, 1.0)).sum(axis=1)
                     merit = _entropy_rows(_times(np.maximum(cand, 0.0), B)) + mu * barrier
-                    if free:
-                        merit -= mm * self._mean(cand)
                     inside = pos.all(axis=1) if pad is None else (pos | pad).all(axis=1)
                     ok = todo & inside & (merit >= base - 1e-12)
                     accepted |= ok
@@ -426,7 +403,8 @@ class _SliceEntropySolver:
             q = np.where(self.x <= k[:, None], (w / (k + 1))[:, None], 0.0)
             q[np.arange(g.size), np.where(g <= 0.5, 0, k)] += 1 - w
             q = self._barrier_path(q, m, chan=ci)
-            gap = _lp_gaps(self.grads_nats(q, ci), q, m, None if self.Bt is not None else k)
+            pos = None if self.Bt is not None else np.where(self.x <= k[:, None], self.x, np.nan)
+            gap = _lp_gaps(self.grads_nats(q, ci), q, m, pos)
             # the LP bound certifies only a point on the constraint slice
             residual = np.maximum(np.abs(q.sum(axis=1) - 1.0), np.abs(self._mean(q) - m))
             gap[~(residual <= FEAS_TOL)] = np.inf
@@ -439,33 +417,6 @@ class _SliceEntropySolver:
                 )
             p[inner], gaps[inner] = q, gap
         return self.values_nats(p, chan) / LN2, p, gaps
-
-    def solve_free(self, tilts, chan=None):
-        """max H(B p) - tilt * mean(p) over the whole simplex, one row per
-        tilt (nats per unit of mean), all in one batch; in a stacked solver
-        row r is solved on channel chan[r].
-
-        Rows start from the uniform pmf. Returns (output entropy in bits,
-        maximizing pmfs, gaps in nats). Each row is certified by the simplex
-        LP gap max_i g_i - <g, p> of its tilted objective; a row above
-        GAP_TOL, off the simplex or NaN gets an infinite gap.
-        """
-        t = np.asarray(tilts, dtype=float)
-        chan = np.zeros(t.size, dtype=int) if chan is None else np.asarray(chan)
-        out = np.empty(t.size), np.empty((t.size, self.k + 1)), np.empty(t.size)
-        for c in self._chunks(t.size):
-            out[0][c], out[1][c], out[2][c] = self._free_rows(t[c], chan[c])
-        return out
-
-    def _free_rows(self, t, chan):
-        kk = self.ks[chan][:, None]
-        real = self.x <= kk
-        p = self._barrier_path(np.where(real, 1.0 / (kk + 1), 0.0), tilt=t, chan=chan)
-        g = self.grads_nats(p, chan) - t[:, None] * self.x
-        gap = np.where(real, g, -np.inf).max(axis=1) - (g * p).sum(axis=1)
-        gap[~(np.abs(p.sum(axis=1) - 1.0) <= FEAS_TOL)] = np.inf  # a NaN row is uncertified too
-        gap[~(gap <= GAP_TOL)] = np.inf
-        return self.values_nats(p, chan) / LN2, p, gap
 
 
 def _stack(k, r_p, rows: int):
@@ -543,122 +494,173 @@ def i_tilde_curve(gammas, k: int, r_p: float) -> np.ndarray:
     return np.maximum((bits - sv.noise_entropy_bits[0]) / k, 0.0)
 
 
-def _tangent_points(k, r_p, s: np.ndarray):
-    """Where lines of slope s touch the curve u -> i_tilde(u - 1/k, k, r_p).
+def _program_path(tau: int, r_ps: np.ndarray, alpha: float | None = None):
+    """Barrier path of the pair program (tau, tau + 1), one row per rate.
 
-    One batched free-mean solve gives, per multiplier s (bits per unit of
-    budget), the intercept g_k(s) = max_u i_tilde(u - 1/k, k) - s*u, the
-    touching gamma and ceiling, and the certified slack of g_k, all in
-    bits; a row that cannot be certified has an infinite slack. The window
-    k and rate r_p are one value for every multiplier, or one per
-    multiplier: then every row is in one row-stacked solve.
+    Row r maximizes sum_w [a_w * H(B_w q_w / a_w) - a_w * H_w] / k_w (nats
+    per slot) over q = [q_tau; q_tau+1] >= 0, a_w = sum q_w, H_w the noise
+    entropy at r_ps[r], subject to sum q = 1 and the budget
+    sum_w sum_x q_wx * (x + 1) / k_w = 1 - r_ps[r]; `alpha` adds
+    sum q_tau = alpha. Window w's Hessian block is
+    [-B_w' diag(1 / B_w q_w) B_w + 1 1' / a_w] / k_w. Products and KKT
+    solves go row by row, so no row depends on the others. The start mixes
+    the uniform point with the cheapest or dearest one to meet the budget;
+    steps and stops are those of the slice path. Returns (q, value, LP gap)
+    in nats per slot, the gap infinite off the constraints. A vertex of the
+    feasible set is a two-point mixture (with `alpha` frozen, a point of one
+    window and a two-point mixture in the other), so the LP gap is explicit.
     """
-    s = np.asarray(s, dtype=float)
-    sv, chan = _stack(k, r_p, s.size)
-    bits, p, gap = sv.solve_free(s * LN2, chan)
-    k = sv.ks[chan]
-    gamma = sv._mean(p) / k
-    info = (bits - sv.noise_entropy_bits[chan]) / k
-    return info - s * (gamma + 1.0 / k), gamma, info, gap / (LN2 * k)
+    rows, n, m1 = r_ps.size, 2 * tau + 3, 2 * tau + 1
+    win = np.arange(n) > tau  # the entries of window tau + 1
+    k = np.where(win, tau + 1.0, tau)
+    x = np.where(win, np.arange(n) - tau - 1.0, np.arange(n))
+    cost = (x + 1.0) / k
+    ky = np.where(np.arange(4 * tau + 4) >= m1, tau + 1.0, tau)  # window of each output
+    at = (ky > tau).astype(int), win.astype(int)  # share index of each output and entry
+    B, hn = np.zeros((rows, n, 4 * tau + 4)), np.empty((rows, n))
+    for r, rp in enumerate(r_ps):
+        (B1, h1), (B2, h2) = _channel(tau, rp), _channel(tau + 1, rp)
+        B[r, : tau + 1, :m1], B[r, tau + 1 :, m1:] = B1, B2
+        hn[r] = np.where(win, h2, h1) * LN2 / k
+    c = 1.0 - r_ps
+    A = np.stack([np.ones(n), cost] + ([] if alpha is None else [1.0 * ~win]))
+    b = np.stack([np.ones(rows), c] + ([] if alpha is None else [np.full(rows, alpha)]), axis=1)
+    size, same = n + A.shape[0], win[:, None] == win[None, :]
+
+    def value(q, B, hn):  # objective, outputs, shares and log(output / share)
+        v = np.maximum(_times(q, B), 1e-300)
+        a = np.stack([q[:, : tau + 1].sum(axis=1), q[:, tau + 1 :].sum(axis=1)], axis=1)
+        lv = np.log(v / a[:, at[0]])
+        return -(v * lv / ky).sum(axis=1) - (q * hn).sum(axis=1), v, a, lv
+
+    if alpha is None:
+        uni, lo, hi = np.full(n, 1.0 / n), np.eye(n)[tau + 1], np.eye(n)[tau]
+    else:
+        s = np.where(win, 1.0 - alpha, alpha)
+        uni, lo, hi = s / (k + 1.0), s * (x == 0), s * (x == k)
+    u, l, h = cost @ uni, cost @ lo, cost @ hi
+    w = np.where(c <= u, (c - l) / (u - l), (h - c) / (h - u))[:, None]
+    q = w * uni + (1.0 - w) * np.where((c <= u)[:, None], lo, hi)
+
+    for mu in _PROGRAM_MU_STAGES:
+        last = mu == _PROGRAM_MU_STAGES[-1]
+        q = np.maximum(q, 1e-150)
+        live, ql, Bl, hl, bl = np.arange(rows), q, B, hn, b
+        for _ in range(60):
+            f, v, a, lv = value(ql, Bl, hl)
+            Bt = Bl.transpose(0, 2, 1)
+            K = np.zeros((live.size, size, size))
+            K[:, :n, :n] = np.matmul(Bl / -(v * ky)[:, None, :], Bt)
+            K[:, :n, :n] += same / (a[:, at[1]] * k)[:, :, None]
+            K.reshape(live.size, -1)[:, : n * (size + 1) : size + 1] -= mu / ql**2
+            K[:, :n, n:], K[:, n:, :n] = A.T, A
+            r = np.empty((live.size, size, 1))
+            r[:, :n, 0] = _times(lv / ky, Bt) + hl - mu / ql
+            r[:, n:, 0] = bl - (ql[:, None, :] * A).sum(axis=2)
+            dq = _kkt_solve(K, r)[:, :n, 0]
+            step = np.abs(dq).max(axis=1)
+            moving = last and (dq * _times(dq, K[:, :n, :n])).sum(axis=1) <= -1e-18
+            ratio = np.divide(ql, -dq, out=np.full_like(ql, np.inf), where=dq < 0)
+            t = np.minimum(1.0, 0.99 * ratio.min(axis=1))
+            base = f + mu * np.log(ql).sum(axis=1)
+            todo = step >= 1e-14
+            accepted = np.zeros(live.size, dtype=bool)
+            for _ in range(50):
+                cand = ql + t[:, None] * dq
+                inside = (cand > 0).all(axis=1)
+                cq = np.where(inside[:, None], cand, 1.0)
+                merit = value(cq, Bl, hl)[0] + mu * np.log(cq).sum(axis=1)
+                ok = todo & inside & (merit >= base - 1e-12)
+                accepted |= ok
+                todo &= ~ok
+                if not todo.any():
+                    break
+                t[todo] *= 0.5
+            ql = np.where(accepted[:, None], np.maximum(cand, 1e-150), ql)
+            keep = accepted & ((step * t >= 1e-13) | moving)
+            if not keep.all():
+                q[live] = ql
+                live, ql, Bl, hl, bl = live[keep], ql[keep], Bl[keep], hl[keep], bl[keep]
+                if live.size == 0:
+                    break
+        q[live] = ql
+
+    f, v, a, lv = value(q, B, hn)
+    g = -_times(lv / ky, B.transpose(0, 2, 1)) - hn
+    if alpha is None:
+        gap = _lp_gaps(g, q, c, cost)
+    else:  # a point of one window (share sp), a two-point mixture in the other (share sm)
+        top = np.full(rows, -np.inf)
+        for pt, sp, sm in ((~win, alpha, 1.0 - alpha), (win, 1.0 - alpha, alpha)):
+            mean = ((c[:, None] - sp * cost[pt]) / sm).ravel()
+            mix = np.repeat(g[:, ~pt], pt.sum(), axis=0)
+            mix = _lp_gaps(mix, np.zeros_like(mix), mean, cost[~pt]).reshape(rows, -1)
+            top = np.maximum(top, (sp * g[:, pt] + sm * mix).max(axis=1))
+        gap = top - (g * q).sum(axis=1)
+    gap[~(np.abs(b - (q[:, None, :] * A).sum(axis=2)).max(axis=1) <= FEAS_TOL)] = np.inf
+    return q, f, gap
 
 
-def _envelope(g: np.ndarray, alpha: float | None):
-    """A pair's intercept from its two windows' intercepts g[0] and g[1]:
-    their max, or their alpha-mix when the mix is frozen."""
-    return g.max(axis=0) if alpha is None else alpha * g[0] + (1.0 - alpha) * g[1]
+def _pair_programs(tau: int, r_ps, alpha: float | None = None) -> list[tuple]:
+    """Best mix of windows tau and tau + 1 at budget c = 1 - r_p for every
+    rate in r_ps, by one `_program_path`.
 
-
-def _solve_pairs(pairs, alpha: float | None = None) -> list[tuple]:
-    """Best mix of windows tau and tau + 1 under the budget, for every
-    (tau, r_p, budget) in `pairs`, each certified by its Lagrangian dual.
-
-    A pair's dual min_s s*budget + max(g_tau(s), g_tau+1(s)) is convex in
-    s; each round evaluates it on ZOOM_POINTS multipliers and keeps the two
-    cells around the smallest, until the bracket is narrower than S_TOL.
-    The pairs zoom in lockstep: a round evaluates both windows of every
-    pair still zooming in one `_tangent_points` call per tau. Grouping by
-    tau pads every row of a pair to tau + 1 inputs whichever pairs share
-    the round, so a pair's result does not depend on the others.
-    A multiplier with an uncertified free-mean row counts as +inf: by
-    convexity the minimizer stays in the kept bracket if the smallest cell
-    and its neighbours are certified, else UncertifiedSolveError is raised,
-    naming the pair, its r_p and the first uncertified row's k and s.
-    The primal value is the best of three candidates: the mix of the two
-    touching points at s*, pure window tau and pure window tau + 1 (the
-    pure ones by `i_tilde`, so they also cover optima at gamma = 0, where
-    s* would be unbounded). Returns one (value, alpha, gamma1, gamma2, gap
-    in bits) per pair, the gap being the dual bound at s* minus the primal
-    value.
-
-    A given `alpha` < 1 freezes the mix of every pair: the dual becomes
-    min_s s*budget + alpha*g_tau(s) + (1 - alpha)*g_tau+1(s), and the
-    primal point keeps the touching gamma of the lighter window at s* (0
-    when alpha = 0, where window tau carries no weight) and takes the other
-    from the budget.
+    Returns (value, alpha, gamma1, gamma2, gap, witness) per rate, value and
+    certified gap in bits per slot, the witness ((k, share, input law) per
+    window; a window without share keeps the program's normalized law). A
+    share at or below PURE_SHARE is the barrier's resolution of 0, and
+    dropping it loses about its square: the other window is then reported
+    alone by `i_tilde` at the gamma the budget pins, so alpha is exactly 0
+    or 1 and equal pure windows of two pairs tie exactly. A budget
+    c <= 1/(tau + 1) leaves one point, of value 0, and needs no barrier. An
+    `alpha` in (0, 1) freezes window tau's share: the lighter window keeps
+    its gamma and the budget fixes the other's. An LP gap above GAP_TOL nats
+    raises UncertifiedSolveError naming the pair and its rate.
     """
-    brackets = {i: (-S_BRACKET, S_BRACKET) for i in range(len(pairs))}
-    minima = {}  # pair -> (s*, [(g, gamma, ceiling, slack) per window])
-    while brackets:
-        for tau in sorted({pairs[i][0] for i in brackets}):
-            group = [i for i in brackets if pairs[i][0] == tau]
-            s = np.array([np.linspace(*brackets[i], ZOOM_POINTS) for i in group])
-            ks = np.repeat(np.tile([tau, tau + 1], len(group)), ZOOM_POINTS)
-            rps = np.repeat([pairs[i][1] for i in group], 2 * ZOOM_POINTS)
-            pts = _tangent_points(ks, rps, np.repeat(s, 2, axis=0).ravel())
-            pts = [a.reshape(len(group), 2, ZOOM_POINTS) for a in pts]
-            for row, i in enumerate(group):
-                _, r_p, budget = pairs[i]
-                g, slack, si = pts[0][row], pts[3][row], s[row]
-                certified = np.isfinite(slack).all(axis=0)
-                vals = si * budget + _envelope(g, alpha)
-                j = int(np.argmin(np.where(certified, vals, np.inf)))
-                cells = slice(max(j - 1, 0), min(j + 2, si.size))
-                if not certified[cells].all():
-                    w, c = np.argwhere(~np.isfinite(slack[:, cells]))[0]
-                    raise UncertifiedSolveError(
-                        f"window pair ({tau}, {tau + 1}), r_p={r_p}: the free-mean row "
-                        f"k={tau + w}, s={si[cells][c]:.6g} next to the smallest cell is "
-                        f"uncertified"
-                    )
-                lo, hi = si[cells][0], si[cells][-1]
-                if hi - lo < S_TOL:
-                    del brackets[i]
-                    minima[i] = float(si[j]), [[float(a[row, w, j]) for a in pts] for w in (0, 1)]
-                else:
-                    brackets[i] = (lo, hi)
-    return [_pair_point(*pairs[i], alpha, *minima[i]) for i in range(len(pairs))]
+    out, todo = [None] * len(r_ps), []
 
+    def result(val, a, gm1, gm2, gap, p1, p2):
+        laws = tuple(np.asarray(p1).tolist()), tuple(np.asarray(p2).tolist())
+        return val, a, gm1, gm2, gap, ((tau, a, laws[0]), (tau + 1, 1.0 - a, laws[1]))
 
-def _pair_point(tau: int, r_p: float, budget: float, alpha, s_star: float, at):
-    """The primal point and certified gap of one window pair from its dual
-    minimizer s_star and the windows' tangent points `at` there."""
-    dual = s_star * budget + float(_envelope(np.array([g + sl for g, _, _, sl in at]), alpha))
-    (_, gm1, i1, _), (_, gm2, i2, _) = at
-
-    if alpha is not None:
-        # the budget fixes the heavier window's gamma from the lighter one's,
-        # which damps the error of the touching point instead of amplifying it
-        if alpha <= 0.5:
-            gm1 = gm1 if alpha > 0.0 else 0.0
-            gm2 = (budget - alpha * (gm1 + 1.0 / tau)) / (1.0 - alpha) - 1.0 / (tau + 1)
-            i2 = i_tilde(gm2, tau + 1, r_p).bits_per_slot
+    for i, rp in enumerate(r_ps):
+        if alpha is None and 1.0 - rp <= 1.0 / (tau + 1) + 1e-12:
+            out[i] = result(0.0, 0.0, 0.0, 0.0, 0.0, np.full(tau + 1, 1.0 / (tau + 1)),
+                            np.eye(tau + 2)[0])
         else:
-            gm1 = (budget - (1.0 - alpha) * (gm2 + 1.0 / (tau + 1))) / alpha - 1.0 / tau
-            i1 = i_tilde(gm1, tau, r_p).bits_per_slot
-        value = alpha * i1 + (1.0 - alpha) * i2
-        return value, alpha, gm1, gm2, dual - value
-    cands = []
-    g_end = budget - 1.0 / tau  # alpha = 1 pins gamma1; gamma2 is then irrelevant
-    if 0.0 <= g_end <= 1.0:
-        cands.append((i_tilde(g_end, tau, r_p).bits_per_slot, 1.0, g_end, 0.0))
-    g_end = max(budget - 1.0 / (tau + 1), 0.0)
-    cands.append((i_tilde(g_end, tau + 1, r_p).bits_per_slot, 0.0, 0.0, g_end))
-    u1, u2 = gm1 + 1.0 / tau, gm2 + 1.0 / (tau + 1)
-    a = (budget - u2) / (u1 - u2) if u1 != u2 else -1.0
-    if 0.0 <= a <= 1.0:
-        cands.append((a * i1 + (1.0 - a) * i2, a, gm1, gm2))
-    best = max(cands, key=lambda c: c[0])  # ties keep a pure window, so alpha stays exact
-    return (*best, dual - best[0])
+            todo.append(i)
+    if not todo:
+        return out
+    q, f, gaps = _program_path(tau, np.array([r_ps[i] for i in todo], dtype=float), alpha)
+    for i, qi, fi, gi in zip(todo, q, f, gaps):
+        rp, c = r_ps[i], 1.0 - r_ps[i]
+        if not gi <= GAP_TOL:
+            raise UncertifiedSolveError(f"window pair ({tau}, {tau + 1}) at r_p={rp}: program "
+                                        f"LP gap {gi:.3e} nats > GAP_TOL={GAP_TOL:.0e}")
+        shares = float(qi[: tau + 1].sum()), float(qi[tau + 1 :].sum())
+        p1, p2 = qi[: tau + 1] / shares[0], qi[tau + 1 :] / shares[1]
+        gm1 = float(p1 @ np.arange(tau + 1.0)) / tau
+        gm2 = float(p2 @ np.arange(tau + 2.0)) / (tau + 1)
+        val, gap = float(fi) / LN2, float(gi) / LN2
+        if alpha is None and min(shares) <= PURE_SHARE:
+            a = float(shares[0] > PURE_SHARE)  # 1: window tau alone
+            gw = max(c - 1.0 / (tau + 1 - a), 0.0)
+            it = i_tilde(gw, tau + 1 - int(a), rp)
+            p1, p2 = (it.maximizing_input.probs, p2) if a else (p1, it.maximizing_input.probs)
+            # the bound val + gap over the pure value, |val - pure| covering
+            # the rounding of two sums that can cross
+            gap += abs(val - it.bits_per_slot)
+            out[i] = result(it.bits_per_slot, a, *((gw, 0.0) if a else (0.0, gw)), gap, p1, p2)
+            continue
+        if alpha is None:  # the budget fixes the mix of the two windows' gammas
+            u1, u2 = gm1 + 1.0 / tau, gm2 + 1.0 / (tau + 1)
+            a = (c - u2) / (u1 - u2)
+        elif alpha <= 0.5:  # the lighter window keeps its gamma; the budget fixes the other's
+            a, gm2 = alpha, (c - alpha * (gm1 + 1.0 / tau)) / (1.0 - alpha) - 1.0 / (tau + 1)
+        else:
+            a, gm1 = alpha, (c - (1.0 - alpha) * (gm2 + 1.0 / (tau + 1))) / alpha - 1.0 / tau
+        out[i] = result(val, a, gm1, gm2, gap, p1, p2)
+    return out
 
 
 def solve_capacity_grid(rps, tau_max: int = 8) -> list[CapacityResult3]:
@@ -667,9 +669,9 @@ def solve_capacity_grid(rps, tau_max: int = 8) -> list[CapacityResult3]:
 
     Each rate keeps its own feasible taus, its own stop at the first tau
     whose optimum decreases and its own tie rules. The rates' tau loops
-    advance in lockstep: each step solves the current pair of every rate
-    still in its loop in one `_solve_pairs` call, whose zoom rounds share
-    row-stacked solves, and a rate's result does not depend on the others.
+    advance in lockstep: each step solves the current pairs of all rates
+    still in their loops, one `_pair_programs` call per tau, and a rate's
+    result does not depend on the others.
     """
     if not all(0.0 <= r_p < 1.0 for r_p in rps):
         raise ValueError("r_p must lie in [0, 1)")
@@ -683,41 +685,36 @@ def solve_capacity_grid(rps, tau_max: int = 8) -> list[CapacityResult3]:
             )
 
     per_tau, per_tau_gap = [{} for _ in rps], [{} for _ in rps]
-    best = [None] * len(rps)  # per rate: (value, alpha, gamma1, gamma2, tau, gap)
+    best = [None] * len(rps)  # per rate: (tau, the _pair_programs tuple of its best pair)
     step = dict.fromkeys(range(len(rps)), 0)  # rate -> index of its current pair in taus
     while step:
-        pairs = [(taus[i][j], rps[i], 1.0 - rps[i]) for i, j in step.items()]
-        for i, (tau, r_p, _), (val, a_opt, g1_opt, g2_opt, gap) in zip(
-            list(step), pairs, _solve_pairs(pairs)
-        ):
+        solved = {}
+        for tau in sorted({taus[i][j] for i, j in step.items()}):
+            group = [i for i, j in step.items() if taus[i][j] == tau]
+            solved.update(zip(group, _pair_programs(tau, [rps[i] for i in group])))
+        for i, pair in solved.items():
+            tau, val, gap = taus[i][step[i]], pair[0], pair[4]
             if not gap <= PAIR_GAP_TOL:
                 raise UncertifiedSolveError(
-                    f"window pair ({tau}, {tau + 1}) at r_p={r_p} has duality gap "
+                    f"window pair ({tau}, {tau + 1}) at r_p={rps[i]} has gap "
                     f"{gap:.3e} bits > PAIR_GAP_TOL={PAIR_GAP_TOL:.0e}"
                 )
             prev_val = per_tau[i][tau - 1] if step[i] else -np.inf
             per_tau[i][tau], per_tau_gap[i][tau] = val, gap
-            if best[i] is None or val > best[i][0]:
-                best[i] = (val, a_opt, g1_opt, g2_opt, tau, gap)
+            if best[i] is None or val > best[i][1][0]:
+                best[i] = tau, pair
             step[i] += 1
             if val < prev_val or step[i] == len(taus[i]):
                 del step[i]
 
     results = []
-    for r_p, pt, pg, (val, a_opt, g1_opt, g2_opt, tau, gap) in zip(rps, per_tau, per_tau_gap, best):
-        lhs = a_opt * (g1_opt + 1.0 / tau) + (1.0 - a_opt) * (g2_opt + 1.0 / (tau + 1))
+    for r_p, pt, pg, (tau, (val, a, g1, g2, gap, witness)) in zip(rps, per_tau, per_tau_gap, best):
+        lhs = a * (g1 + 1.0 / tau) + (1.0 - a) * (g2 + 1.0 / (tau + 1))
         results.append(CapacityResult3(
-            r_p=r_p,
-            capacity_bits_per_slot=val,
-            alpha=a_opt,
-            gamma1=g1_opt,
-            gamma2=g2_opt,
-            tau_star=tau,
-            constraint_residual=abs(lhs - (1.0 - r_p)),
-            per_tau=pt,
-            per_tau_gap=pg,
-            gap_bits=gap,
-            windows=tuple((k, w) for k, w in ((tau, a_opt), (tau + 1, 1.0 - a_opt)) if w > 0.0),
+            r_p=r_p, capacity_bits_per_slot=val, alpha=a, gamma1=g1, gamma2=g2, tau_star=tau,
+            constraint_residual=abs(lhs - (1.0 - r_p)), per_tau=pt, per_tau_gap=pg, gap_bits=gap,
+            windows=tuple((k, w) for k, w in ((tau, a), (tau + 1, 1.0 - a)) if w > 0.0),
+            witness=witness,
         ))
     return results
 
@@ -735,14 +732,15 @@ def solve_capacity_3user(r_p: float, tau_max: int = 8) -> CapacityResult3:
     has certified counterexamples for r_p > 0, so there the returned value
     can fall short of the best mix over all window lengths up to tau_max.
 
-    Each pair is the concave envelope of its two ceiling curves at the
-    budget, solved exactly through its one-multiplier Lagrangian dual (see
-    `_solve_pairs`): each zoom round is one row-stacked free-mean solve
-    that carries the multipliers of both windows, with no grid scan and no
-    polish. This is the one-rate case of `solve_capacity_grid`. Every
-    per-tau optimum is kept for audit with its certified duality gap, and a
-    gap above PAIR_GAP_TOL bits raises UncertifiedSolveError. `windows`
-    lists the window lengths of the optimal mix with their shares.
+    Each pair is one concave program over the share-weighted input laws of
+    its two windows, solved by a log-barrier Newton path and certified by
+    its LP gap (see `_pair_programs`). This is the one-rate case of
+    `solve_capacity_grid`. Every per-tau optimum is kept for audit with its
+    certified gap, and a gap above PAIR_GAP_TOL bits raises
+    UncertifiedSolveError. `windows` lists the window lengths of the
+    optimal mix with their shares, and `witness` the shares and input laws
+    of both windows of the winning pair, which bound the capacity without
+    the solver.
     """
     return solve_capacity_grid([r_p], tau_max)[0]
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cqclab import capacity3
+from cqclab import capacity2, capacity3
 from cqclab.capacity2 import (
     BoxViolationError,
     constraint_value,
@@ -38,6 +38,36 @@ def _dual_reference(alpha: float | None) -> float:
         else:
             lo = a
     return dual(0.5 * (lo + hi))
+
+
+def _touching(s: float):
+    """Noiseless touching points of slope s (bits per unit of budget): the
+    gamma and ceiling of window 1 and of window 2, in closed form."""
+    g1 = 1.0 / (1.0 + 2.0**s)
+    w = [2.0 ** (-s * x) for x in range(3)]
+    p = [v / sum(w) for v in w]
+    h1 = -(g1 * math.log2(g1) + (1.0 - g1) * math.log2(1.0 - g1))
+    return g1, (p[1] + 2.0 * p[2]) / 2.0, h1, -sum(v * math.log2(v) for v in p) / 2.0
+
+
+def _argmax_reference(alpha: float | None):
+    """(alpha, gamma1, gamma2) of the optimum by bisection on the slope s:
+    with the mix free both windows touch one line (equal intercepts), with
+    it frozen the touching points meet the budget."""
+
+    def side(s):
+        g1, g2, h1, h2 = _touching(s)
+        if alpha is None:
+            return (h1 - s * (g1 + 1.0)) - (h2 - s * (g2 + 0.5))
+        return alpha * (g1 + 1.0) + (1.0 - alpha) * (g2 + 0.5) - 1.0
+
+    lo, hi = -8.0, 8.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if side(mid) * side(lo) > 0 else (lo, mid)
+    g1, g2, _, _ = _touching(0.5 * (lo + hi))
+    a = alpha if alpha is not None else (1.0 - (g2 + 0.5)) / ((g1 + 1.0) - (g2 + 0.5))
+    return a, g1, g2
 
 
 class TestObjective:
@@ -118,6 +148,14 @@ class TestDualReference:
         assert res.constraint_residual <= 1e-15
 
 
+    @pytest.mark.parametrize("alpha", [None, 0.3])
+    def test_argmax(self, cap2, alpha):
+        # the maximizer itself, not only the value, to 1e-12
+        res = cap2 if alpha is None else solve_on_alpha_slice(alpha)
+        want = _argmax_reference(alpha)
+        assert (res.alpha, res.gamma1, res.gamma2) == pytest.approx(want, abs=1e-12)
+
+
 class TestCertificate:
     def test_gap_and_three_user_agreement(self, cap2, cap3_rp0):
         assert -1e-15 <= cap2.gap_bits <= 1e-9
@@ -129,10 +167,13 @@ class TestCertificate:
 
     @pytest.mark.parametrize("alpha", [None, 0.5])
     def test_large_gap_raises(self, monkeypatch, alpha):
-        # one zoom round leaves the multiplier up to 2 off, far from certified
-        monkeypatch.setattr(capacity3, "S_TOL", 10.0)
-        with pytest.raises(UncertifiedSolveError):
-            solve_capacity_2user() if alpha is None else solve_on_alpha_slice(alpha)
+        # no solve reaches a gap of 1e-30: the pair program refuses at
+        # GAP_TOL, the two-user result at its own PAIR_GAP_TOL check
+        for module, tol in ((capacity3, "GAP_TOL"), (capacity2, "PAIR_GAP_TOL")):
+            with monkeypatch.context() as m:
+                m.setattr(module, tol, 1e-30)
+                with pytest.raises(UncertifiedSolveError):
+                    solve_capacity_2user() if alpha is None else solve_on_alpha_slice(alpha)
 
     @pytest.mark.parametrize("alpha", [1e-12, 1e-9, 1 - 1e-6, 1 - 1e-9])
     def test_extreme_weights(self, alpha):

@@ -316,12 +316,18 @@ class TestBatchedSolver:
                 assert (gaps <= GAP_TOL).all(), (k, rp)
                 assert np.allclose(p @ np.arange(k + 1.0), k * gs, atol=1e-10)
 
-    def test_every_free_row_certifies(self):
-        s = np.arange(-32.0, 33.0)
-        for k in (5, 8, 12, 24, 64):
-            for rp in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9):
-                slack = capacity3._tangent_points(k, rp, s)[3]
-                assert np.isfinite(slack).all(), (k, rp, s[~np.isfinite(slack)])
+    def test_every_pair_program_certifies(self):
+        # every rate with an interior budget, up to windows of 64; the value
+        # beats both windows alone
+        for tau in (1, 4, 7, 11, 23, 63):
+            rps = np.array([rp for rp in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9) if 1 - rp > 1 / (tau + 1)])
+            q, f, gaps = capacity3._program_path(tau, rps)
+            assert (gaps <= GAP_TOL).all(), (tau, rps, gaps)
+            assert np.allclose(q.sum(axis=1), 1.0, atol=1e-12) and (q > 0).all()
+            for rp, val in zip(rps, f / capacity3.LN2):
+                pure = [i_tilde(1 - rp - 1 / k, k, rp).bits_per_slot
+                        for k in (tau, tau + 1) if 1 - rp >= 1 / k]
+                assert val >= max(pure) - 1e-12, (tau, rp)
 
     def test_singular_kkt_falls_back_to_least_squares(self, monkeypatch):
         sv = capacity3._SliceEntropySolver(3, 0.2)
@@ -388,17 +394,17 @@ class TestBatchedSolver:
             assert np.abs(bits[sel] - ref).max() <= 1e-12, (k, rp)
             assert (noise[sel] == sv.noise_entropy_bits[0]).all()
 
-    def test_mixed_free_rows_match_per_channel_solves(self, mixed_rows):
-        chans, ks, rps = mixed_rows
-        s = np.random.default_rng(44).uniform(-32.0, 32.0, size=ks.size)
-        g, gamma, info, slack = capacity3._tangent_points(ks, rps, s)
-        assert np.isfinite(slack).all()
-        for k, rp in chans:
-            sel = (ks == k) & (rps == rp)
-            ref = capacity3._tangent_points(k, rp, s[sel])
-            assert np.abs(g[sel] - ref[0]).max() <= 1e-12, (k, rp)
-            assert np.abs(info[sel] - ref[2]).max() <= 1e-12, (k, rp)
-            assert np.abs(gamma[sel] - ref[1]).max() <= 1e-9, (k, rp)
+    @pytest.mark.parametrize("alpha", [None, 0.3])
+    def test_mixed_rates_match_one_rate_programs(self, alpha):
+        # a row's arithmetic does not depend on the rates that share its path
+        rps = np.random.default_rng(44).permutation(np.repeat([0.0, 0.1, 0.3, 0.45], 3))
+        for tau in (1, 2, 4):
+            q, f, gaps = capacity3._program_path(tau, rps, alpha)
+            for rp in np.unique(rps):
+                sel = rps == rp
+                ref = capacity3._program_path(tau, np.array([rp]), alpha)
+                for got, want in zip((q[sel], f[sel], gaps[sel]), ref):
+                    assert (got == want).all(), (tau, rp)
 
     def test_uncertified_row_of_a_mixed_batch_names_its_point(self, monkeypatch):
         # rows at k = 1 and at gamma = 0 are exact and always certify
@@ -406,49 +412,38 @@ class TestBatchedSolver:
         ks, rps = np.array([1, 2, 5, 3]), np.array([0.1, 0.0, 0.7, 0.3])
         with pytest.raises(UncertifiedSolveError, match=r"gamma=0\.45, k=5, r_p=0\.7 "):
             capacity3._slices(ks, rps, np.array([0.3, 0.0, 0.45, 0.5]))
-        slack = capacity3._tangent_points(ks, rps, np.array([-3.0, 0.5, 2.0, 9.0]))[3]
-        assert np.isinf(slack).all()
 
-    def test_uncertified_free_row_of_a_grid_names_its_point(self, monkeypatch):
-        real = capacity3._tangent_points
+    @pytest.mark.parametrize("tau, r_p", [(1, 0.0), (2, 0.3), (6, 0.7)])
+    def test_program_laws_match_slice_solves(self, tau, r_p):
+        # at a mixed optimum each window's law is the slice maximizer at its
+        # own mean, and the value is the share-weighted sum of the ceilings
+        q, f, _ = capacity3._program_path(tau, np.array([r_p]))
+        parts = [(tau, q[0, : tau + 1]), (tau + 1, q[0, tau + 1 :])]
+        total = 0.0
+        for k, qk in parts:
+            share, law = qk.sum(), qk / qk.sum()
+            assert 0.01 < share < 0.99
+            val = i_tilde(float(law @ np.arange(k + 1.0)) / k, k, r_p)
+            assert np.abs(val.maximizing_input.probs - law).max() <= 1e-7, k
+            total += share * val.bits_per_slot
+        assert f[0] / capacity3.LN2 == pytest.approx(total, abs=1e-12)
 
-        def failing(k, r_p, s):  # window 2 at r_p = 0.3 never certifies
-            g, gamma, info, slack = real(k, r_p, s)
-            return g, gamma, info, np.where((k == 2) & (r_p == 0.3), np.inf, slack)
-
-        monkeypatch.setattr(capacity3, "_tangent_points", failing)
-        with pytest.raises(UncertifiedSolveError,
-                           match=r"\(1, 2\), r_p=0\.3: the free-mean row k=2, s=-?\d"):
-            capacity3.solve_capacity_grid([0.0, 0.3], tau_max=3)
-
-    @pytest.mark.parametrize("k, r_p", [(1, 0.0), (3, 0.3), (6, 0.7)])
-    def test_free_mean_rows_match_slice_solves(self, k, r_p):
-        # a free-mean maximizer is also the slice maximizer at its own mean,
-        # and no point of a slice grid beats its tilted objective
-        sv = capacity3._SliceEntropySolver(k, r_p)
-        tilts = np.linspace(-20.0, 20.0, 17)
-        bits, p, gaps = sv.solve_free(tilts)
-        assert (gaps <= GAP_TOL).all()
-        assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
-        means = p @ np.arange(k + 1.0)
-        slice_bits, _, _ = sv.solve(np.clip(means / k, 0.0, 1.0))
-        assert np.allclose(bits, slice_bits, atol=1e-9)
-        gs = np.linspace(0.0, 1.0, 201)
-        grid_bits, _, _ = sv.solve(gs)
-        scale = tilts[:, None] / capacity3.LN2
-        best = (grid_bits[None, :] - scale * k * gs[None, :]).max(axis=1)
-        assert (bits - scale[:, 0] * means >= best - 1e-9).all()
-
-    def test_uncertified_free_mean_rows_have_infinite_gaps(self, monkeypatch):
-        monkeypatch.setattr(capacity3, "GAP_TOL", 1e-30)
-        _, _, gaps = capacity3._SliceEntropySolver(3, 0.2).solve_free([0.5, 3.0])
-        assert np.isinf(gaps).all()
-
-    def test_uncertified_free_mean_raises(self, monkeypatch):
-        # with no row certified, the capacity solve must refuse
-        monkeypatch.setattr(capacity3, "GAP_TOL", 1e-30)
-        with pytest.raises(UncertifiedSolveError):
+    @pytest.mark.parametrize("tol", ["GAP_TOL", "PAIR_GAP_TOL"])
+    def test_uncertified_pair_names_its_rate(self, monkeypatch, tol):
+        # no program gets a gap down to 1e-30; the vertex pair (1, 2) at
+        # r_p = 0.5 is exact and passes
+        monkeypatch.setattr(capacity3, tol, 1e-30)
+        with pytest.raises(UncertifiedSolveError, match=r"window pair \(1, 2\) at r_p=0\.3"):
+            capacity3.solve_capacity_grid([0.5, 0.3], tau_max=3)
+        with pytest.raises(UncertifiedSolveError, match=r"window pair \(1, 2\) at r_p=0\.2"):
             solve_capacity_3user(0.2, tau_max=3)
+
+    def test_rows_off_their_constraints_are_uncertified(self, monkeypatch):
+        monkeypatch.setattr(capacity3, "FEAS_TOL", -1.0)
+        _, _, gaps = capacity3._program_path(2, np.array([0.1, 0.3]))
+        assert np.isinf(gaps).all()
+        with pytest.raises(UncertifiedSolveError, match=r"\(2, 3\) at r_p=0\.1"):
+            capacity3._pair_programs(2, [0.1, 0.3])
 
 
 class TestCapacity3:
@@ -535,26 +530,6 @@ class TestCapacity3:
         assert res.capacity_bits_per_slot == i_tilde((1.0 - 0.4) - 1.0 / 3, 3, 0.4).bits_per_slot
         assert res.capacity_bits_per_slot == pytest.approx(0.244297972331, abs=1e-11)
         assert 0.0 <= res.gap_bits <= capacity3.PAIR_GAP_TOL
-
-    def test_zoom_steps_around_uncertified_multipliers(self, monkeypatch):
-        ref = solve_capacity_3user(0.3, tau_max=8)
-        real = capacity3._tangent_points
-
-        def failing_above(limit):
-            def tangent_points(k, r_p, s):
-                g, gamma, info, slack = real(k, r_p, s)
-                bad = s > limit
-                return np.where(bad, np.nan, g), gamma, info, np.where(bad, np.inf, slack)
-
-            return tangent_points
-
-        # failures far from s* leave the result unchanged
-        monkeypatch.setattr(capacity3, "_tangent_points", failing_above(20.0))
-        assert solve_capacity_3user(0.3, tau_max=8) == ref
-        # s* > 0, so the smallest certified cell s = 0 has an uncertified neighbour
-        monkeypatch.setattr(capacity3, "_tangent_points", failing_above(0.0))
-        with pytest.raises(UncertifiedSolveError):
-            solve_capacity_3user(0.3, tau_max=8)
 
     def test_grid_results_equal_one_rate_solves(self, cap3_rp0, cap3_rp005, cap3_rp01):
         # a rate's result does not depend on which rates share its batches

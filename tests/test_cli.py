@@ -1,5 +1,4 @@
 import json
-from collections import Counter
 import math
 import os
 import subprocess
@@ -138,28 +137,22 @@ class TestCapacity3:
         assert body == ""
         assert capsys.readouterr().err == "error: background rates must lie in [0, 1)\n"
 
-    def test_one_free_mean_path_per_zoom_round(self, tmp_path, monkeypatch):
-        # the rates advance in lockstep, and each zoom round evaluates both
-        # windows of every rate's current pair in one barrier path
-        paths, rounds = Counter(), Counter()
-        real_path, real_points = capacity3._SliceEntropySolver._barrier_path, capacity3._tangent_points
+    def test_one_program_path_per_lockstep_step(self, tmp_path, monkeypatch):
+        # the rates advance in lockstep, and each step solves the current
+        # pair of every rate in one program path
+        paths = []
+        real = capacity3._program_path
 
-        def path(self, p, m=None, tilt=None, chan=None):
-            paths["free" if tilt is not None else "slice"] += 1
-            return real_path(self, p, m, tilt, chan)
+        def path(tau, r_ps, alpha=None):
+            paths.append((tau, r_ps.size))
+            return real(tau, r_ps, alpha)
 
-        def points(k, r_p, s):
-            rounds[tuple(np.unique(k))] += 1
-            return real_points(k, r_p, s)
-
-        monkeypatch.setattr(capacity3._SliceEntropySolver, "_barrier_path", path)
-        monkeypatch.setattr(capacity3, "_tangent_points", points)
+        monkeypatch.setattr(capacity3, "_program_path", path)
         code, _ = _run(tmp_path, "capacity3", "--rp-grid", "0,0.1,0.3", "--tau-max", "8")
         assert code == 0
-        # three lockstep steps, the pairs (1, 2), (2, 3) and (3, 4), of ten
-        # rounds each; one rate at a time made 160 free-mean paths
-        assert rounds == {(1, 2): 10, (2, 3): 10, (3, 4): 10}
-        assert paths["free"] == 30
+        # the pairs (1, 2) and (2, 3) of all three rates, then (3, 4) of the
+        # two rates whose optimum did not yet decrease
+        assert paths == [(1, 3), (2, 3), (3, 2)]
 
 
 class TestSimulate:
