@@ -438,6 +438,24 @@ class TestBatchedSolver:
         with pytest.raises(UncertifiedSolveError, match=r"window pair \(1, 2\) at r_p=0\.2"):
             solve_capacity_3user(0.2, tau_max=3)
 
+    def test_uncertified_free_mean_raises(self, monkeypatch):
+        # with no row certified, the capacity solve must refuse
+        monkeypatch.setattr(capacity3, "GAP_TOL", 1e-30)
+        with pytest.raises(UncertifiedSolveError):
+            solve_capacity_3user(0.2, tau_max=3)
+
+    def test_uncertified_free_row_of_a_grid_names_its_point(self, monkeypatch):
+        real = capacity3._program_path
+
+        def failing(tau, r_ps, alpha=None):  # pair (1, 2) at r_p = 0.3 never certifies
+            q, f, gaps = real(tau, r_ps, alpha)
+            return q, f, np.where((tau == 1) & (r_ps == 0.3), np.inf, gaps)
+
+        monkeypatch.setattr(capacity3, "_program_path", failing)
+        with pytest.raises(UncertifiedSolveError,
+                           match=r"window pair \(1, 2\) at r_p=0\.3: program LP gap inf"):
+            capacity3.solve_capacity_grid([0.0, 0.3], tau_max=3)
+
     def test_rows_off_their_constraints_are_uncertified(self, monkeypatch):
         monkeypatch.setattr(capacity3, "FEAS_TOL", -1.0)
         _, _, gaps = capacity3._program_path(2, np.array([0.1, 0.3]))
