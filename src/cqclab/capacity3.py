@@ -12,14 +12,12 @@ mixed-window concavity inequality has certified counterexamples (see
 
 The inner maximization (max output entropy over a simplex slice) is smooth
 and strictly concave, solved by a log-barrier Newton path with an LP duality
-gap certificate below GAP_TOL = 1e-9 nats. One row-stacked solver serves a
-single point and a whole stack of rows alike: every row advances in the
-same batched KKT solve, so an i_tilde table takes about as many numpy calls
-as its slowest point. Each row may have its own window length k and noise
-rate r_p: it takes its channel from a stack with one entry per distinct
-(k, r_p), padded to the largest window of the call, so a sweep over many
-rates (`validate_i_concavity`, `degradation_violations`) is one solve per
-window length. A call at one (k, r_p) keeps its products as plain 2-D
+gap certificate below GAP_TOL = 1e-9 nats. One call (`_slices`) solves a
+whole batch of rows at one window length k: every row advances in the same
+batched KKT solve, so an i_tilde table takes about as many numpy calls as
+its slowest point. Rows may differ in their noise rate r_p, so a sweep over
+many rates (`validate_i_concavity`, `degradation_violations`) is one solve
+per window length. A call at one rate keeps its products as plain 2-D
 matrix products. Channels are built once per (k, r_p) and cached with their
 noise entropies. An uncertified slice point raises UncertifiedSolveError
 naming its k, gamma and r_p.
@@ -29,16 +27,19 @@ concave program: with q_k = alpha_k * p_k, the share-weighted entropy
 alpha_k * H(B_k p_k) is the perspective of a concave function (Boyd &
 Vandenberghe 2004, sec. 3.2.6), so the pair maximizes a concave function
 of q >= 0 under two linear equalities, by one log-barrier Newton path
-(ibid., ch. 11) certified by its LP gap. `solve_capacity_grid` runs the tau
-loops of many rates in lockstep, each step one program path for every
-current pair of a tau, and `solve_capacity_3user` is its one-rate case. The
-two-user capacity (`capacity2`) is the pair (1, 2) of this engine at r_p = 0.
+(ibid., ch. 11) certified by its LP gap. Both problems run the same
+barrier-Newton loop (`_newton_path`), each with its own objective and its
+own mu stages. `solve_capacity_grid` runs the tau loops of many rates in
+lockstep, each step one program path for every current pair of a tau, and
+`solve_capacity_3user` is its one-rate case. The two-user capacity
+(`capacity2`) is the pair (1, 2) of this engine at r_p = 0.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,14 +156,13 @@ def output_mean_check(input_pmf: Pmf, tau: int, r_p: float) -> float:
 def _lp_gaps(g: np.ndarray, p: np.ndarray, m: np.ndarray, pos=None) -> np.ndarray:
     """Linearized suboptimality bound max over the polytope of <g, q - p>, per row.
 
-    Entry i sits at pos[i] (one vector, or one per row; NaN marks padding):
-    its mean in a slice solve (the default, its index), its budget cost in a
-    pair program. The vertices of {q >= 0, sum q = 1, <pos, q> = m} are
-    two-point mixtures on (i, j) with pos[i] <= m <= pos[j], so each row's
-    LP maximum is explicit.
+    Entry i sits at pos[i]: its mean in a slice solve (the default, its
+    index), its budget cost in a pair program. The vertices of
+    {q >= 0, sum q = 1, <pos, q> = m} are two-point mixtures on (i, j) with
+    pos[i] <= m <= pos[j], so each row's LP maximum is explicit.
     """
     pos = np.arange(p.shape[1], dtype=float) if pos is None else pos
-    I, J = pos[..., :, None], pos[..., None, :]
+    I, J = pos[:, None], pos[None, :]
     mm = m[:, None, None]
     gi, gj = g[:, :, None], g[:, None, :]
     span = np.where(J > I, J - I, 1.0)
@@ -172,11 +172,19 @@ def _lp_gaps(g: np.ndarray, p: np.ndarray, m: np.ndarray, pos=None) -> np.ndarra
 
 
 def _kkt_solve(K: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Every row's KKT system; a singular one sends all rows to least squares."""
+    """Every row's KKT system; a singular one sends all rows to least squares.
+
+    Least squares first scales each system symmetrically so that no diagonal
+    entry exceeds 1 in size: the barrier terms mu / q**2 span many orders of
+    magnitude, and unscaled, a pair program's iterates leave their
+    constraints and never certify.
+    """
     try:
         return np.linalg.solve(K, r)
     except np.linalg.LinAlgError:
-        return np.stack([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(K, r)])
+        d = 1.0 / np.sqrt(np.maximum(np.abs(np.diagonal(K, axis1=1, axis2=2)), 1.0))[:, :, None]
+        Ks, rs = K * d * d.transpose(0, 2, 1), r * d
+        return d * np.stack([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(Ks, rs)])
 
 
 def _entropy_rows(py: np.ndarray) -> np.ndarray:
@@ -189,6 +197,12 @@ def _times(v: np.ndarray, M: np.ndarray) -> np.ndarray:
     return v @ M if M.ndim == 2 else np.matmul(v[:, None, :], M)[:, 0]
 
 
+def _lhs(q: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """A q of every row q, each entry a sum over the row, so that no row
+    depends on the others."""
+    return (q[:, None, :] * A).sum(axis=2)
+
+
 @functools.lru_cache(maxsize=1024)
 def _channel(k: int, r_p: float) -> tuple[np.ndarray, float]:
     """The rows of channel_matrix(k, r_p) and the noise entropy H(Bin(k, r_p))
@@ -196,256 +210,186 @@ def _channel(k: int, r_p: float) -> tuple[np.ndarray, float]:
     return channel_matrix(k, r_p).rows, entropy(binomial_pmf(k, r_p))
 
 
-class _SliceEntropySolver:
-    """max H(B p) over {p >= 0, sum p = 1, mean p = m}, for a whole stack of
-    rows at once, each row with its own channel (k, r_p) and its own mean
-    constraint.
+def _newton_path(q, A, b, data, model, stages) -> np.ndarray:
+    """Log-barrier Newton path (Boyd & Vandenberghe 2004, ch. 11) on every
+    row of q: maximize the concave model.value(q) + mu * sum(log q) over
+    {A q = b[row]} for each mu in `stages`, and return the final iterates.
 
-    Log-barrier Newton path following: the objective is strictly concave
-    (the shifted-binomial rows are linearly independent), the barrier keeps
-    iterates strictly positive, and each stage's equality-constrained Newton
-    system carries a residual-correction term that pulls rounding drift back
-    onto the constraint plane. Each row is solved once, from a central
-    start (Boyd & Vandenberghe 2004, sec. 11.3). Every row advances in the
-    same batched KKT solve but keeps its own step length, line search and
-    stopping test; a single point is the one-row case. Each final iterate
-    is certified by its LP gap and its distance from the slice; an
-    uncertified slice row raises UncertifiedSolveError.
-
-    Built from one window length k and one noise rate r_p, the solver is
-    plain: every product with the channel B is one 2-D matrix product, and
-    the outputs that B never reaches (those above k when r_p = 0) are
-    dropped. Built from sequences `k` and `r_p`, one channel per entry, it
-    is row-stacked: row r takes channel chan[r], and the products go row by
-    row, so a row's arithmetic does not depend on the other rows of its
-    call (short of a singular KKT matrix, which sends every row of its
-    Newton step to least squares). Every row of a stacked call is padded to K + 1 inputs and 2K + 1
-    outputs, K the largest window of the solver; the inputs above a row's
-    own k are held at exactly 0 by identity rows of the KKT system and are
-    left out of the barrier, the entropy, the mean row and the LP gap. A
-    stacked call runs its rows through the path in chunks of
-    _CHUNK_INPUTS // (K + 1) rows, which bounds its memory.
+    `data` holds per-row arrays of the objective; a row leaves the loop
+    with its data. model.newton(q, data, H) returns the objective and its
+    gradient and writes its Hessian into H, a view of the preallocated KKT
+    matrices whose constraint blocks A are set once; model.lhs(q, A) gives
+    A q. Each stage's equality-constrained Newton system carries the
+    residual b - A q, which pulls rounding drift back onto the constraint
+    plane. Every row advances in the same batched KKT solve but keeps its
+    own fraction-to-boundary step, line search (50 halvings) and stopping
+    test. A row leaves a stage after 60 Newton steps, on a step below
+    1e-14, when its line search fails, or once it moves less than 1e-13. In
+    the last stage a row that moves less than 1e-13 keeps going while its
+    Newton decrement -dq' H dq is at least 1e-18: its entries near 1e-12,
+    which set the LP gap, may still be moving.
     """
+    rows, n = q.shape
+    size = n + A.shape[0]
+    kkt = np.zeros((rows, size, size))
+    kkt[:, :n, n:], kkt[:, n:, :n] = A.T, A
+    rhs = np.empty((rows, size, 1))
+    for mu in stages:
+        last = mu == stages[-1]
+        q = np.maximum(q, 1e-150)  # barrier needs strict positivity (and q**2 > 0)
+        live, ql, bl, dl = np.arange(rows), q, b, data  # the rows still moving
+        for _ in range(60):
+            K, r = kkt[: live.size], rhs[: live.size]
+            f, g = model.newton(ql, dl, K[:, :n, :n])
+            K.reshape(live.size, -1)[:, : n * (size + 1) : size + 1] -= mu / ql**2  # diagonal
+            r[:, :n, 0] = -g - mu / ql
+            r[:, n:, 0] = bl - model.lhs(ql, A)
+            dq = _kkt_solve(K, r)[:, :n, 0]
+            step = np.abs(dq).max(axis=1)
+            moving = last and np.einsum("ri,rij,rj->r", dq, K[:, :n, :n], dq) <= -1e-18
+            ratio = np.divide(ql, -dq, out=np.full_like(ql, np.inf), where=dq < 0)
+            t = np.minimum(1.0, 0.99 * ratio.min(axis=1))
+            base = f + mu * np.log(ql).sum(axis=1)
+            todo = step >= 1e-14
+            accepted = np.zeros(live.size, dtype=bool)
+            for _ in range(50):
+                cand = ql + t[:, None] * dq
+                inside = (cand > 0).all(axis=1)
+                cq = np.where(inside[:, None], cand, 1.0)
+                merit = model.value(cq, dl) + mu * np.log(cq).sum(axis=1)
+                ok = todo & inside & (merit >= base - 1e-12)
+                accepted |= ok
+                todo &= ~ok
+                if not todo.any():
+                    break
+                t[todo] *= 0.5
+            ql = np.where(accepted[:, None], np.maximum(cand, 1e-150), ql)
+            keep = accepted & ((step * t >= 1e-13) | moving)
+            if not keep.all():
+                q[live] = ql
+                live, ql, bl = live[keep], ql[keep], bl[keep]
+                dl = tuple(d[keep] for d in dl)
+                if live.size == 0:
+                    break
+        q[live] = ql
+    return q
 
-    def __init__(self, k, r_p):
-        ks, rates = (np.ravel(a) for a in np.broadcast_arrays(k, r_p))
-        self.ks, self.rates = ks.astype(int), rates.astype(float)
-        self.k = int(self.ks.max())
-        chans = [_channel(int(kc), float(rc)) for kc, rc in zip(self.ks, self.rates)]
-        if np.ndim(k) == 0 and np.ndim(r_p) == 0:
-            rows = chans[0][0]
-            self.B = np.ascontiguousarray(rows[:, rows.sum(axis=0) > 0])
-            self.Bt = np.ascontiguousarray(self.B.T)
+
+class _SliceObjective:
+    """H(B p) in nats, the objective of a slice solve. B is one channel for
+    every row (2-D: its products are plain matrix products) or, when None,
+    the first data entry of each row (its products go row by row)."""
+
+    def __init__(self, B=None):
+        self.B, self.Bt = B, None if B is None else np.ascontiguousarray(B.T)
+
+    def value(self, q, data):
+        return _entropy_rows(_times(q, data[0] if self.B is None else self.B))
+
+    def newton(self, q, data, H=None):
+        B, Bt = (data[0], data[0].transpose(0, 2, 1)) if self.B is None else (self.B, self.Bt)
+        py = np.maximum(_times(q, B), 1e-300)
+        if H is not None:
+            np.matmul(B / -py[:, None, :], Bt, out=H)
+        return _entropy_rows(py), -_times(np.log(py) + 1.0, Bt)
+
+    def lhs(self, q, A):
+        if self.B is None:
+            return _lhs(q, A)
+        Aq = np.empty((q.shape[0], 2))
+        Aq[:, 0], Aq[:, 1] = q.sum(axis=1), q @ A[1]  # one channel: the mean is one matrix-vector product
+        return Aq
+
+
+def _slices(k: int, r_p, gammas, pmfs: bool = False):
+    """max H(B p) over the slice {p >= 0, sum p = 1, mean p = k * gamma} for
+    every gamma in one batch, at window k and noise rate r_p (one value, or
+    one per row), B the shifted-binomial channel of the row.
+
+    Each interior row starts from the centre of its slice: a share
+    2 * min(gamma, 1 - gamma) on the uniform pmf and the rest on the near
+    endpoint, which meets the mean exactly. It then follows `_newton_path`
+    (the objective is strictly concave: the shifted-binomial rows are
+    linearly independent). Rows at gamma 0 or 1, and every row at k = 1,
+    have a one-point slice. Each interior row is certified by its LP gap
+    and its distance from the slice; a row left uncertified (gap above
+    GAP_TOL, or off the slice) raises UncertifiedSolveError naming its k,
+    gamma and r_p.
+
+    At one rate every product with B is one 2-D matrix product and the
+    outputs B never reaches (those above k when r_p = 0) are dropped. At
+    several rates each row takes its own channel, the products go row by
+    row, so a row's arithmetic does not depend on the other rows of its call
+    (short of a singular KKT matrix, which sends every row of its Newton
+    step to least squares), and the rows run in chunks of
+    _CHUNK_INPUTS // (k + 1), which bounds the memory.
+
+    Returns (max output entropy in bits, certified gaps in nats, noise
+    entropy H(Bin(k, r_p)) in bits, the maximizing pmfs if `pmfs` else
+    None), one row per gamma.
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    n = gammas.size
+    if np.ndim(r_p) == 0:
+        rates, chan = np.array([float(r_p)]), np.zeros(n, dtype=int)
+    else:  # the distinct rates in order (np.unique would load numpy.ma)
+        rps = np.broadcast_to(np.asarray(r_p, dtype=float), n)
+        order = np.argsort(rps, kind="stable")
+        first = np.concatenate(([True], np.diff(rps[order]) != 0))
+        chan = np.empty(n, dtype=int)
+        chan[order] = np.cumsum(first) - 1
+        rates = rps[order[first]]
+    chans = [_channel(k, float(rp)) for rp in rates]
+    A = np.stack([np.ones(k + 1), np.arange(k + 1.0)])
+    if rates.size == 1:
+        rows = chans[0][0]
+        B = np.ascontiguousarray(rows[:, rows.sum(axis=0) > 0])
+        model, stack, size = _SliceObjective(B), None, max(n, 1)
+    else:
+        model, stack = _SliceObjective(), np.array([rows for rows, _ in chans])
+        size = _CHUNK_INPUTS // (k + 1)
+    bits, gaps = np.empty(n), np.zeros(n)
+    p = np.empty((n, k + 1)) if pmfs else None
+    for c in (slice(i, i + size) for i in range(0, n, size)):
+        g, data = gammas[c], () if stack is None else (stack[chan[c]],)
+        pc = np.zeros((g.size, k + 1))
+        if k == 1:  # a window of length 1 has a one-point slice
+            pc[:, 0], pc[:, 1] = 1.0 - g, g
+            inner = np.zeros(0, dtype=int)
         else:
-            self.B = np.zeros((len(chans), self.k + 1, 2 * self.k + 1))
-            for c, (kc, (rows, _)) in enumerate(zip(self.ks, chans)):
-                self.B[c, : kc + 1, : 2 * kc + 1] = rows
-            self.Bt = None
-        self.x = np.arange(self.k + 1.0)
-        self.noise_entropy_bits = np.array([bits for _, bits in chans])
-
-    def _channels(self, chan: np.ndarray | None):
-        """The channel and its transpose for rows with channel indices
-        `chan`: the one 2-D channel of a plain solver, else one per row (the
-        transpose a view of the gathered stack)."""
-        if self.Bt is not None:
-            return self.B, self.Bt
-        B = self.B[chan]
-        return B, B.transpose(0, 2, 1)
-
-    def _mean(self, p: np.ndarray) -> np.ndarray:
-        """mean(p) of every row: one matrix-vector product when plain, a
-        per-row sum when stacked (a row's sum does not depend on its
-        batch-mates; a matrix-vector product may)."""
-        return p @ self.x if self.Bt is not None else (p * self.x).sum(axis=1)
-
-    def _chunks(self, rows: int):
-        """Row slices of one call: all rows when plain, _CHUNK_INPUTS // (K + 1)
-        when stacked."""
-        size = max(rows, 1) if self.Bt is not None else _CHUNK_INPUTS // (self.k + 1)
-        return [slice(i, i + size) for i in range(0, max(rows, 1), size)]
-
-    def values_nats(self, p: np.ndarray, chan: np.ndarray | None = None) -> np.ndarray:
-        return _entropy_rows(_times(np.maximum(p, 0.0), self._channels(chan)[0]))
-
-    def grads_nats(self, p: np.ndarray, chan: np.ndarray | None = None) -> np.ndarray:
-        B, Bt = self._channels(chan)
-        py = np.maximum(_times(np.maximum(p, 0.0), B), 1e-300)
-        return -_times(np.log(py) + 1.0, Bt)
-
-    def _barrier_path(self, p: np.ndarray, m: np.ndarray, chan=None) -> np.ndarray:
-        """Run every mu stage of the barrier path on each row of p.
-
-        Each row maximizes H(B p) on the slice with mean m[row]. In a
-        stacked solver row r uses channel chan[r], and its entries above
-        that channel's window length must be 0; they stay exactly 0.
-        A row leaves a stage after 60 Newton steps, on a step below 1e-14,
-        when its line search fails, or once it moves less than 1e-13. In the
-        last stage a row that moves less than 1e-13 keeps going while its
-        Newton decrement -dp' H dp is at least 1e-18: its entries near 1e-12,
-        which set the LP gap, may still be moving.
-        """
-        rows, n = p.shape
-        x = self.x
-        per_row = self.Bt is None
-        size = n + 2
-        kkt = np.zeros((rows, size, size))
-        rhs = np.empty((rows, size, 1))
-        pad_all = x > self.ks[chan][:, None] if per_row else None  # padded inputs
-        if pad_all is not None and not pad_all.any():
-            pad_all = None
-
-        def constraints(K, pad):  # the sum and mean rows, without the padded inputs
-            w = 1.0 if pad is None else ~pad
-            K[:, :n, n] = K[:, n, :n] = w
-            K[:, :n, n + 1] = K[:, n + 1, :n] = x * w
-
-        for mu in _MU_STAGES:
-            last = mu == _MU_STAGES[-1]
-            p = np.maximum(p, 1e-150)  # barrier needs strict positivity (and p**2 > 0)
-            if pad_all is not None:
-                p[pad_all] = 0.0
-            constraints(kkt, pad_all)
-            # rows still moving, their iterates, their means, channels and padding
-            live, q, mm, pad = np.arange(rows), p, m, pad_all
-            B, Bt = self._channels(chan)  # a stack is gathered anew each stage, then shrinks
-            for _ in range(60):
-                K, r = kkt[: live.size], rhs[: live.size]
-                py = np.maximum(_times(q, B), 1e-300)
-                logpy = np.log(py)
-                np.matmul(B / -py[:, None, :], Bt, out=K[:, :n, :n])
-                if pad is None:
-                    qs, hess, grad = q, mu / q**2, mu / q
-                else:  # a padded input gets an identity row and a zero right-hand side
-                    qs = np.where(pad, 1.0, q)
-                    hess, grad = np.where(pad, -1.0, mu / qs**2), np.where(pad, 0.0, mu / qs)
-                K.reshape(live.size, -1)[:, : n * (size + 1) : size + 1] -= hess  # diagonal
-                r[:, :n, 0] = _times(logpy + 1.0, Bt) - grad
-                r[:, n, 0] = 1.0 - q.sum(axis=1)
-                r[:, n + 1, 0] = mm - self._mean(q)
-                dp = _kkt_solve(K, r)[:, :n, 0]
-                step = np.abs(dp).max(axis=1)
-                # Newton decrement -dp' H dp of the barrier objective, last stage only
-                moving = last and np.einsum("ri,rij,rj->r", dp, K[:, :n, :n], dp) <= -1e-18
-                ratio = np.divide(q, -dp, out=np.full_like(q, np.inf), where=dp < 0)
-                t = np.minimum(1.0, 0.99 * ratio.min(axis=1))
-
-                base = _entropy_rows(py) + mu * np.log(qs).sum(axis=1)
-                todo = step >= 1e-14
-                accepted = np.zeros(live.size, dtype=bool)
-                for _ in range(50):
-                    cand = q + t[:, None] * dp
-                    pos = cand > 0
-                    barrier = np.log(np.where(pos, cand, 1.0)).sum(axis=1)
-                    merit = _entropy_rows(_times(np.maximum(cand, 0.0), B)) + mu * barrier
-                    inside = pos.all(axis=1) if pad is None else (pos | pad).all(axis=1)
-                    ok = todo & inside & (merit >= base - 1e-12)
-                    accepted |= ok
-                    todo &= ~ok
-                    if not todo.any():
-                        break
-                    t[todo] *= 0.5
-                step_to = np.maximum(cand, 1e-150)
-                if pad is not None:
-                    step_to[pad] = 0.0
-                q = np.where(accepted[:, None], step_to, q)
-                keep = accepted & ((step * t >= 1e-13) | moving)
-                if not keep.all():
-                    p[live] = q
-                    live, q, mm = live[keep], q[keep], mm[keep]
-                    if per_row:
-                        B = B[keep]
-                        Bt = B.transpose(0, 2, 1)
-                    if pad is not None:
-                        pad = pad[keep]
-                        constraints(kkt[: live.size], pad)
-                    if live.size == 0:
-                        break
-            p[live] = q
-        return p
-
-    def solve(self, gammas, chan=None, pmfs=True):
-        """Solve every mean constraint k * gammas[row] in one batch; in a
-        stacked solver row r is solved on channel chan[r].
-
-        Returns (max entropy in bits, maximizing pmfs, certified gaps in
-        nats), one row per gamma; the pmfs are None if `pmfs` is false. Each
-        interior row starts from the centre of its slice: a share
-        2 * min(gamma, 1 - gamma) on the uniform pmf and the rest on the near
-        endpoint, which meets the mean exactly. A row left uncertified (gap
-        above GAP_TOL, or off the slice) raises UncertifiedSolveError naming
-        its k, gamma and r_p.
-        """
-        gammas = np.asarray(gammas, dtype=float)
-        chan = np.zeros(gammas.size, dtype=int) if chan is None else np.asarray(chan)
-        bits, gaps = np.empty(gammas.size), np.empty(gammas.size)
-        p = np.empty((gammas.size, self.k + 1)) if pmfs else None
-        for c in self._chunks(gammas.size):
-            bits[c], pc, gaps[c] = self._solve_rows(gammas[c], chan[c])
-            if pmfs:
-                p[c] = pc
-        return bits, p, gaps
-
-    def _solve_rows(self, gammas, chan):
-        kk = self.ks[chan]
-        p = np.zeros((gammas.size, self.k + 1))
-        gaps = np.zeros(gammas.size)
-        one = kk == 1  # a window of length 1 has a one-point slice
-        p[one, 0], p[one, 1] = 1.0 - gammas[one], gammas[one]
-        p[~one & (gammas <= 0.0), 0] = 1.0
-        top = np.flatnonzero(~one & (gammas >= 1.0))
-        p[top, kk[top]] = 1.0
-        inner = np.flatnonzero(~one & (gammas > 0.0) & (gammas < 1.0))
+            pc[g <= 0.0, 0], pc[g >= 1.0, k] = 1.0, 1.0
+            inner = np.flatnonzero((g > 0.0) & (g < 1.0))
         if inner.size:
-            g, ci, k = gammas[inner], chan[inner], kk[inner]
-            m = k * g
-            w = 2 * np.minimum(g, 1 - g)  # uniform share; the rest on the near endpoint
-            q = np.where(self.x <= k[:, None], (w / (k + 1))[:, None], 0.0)
-            q[np.arange(g.size), np.where(g <= 0.5, 0, k)] += 1 - w
-            q = self._barrier_path(q, m, chan=ci)
-            pos = None if self.Bt is not None else np.where(self.x <= k[:, None], self.x, np.nan)
-            gap = _lp_gaps(self.grads_nats(q, ci), q, m, pos)
+            gi, di = g[inner], tuple(d[inner] for d in data)
+            w = 2 * np.minimum(gi, 1 - gi)  # uniform share; the rest on the near endpoint
+            q = np.repeat((w / (k + 1))[:, None], k + 1, axis=1)
+            q[np.arange(gi.size), np.where(gi <= 0.5, 0, k)] += 1 - w
+            b = np.stack([np.ones(gi.size), k * gi], axis=1)
+            q = _newton_path(q, A, b, di, model, _MU_STAGES)
+            gap = _lp_gaps(model.newton(q, di)[1], q, b[:, 1])
             # the LP bound certifies only a point on the constraint slice
-            residual = np.maximum(np.abs(q.sum(axis=1) - 1.0), np.abs(self._mean(q) - m))
-            gap[~(residual <= FEAS_TOL)] = np.inf
+            gap[~(np.abs(model.lhs(q, A) - b).max(axis=1) <= FEAS_TOL)] = np.inf
             bad = np.flatnonzero(~(gap <= GAP_TOL))
             if bad.size:
                 j = bad[0]
                 raise UncertifiedSolveError(
-                    f"inner solve at gamma={g[j]}, k={k[j]}, r_p={self.rates[ci[j]]} has LP gap "
-                    f"{gap[j]:.3e} nats > GAP_TOL={GAP_TOL:.0e}"
+                    f"inner solve at gamma={gi[j]}, k={k}, r_p={rates[chan[c][inner[j]]]} has "
+                    f"LP gap {gap[j]:.3e} nats > GAP_TOL={GAP_TOL:.0e}"
                 )
-            p[inner], gaps[inner] = q, gap
-        return self.values_nats(p, chan) / LN2, p, gaps
+            pc[inner], gaps[c][inner] = q, gap
+        bits[c] = model.value(pc, data) / LN2
+        if pmfs:
+            p[c] = pc
+    return bits, gaps, np.array([h for _, h in chans])[chan], p
 
 
-def _stack(k, r_p, rows: int):
-    """The solver for `rows` rows at windows k and noise rates r_p (each one
-    value, or one per row) and the channel index of every row. Rows that
-    all share one (k, r_p) get a plain solver."""
-    if np.ndim(k) == 0 and np.ndim(r_p) == 0:
-        return _SliceEntropySolver(int(k), float(r_p)), np.zeros(rows, dtype=int)
-    # the distinct channels in (k, r_p) order (np.unique would load numpy.ma)
-    ks, rps = np.broadcast_to(k, rows), np.broadcast_to(r_p, rows)
-    order = np.lexsort((rps, ks))
-    first = np.concatenate(([True], (np.diff(ks[order]) != 0) | (np.diff(rps[order]) != 0)))
-    chan = np.empty(rows, dtype=int)
-    chan[order] = np.cumsum(first) - 1
-    ks, rps = ks[order[first]], rps[order[first]]
-    if ks.size == 1:
-        return _SliceEntropySolver(int(ks[0]), float(rps[0])), chan
-    return _SliceEntropySolver(ks, rps), chan
-
-
-def _slices(k, r_p, gammas):
-    """Slice solves with row i at window k[i] and noise rate r_p[i] (either
-    may be one value for every row), all in one row-stacked solve. Returns
-    (max output entropy in bits, certified gaps in nats, noise entropy
-    H(Bin(k, r_p)) in bits), one entry per row."""
-    gammas = np.asarray(gammas, dtype=float)
-    sv, chan = _stack(k, r_p, gammas.size)
-    bits, _, gaps = sv.solve(gammas, chan, pmfs=False)
-    return bits, gaps, sv.noise_entropy_bits[chan]
+def _window(k) -> int:
+    """The window length k as an int; ValueError unless it is a whole number >= 1."""
+    if not (isinstance(k, numbers.Real) and float(k).is_integer()):
+        raise ValueError(f"window length must be a whole number, got k={k!r}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return int(k)
 
 
 def h_check(gamma: float, k: int, r_p: float) -> tuple[float, Pmf]:
@@ -454,18 +398,18 @@ def h_check(gamma: float, k: int, r_p: float) -> tuple[float, Pmf]:
     The output is the input convolved with Bin(k, r_p). Solved via the
     barrier Newton path from the centre of the slice; the returned point
     carries an LP gap below GAP_TOL (1e-9 nats), or UncertifiedSolveError
-    is raised.
+    is raised. A k that is not a whole number >= 1 raises ValueError.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _window(k)
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"infeasible mean: gamma={gamma} outside [0, 1]")
-    bits, p, _gap = _SliceEntropySolver(k, r_p).solve([gamma])
+    bits, _, _, p = _slices(k, r_p, [gamma], pmfs=True)
     return float(bits[0]), Pmf(p[0])
 
 
 def i_tilde(gamma: float, k: int, r_p: float) -> ITildeValue:
     """Per-slot information ceiling through the shifted-binomial channel."""
+    k = _window(k)
     bits, p = h_check(gamma, k, r_p)
     _, noise_bits = _channel(k, r_p)
     return ITildeValue(
@@ -482,41 +426,70 @@ def i_tilde_curve(gammas, k: int, r_p: float) -> np.ndarray:
 
     All points are solved cold in one batched barrier-Newton call, each
     certified like a single `i_tilde` solve (UncertifiedSolveError
-    otherwise), so the curve agrees with pointwise solves.
+    otherwise), so the curve agrees with pointwise solves. A k that is not
+    a whole number >= 1 raises ValueError.
     """
+    k = _window(k)
     gammas = np.asarray(gammas, dtype=float)
     if gammas.ndim != 1 or (np.diff(gammas) < 0).any():
         raise ValueError("gammas must be a nondecreasing 1-D grid")
     if not (np.isfinite(gammas) & (gammas >= 0.0) & (gammas <= 1.0)).all():
         raise ValueError("gammas must be finite and lie in [0, 1]")
-    sv = _SliceEntropySolver(k, r_p)
-    bits, _, _ = sv.solve(gammas)
-    return np.maximum((bits - sv.noise_entropy_bits[0]) / k, 0.0)
+    bits, _, noise, _ = _slices(k, r_p, gammas)
+    return np.maximum((bits - noise) / k, 0.0)
+
+
+class _PairObjective:
+    """sum_w [a_w * H(B_w q_w / a_w) - a_w * H_w] / k_w in nats per slot, the
+    objective of the pair program (tau, tau + 1), a_w = sum q_w. A row's
+    data are its block channel B and its noise term H_w / k_w per entry.
+    Window w's Hessian block is [-B_w' diag(1 / B_w q_w) B_w + 1 1' / a_w] / k_w."""
+
+    def __init__(self, tau: int):
+        self.tau, self.win = tau, np.arange(2 * tau + 3) > tau  # the entries of window tau + 1
+        self.k = np.where(self.win, tau + 1.0, tau)
+        self.ky = np.where(np.arange(4 * tau + 4) > 2 * tau, tau + 1.0, tau)  # window of each output
+        self.at = (self.ky > tau).astype(int), self.win.astype(int)  # share index of each output and entry
+        self.same = self.win[:, None] == self.win[None, :]
+
+    def _parts(self, q, B, hn):  # objective, outputs, shares and log(output / share)
+        v = np.maximum(_times(q, B), 1e-300)
+        a = np.stack([q[:, : self.tau + 1].sum(axis=1), q[:, self.tau + 1 :].sum(axis=1)], axis=1)
+        lv = np.log(v / a[:, self.at[0]])
+        return -(v * lv / self.ky).sum(axis=1) - (q * hn).sum(axis=1), v, a, lv
+
+    def value(self, q, data):
+        return self._parts(q, *data)[0]
+
+    def newton(self, q, data, H=None):
+        (f, v, a, lv), (B, hn) = self._parts(q, *data), data
+        Bt = B.transpose(0, 2, 1)
+        if H is not None:
+            np.matmul(B / -(v * self.ky)[:, None, :], Bt, out=H)
+            H += self.same / (a[:, self.at[1]] * self.k)[:, :, None]
+        return f, -_times(lv / self.ky, Bt) - hn
+
+    lhs = staticmethod(_lhs)
 
 
 def _program_path(tau: int, r_ps: np.ndarray, alpha: float | None = None):
     """Barrier path of the pair program (tau, tau + 1), one row per rate.
 
-    Row r maximizes sum_w [a_w * H(B_w q_w / a_w) - a_w * H_w] / k_w (nats
-    per slot) over q = [q_tau; q_tau+1] >= 0, a_w = sum q_w, H_w the noise
-    entropy at r_ps[r], subject to sum q = 1 and the budget
+    Row r maximizes the `_PairObjective` over q = [q_tau; q_tau+1] >= 0,
+    with the noise entropies at r_ps[r], subject to sum q = 1 and the budget
     sum_w sum_x q_wx * (x + 1) / k_w = 1 - r_ps[r]; `alpha` adds
-    sum q_tau = alpha. Window w's Hessian block is
-    [-B_w' diag(1 / B_w q_w) B_w + 1 1' / a_w] / k_w. Products and KKT
-    solves go row by row, so no row depends on the others. The start mixes
-    the uniform point with the cheapest or dearest one to meet the budget;
-    steps and stops are those of the slice path. Returns (q, value, LP gap)
-    in nats per slot, the gap infinite off the constraints. A vertex of the
-    feasible set is a two-point mixture (with `alpha` frozen, a point of one
-    window and a two-point mixture in the other), so the LP gap is explicit.
+    sum q_tau = alpha. Products go row by row, so no row depends on the
+    others. The start mixes the uniform point with the cheapest or dearest
+    one to meet the budget; `_newton_path` does the rest. Returns
+    (q, value, LP gap) in nats per slot, the gap infinite off the
+    constraints. A vertex of the feasible set is a two-point mixture (with
+    `alpha` frozen, a point of one window and a two-point mixture in the
+    other), so the LP gap is explicit.
     """
-    rows, n, m1 = r_ps.size, 2 * tau + 3, 2 * tau + 1
-    win = np.arange(n) > tau  # the entries of window tau + 1
-    k = np.where(win, tau + 1.0, tau)
+    model = _PairObjective(tau)
+    rows, n, m1, win, k = r_ps.size, 2 * tau + 3, 2 * tau + 1, model.win, model.k
     x = np.where(win, np.arange(n) - tau - 1.0, np.arange(n))
     cost = (x + 1.0) / k
-    ky = np.where(np.arange(4 * tau + 4) >= m1, tau + 1.0, tau)  # window of each output
-    at = (ky > tau).astype(int), win.astype(int)  # share index of each output and entry
     B, hn = np.zeros((rows, n, 4 * tau + 4)), np.empty((rows, n))
     for r, rp in enumerate(r_ps):
         (B1, h1), (B2, h2) = _channel(tau, rp), _channel(tau + 1, rp)
@@ -525,13 +498,6 @@ def _program_path(tau: int, r_ps: np.ndarray, alpha: float | None = None):
     c = 1.0 - r_ps
     A = np.stack([np.ones(n), cost] + ([] if alpha is None else [1.0 * ~win]))
     b = np.stack([np.ones(rows), c] + ([] if alpha is None else [np.full(rows, alpha)]), axis=1)
-    size, same = n + A.shape[0], win[:, None] == win[None, :]
-
-    def value(q, B, hn):  # objective, outputs, shares and log(output / share)
-        v = np.maximum(_times(q, B), 1e-300)
-        a = np.stack([q[:, : tau + 1].sum(axis=1), q[:, tau + 1 :].sum(axis=1)], axis=1)
-        lv = np.log(v / a[:, at[0]])
-        return -(v * lv / ky).sum(axis=1) - (q * hn).sum(axis=1), v, a, lv
 
     if alpha is None:
         uni, lo, hi = np.full(n, 1.0 / n), np.eye(n)[tau + 1], np.eye(n)[tau]
@@ -541,52 +507,9 @@ def _program_path(tau: int, r_ps: np.ndarray, alpha: float | None = None):
     u, l, h = cost @ uni, cost @ lo, cost @ hi
     w = np.where(c <= u, (c - l) / (u - l), (h - c) / (h - u))[:, None]
     q = w * uni + (1.0 - w) * np.where((c <= u)[:, None], lo, hi)
+    q = _newton_path(q, A, b, (B, hn), model, _PROGRAM_MU_STAGES)
 
-    for mu in _PROGRAM_MU_STAGES:
-        last = mu == _PROGRAM_MU_STAGES[-1]
-        q = np.maximum(q, 1e-150)
-        live, ql, Bl, hl, bl = np.arange(rows), q, B, hn, b
-        for _ in range(60):
-            f, v, a, lv = value(ql, Bl, hl)
-            Bt = Bl.transpose(0, 2, 1)
-            K = np.zeros((live.size, size, size))
-            K[:, :n, :n] = np.matmul(Bl / -(v * ky)[:, None, :], Bt)
-            K[:, :n, :n] += same / (a[:, at[1]] * k)[:, :, None]
-            K.reshape(live.size, -1)[:, : n * (size + 1) : size + 1] -= mu / ql**2
-            K[:, :n, n:], K[:, n:, :n] = A.T, A
-            r = np.empty((live.size, size, 1))
-            r[:, :n, 0] = _times(lv / ky, Bt) + hl - mu / ql
-            r[:, n:, 0] = bl - (ql[:, None, :] * A).sum(axis=2)
-            dq = _kkt_solve(K, r)[:, :n, 0]
-            step = np.abs(dq).max(axis=1)
-            moving = last and (dq * _times(dq, K[:, :n, :n])).sum(axis=1) <= -1e-18
-            ratio = np.divide(ql, -dq, out=np.full_like(ql, np.inf), where=dq < 0)
-            t = np.minimum(1.0, 0.99 * ratio.min(axis=1))
-            base = f + mu * np.log(ql).sum(axis=1)
-            todo = step >= 1e-14
-            accepted = np.zeros(live.size, dtype=bool)
-            for _ in range(50):
-                cand = ql + t[:, None] * dq
-                inside = (cand > 0).all(axis=1)
-                cq = np.where(inside[:, None], cand, 1.0)
-                merit = value(cq, Bl, hl)[0] + mu * np.log(cq).sum(axis=1)
-                ok = todo & inside & (merit >= base - 1e-12)
-                accepted |= ok
-                todo &= ~ok
-                if not todo.any():
-                    break
-                t[todo] *= 0.5
-            ql = np.where(accepted[:, None], np.maximum(cand, 1e-150), ql)
-            keep = accepted & ((step * t >= 1e-13) | moving)
-            if not keep.all():
-                q[live] = ql
-                live, ql, Bl, hl, bl = live[keep], ql[keep], Bl[keep], hl[keep], bl[keep]
-                if live.size == 0:
-                    break
-        q[live] = ql
-
-    f, v, a, lv = value(q, B, hn)
-    g = -_times(lv / ky, B.transpose(0, 2, 1)) - hn
+    f, g = model.newton(q, (B, hn))
     if alpha is None:
         gap = _lp_gaps(g, q, c, cost)
     else:  # a point of one window (share sp), a two-point mixture in the other (share sm)
@@ -597,7 +520,7 @@ def _program_path(tau: int, r_ps: np.ndarray, alpha: float | None = None):
             mix = _lp_gaps(mix, np.zeros_like(mix), mean, cost[~pt]).reshape(rows, -1)
             top = np.maximum(top, (sp * g[:, pt] + sm * mix).max(axis=1))
         gap = top - (g * q).sum(axis=1)
-    gap[~(np.abs(b - (q[:, None, :] * A).sum(axis=2)).max(axis=1) <= FEAS_TOL)] = np.inf
+    gap[~(np.abs(b - _lhs(q, A)).max(axis=1) <= FEAS_TOL)] = np.inf
     return q, f, gap
 
 
@@ -757,8 +680,10 @@ def degradation_violations(
     on the noise grid where i_tilde increases by more than `tolerance`.
     Each window length is one slice solve over every gamma at every rate.
     Such points exist: the noise is an additive count, so r_p -> 1 is again
-    deterministic and the ceiling is not globally monotone.
+    deterministic and the ceiling is not globally monotone. A window length
+    that is not a whole number >= 1 raises ValueError.
     """
+    ks = [_window(k) for k in ks]
     if rp_grid is None:
         rp_grid = np.arange(0.0, 0.51, 0.05)
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
@@ -767,9 +692,8 @@ def degradation_violations(
     if gammas.size == 0 or rps.size == 0:
         return out
     for k in ks:
-        k = int(k)
         # one batch per window length: every gamma at every rate
-        bits, _, noise = _slices(k, np.tile(rps, gammas.size), np.repeat(gammas, rps.size))
+        bits, _, noise, _ = _slices(k, np.tile(rps, gammas.size), np.repeat(gammas, rps.size))
         vals = np.maximum((bits - noise) / k, 0.0).reshape(gammas.size, rps.size)
         for g, row in zip(gammas, vals):
             for j in np.flatnonzero(row[1:] > row[:-1] + tolerance):
@@ -855,12 +779,15 @@ def validate_i_concavity(
     k = j + 1, j and j - 1, so each j = 1..tau_max is solved once, across
     all noise rates, and the H_check values are scattered back to their
     margins. Each value agrees with the one-rate solve of its point to
-    rounding (1e-12 bits). A negative `samples` raises ValueError.
+    rounding (1e-12 bits). A negative `samples`, or an `r_p_step` that is
+    not positive and finite, raises ValueError.
     """
     if tau_max < 3:
         raise ValueError("tau_max must be >= 3")
     if samples < 0:
         raise ValueError("samples must be >= 0")
+    if not (math.isfinite(r_p_step) and r_p_step > 0.0):
+        raise ValueError(f"r_p_step must be positive and finite, got {r_p_step}")
     ks = range(2, tau_max)
     if samples == 0:
         return ConcavityReport(samples=0, tau_max=tau_max, worst_margin=np.inf,
@@ -882,7 +809,7 @@ def validate_i_concavity(
     max_gap = 0.0
     for j in range(1, tau_max + 1):
         parts = [(k, pos) for pos, k in enumerate((j + 1, j, j - 1)) if k in draws]
-        b, gaps, _ = _slices(
+        b, gaps, _, _ = _slices(
             j,
             np.concatenate([draws[k][3] for k, _ in parts]),
             np.concatenate([draws[k][pos] for k, pos in parts]),

@@ -366,6 +366,25 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, subparsers
 
 
+def _typed_config(parsers, cfg: dict) -> dict:
+    """cfg with each option's value passed through the option's argparse
+    type and choices, as the same value given as a flag would be; a value
+    that does not convert, or is not one of the choices, raises ValueError
+    naming its key."""
+    actions = {a.dest: a for p in parsers for a in p._actions if a.type is not None}
+    out = dict(cfg)
+    for key, value in cfg.items():
+        if key in actions and value is not None:
+            a = actions[key]
+            try:
+                out[key] = a.type(str(value))
+            except ValueError:
+                raise ValueError(f"config key {key!r}: invalid value {value!r}") from None
+            if a.choices is not None and out[key] not in a.choices:
+                raise ValueError(f"config key {key!r}: {value!r} is not one of {list(a.choices)}")
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
@@ -377,6 +396,11 @@ def main(argv: list[str] | None = None) -> int:
         bad = set(cfg) - known
         if bad:
             print(f"unknown config keys: {sorted(bad)}", file=sys.stderr)
+            return 2
+        try:
+            cfg = _typed_config([parser, *subparsers.values()], cfg)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         parser.set_defaults(**cfg)
         for sp in subparsers.values():

@@ -102,6 +102,22 @@ class TestHCheck:
         with pytest.raises(ValueError):
             h_check(1.2, 3, 0.1)
 
+    @pytest.mark.parametrize("k", [2.5, 0.5, float("nan"), float("inf"), "2"])
+    def test_window_that_is_not_a_whole_number(self, k):
+        for call in (lambda: h_check(0.5, k, 0.1), lambda: i_tilde(0.5, k, 0.1),
+                     lambda: i_tilde_curve([0.5], k, 0.1),
+                     lambda: degradation_violations([0.5], [3, k])):
+            with pytest.raises(ValueError, match="whole number"):
+                call()
+
+    @pytest.mark.parametrize("k", [3.0, np.int64(3)])
+    def test_whole_window_of_another_type_is_its_int(self, k):
+        (bits, p), (ref_bits, ref_p) = h_check(0.3, k, 0.1), h_check(0.3, 3, 0.1)
+        assert bits == ref_bits and (p.probs == ref_p.probs).all()
+        it = i_tilde(0.3, k, 0.1)
+        assert type(it.k) is int and it.bits_per_slot == i_tilde(0.3, 3, 0.1).bits_per_slot
+        assert (i_tilde_curve([0.3], k, 0.1) == i_tilde_curve([0.3], 3, 0.1)).all()
+
     def test_maximizer_feasible(self):
         for g, k, rp in ((0.23, 5, 0.31), (0.9, 3, 0.05)):
             _, p = h_check(g, k, rp)
@@ -282,12 +298,11 @@ class TestBatchedSolver:
             assert got[row] @ idx == pytest.approx(m[row], abs=1e-12)
 
     def test_batch_rows_match_single_solves(self):
-        sv = capacity3._SliceEntropySolver(4, 0.15)
         gs = np.array([0.0, 0.07, 0.5, 0.93, 1.0])
-        bits, p, gaps = sv.solve(gs)
+        bits, gaps, _, p = capacity3._slices(4, 0.15, gs, pmfs=True)
         assert (gaps <= GAP_TOL).all()
         for g, b, row in zip(gs, bits, p):
-            b1, p1, _ = sv.solve([g])
+            b1, _, _, p1 = capacity3._slices(4, 0.15, [g], pmfs=True)
             assert b == pytest.approx(b1[0], abs=1e-12)
             assert np.allclose(row, p1[0], atol=1e-9)
             assert row @ np.arange(5.0) == pytest.approx(4 * g, abs=1e-9)
@@ -295,14 +310,15 @@ class TestBatchedSolver:
     def test_path_does_not_depend_on_its_start(self):
         # from the tilted pmf, far from the slice's centre, the barrier path
         # reaches the optimum that the central start certifies
-        sv = capacity3._SliceEntropySolver(5, 0.3)
         gs = np.array([0.02, 0.3, 0.5, 0.71, 0.98])
-        bits, p, gaps = sv.solve(gs)
+        bits, gaps, _, p = capacity3._slices(5, 0.3, gs, pmfs=True)
         assert (gaps <= GAP_TOL).all()
         m = 5 * gs
         _, tilted = _tilt_to_mean(5, m)
-        q = sv._barrier_path(tilted, m)
-        assert np.allclose(sv.values_nats(q) / capacity3.LN2, bits, atol=1e-12)
+        model = capacity3._SliceObjective(np.ascontiguousarray(channel_matrix(5, 0.3).rows))
+        A, b = np.stack([np.ones(6), np.arange(6.0)]), np.stack([np.ones(gs.size), m], axis=1)
+        q = capacity3._newton_path(tilted, A, b, (), model, capacity3._MU_STAGES)
+        assert np.allclose(model.value(q, ()) / capacity3.LN2, bits, atol=1e-12)
         assert np.allclose(q, p, atol=1e-9)
 
     def test_every_slice_row_certifies(self):
@@ -312,7 +328,7 @@ class TestBatchedSolver:
         gs = np.concatenate([10.0**-j, 1 - 10.0**-j, [4.8286e-8, 1 - 4.14e-8]])
         for k in (2, 4, 8, 11, 12, 16):
             for rp in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9):
-                _, p, gaps = capacity3._SliceEntropySolver(k, rp).solve(gs)
+                _, gaps, _, p = capacity3._slices(k, rp, gs, pmfs=True)
                 assert (gaps <= GAP_TOL).all(), (k, rp)
                 assert np.allclose(p @ np.arange(k + 1.0), k * gs, atol=1e-10)
 
@@ -330,16 +346,20 @@ class TestBatchedSolver:
                 assert val >= max(pure) - 1e-12, (tau, rp)
 
     def test_singular_kkt_falls_back_to_least_squares(self, monkeypatch):
-        sv = capacity3._SliceEntropySolver(3, 0.2)
-        gs = np.array([0.1, 0.5, 0.8])
-        ref, _, _ = sv.solve(gs)
+        # both the slice rows and the pair program run through the fallback
+        gs, rps = np.array([0.1, 0.5, 0.8]), np.array([0.1, 0.3])
+        ref, _, _, _ = capacity3._slices(3, 0.2, gs)
+        _, ref_f, _ = capacity3._program_path(2, rps)
 
         def singular(*args):
             raise np.linalg.LinAlgError("singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        bits, _, gaps = sv.solve(gs)
+        bits, gaps, _, _ = capacity3._slices(3, 0.2, gs)
         assert np.allclose(bits, ref, atol=1e-12)
+        assert (gaps <= GAP_TOL).all()
+        _, f, gaps = capacity3._program_path(2, rps)
+        assert np.allclose(f, ref_f, atol=1e-12)
         assert (gaps <= GAP_TOL).all()
 
 
@@ -348,51 +368,46 @@ class TestBatchedSolver:
         rng = np.random.default_rng(k)
         gs = np.concatenate([rng.uniform(size=40), [0.0, 1.0, 1e-12, 1 - 1e-12] * 2])
         rps = rng.choice([0.0, 0.05, 0.3, 0.8, 0.95], size=gs.size)
-        bits, gaps, noise = capacity3._slices(k, rps, gs)
+        bits, gaps, noise, _ = capacity3._slices(k, rps, gs)
         assert (gaps <= GAP_TOL).all()
         for rp in np.unique(rps):
             sel = rps == rp
-            sv = capacity3._SliceEntropySolver(k, rp)
-            ref, _, _ = sv.solve(gs[sel])
+            ref, _, ref_noise, _ = capacity3._slices(k, rp, gs[sel])
             assert np.abs(bits[sel] - ref).max() <= 1e-12, rp
-            assert (noise[sel] == sv.noise_entropy_bits[0]).all()
+            assert (noise[sel] == ref_noise).all()
 
-    def test_all_noiseless_batch_drops_the_zero_columns(self):
-        # a one-channel batch drops the outputs above k that r_p = 0 never
-        # reaches; a stacked solver keeps all 2K + 1, so the arithmetic of a
-        # row does not depend on which channels share its call
-        sv, chan = capacity3._stack(4, 0.0, 3)
-        assert sv.B.shape == (5, 5) and (chan == 0).all()
-        assert capacity3._SliceEntropySolver(4, [0.0, 0.0]).B.shape == (2, 5, 9)
-        assert capacity3._SliceEntropySolver([2, 4], [0.0, 0.2]).B.shape == (2, 5, 9)
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_rows_of_many_rates_do_not_depend_on_the_chunk_size(self, monkeypatch, k):
+        rng = np.random.default_rng(k)
+        gs = np.concatenate([rng.uniform(size=3 * k + 7), [0.0, 1.0, 1e-12]])
+        rps = rng.choice([0.0, 0.1, 0.3, 0.7], size=gs.size)
+        ref = capacity3._slices(k, rps, gs)
+        for rows in (1, k + 2):  # rows per chunk
+            monkeypatch.setattr(capacity3, "_CHUNK_INPUTS", rows * (k + 1))
+            for got, want in zip(capacity3._slices(k, rps, gs)[:3], ref):
+                assert (got == want).all(), rows
+
+    def test_all_noiseless_batch_drops_the_zero_columns(self, monkeypatch):
+        # a one-rate batch drops the outputs above k that r_p = 0 never
+        # reaches; a batch of several rates keeps all 2k + 1 in each row's
+        # channel, so the arithmetic of a row does not depend on which rates
+        # share its call
+        shapes, real = [], capacity3._newton_path
+
+        def spy(q, A, b, data, model, stages):
+            shapes.append(data[0].shape if data else model.B.shape)
+            return real(q, A, b, data, model, stages)
+
+        monkeypatch.setattr(capacity3, "_newton_path", spy)
+        capacity3._slices(4, 0.0, [0.2, 0.5, 0.7])
+        capacity3._slices(4, np.array([0.0, 0.0]), [0.2, 0.5])
+        capacity3._slices(4, np.array([0.0, 0.2]), [0.2, 0.5])
+        assert shapes == [(5, 5), (5, 5), (2, 5, 9)]
 
     def test_uncertified_row_of_a_rate_batch_names_its_point(self, monkeypatch):
         monkeypatch.setattr(capacity3, "GAP_TOL", 1e-30)
         with pytest.raises(UncertifiedSolveError, match=r"gamma=0\.4, k=3, r_p=0\.2 "):
             capacity3._slices(3, np.array([0.2, 0.7]), np.array([0.4, 0.6]))
-
-    @pytest.fixture(scope="class")
-    def mixed_rows(self):
-        # every (k, r_p) of a mixed batch, in shuffled order
-        rng = np.random.default_rng(42)
-        chans = [(k, rp) for k in (1, 2, 3, 5, 8) for rp in (0.0, 0.1, 0.3, 0.7)]
-        at = rng.permutation(np.repeat(np.arange(len(chans)), 14))
-        ks = np.array([chans[c][0] for c in at])
-        rps = np.array([chans[c][1] for c in at])
-        return chans, ks, rps
-
-    def test_mixed_slice_rows_match_per_channel_solves(self, mixed_rows):
-        chans, ks, rps = mixed_rows
-        gs = np.random.default_rng(43).uniform(size=ks.size)
-        gs[:6] = [0.0, 1.0, 1e-12, 1 - 1e-12, 0.5, 1e-6]
-        bits, gaps, noise = capacity3._slices(ks, rps, gs)
-        assert (gaps <= GAP_TOL).all()
-        for k, rp in chans:
-            sel = (ks == k) & (rps == rp)
-            sv = capacity3._SliceEntropySolver(k, rp)
-            ref, _, _ = sv.solve(gs[sel])
-            assert np.abs(bits[sel] - ref).max() <= 1e-12, (k, rp)
-            assert (noise[sel] == sv.noise_entropy_bits[0]).all()
 
     @pytest.mark.parametrize("alpha", [None, 0.3])
     def test_mixed_rates_match_one_rate_programs(self, alpha):
@@ -405,13 +420,6 @@ class TestBatchedSolver:
                 ref = capacity3._program_path(tau, np.array([rp]), alpha)
                 for got, want in zip((q[sel], f[sel], gaps[sel]), ref):
                     assert (got == want).all(), (tau, rp)
-
-    def test_uncertified_row_of_a_mixed_batch_names_its_point(self, monkeypatch):
-        # rows at k = 1 and at gamma = 0 are exact and always certify
-        monkeypatch.setattr(capacity3, "GAP_TOL", 1e-30)
-        ks, rps = np.array([1, 2, 5, 3]), np.array([0.1, 0.0, 0.7, 0.3])
-        with pytest.raises(UncertifiedSolveError, match=r"gamma=0\.45, k=5, r_p=0\.7 "):
-            capacity3._slices(ks, rps, np.array([0.3, 0.0, 0.45, 0.5]))
 
     @pytest.mark.parametrize("tau, r_p", [(1, 0.0), (2, 0.3), (6, 0.7)])
     def test_program_laws_match_slice_solves(self, tau, r_p):
@@ -669,6 +677,11 @@ class TestMixedWindowConcavity:
         assert report.worst_margin >= -1e-9
         assert report.passed
         assert report.max_gap_nats <= GAP_TOL
+
+    @pytest.mark.parametrize("step", [0.0, -0.05, float("nan"), float("inf")])
+    def test_sweep_rejects_a_bad_rate_step(self, step):
+        with pytest.raises(ValueError, match="r_p_step"):
+            validate_i_concavity(tau_max=4, samples=5, r_p_step=step)
 
     def test_sweep_matches_pointwise_margins(self):
         # the sweep solves each window length once across all rates; the

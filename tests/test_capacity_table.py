@@ -91,8 +91,7 @@ def test_vertex_budget_needs_no_barrier(monkeypatch, tau, r_p):
     def refuse(*args, **kwargs):
         raise AssertionError("barrier path on a vertex budget")
 
-    monkeypatch.setattr(capacity3, "_program_path", refuse)
-    monkeypatch.setattr(capacity3._SliceEntropySolver, "_barrier_path", refuse)
+    monkeypatch.setattr(capacity3, "_newton_path", refuse)
     [(value, alpha, gamma1, gamma2, gap, witness)] = capacity3._pair_programs(tau, [r_p])
     assert (value, alpha, gamma1, gamma2, gap) == (0.0, 0.0, 0.0, 0.0, 0.0)
     assert witness[1] == (tau + 1, 1.0, tuple(np.eye(tau + 2)[0]))

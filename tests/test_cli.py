@@ -325,6 +325,18 @@ class TestConfig:
         code, _ = _run(tmp_path, "--config", str(cfg), "htilde")
         assert code == 2
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("capacity3", "tau_max", 2.5), ("validate", "samples", 2.5),
+        ("htilde", "gamma_step", "fine"), ("htilde", "seed", True), ("simulate", "users", 4),
+    ])
+    def test_config_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, command, key, value):
+        # a config value goes through its option's type, as a flag's would
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, body = _run(tmp_path, "--config", str(cfg), command)
+        assert code == 2 and body == ""
+        assert capsys.readouterr().err.startswith(f"error: config key '{key}'")
+
 
 def test_header_contains_effective_config(tmp_path):
     _, body = _run(tmp_path, "--seed", "5", "htilde", "--gamma-step", "0.5")
