@@ -30,8 +30,9 @@ of q >= 0 under two linear equalities, by one log-barrier Newton path
 (ibid., ch. 11) certified by its LP gap. Both problems run the same
 barrier-Newton loop (`_newton_path`), each with its own objective and its
 own mu stages. `solve_capacity_grid` runs the tau loops of many rates in
-lockstep, each step one program path for every current pair of a tau, and
-`solve_capacity_3user` is its one-rate case. The two-user capacity
+one sweep over ascending tau, each tau one program path for the pairs of
+every rate still in its loop, and `solve_capacity_3user` is its one-rate
+case. The two-user capacity
 (`capacity2`) is the pair (1, 2) of this engine at r_p = 0.
 """
 
@@ -591,10 +592,10 @@ def solve_capacity_grid(rps, tau_max: int = 8) -> list[CapacityResult3]:
     result per rate, each equal to `solve_capacity_3user(r_p, tau_max)`.
 
     Each rate keeps its own feasible taus, its own stop at the first tau
-    whose optimum decreases and its own tie rules. The rates' tau loops
-    advance in lockstep: each step solves the current pairs of all rates
-    still in their loops, one `_pair_programs` call per tau, and a rate's
-    result does not depend on the others.
+    whose optimum decreases and its own tie rules. One sweep runs over
+    ascending tau: each tau solves, in one `_pair_programs` call, the pair of
+    every rate still in its loop for which that tau is feasible, and a
+    rate's result does not depend on the others.
     """
     if not all(0.0 <= r_p < 1.0 for r_p in rps):
         raise ValueError("r_p must lie in [0, 1)")
@@ -609,26 +610,21 @@ def solve_capacity_grid(rps, tau_max: int = 8) -> list[CapacityResult3]:
 
     per_tau, per_tau_gap = [{} for _ in rps], [{} for _ in rps]
     best = [None] * len(rps)  # per rate: (tau, the _pair_programs tuple of its best pair)
-    step = dict.fromkeys(range(len(rps)), 0)  # rate -> index of its current pair in taus
-    while step:
-        solved = {}
-        for tau in sorted({taus[i][j] for i, j in step.items()}):
-            group = [i for i, j in step.items() if taus[i][j] == tau]
-            solved.update(zip(group, _pair_programs(tau, [rps[i] for i in group])))
-        for i, pair in solved.items():
-            tau, val, gap = taus[i][step[i]], pair[0], pair[4]
+    live = list(range(len(rps)))  # the rates still in their tau loops
+    for tau in range(1, tau_max):
+        group = [i for i in live if tau in taus[i]]
+        for i, pair in zip(group, _pair_programs(tau, [rps[i] for i in group])):
+            val, gap = pair[0], pair[4]
             if not gap <= PAIR_GAP_TOL:
                 raise UncertifiedSolveError(
                     f"window pair ({tau}, {tau + 1}) at r_p={rps[i]} has gap "
                     f"{gap:.3e} bits > PAIR_GAP_TOL={PAIR_GAP_TOL:.0e}"
                 )
-            prev_val = per_tau[i][tau - 1] if step[i] else -np.inf
+            if val < per_tau[i].get(tau - 1, -np.inf):
+                live.remove(i)
             per_tau[i][tau], per_tau_gap[i][tau] = val, gap
             if best[i] is None or val > best[i][1][0]:
                 best[i] = tau, pair
-            step[i] += 1
-            if val < prev_val or step[i] == len(taus[i]):
-                del step[i]
 
     results = []
     for r_p, pt, pg, (tau, (val, a, g1, g2, gap, witness)) in zip(rps, per_tau, per_tau_gap, best):

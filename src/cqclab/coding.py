@@ -1,10 +1,11 @@
 """Achievability coding over the queueing channel: codebooks, probe streams,
 encoding, decoding, and Monte-Carlo error measurement.
 
-One window layout, `ProbeTemplate`, describes a codeword of length n: a
-first segment of alpha_slots slots carved into windows of length tau_star,
-then a second segment carved into windows of length tau_star + 1. Its
-per-window `widths` and `starts` serve every window operation: the
+One scheme object, `ProbeTemplate`, describes a codeword of length n: for
+each window length k, in ascending order, the number of windows of k slots
+and the symbol law on {0..k} of their symbols. The builders' schemes mix
+two adjacent lengths, tau_star and tau_star + 1. The template's per-window
+`widths` and `starts` and its `draw` serve every window operation: the
 codebook's count-image check and window counts, the codeword sampler, the
 probe stream, the decoders and the ensemble encoder. Each window holds one
 symbol: count i maps to i ones followed by zeros, so the per-window packet
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capacity3 import CapacityResult3, channel_matrix, i_tilde, solve_capacity_3user
+from .capacity3 import CapacityResult3, _channel, i_tilde, solve_capacity_3user
 from .dist import Pmf
 from .fcfs import (
     BACKGROUND,
@@ -51,12 +52,6 @@ class DecodeMatchError(LookupError):
     """Observed counts match no codeword: codebook/trace inconsistency."""
 
 
-def _splits(n: int, alpha_slots: int, tau_star: int) -> bool:
-    """Whether the first alpha_slots slots split into windows of tau_star
-    slots and the rest into windows of tau_star + 1 slots."""
-    return alpha_slots % tau_star == 0 and (n - alpha_slots) % (tau_star + 1) == 0
-
-
 def admissible_alpha_slots(n: int, alpha: float, tau_star: int) -> int:
     """Nearest first-segment length to alpha*n that splits both segments into
     whole windows: alpha_slots divisible by tau_star and the remainder by
@@ -64,7 +59,7 @@ def admissible_alpha_slots(n: int, alpha: float, tau_star: int) -> int:
     if tau_star < 1:
         raise ValueError("tau_star must be >= 1")
     target = alpha * n
-    candidates = [a for a in range(n + 1) if _splits(n, a, tau_star)]
+    candidates = [a for a in range(n + 1) if a % tau_star == 0 and (n - a) % (tau_star + 1) == 0]
     if not candidates:
         raise ValueError(
             f"no admissible segment split for n={n}, tau_star={tau_star}"
@@ -72,32 +67,41 @@ def admissible_alpha_slots(n: int, alpha: float, tau_star: int) -> int:
     return min(candidates, key=lambda a: (abs(a - target), a))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeTemplate:
-    """The window layout of a codeword, and the shape of the decoder schedule
-    that puts a packet at every window start.
+    """The coding scheme, and the shape of the decoder schedule that puts a
+    packet at every window start.
 
-    `widths` holds the window lengths in slot order (tau_star through the
-    first alpha_slots slots, then tau_star + 1) and `starts` their first
-    slots; both are read-only.
+    `windows` holds one (k, count, law) entry per window length k, in
+    ascending k: `count` windows of k slots, each carrying a symbol drawn
+    from the law on {0..k}. A length may have no windows; it still counts
+    as a length of the scheme. Windows are laid out in that order, so
+    `widths` (the window lengths in slot order) and `starts` (their first
+    slots) are sorted; both are read-only, and n is their total length.
     """
 
-    n: int
-    alpha_slots: int
-    tau_star: int
-    widths: np.ndarray = field(init=False, repr=False, compare=False)
-    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    windows: tuple[tuple[int, int, Pmf], ...]
+    n: int = field(init=False)
+    widths: np.ndarray = field(init=False, repr=False)
+    starts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n, a, t = self.n, self.alpha_slots, self.tau_star
-        if n < 1 or t < 1 or not 0 <= a <= n:
-            raise ValueError("template needs n >= 1, tau_star >= 1, 0 <= alpha_slots <= n")
-        if not _splits(n, a, t):
-            raise ValueError("template segments must split into whole windows")
-        widths = np.repeat(np.array([t, t + 1], dtype=np.int64), [a // t, (n - a) // (t + 1)])
+        windows = tuple((k, count, law) for k, count, law in self.windows)
+        ks = [k for k, _, _ in windows]
+        if any(a >= b for a, b in zip([0] + ks, ks)):
+            raise ValueError("window lengths must be >= 1 and strictly ascending")
+        if any(count < 0 for _, count, _ in windows):
+            raise ValueError("window counts must be >= 0")
+        if any(law.k != k for k, _, law in windows):
+            raise ValueError("the symbol law of k-slot windows must lie on {0..k}")
+        widths = np.repeat(np.array(ks, dtype=np.int64), [count for _, count, _ in windows])
+        if not widths.size:
+            raise ValueError("the scheme has no windows")
         starts = np.cumsum(widths) - widths
         for arr in (widths, starts):
             arr.flags.writeable = False
+        object.__setattr__(self, "windows", windows)
+        object.__setattr__(self, "n", int(widths.sum()))
         object.__setattr__(self, "widths", widths)
         object.__setattr__(self, "starts", starts)
 
@@ -105,54 +109,54 @@ class ProbeTemplate:
     def for_codebook(cb: "Codebook") -> "ProbeTemplate":
         return cb.template
 
-    def segments(self) -> list[tuple[int, slice]]:
-        """(width, window slice) of each nonempty segment, in slot order and
-        so by ascending width."""
-        first = self.alpha_slots // self.tau_star
-        parts = [
-            (self.tau_star, slice(0, first)),
-            (self.tau_star + 1, slice(first, self.widths.size)),
-        ]
-        return [(w, s) for w, s in parts if s.start < s.stop]
-
     def image(self, counts: np.ndarray) -> np.ndarray:
         """Bits of window counts over the layout: each window's count in
         ones, then zeros. Leading axes of `counts` are kept."""
         offsets = np.arange(self.n) - np.repeat(self.starts, self.widths)
         return (offsets < np.repeat(counts, self.widths, axis=-1)).astype(np.int8)
 
+    def draw(self, rng: np.random.Generator, lead: tuple[int, ...] = ()) -> np.ndarray:
+        """Window counts drawn from the symbol laws, one length at a time in
+        ascending order; `lead` prepends axes of independent draws."""
+        counts = np.empty(lead + self.widths.shape, dtype=np.int64)
+        stop = 0
+        for k, count, law in self.windows:
+            start, stop = stop, stop + count
+            counts[..., start:stop] = rng.choice(k + 1, size=lead + (count,), p=law.probs)
+        return counts
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Codebook:
-    """Message-indexed binary packet streams with their window layout."""
+    """Message-indexed binary packet streams of one coding scheme."""
 
-    n: int
-    tau_star: int
-    alpha_slots: int
+    template: ProbeTemplate
     codewords: np.ndarray  # (M, n) of 0/1
-    p1: Pmf  # symbol law on {0..tau_star} for the first segment
-    p2: Pmf  # symbol law on {0..tau_star + 1} for the second segment
     seed: int
-    template: ProbeTemplate = field(init=False, repr=False, compare=False)
-    window_counts: np.ndarray = field(init=False, repr=False, compare=False)  # (M, windows)
+    window_counts: np.ndarray = field(init=False, repr=False)  # (M, windows)
 
     def __post_init__(self):
         cw = np.asarray(self.codewords, dtype=np.int8)
         if cw.ndim != 2 or cw.shape[1] != self.n:
             raise ValueError("codewords must be (M, n)")
-        template = ProbeTemplate(n=self.n, alpha_slots=self.alpha_slots, tau_star=self.tau_star)
-        if self.p1.k != self.tau_star or self.p2.k != self.tau_star + 1:
-            raise ValueError("symbol laws must match the window lengths")
         if len({row.tobytes() for row in cw}) != cw.shape[0]:
             raise ValueError("codewords must be distinct")
-        counts = np.add.reduceat(cw, template.starts, axis=1, dtype=np.int64)
-        if not np.array_equal(template.image(counts), cw):
+        counts = np.add.reduceat(cw, self.template.starts, axis=1, dtype=np.int64)
+        if not np.array_equal(self.template.image(counts), cw):
             raise ValueError("every window must be a count-image (ones then zeros)")
         for arr in (cw, counts):
             arr.flags.writeable = False
         object.__setattr__(self, "codewords", cw)
-        object.__setattr__(self, "template", template)
         object.__setattr__(self, "window_counts", counts)
+
+    @property
+    def n(self) -> int:
+        return self.template.n
+
+    @property
+    def tau_star(self) -> int:
+        """The shortest window length of the scheme."""
+        return self.template.windows[0][0]
 
     @property
     def M(self) -> int:
@@ -179,25 +183,9 @@ def symbol_image(count: int, width: int) -> np.ndarray:
     return (np.arange(width) < count).astype(np.int8)
 
 
-def _draw_counts(
-    rng: np.random.Generator,
-    template: ProbeTemplate,
-    laws: tuple[Pmf, ...],
-    lead: tuple[int, ...] = (),
-) -> np.ndarray:
-    """Window counts of the layout, drawn from one symbol law per window
-    width (a law on {0..w} serves the windows of width w), one law at a time
-    in the given order; `lead` prepends axes of independent draws."""
-    counts = np.empty(lead + template.widths.shape, dtype=np.int64)
-    for law in laws:
-        cols = template.widths == law.k
-        counts[..., cols] = rng.choice(law.k + 1, size=lead + (int(cols.sum()),), p=law.probs)
-    return counts
-
-
-def _random_codebook(template: ProbeTemplate, p1: Pmf, p2: Pmf, M: int, seed: int) -> Codebook:
-    """M distinct codewords with window counts drawn from p1 and p2;
-    collisions are resampled."""
+def _random_codebook(template: ProbeTemplate, M: int, seed: int) -> Codebook:
+    """M distinct codewords with window counts drawn from the scheme's
+    symbol laws; collisions are resampled."""
     rng = np.random.default_rng(seed)
     seen: set[bytes] = set()
     rows: list[np.ndarray] = []
@@ -211,22 +199,23 @@ def _random_codebook(template: ProbeTemplate, p1: Pmf, p2: Pmf, M: int, seed: in
             )
         take = min(batch, limit - attempts)
         attempts += take
-        for row in template.image(_draw_counts(rng, template, (p1, p2), (take,))):
+        for row in template.image(template.draw(rng, (take,))):
             key = row.tobytes()
             if key not in seen:
                 seen.add(key)
                 rows.append(row)
                 if len(rows) == M:
                     break
-    return Codebook(
-        n=template.n,
-        tau_star=template.tau_star,
-        alpha_slots=template.alpha_slots,
-        codewords=np.stack(rows),
-        p1=p1,
-        p2=p2,
-        seed=seed,
-    )
+    return Codebook(template=template, codewords=np.stack(rows), seed=seed)
+
+
+def _adjacent_scheme(n: int, alpha: float, tau: int, p1: Pmf, p2: Pmf) -> ProbeTemplate:
+    """Windows of tau slots with law p1 through the first
+    `admissible_alpha_slots(n, alpha, tau)` slots, then windows of tau + 1
+    slots with law p2. Both lengths stay in the scheme, with or without
+    windows."""
+    a = admissible_alpha_slots(n, alpha, tau)
+    return ProbeTemplate(((tau, a // tau, p1), (tau + 1, (n - a) // (tau + 1), p2)))
 
 
 def build_codebook_2user(n: int, M: int, delta: float = 1e-3, seed: int = 0) -> Codebook:
@@ -238,15 +227,15 @@ def build_codebook_2user(n: int, M: int, delta: float = 1e-3, seed: int = 0) -> 
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    a = admissible_alpha_slots(n, ALPHA_2USER - delta, 1)
-    template = ProbeTemplate(n=n, alpha_slots=a, tau_star=1)
-    return _random_codebook(template, Pmf(np.array(P1_2USER)), Pmf(np.array(P2_2USER)), M, seed)
+    p1, p2 = Pmf(np.array(P1_2USER)), Pmf(np.array(P2_2USER))
+    return _random_codebook(_adjacent_scheme(n, ALPHA_2USER - delta, 1, p1, p2), M, seed)
 
 
 def _scheme_3user(
     n: int, r_p: float, tau_max: int, delta: float, capacity: CapacityResult3 | None
-) -> tuple[ProbeTemplate, Pmf, Pmf]:
-    """Window layout and the two symbol laws of the three-user scheme at r_p.
+) -> ProbeTemplate:
+    """The three-user scheme at r_p: windows of tau_star and tau_star + 1
+    slots with their symbol laws.
 
     The capacity solve (or the given result, which must be solved at r_p)
     supplies tau_star, the window mix alpha, pulled back by delta onto an
@@ -258,8 +247,7 @@ def _scheme_3user(
     tau = cap.tau_star
     p1 = i_tilde(cap.gamma1, tau, r_p).maximizing_input
     p2 = i_tilde(cap.gamma2, tau + 1, r_p).maximizing_input
-    a = admissible_alpha_slots(n, max(cap.alpha - delta, 0.0), tau)
-    return ProbeTemplate(n=n, alpha_slots=a, tau_star=tau), p1, p2
+    return _adjacent_scheme(n, max(cap.alpha - delta, 0.0), tau, p1, p2)
 
 
 def build_codebook_3user(
@@ -280,14 +268,14 @@ def build_codebook_3user(
     """
     if M < 1:
         raise ValueError("M must be >= 1")
-    return _random_codebook(*_scheme_3user(n, r_p, tau_max, delta, capacity), M, seed)
+    return _random_codebook(_scheme_3user(n, r_p, tau_max, delta, capacity), M, seed)
 
 
 def probe_stream(template: ProbeTemplate) -> ArrivalSchedule:
     """Deterministic probe schedule over slots 0..n-1.
 
-    Packets sit at window starts: spacing tau_star through the first segment
-    (all ones when tau_star = 1), then spacing tau_star + 1. The closing
+    Packets sit at window starts, so each window length k of the scheme
+    spaces its packets k slots apart (all ones for k = 1). The closing
     boundary at slot n falls outside the template; transmission runs append
     that probe explicitly.
     """
@@ -330,8 +318,9 @@ def decode_2user(observations: ProbeObservations, codebook: Codebook) -> int:
 @functools.lru_cache(maxsize=64)
 def _log_channel_table(width: int, r_p: float) -> np.ndarray:
     """Read-only log P(Y = y | X = x) of the width-slot channel, -1e30 where
-    impossible; built once per (width, r_p)."""
-    rows = channel_matrix(width, r_p).rows
+    impossible; built once per (width, r_p) from the rows that
+    `cqclab.capacity3` caches for the same channel."""
+    rows, _ = _channel(width, r_p)
     table = np.where(rows > 0, np.log(np.maximum(rows, 1e-300)), -1e30)
     table.flags.writeable = False
     return table
@@ -342,15 +331,21 @@ def _decode_rows_3user(y: np.ndarray, codebook: Codebook, r_p: float) -> np.ndar
     see `decode_3user`."""
     counts = codebook.window_counts
     loglik = np.zeros((y.shape[0], codebook.M))
-    for width, cols in codebook.template.segments():
-        yw = y[:, cols]
+    stop = 0
+    for width, count, _ in codebook.template.windows:
+        # each length's windows are one contiguous run of columns: a slice,
+        # where a boolean mask of `widths` took 2.7x as long per chunk
+        start, stop = stop, stop + count
+        if not count:
+            continue
+        yw = y[:, start:stop]
         if yw.min() < 0 or yw.max() > 2 * width:
             raise DecodeMatchError("observed count outside the channel alphabet")
         table = _log_channel_table(width, float(r_p))
         # a C-contiguous (messages, M, windows) gather keeps each score's
         # terms contiguous, which fixes the order of the sums (and so the
         # tie-breaks between -1e30 scores)
-        terms = np.ascontiguousarray(table[counts[None, :, cols], yw[:, None, :]])
+        terms = np.ascontiguousarray(table[counts[None, :, start:stop], yw[:, None, :]])
         loglik += terms.sum(axis=2)
     return loglik.argmax(axis=1)
 
@@ -390,9 +385,10 @@ _CHUNK = 32  # messages queued, observed and decoded together
 
 
 def _backlog(template: ProbeTemplate, initial_backlog: int | None) -> int:
-    """The transmission backlog: by default n + tau_star + 1, which keeps
-    every interval buffered; at least tau_star + 1."""
-    longest = template.tau_star + 1
+    """The transmission backlog: by default n plus the longest window length
+    of the scheme, which keeps every interval buffered; at least that
+    length."""
+    longest = template.windows[-1][0]
     backlog = initial_backlog if initial_backlog is not None else template.n + longest
     if backlog < longest:
         raise ValueError(f"initial_backlog must be >= {longest}")
@@ -469,7 +465,8 @@ def run_transmission(
     observations: exact matching without background, maximum likelihood
     with it. Every result equals that of sending the messages one at a time
     through `simulate`, `observe` and `decode_2user` / `decode_3user`. The
-    default backlog n + tau_star + 1 keeps every interval buffered
+    default backlog, n plus the longest window length (n + tau_star + 1 for
+    the builders' schemes), keeps every interval buffered
     regardless of the codeword; an unbuffered interval raises instead of
     degrading silently.
     """
@@ -665,15 +662,15 @@ def ensemble_error_rate(
         m_float = math.inf
     if not 1 <= m_float < math.inf:
         raise ValueError(f"M must be finite and >= 1, got {M!r}")
-    template, p1, p2 = _scheme_3user(n, r_p, tau_max, delta, capacity)
+    template = _scheme_3user(n, r_p, tau_max, delta, capacity)
     rate = math.log2(M) / n
     if rate > _MAX_RATE:
         raise ValueError(f"rate log2(M) / n = {rate} exceeds 1 bit per slot (n={n})")
     lattice = _lattice_tables(template.widths.tolist(), r_p)
-    classes = _move_classes(lattice[0], {p.k: p.probs for p in (p1, p2)})
+    classes = _move_classes(lattice[0], {k: law.probs for k, _, law in template.windows})
 
     def draw(rng):
-        xs = _draw_counts(rng, template, (p1, p2))
+        xs = template.draw(rng)
         return xs, template.image(xs)
 
     err_prob_sum = 0.0
@@ -696,37 +693,36 @@ def ensemble_error_rate(
 # --- codebook text round-trip ----------------------------------------------
 
 def dump_codebook(cb: Codebook) -> str:
-    """Line-oriented text form: a header line then one bitstring per row."""
-    header = (
-        f"n={cb.n} M={cb.M} alpha_slots={cb.alpha_slots} "
-        f"tau_star={cb.tau_star} seed={cb.seed} "
-        f"p1={','.join(repr(float(v)) for v in cb.p1.probs)} "
-        f"p2={','.join(repr(float(v)) for v in cb.p2.probs)}"
+    """Line-oriented text form: a header line then one bitstring per row.
+    The header ends with one k:count:law token per window length."""
+    windows = " ".join(
+        f"{k}:{count}:{','.join(repr(float(v)) for v in law.probs)}"
+        for k, count, law in cb.template.windows
     )
+    header = f"M={cb.M} seed={cb.seed} windows={windows}"
     rows = ["".join(str(int(b)) for b in row) for row in cb.codewords]
     return "\n".join([header] + rows) + "\n"
+
+
+def _window_entry(token: str) -> tuple[int, int, Pmf]:
+    k, count, law = token.split(":")
+    return int(k), int(count), Pmf(np.array([float(v) for v in law.split(",")]))
 
 
 def load_codebook(text: str) -> Codebook:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("codebook text is empty")
-    fields = dict(item.split("=", 1) for item in lines[0].split())
-    missing = {"n", "M", "alpha_slots", "tau_star", "seed", "p1", "p2"} - fields.keys()
+    head, found, windows = lines[0].partition("windows=")
+    fields = dict(item.split("=", 1) for item in head.split())
+    missing = {"M", "seed"} - fields.keys() | (set() if found else {"windows"})
     if missing:
         raise ValueError(f"codebook header lacks {sorted(missing)}")
-    n, M = int(fields["n"]), int(fields["M"])
+    template = ProbeTemplate(tuple(_window_entry(token) for token in windows.split()))
+    M = int(fields["M"])
     cw = np.array(
         [[int(c) for c in line.strip()] for line in lines[1 : 1 + M]], dtype=np.int8
     )
-    if cw.shape != (M, n):
+    if cw.shape != (M, template.n):
         raise ValueError("codebook body does not match its header")
-    return Codebook(
-        n=n,
-        tau_star=int(fields["tau_star"]),
-        alpha_slots=int(fields["alpha_slots"]),
-        codewords=cw,
-        p1=Pmf(np.array([float(v) for v in fields["p1"].split(",")])),
-        p2=Pmf(np.array([float(v) for v in fields["p2"].split(",")])),
-        seed=int(fields["seed"]),
-    )
+    return Codebook(template=template, codewords=cw, seed=int(fields["seed"]))

@@ -138,8 +138,8 @@ class TestCapacity3:
         assert capsys.readouterr().err == "error: background rates must lie in [0, 1)\n"
 
     def test_one_program_path_per_lockstep_step(self, tmp_path, monkeypatch):
-        # the rates advance in lockstep, and each step solves the current
-        # pair of every rate in one program path
+        # one sweep over ascending tau: each tau solves the pair of every
+        # rate still in its loop in one program path
         paths = []
         real = capacity3._program_path
 

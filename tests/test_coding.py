@@ -1,4 +1,5 @@
 import functools
+import importlib.util
 import math
 import os
 import subprocess
@@ -47,17 +48,16 @@ from cqclab.fcfs import (
 )
 
 
-def _handmade_codebook(rows, tau_star=1, alpha_slots=0):
+def _pair(tau, short, long):
+    """`short` windows of tau slots, then `long` windows of tau + 1 slots,
+    with uniform symbol laws."""
+    return ProbeTemplate(((tau, short, Pmf.uniform(tau)), (tau + 1, long, Pmf.uniform(tau + 1))))
+
+
+def _handmade_codebook(rows, short=0):
+    """Codewords over `short` one-slot windows, then two-slot windows."""
     cw = np.asarray(rows, dtype=np.int8)
-    return Codebook(
-        n=cw.shape[1],
-        tau_star=tau_star,
-        alpha_slots=alpha_slots,
-        codewords=cw,
-        p1=Pmf.uniform(tau_star),
-        p2=Pmf.uniform(tau_star + 1),
-        seed=0,
-    )
+    return Codebook(template=_pair(1, short, (cw.shape[1] - short) // 2), codewords=cw, seed=0)
 
 
 def _obs(pairs, buffered=True):
@@ -104,7 +104,7 @@ class TestSymbolMap:
         assert symbol_image(2, 2).tolist() == [1, 1]
 
     def test_window_counts_of_row(self):
-        cb = _handmade_codebook([[1, 1, 0, 0], [1, 0, 1, 1]], alpha_slots=2)
+        cb = _handmade_codebook([[1, 1, 0, 0], [1, 0, 1, 1]], short=2)
         assert cb.window_counts_of(cb.codewords[0]).tolist() == [1, 1, 0]
         assert cb.window_counts_of(cb.codewords[1]).tolist() == [1, 0, 2]
 
@@ -118,8 +118,7 @@ class TestSymbolMap:
 class TestCodebook2User:
     def test_structure(self):
         cb = build_codebook_2user(30, 16, delta=0.007, seed=3)
-        assert cb.alpha_slots == 6
-        assert cb.alpha_slots % 1 == 0 and (30 - cb.alpha_slots) % 2 == 0
+        assert [(k, count) for k, count, _ in cb.template.windows] == [(1, 6), (2, 12)]
         assert cb.M == 16
         assert cb.codewords.shape == (16, 30)
         assert len(cb.window_lengths()) == 6 + 12
@@ -134,20 +133,19 @@ class TestCodebook2User:
 
     def test_symbol_frequencies(self):
         cb = build_codebook_2user(30, 10**5, seed=17)
-        seg2 = cb.codewords[:, cb.alpha_slots :].reshape(10**5, -1, 2).sum(axis=2)
+        ones = cb.template.windows[0][1]  # the one-slot windows come first
+        seg2 = cb.codewords[:, ones:].reshape(10**5, -1, 2).sum(axis=2)
         freq = np.bincount(seg2.ravel(), minlength=3) / seg2.size
         assert np.abs(freq - [0.43, 0.325, 0.245]).max() < 0.01
-        assert abs(cb.codewords[:, : cb.alpha_slots].mean() - 0.43) < 0.01
+        assert abs(cb.codewords[:, :ones].mean() - 0.43) < 0.01
 
     def test_design_rate_stays_inside_budget(self):
         for n in (30, 60, 120):
             cb = build_codebook_2user(n, 4, seed=1)
             probe_rate = (len(cb.window_lengths()) + 1) / n
-            enc_rate = (
-                (cb.alpha_slots // 1) * cb.p1.mean()
-                + ((n - cb.alpha_slots) // 2) * cb.p2.mean()
-            ) / n
-            slack = abs(cb.alpha_slots - ALPHA_2USER * n) / n
+            enc_rate = sum(count * law.mean() for _, count, law in cb.template.windows) / n
+            (k, count, _), _ = cb.template.windows
+            slack = abs(k * count - ALPHA_2USER * n) / n
             assert enc_rate + probe_rate <= 1 + 1 / n + slack + 1e-9
 
     def test_rejects_duplicate_rows(self):
@@ -163,9 +161,10 @@ class TestCodebook3User:
     def test_zero_noise_recovers_two_user_recipe(self, cap3_rp0):
         cb = build_codebook_3user(30, 8, 0.0, capacity=cap3_rp0, seed=5)
         assert cb.tau_star == 1
-        assert cb.alpha_slots == 6  # same admissible split as the two-user build
-        assert np.abs(cb.p1.probs - [0.57, 0.43]).max() < 0.01
-        assert np.abs(cb.p2.probs - [0.43, 0.325, 0.245]).max() < 0.01
+        (k1, short, p1), (k2, long, p2) = cb.template.windows
+        assert (k1, short, k2, long) == (1, 6, 2, 12)  # same admissible split as the two-user build
+        assert np.abs(p1.probs - [0.57, 0.43]).max() < 0.01
+        assert np.abs(p2.probs - [0.43, 0.325, 0.245]).max() < 0.01
 
     def test_rejects_capacity_solved_at_another_rate(self, cap3_rp01):
         with pytest.raises(ValueError):
@@ -204,20 +203,41 @@ class TestCodebook3User:
 
 class TestProbeStream:
     def test_all_ones_then_alternating(self):
-        ps = probe_stream(ProbeTemplate(n=6, alpha_slots=2, tau_star=1))
+        ps = probe_stream(_pair(1, 2, 2))
         assert ps.slots.tolist() == [1, 1, 1, 0, 1, 0]
 
     def test_pure_alternating(self):
-        ps = probe_stream(ProbeTemplate(n=8, alpha_slots=0, tau_star=1))
+        ps = probe_stream(_pair(1, 0, 4))
         assert ps.slots.tolist() == [1, 0, 1, 0, 1, 0, 1, 0]
 
     def test_longer_windows(self):
-        ps = probe_stream(ProbeTemplate(n=12, alpha_slots=6, tau_star=2))
+        ps = probe_stream(_pair(2, 3, 2))
         assert np.nonzero(ps.slots)[0].tolist() == [0, 2, 4, 6, 9]
 
-    def test_rejects_bad_split(self):
+    def test_scheme_with_more_lengths(self):
+        template = ProbeTemplate(
+            ((1, 1, Pmf.uniform(1)), (3, 0, Pmf.uniform(3)), (4, 2, Pmf.uniform(4)))
+        )
+        assert template.n == 9
+        assert template.widths.tolist() == [1, 4, 4]
+        assert np.nonzero(probe_stream(template).slots)[0].tolist() == [0, 1, 5]
+
+    @pytest.mark.parametrize(
+        "windows",
+        [
+            pytest.param(((2, 1, Pmf.uniform(2)), (2, 1, Pmf.uniform(2))), id="repeated length"),
+            pytest.param(((3, 1, Pmf.uniform(3)), (2, 1, Pmf.uniform(2))), id="descending lengths"),
+            pytest.param(((0, 1, Pmf.uniform(0)),), id="zero length"),
+            pytest.param(((2, 1, Pmf.uniform(3)),), id="law on too many symbols"),
+            pytest.param(((2, 1, Pmf.uniform(1)),), id="law on too few symbols"),
+            pytest.param(((1, -1, Pmf.uniform(1)), (2, 2, Pmf.uniform(2))), id="negative count"),
+            pytest.param(((1, 0, Pmf.uniform(1)), (2, 0, Pmf.uniform(2))), id="no windows"),
+            pytest.param((), id="no lengths"),
+        ],
+    )
+    def test_rejects_bad_scheme(self, windows):
         with pytest.raises(ValueError):
-            ProbeTemplate(n=7, alpha_slots=2, tau_star=1)
+            ProbeTemplate(windows)
 
 
 class TestDecode2User:
@@ -429,6 +449,34 @@ class TestBatchedTransmission:
         assert proc.returncode == 0, proc.stderr
 
 
+@functools.lru_cache(maxsize=None)
+def _bench_workloads():
+    """perfbench/workloads.py, loaded by path; it imports only numpy and the
+    standard library."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkSurface:
+    # the benchmark's traced run spells out a transmission through the
+    # package's public surface: the template of a codebook, its probe
+    # stream, n, tau_star, M and the codewords
+    @pytest.mark.parametrize("users", [2, 3])
+    def test_traced_transmission_matches_run_transmission(self, cap3_rp01, users):
+        workloads = _bench_workloads()
+        if users == 2:
+            cb, rate = build_codebook_2user(60, 256, seed=4), None
+        else:  # a short block, so that errors occur and their count pins the draws
+            cb, rate = build_codebook_3user(20, 256, 0.1, capacity=cap3_rp01, seed=4), 0.1
+        errors = workloads.traced_transmission(cqclab, workloads.no_span, cb, rate, 200, 7)
+        assert errors == run_transmission(cb, background_rate=rate, trials=200, seed=7).errors
+        assert (errors > 0) == (users == 3)
+
+
 class TestEnsembleInternals:
     def test_prob_correct_against_direct_simulation(self):
         from cqclab.coding import _prob_correct
@@ -627,20 +675,21 @@ class TestClassConvolution:
             assert coding._competitor_probs(lattice, classes, widths, ys, xs) == expected
 
 
+def _assert_same_codebook(cb2, cb):
+    """Bitwise equal codewords, seed and scheme: lengths, counts and laws."""
+    assert np.array_equal(cb2.codewords, cb.codewords)
+    assert (cb2.n, cb2.M, cb2.tau_star, cb2.seed) == (cb.n, cb.M, cb.tau_star, cb.seed)
+    assert len(cb2.template.windows) == len(cb.template.windows)
+    for (k2, count2, law2), (k, count, law) in zip(cb2.template.windows, cb.template.windows):
+        assert (k2, count2) == (k, count)
+        assert law2.probs.tobytes() == law.probs.tobytes()
+
+
 class TestCodebookText:
     def test_round_trip_bit_exact(self):
         cb = build_codebook_2user(30, 16, seed=3)
         cb2 = load_codebook(dump_codebook(cb))
-        assert np.array_equal(cb2.codewords, cb.codewords)
-        assert (cb2.n, cb2.M, cb2.alpha_slots, cb2.tau_star, cb2.seed) == (
-            cb.n,
-            cb.M,
-            cb.alpha_slots,
-            cb.tau_star,
-            cb.seed,
-        )
-        assert np.array_equal(cb2.p1.probs, cb.p1.probs)
-        assert np.array_equal(cb2.p2.probs, cb.p2.probs)
+        _assert_same_codebook(cb2, cb)
 
     def test_corrupt_body_rejected(self):
         cb = build_codebook_2user(30, 4, seed=3)
@@ -653,7 +702,7 @@ class TestCodebookText:
             with pytest.raises(ValueError):
                 load_codebook(text)
 
-    @pytest.mark.parametrize("field", ["n", "M", "alpha_slots", "tau_star", "seed", "p1", "p2"])
+    @pytest.mark.parametrize("field", ["M", "seed", "windows"])
     def test_header_missing_field_rejected(self, field):
         header, *rows = dump_codebook(build_codebook_2user(30, 4, seed=3)).splitlines()
         header = " ".join(i for i in header.split() if not i.startswith(field + "="))

@@ -1,6 +1,6 @@
 """Property tests: the scheduler and its observations against a naive
-per-slot FIFO queue, and the noiseless decode round trip on handmade
-window layouts."""
+per-slot FIFO queue, and the noiseless decode and text round trips on
+handmade coding schemes."""
 
 from collections import deque
 
@@ -14,6 +14,8 @@ from cqclab.coding import (
     ProbeTemplate,
     decode_2user,
     decode_3user,
+    dump_codebook,
+    load_codebook,
     probe_stream,
     symbol_image,
 )
@@ -102,21 +104,21 @@ def test_simulate_and_observe_match_reference_queue(case):
 
 @st.composite
 def handmade_codebooks(draw):
-    tau = draw(st.sampled_from([2, 3]))
-    w1, w2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    widths = [tau] * w1 + [tau + 1] * w2
+    """Codebooks over schemes of 1 to 3 window lengths in 1..6, not
+    necessarily adjacent, with 0 to 3 windows each (at least one in all) and
+    arbitrary symbol laws."""
+    ks = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True).map(sorted))
+    counts = draw(
+        st.lists(st.integers(0, 3), min_size=len(ks), max_size=len(ks)).filter(any)
+    )
+    weights = [draw(st.lists(st.floats(0.01, 1.0), min_size=k + 1, max_size=k + 1)) for k in ks]
+    laws = [Pmf(np.array(w) / sum(w)) for w in weights]
+    template = ProbeTemplate(tuple(zip(ks, counts, laws)))
+    widths = template.widths.tolist()
     symbols = st.tuples(*(st.integers(0, w) for w in widths))
     messages = draw(st.lists(symbols, min_size=1, max_size=8, unique=True))
     rows = [np.concatenate([symbol_image(c, w) for c, w in zip(m, widths)]) for m in messages]
-    return Codebook(
-        n=len(rows[0]),
-        tau_star=tau,
-        alpha_slots=w1 * tau,
-        codewords=np.array(rows),
-        p1=Pmf.uniform(tau),
-        p2=Pmf.uniform(tau + 1),
-        seed=0,
-    )
+    return Codebook(template=template, codewords=np.array(rows), seed=draw(st.integers(0, 2**32)))
 
 
 @given(handmade_codebooks())
@@ -124,8 +126,21 @@ def test_noiseless_round_trip_on_handmade_layouts(cb):
     decoder = ArrivalSchedule(
         DECODER, np.append(probe_stream(ProbeTemplate.for_codebook(cb)).slots, np.int8(1))
     )
+    backlog = cb.n + cb.template.windows[-1][0]  # n plus the longest window length
     for msg in range(cb.M):
         encoder = ArrivalSchedule(ENCODER, np.append(cb.codewords[msg], np.int8(0)))
-        obs = observe(simulate(decoder, encoder, initial_backlog=cb.n + cb.tau_star + 1))
+        obs = observe(simulate(decoder, encoder, initial_backlog=backlog))
         assert decode_2user(obs, cb) == msg
         assert decode_3user(obs, cb, 0.0) == msg
+
+
+@given(handmade_codebooks())
+def test_text_round_trip_on_handmade_layouts(cb):
+    cb2 = load_codebook(dump_codebook(cb))
+    assert cb2.codewords.tobytes() == cb.codewords.tobytes()
+    assert (cb2.n, cb2.M, cb2.seed) == (cb.n, cb.M, cb.seed)
+    assert [(k, count) for k, count, _ in cb2.template.windows] == [
+        (k, count) for k, count, _ in cb.template.windows
+    ]
+    for (_, _, law2), (_, _, law) in zip(cb2.template.windows, cb.template.windows):
+        assert law2.probs.tobytes() == law.probs.tobytes()
