@@ -36,6 +36,7 @@ from .fcfs import (
     ProbeObservations,
     UnbufferedIntervalError,
     _observe_batch,
+    _queue,
 )
 
 # two-user operating point: window mix and within-window symbol laws
@@ -443,7 +444,7 @@ def _observed(chunks, template: ProbeTemplate, initial_backlog: int | None):
     block of observed counts. An unbuffered interval raises."""
     backlog = _backlog(template, initial_backlog)
     for messages, issues in chunks:
-        tau, y, buffered = _observe_batch(issues, backlog)
+        tau, y, buffered = _observe_batch(issues, _queue(issues, backlog))
         _check_intervals(tau, buffered, template)
         yield messages, y
 

@@ -20,12 +20,17 @@ priority) departs at t + Q_{t-1} + 1. `simulate` is the one-trace case with
 per-packet records, and keeps the backlog in its trace as sentinel packets
 (owner code 0, arrival -1) at the head; the stability probe and the probe
 observations of transmissions and of the channel-law estimate need only the
-per-slot counts, so they build no per-packet trace. Million-slot horizons
-are cheap.
+per-slot counts, so they build no per-packet trace. The two long-trace calls,
+`stability_probe` and `empirical_channel_law`, run the kernel one block of
+`_BLOCK` slots at a time, each block starting from the queue the one before
+it left, so their integer sums are exact and equal the whole-horizon ones.
+Their memory is about one byte per slot per stored stream (the Bernoulli
+streams are drawn block by block straight into int8 arrays) plus one block.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -35,6 +40,33 @@ from .dist import Pmf
 DECODER, ENCODER, BACKGROUND, SENTINEL = "decoder", "encoder", "background", "sentinel"
 _OWNER_CODE = {SENTINEL: 0, DECODER: 1, ENCODER: 2, BACKGROUND: 3}
 _OWNER_LETTER = np.array(["s", "d", "e", "b"], dtype=object)  # indexed by owner code
+
+
+_BLOCK = 1 << 16  # slots per block of the long-trace kernel and of the Bernoulli draws
+
+
+def _count(name: str, value, low: int) -> int:
+    """`value` as an int; ValueError naming `name` unless it is a whole number >= `low`."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {name}={value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return int(value)
+
+
+def _bernoulli(rate: float, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the 1-D int8 array `out` with i.i.d. Bernoulli(rate) 0/1 draws
+    and return it. The uniforms are drawn `_BLOCK` at a time into one float
+    buffer; consecutive `random(out=...)` calls continue one stream, so the
+    draws equal `rng.random(out.size) < rate` without its float64 copy."""
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError("rate must lie in [0, 1]")
+    buf = np.empty(min(out.size, _BLOCK))
+    for start in range(0, out.size, _BLOCK):
+        u = buf[: out.size - start]
+        rng.random(out=u)
+        np.less(u, rate, out=out[start : start + u.size])
+    return out
 
 
 class TooFewProbesError(ValueError):
@@ -69,9 +101,7 @@ class ArrivalSchedule:
 
     @staticmethod
     def bernoulli(user: str, rate: float, n: int, rng: np.random.Generator) -> "ArrivalSchedule":
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("rate must lie in [0, 1]")
-        return ArrivalSchedule(user, (rng.random(n) < rate).astype(np.int8))
+        return ArrivalSchedule(user, _bernoulli(rate, rng, np.empty(n, dtype=np.int8)))
 
 
 @dataclass(frozen=True)
@@ -171,19 +201,34 @@ def _intervals(arr: np.ndarray, dep: np.ndarray):
     return tau, np.diff(dep, axis=-1) - 1, dep[..., :-1] - arr[..., :-1] - 1 >= tau - 1
 
 
-def _observe_batch(issues: np.ndarray, initial_backlog: int):
-    """`observe` of every trace of a `_queue` issue tensor whose traces all
-    issue the same number of decoder (first column) packets: (tau, y,
-    buffered), each of shape (traces, intervals). A probe issued at t
-    departs at t + Q_{t-1} + 1; only the decoder column is searched."""
-    queue = _queue(issues, initial_backlog)
+def _observe_batch(issues: np.ndarray, queue: np.ndarray):
+    """`observe` of every trace of an issue tensor whose traces all issue
+    the same number of decoder (first column) packets: (tau, y, buffered),
+    each of shape (traces, intervals). `queue` is the tensor's `_queue`, or
+    any array holding Q_{t-1} in column t of each trace for every probe slot
+    t. A probe issued at t departs at t + Q_{t-1} + 1; only the decoder
+    column is searched."""
     trace, slot = np.nonzero(issues[:, :, 0])
     dep = queue[trace, slot]
-    del queue, trace
+    del trace
     dep += slot
     dep += 1
     shape = (issues.shape[0], -1)
     return _intervals(slot.reshape(shape), dep.reshape(shape))
+
+
+def _queue_blocks(issues: np.ndarray, initial_backlog: int):
+    """`_queue` of a one-trace issue tensor, `_BLOCK` slots at a time.
+
+    Yields (start, queue) per block of slots start.. start + `_BLOCK` - 1;
+    each block starts from the queue the block before it left, so the
+    columns are exactly those of `_queue(issues, initial_backlog)`, with the
+    column between two blocks in both."""
+    backlog = initial_backlog
+    for start in range(0, issues.shape[1], _BLOCK):
+        queue = _queue(issues[:, start : start + _BLOCK], backlog)
+        yield start, queue[0]
+        backlog = queue[0, -1]
 
 
 def simulate(
@@ -205,8 +250,7 @@ def simulate(
     Departures come from `_fifo`; `queue_len` is the kernel's queue at the
     end of slots 0..n-1 followed by the drain, one packet per slot after n.
     """
-    if initial_backlog < 0:
-        raise ValueError("initial_backlog must be >= 0")
+    initial_backlog = _count("initial_backlog", initial_backlog, 0)
     if set(priority) != {DECODER, ENCODER, BACKGROUND} or priority[0] != DECODER:
         raise ValueError("priority must order decoder first and cover all users")
     streams = [decoder, encoder] + ([background] if background is not None else [])
@@ -288,42 +332,51 @@ def stability_probe(
     drift E[q(t+1)^2 - q(t)^2 | q(t) >= threshold] at the threshold
     K / (2 (1 - total_rate)), which queue stability requires to be negative.
     The queue series comes straight off the per-slot queue kernel (Lindley's
-    recursion in closed form); no per-packet trace is built.
+    recursion in closed form), block by block; no per-packet trace and no
+    whole-horizon queue series are built. Every mean is an exact int64 sum
+    divided once by its count. The threshold needs K, the mean over the
+    whole horizon, so the drift re-runs the kernel over the stored streams.
     """
     rates = tuple(float(r) for r in rates)
     if not 1 <= len(rates) <= 3:
         raise ValueError("stability probe supports 1 to 3 users")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if initial_backlog < 0:
-        raise ValueError("initial_backlog must be >= 0")
+    horizon = _count("horizon", horizon, 1)
+    initial_backlog = _count("initial_backlog", initial_backlog, 0)
     rng = np.random.default_rng(seed)
-    users = (DECODER, ENCODER, BACKGROUND)
-    streams = [ArrivalSchedule.bernoulli(u, r, horizon, rng).slots for u, r in zip(users, rates)]
-    q = _queue(np.stack(streams, axis=1)[None], initial_backlog)[0].astype(float)
-    q_start, q_end = q[:-1], q[1:]
+    issues = np.empty((1, horizon, len(rates)), dtype=np.int8)
+    for j, r in enumerate(rates):
+        _bernoulli(r, rng, issues[0, :, j])
     # the queue series is q(t+1) = q(t) + a(t) - s(t), so its steps are a - s
-    k_hat = float(((q_end - q_start) ** 2).mean())
+    squares = max_queue = half_sum = 0
+    for start, q in _queue_blocks(issues, initial_backlog):
+        steps = np.diff(q)
+        squares += int(np.dot(steps, steps))
+        max_queue = max(max_queue, int(q[1:].max()))
+        half_sum += int(q[1 + max(horizon // 2 - start, 0) :].sum())
+    final_queue = int(q[-1])
+    k_hat = squares / horizon
 
     total = sum(rates)
     threshold = k_hat / (2.0 * (1.0 - total)) if total < 1.0 else None
     drift = None
     above = 0
     if threshold is not None:
-        sq_inc = q_end**2 - q_start**2
-        mask = q_start >= threshold
-        above = int(mask.sum())
+        rise = 0  # sum of q(t+1)^2 - q(t)^2 over the slots with q(t) >= threshold
+        for _, q in _queue_blocks(issues, initial_backlog):
+            mask = q[:-1] >= threshold
+            above += int(np.count_nonzero(mask))
+            q_start, q_end = q[:-1][mask], q[1:][mask]
+            rise += int(np.dot(q_end - q_start, q_end + q_start))
         if above:
-            drift = float(sq_inc[mask].mean())
-    half = q_end[horizon // 2 :]
+            drift = rise / above
     return DriftReport(
         rates=rates,
         total_rate=total,
         horizon=horizon,
         seed=seed,
-        final_queue=int(q_end[-1]),
-        max_queue=int(q_end.max()),
-        mean_queue_second_half=float(half.mean()),
+        final_queue=final_queue,
+        max_queue=max_queue,
+        mean_queue_second_half=half_sum / (horizon - horizon // 2),
         squared_increment_mean=k_hat,
         drift_threshold=threshold,
         drift_above_threshold=drift,
@@ -345,31 +398,45 @@ def empirical_channel_law(
     opening probe, which pins every buffered flag. So Y - X isolates the
     background count per interval; its histogram estimates Bin(tau, r_p).
     The backlog is only an offset of the queue kernel's closed form, so its
-    size costs nothing; the probe intervals come straight off the kernel as
-    one trace, with no per-packet trace records.
+    size costs nothing. The encoder stream is drawn and stored first, as
+    int8; the background is then drawn block by block, and each block of a
+    whole number of intervals runs through the kernel from the queue the
+    one before it left. The block's probe intervals come straight off the
+    kernel, and its closing probe opens the next block, so every interval
+    is read once. The histogram is an exact int64 count.
     """
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    if intervals < 1:
-        raise ValueError("intervals must be >= 1")
+    tau = _count("tau", tau, 1)
+    intervals = _count("intervals", intervals, 1)
     if not (0.0 <= encoder_rate <= 1.0 and 0.0 <= r_p <= 1.0):
         raise ValueError("rate must lie in [0, 1]")
     n = tau * intervals + 1
     rng = np.random.default_rng(seed)
-    encoder = rng.random(n) < encoder_rate
-    issues = np.zeros((1, n, 3), dtype=np.int8)  # decoder, encoder, background
+    encoder = _bernoulli(encoder_rate, rng, np.empty(n, dtype=np.int8))
+    block = tau * max(1, _BLOCK // tau)
+    issues = np.zeros((1, block + 1, 3), dtype=np.int8)  # decoder, encoder, background
     issues[0, ::tau, 0] = 1
-    issues[0, :, 1] = encoder
-    issues[0, :, 2] = rng.random(n) < r_p
-    _, y, buffered = _observe_batch(issues, n)
-    del issues
-    if not buffered.all():
-        raise UnbufferedIntervalError("an interval ran unbuffered; counts unreliable")
-    x = np.diff(np.cumsum(encoder[:-1], dtype=np.int64)[tau - 1 :: tau], prepend=0)
-    diff = y[0] - x
-    if diff.min() < 0 or diff.max() > tau:
-        raise AssertionError("buffered intervals must give Y - X within [0, tau]")
-    counts = np.bincount(diff, minlength=tau + 1).astype(float)
+    counts = np.zeros(tau + 1, dtype=np.int64)
+    backlog = n
+    for start in range(0, n - 1, block):
+        m = min(block, n - 1 - start)
+        # slots start .. start + m - 1 and the probe at start + m that closes
+        # their last interval and opens the next block's first; that probe
+        # departs on Q_{start+m-1}, the queue's last column, so the other
+        # columns of its row (still the last block's) are never read
+        chunk = issues[:, : m + 1]
+        chunk[0, :m, 1] = encoder[start : start + m]
+        _bernoulli(r_p, rng, chunk[0, :m, 2])
+        queue = _queue(chunk[:, :m], backlog)
+        _, y, buffered = _observe_batch(chunk, queue)
+        if not buffered.all():
+            raise UnbufferedIntervalError("an interval ran unbuffered; counts unreliable")
+        x = encoder[start : start + m].reshape(-1, tau).sum(axis=1, dtype=np.int64)
+        diff = y[0] - x
+        if diff.min() < 0 or diff.max() > tau:
+            raise AssertionError("buffered intervals must give Y - X within [0, tau]")
+        counts += np.bincount(diff, minlength=tau + 1)
+        backlog = queue[0, -1]
+    counts = counts.astype(float)
     return Pmf(counts / counts.sum())
 
 

@@ -228,6 +228,14 @@ class TestStability:
         assert float(row[0]) == pytest.approx(0.95)
         assert float(row[7]) < 0  # drift above threshold
 
+    def test_known_row_across_blocks(self, tmp_path):
+        # recorded from the whole-horizon implementation; five blocks
+        code, body = _run(
+            tmp_path, "--seed", "9", "stability", "--rates", "0.475,0.475", "--horizon", "300000"
+        )
+        assert code == 0
+        assert _rows(body)[1] == "0.95,300000,2,36,4.46572,0.45248,4.5248,-0.443984393662,113031"
+
     def test_zero_rate(self, tmp_path):
         code, body = _run(tmp_path, "stability", "--rates", "0", "--horizon", "1000")
         assert code == 0

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cqclab import fcfs
 from cqclab.dist import binomial_pmf
 from cqclab.fcfs import (
     BACKGROUND,
@@ -52,6 +55,17 @@ class TestSchedule:
     def test_rejects_unknown_user(self):
         with pytest.raises(ValueError):
             _sched("intruder", [0, 1])
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_bernoulli_equals_the_one_call_draws(self, block, monkeypatch):
+        # drawn block by block, the schedule holds the draws of one
+        # random(n) call and leaves the stream where that call leaves it
+        monkeypatch.setattr(fcfs, "_BLOCK", block)
+        for n in (0, 1, block, 3 * block + 2):
+            rng, one_call = np.random.default_rng(n), np.random.default_rng(n)
+            schedule = ArrivalSchedule.bernoulli(ENCODER, 0.3, n, rng)
+            assert schedule.slots.tolist() == (one_call.random(n) < 0.3).tolist()
+            assert rng.random() == one_call.random()
 
 
 class TestSimulate:
@@ -152,6 +166,15 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(_sched(DECODER, [1, 0]), _sched(ENCODER, [0]))
 
+    @pytest.mark.parametrize("backlog", [-1, 2.5, "2", None])
+    def test_rejects_bad_backlog(self, backlog):
+        with pytest.raises(ValueError, match="initial_backlog"):
+            simulate(_sched(DECODER, [1, 0]), _sched(ENCODER, [0, 1]), initial_backlog=backlog)
+
+    def test_whole_float_backlog_is_an_int(self):
+        trace = simulate(_sched(DECODER, [1, 0]), _sched(ENCODER, [0, 1]), initial_backlog=2.0)
+        assert trace.initial_backlog == 2 and type(trace.initial_backlog) is int
+
     def test_decoder_priority_must_lead(self):
         with pytest.raises(ValueError):
             simulate(
@@ -224,7 +247,7 @@ class TestSegmentedKernel:
         issues[:, ::2, 0] = 1  # one probe stream shared by every trace
         if issues[0, :, 0].sum() < 2:
             return
-        tau, y, buffered = _observe_batch(issues, backlog)
+        tau, y, buffered = _observe_batch(issues, _queue(issues, backlog))
         for i, row in enumerate(issues):
             obs = observe(simulate(*_streams_of(row), initial_backlog=backlog))
             assert np.array_equal(obs.tau, tau[i])
@@ -316,10 +339,16 @@ class TestStability:
         ],
     )
     @pytest.mark.parametrize("initial_backlog", [0, 1, 50])
-    def test_equals_the_per_packet_reference(self, rates, initial_backlog):
-        args = (rates, 20_000, 11)
-        expected = _reference_stability_probe(*args, initial_backlog=initial_backlog)
-        assert stability_probe(*args, initial_backlog=initial_backlog) == expected
+    def test_equals_the_per_packet_reference(self, rates, initial_backlog, monkeypatch):
+        # the default block holds the whole horizon; smaller blocks split it
+        # (7 divides neither horizon), the tiniest over a shorter horizon to
+        # bound the per-block cost
+        for horizon, blocks in ((20_000, (fcfs._BLOCK, 64)), (2_000, (7, 1))):
+            args = (rates, horizon, 11)
+            expected = _reference_stability_probe(*args, initial_backlog=initial_backlog)
+            for block in blocks:
+                monkeypatch.setattr(fcfs, "_BLOCK", block)
+                assert stability_probe(*args, initial_backlog=initial_backlog) == expected, block
 
     def test_subcritical_drift_negative(self):
         rep = stability_probe((0.475, 0.475), 10**5, seed=7)
@@ -364,6 +393,49 @@ class TestStability:
             stability_probe((), 100, seed=0)
         with pytest.raises(ValueError):
             stability_probe((0.5,), 0, seed=0)
+        with pytest.raises(ValueError, match="horizon"):
+            stability_probe((0.3,), 1.5, seed=0)
+        with pytest.raises(ValueError, match="initial_backlog"):
+            stability_probe((0.3,), 100, seed=0, initial_backlog=2.5)
+        with pytest.raises(ValueError, match="initial_backlog"):
+            stability_probe((0.3,), 100, seed=0, initial_backlog=-1)
+        with pytest.raises(ValueError, match="rate"):
+            stability_probe((0.3, 1.5), 100, seed=0)
+
+    def test_known_report_across_blocks(self):
+        # recorded from the whole-horizon implementation over five blocks:
+        # each mean is bitwise its exact integer sum over its count
+        k_hat = 135744 / 300_000
+        assert stability_probe((0.475, 0.475), 300_000, seed=9) == DriftReport(
+            rates=(0.475, 0.475),
+            total_rate=0.95,
+            horizon=300_000,
+            seed=9,
+            final_queue=2,
+            max_queue=36,
+            mean_queue_second_half=669858 / 150_000,
+            squared_increment_mean=k_hat,
+            drift_threshold=k_hat / (2.0 * (1.0 - 0.95)),
+            drift_above_threshold=-50184 / 113031,
+            slots_above_threshold=113031,
+        )
+
+    def test_peak_memory_at_a_million_slots(self):
+        # two stored int8 streams (2 MB) plus one block; the whole-horizon
+        # float series peaked at 24.8 MB
+        assert _peak_mb(lambda: stability_probe((0.475, 0.475), 10**6, seed=9)) <= 8
+
+
+def _peak_mb(call) -> float:
+    """Peak traced memory of one call above what was allocated before it, in MB."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 class TestEmpiricalChannelLaw:
@@ -383,7 +455,7 @@ class TestEmpiricalChannelLaw:
         "tau, r_p, encoder_rate",
         [(1, 0.5, 0.5), (1, 0.0, 0.0), (2, 0.3, 0.5), (3, 1.0, 0.1), (8, 0.5, 1.0), (4, 0.0, 0.0)],
     )
-    def test_equals_the_law_behind_a_horizon_of_backlog(self, tau, r_p, encoder_rate):
+    def test_equals_the_law_behind_a_horizon_of_backlog(self, tau, r_p, encoder_rate, monkeypatch):
         # the same draws queued behind n sentinel packets, spelled out; at
         # r_p = 0 and encoder_rate = 0 the queue drains between probes
         intervals, seed = 400, 5
@@ -398,8 +470,42 @@ class TestEmpiricalChannelLaw:
         assert obs.buffered.all()
         x = encoder.slots[:-1].reshape(intervals, tau).sum(axis=1)
         counts = np.bincount(obs.y - x, minlength=tau + 1).astype(float)
-        law = empirical_channel_law(tau, r_p, intervals, seed, encoder_rate=encoder_rate)
-        assert (law.probs == counts / counts.sum()).all()
+        # each block is cut down to whole intervals, at least one (the
+        # default holds all 400); the last block is partial at 64 for tau
+        # 1 to 3 and at 7 for tau 1 and 2
+        for block in (fcfs._BLOCK, 64, 7, 1):
+            monkeypatch.setattr(fcfs, "_BLOCK", block)
+            law = empirical_channel_law(tau, r_p, intervals, seed, encoder_rate=encoder_rate)
+            assert (law.probs == counts / counts.sum()).all(), block
+
+    def test_known_law_across_blocks(self):
+        # recorded from the whole-horizon implementation; five blocks
+        law = empirical_channel_law(3, 0.4, 100_000, seed=8)
+        assert [p.hex() for p in law.probs.tolist()] == [
+            "0x1.bbf727136a401p-3",
+            "0x1.ba95421c04428p-2",
+            "0x1.266ba493c89f4p-2",
+            "0x1.040e1719f7f8dp-4",
+        ]
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((2.5, 0.3, 100), "tau"),
+            ((0, 0.3, 100), "tau"),
+            ((2, 0.3, 1.5), "intervals"),
+            ((2, 0.3, 0), "intervals"),
+            ((2, 1.5, 100), "rate"),
+        ],
+    )
+    def test_rejects_bad_args(self, args, name):
+        with pytest.raises(ValueError, match=name):
+            empirical_channel_law(*args, seed=0)
+
+    def test_peak_memory_at_a_million_intervals(self):
+        # the stored int8 encoder stream (2 MB) plus one block; the
+        # whole-horizon tensors peaked at 62.7 MB
+        assert _peak_mb(lambda: empirical_channel_law(2, 0.3, 10**6, seed=8)) <= 16
 
 
 class TestTraceCsv:
