@@ -17,10 +17,11 @@ whole batch of rows at one window length k: every row advances in the same
 batched KKT solve, so an i_tilde table takes about as many numpy calls as
 its slowest point. Rows may differ in their noise rate r_p, so a sweep over
 many rates (`validate_i_concavity`, `degradation_violations`) is one solve
-per window length. A call at one rate keeps its products as plain 2-D
-matrix products. Channels are built once per (k, r_p) and cached with their
-noise entropies. An uncertified slice point raises UncertifiedSolveError
-naming its k, gamma and r_p.
+per window length. Every row carries its own channel and its products go
+row by row, so a point has the same bits solved alone, in a one-rate batch
+or among other rates. Channels are built once per (k, r_p) and cached with
+their noise entropies. An uncertified slice point raises
+UncertifiedSolveError naming its k, gamma and r_p.
 
 The best mix of windows k in {tau, tau + 1} at budget c = 1 - r_p is one
 concave program: with q_k = alpha_k * p_k, the share-weighted entropy
@@ -53,7 +54,7 @@ GAP_TOL = 1e-9  # nats; certified suboptimality of the inner maximization
 FEAS_TOL = 1e-10  # largest sum / mean residual of a certified inner maximizer
 _MU_STAGES = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 5e-13)
 _PROGRAM_MU_STAGES = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-16)
-_CHUNK_INPUTS = 1280  # rows x padded inputs per barrier path of a stacked solve (~0.7 MB at most)
+_CHUNK_INPUTS = 1280  # rows x inputs per barrier path of a slice solve (~0.7 MB at most)
 
 PAIR_GAP_TOL = 1e-9  # bits; largest duality gap of a certified window pair
 PURE_SHARE = 1e-9  # a window share at or below this reads as 0 (see _pair_programs)
@@ -194,8 +195,8 @@ def _entropy_rows(py: np.ndarray) -> np.ndarray:
 
 
 def _times(v: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """v[r] @ M for every row r, or v[r] @ M[r] when M stacks one matrix per row."""
-    return v @ M if M.ndim == 2 else np.matmul(v[:, None, :], M)[:, 0]
+    """v[r] @ M[r] for every row r, M stacking one matrix per row."""
+    return np.matmul(v[:, None, :], M)[:, 0]
 
 
 def _lhs(q: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -277,32 +278,24 @@ def _newton_path(q, A, b, data, model, stages) -> np.ndarray:
 
 
 class _SliceObjective:
-    """H(B p) in nats, the objective of a slice solve. B is one channel for
-    every row (2-D: its products are plain matrix products) or, when None,
-    the first data entry of each row (its products go row by row)."""
-
-    def __init__(self, B=None):
-        self.B, self.Bt = B, None if B is None else np.ascontiguousarray(B.T)
+    """H(B p) in nats, the objective of a slice solve. A row's data are its
+    channel B, so its products go row by row."""
 
     def value(self, q, data):
-        return _entropy_rows(_times(q, data[0] if self.B is None else self.B))
+        return _entropy_rows(_times(q, data[0]))
 
     def newton(self, q, data, H=None):
-        B, Bt = (data[0], data[0].transpose(0, 2, 1)) if self.B is None else (self.B, self.Bt)
+        B = data[0]
+        Bt = B.transpose(0, 2, 1)
         py = np.maximum(_times(q, B), 1e-300)
         if H is not None:
             np.matmul(B / -py[:, None, :], Bt, out=H)
         return _entropy_rows(py), -_times(np.log(py) + 1.0, Bt)
 
-    def lhs(self, q, A):
-        if self.B is None:
-            return _lhs(q, A)
-        Aq = np.empty((q.shape[0], 2))
-        Aq[:, 0], Aq[:, 1] = q.sum(axis=1), q @ A[1]  # one channel: the mean is one matrix-vector product
-        return Aq
+    lhs = staticmethod(_lhs)
 
 
-def _slices(k: int, r_p, gammas, pmfs: bool = False):
+def _slices(k: int, r_p, gammas):
     """max H(B p) over the slice {p >= 0, sum p = 1, mean p = k * gamma} for
     every gamma in one batch, at window k and noise rate r_p (one value, or
     one per row), B the shifted-binomial channel of the row.
@@ -317,43 +310,27 @@ def _slices(k: int, r_p, gammas, pmfs: bool = False):
     GAP_TOL, or off the slice) raises UncertifiedSolveError naming its k,
     gamma and r_p.
 
-    At one rate every product with B is one 2-D matrix product and the
-    outputs B never reaches (those above k when r_p = 0) are dropped. At
-    several rates each row takes its own channel, the products go row by
-    row, so a row's arithmetic does not depend on the other rows of its call
-    (short of a singular KKT matrix, which sends every row of its Newton
-    step to least squares), and the rows run in chunks of
-    _CHUNK_INPUTS // (k + 1), which bounds the memory.
+    Every row takes its own (k + 1) x (2k + 1) channel and its products go
+    row by row, whether the call has one rate or many, so a row's arithmetic
+    does not depend on the other rows of its call (short of a singular KKT
+    matrix, which sends every row of its Newton step to least squares): a
+    point has the same value solved alone, in a one-rate batch or among
+    other rates. The rows run in chunks of _CHUNK_INPUTS // (k + 1), which
+    bounds the memory.
 
     Returns (max output entropy in bits, certified gaps in nats, noise
-    entropy H(Bin(k, r_p)) in bits, the maximizing pmfs if `pmfs` else
-    None), one row per gamma.
+    entropy H(Bin(k, r_p)) in bits, the maximizing pmfs), one row per gamma.
     """
     gammas = np.asarray(gammas, dtype=float)
     n = gammas.size
-    if np.ndim(r_p) == 0:
-        rates, chan = np.array([float(r_p)]), np.zeros(n, dtype=int)
-    else:  # the distinct rates in order (np.unique would load numpy.ma)
-        rps = np.broadcast_to(np.asarray(r_p, dtype=float), n)
-        order = np.argsort(rps, kind="stable")
-        first = np.concatenate(([True], np.diff(rps[order]) != 0))
-        chan = np.empty(n, dtype=int)
-        chan[order] = np.cumsum(first) - 1
-        rates = rps[order[first]]
+    rates, chan = np.unique(np.broadcast_to(r_p, n), return_inverse=True)
     chans = [_channel(k, float(rp)) for rp in rates]
+    stack = np.array([rows for rows, _ in chans])
     A = np.stack([np.ones(k + 1), np.arange(k + 1.0)])
-    if rates.size == 1:
-        rows = chans[0][0]
-        B = np.ascontiguousarray(rows[:, rows.sum(axis=0) > 0])
-        model, stack, size = _SliceObjective(B), None, max(n, 1)
-    else:
-        model, stack = _SliceObjective(), np.array([rows for rows, _ in chans])
-        size = _CHUNK_INPUTS // (k + 1)
-    bits, gaps = np.empty(n), np.zeros(n)
-    p = np.empty((n, k + 1)) if pmfs else None
+    model, size = _SliceObjective(), max(_CHUNK_INPUTS // (k + 1), 1)
+    bits, gaps, p = np.empty(n), np.zeros(n), np.zeros((n, k + 1))
     for c in (slice(i, i + size) for i in range(0, n, size)):
-        g, data = gammas[c], () if stack is None else (stack[chan[c]],)
-        pc = np.zeros((g.size, k + 1))
+        g, pc, data = gammas[c], p[c], (stack[chan[c]],)
         if k == 1:  # a window of length 1 has a one-point slice
             pc[:, 0], pc[:, 1] = 1.0 - g, g
             inner = np.zeros(0, dtype=int)
@@ -369,7 +346,7 @@ def _slices(k: int, r_p, gammas, pmfs: bool = False):
             q = _newton_path(q, A, b, di, model, _MU_STAGES)
             gap = _lp_gaps(model.newton(q, di)[1], q, b[:, 1])
             # the LP bound certifies only a point on the constraint slice
-            gap[~(np.abs(model.lhs(q, A) - b).max(axis=1) <= FEAS_TOL)] = np.inf
+            gap[~(np.abs(_lhs(q, A) - b).max(axis=1) <= FEAS_TOL)] = np.inf
             bad = np.flatnonzero(~(gap <= GAP_TOL))
             if bad.size:
                 j = bad[0]
@@ -379,8 +356,6 @@ def _slices(k: int, r_p, gammas, pmfs: bool = False):
                 )
             pc[inner], gaps[c][inner] = q, gap
         bits[c] = model.value(pc, data) / LN2
-        if pmfs:
-            p[c] = pc
     return bits, gaps, np.array([h for _, h in chans])[chan], p
 
 
@@ -404,7 +379,7 @@ def h_check(gamma: float, k: int, r_p: float) -> tuple[float, Pmf]:
     k = _window(k)
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"infeasible mean: gamma={gamma} outside [0, 1]")
-    bits, _, _, p = _slices(k, r_p, [gamma], pmfs=True)
+    bits, _, _, p = _slices(k, r_p, [gamma])
     return float(bits[0]), Pmf(p[0])
 
 
@@ -425,10 +400,10 @@ def i_tilde(gamma: float, k: int, r_p: float) -> ITildeValue:
 def i_tilde_curve(gammas, k: int, r_p: float) -> np.ndarray:
     """i_tilde values (bits per slot) over a nondecreasing gamma grid in [0, 1].
 
-    All points are solved cold in one batched barrier-Newton call, each
+    All points are solved cold by one batched `_slices` call, each
     certified like a single `i_tilde` solve (UncertifiedSolveError
-    otherwise), so the curve agrees with pointwise solves. A k that is not
-    a whole number >= 1 raises ValueError.
+    otherwise), and each value equals its pointwise `i_tilde` bitwise. A k
+    that is not a whole number >= 1 raises ValueError.
     """
     k = _window(k)
     gammas = np.asarray(gammas, dtype=float)
@@ -774,9 +749,10 @@ def validate_i_concavity(
     length j then serves as window k - 1, k or k + 1 of the draws at
     k = j + 1, j and j - 1, so each j = 1..tau_max is solved once, across
     all noise rates, and the H_check values are scattered back to their
-    margins. Each value agrees with the one-rate solve of its point to
-    rounding (1e-12 bits). A negative `samples`, or an `r_p_step` that is
-    not positive and finite, raises ValueError.
+    margins. Each value equals the one-point solve of its point bitwise, so
+    the worst margin is the least `concavity_margin` of the draws. A
+    negative `samples`, or an `r_p_step` that is not positive and finite,
+    raises ValueError.
     """
     if tau_max < 3:
         raise ValueError("tau_max must be >= 3")

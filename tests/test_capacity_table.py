@@ -7,6 +7,11 @@ the taus whose optimum is one window alone (value by `i_tilde`). The
 program must keep tau_star and the window lengths, agree on every value to
 1e-12 bits, and reproduce every pure-window value bitwise. Budgets on a
 vertex, c = 1/(tau + 1), are exactly 0.
+
+`REPINNED` holds the pure-window values that moved, by at most 3.4e-16 bits,
+when every slice solve (one rate or many) came to take per-row channels:
+the bitwise pin of such an entry is its value there, and its 1e-12
+agreement is still with `PARENT`.
 """
 
 import numpy as np
@@ -63,6 +68,24 @@ PARENT = {
          0.0760376172283797}, {5, 6, 7}),
 }
 
+# (r_p, tau): the pure per-tau value with per-row slice channels
+REPINNED = {
+    (0.1, 3): 0.43614493823707373,
+    (0.15, 1): 0.44332564389176443,
+    (0.2, 1): 0.3811091416044162,
+    (0.2, 3): 0.34831066114473547,
+    (0.45, 1): 0.10412385079451891,
+    (0.45, 4): 0.20975894151917984,
+    (0.5, 4): 0.19300955806233822,
+    (0.6, 2): 0.1082897988241321,
+    (0.6, 3): 0.15166789416563398,
+    (0.65, 4): 0.13582568616945948,
+    (0.7, 5): 0.11708932548406163,
+    (0.7, 7): 0.11596484064635673,
+    (0.8, 5): 0.052677207140400174,
+    (0.8, 6): 0.06948081273803185,
+}
+
 
 @pytest.fixture(scope="module")
 def grid():
@@ -80,7 +103,7 @@ def test_grid_matches_the_recorded_table(grid, r_p):
     for tau, val in per_tau.items():
         assert abs(res.per_tau[tau] - val) <= 1e-12, tau
         if tau in pure:
-            assert res.per_tau[tau] == val, tau
+            assert res.per_tau[tau] == REPINNED.get((r_p, tau), val), tau
         if (r_p, tau) in VERTEX:
             assert res.per_tau[tau] == 0.0, tau
 

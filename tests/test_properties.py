@@ -1,6 +1,6 @@
 """Property tests: the scheduler and its observations against a naive
-per-slot FIFO queue, and the noiseless decode and text round trips on
-handmade coding schemes."""
+per-slot FIFO queue, the noiseless decode and text round trips on handmade
+coding schemes, and one value per slice point wherever it is solved."""
 
 from collections import deque
 
@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cqclab import capacity3
+from cqclab.capacity3 import h_check, i_tilde_curve
 from cqclab.coding import (
     Codebook,
     ProbeTemplate,
@@ -144,3 +146,17 @@ def test_text_round_trip_on_handmade_layouts(cb):
     ]
     for (_, _, law2), (_, _, law) in zip(cb2.template.windows, cb.template.windows):
         assert law2.probs.tobytes() == law.probs.tobytes()
+
+
+@given(st.integers(1, 8), st.floats(0.0, 1.0), st.floats(0.0, 0.95))
+def test_slice_point_has_one_value_wherever_it_is_solved(k, gamma, r_p):
+    # alone, as a row of a one-rate curve and as a row of a mixed-rate batch
+    bits, law = h_check(gamma, k, r_p)
+    noise = capacity3._channel(k, r_p)[1]
+    grid = np.sort(np.append(np.linspace(0.0, 1.0, 7), gamma))
+    curve = i_tilde_curve(grid, k, r_p)
+    assert curve[np.searchsorted(grid, gamma)] == max((bits - noise) / k, 0.0)
+    rps = np.array([0.3, r_p, 0.0, 0.7, r_p])
+    batch_bits, _, batch_noise, batch_laws = capacity3._slices(k, rps, [0.5, gamma, 0.2, 0.9, 0.6])
+    assert batch_bits[1] == bits and batch_noise[1] == noise
+    assert (batch_laws[1] == law.probs).all()
