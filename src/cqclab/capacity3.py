@@ -54,7 +54,7 @@ GAP_TOL = 1e-9  # nats; certified suboptimality of the inner maximization
 FEAS_TOL = 1e-10  # largest sum / mean residual of a certified inner maximizer
 _MU_STAGES = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 5e-13)
 _PROGRAM_MU_STAGES = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-16)
-_CHUNK_INPUTS = 1280  # rows x inputs per barrier path of a slice solve (~0.7 MB at most)
+_CHUNK_KKT = 1 << 16  # rows x (k + 3)^2 KKT entries per barrier path of a slice solve (0.5 MB)
 
 PAIR_GAP_TOL = 1e-9  # bits; largest duality gap of a certified window pair
 PURE_SHARE = 1e-9  # a window share at or below this reads as 0 (see _pair_programs)
@@ -249,7 +249,8 @@ def _newton_path(q, A, b, data, model, stages) -> np.ndarray:
             dq = _kkt_solve(K, r)[:, :n, 0]
             step = np.abs(dq).max(axis=1)
             moving = last and np.einsum("ri,rij,rj->r", dq, K[:, :n, :n], dq) <= -1e-18
-            ratio = np.divide(ql, -dq, out=np.full_like(ql, np.inf), where=dq < 0)
+            with np.errstate(over="ignore"):  # a subnormal step entry: the ratio is inf
+                ratio = np.divide(ql, -dq, out=np.full_like(ql, np.inf), where=dq < 0)
             t = np.minimum(1.0, 0.99 * ratio.min(axis=1))
             base = f + mu * np.log(ql).sum(axis=1)
             todo = step >= 1e-14
@@ -315,8 +316,9 @@ def _slices(k: int, r_p, gammas):
     does not depend on the other rows of its call (short of a singular KKT
     matrix, which sends every row of its Newton step to least squares): a
     point has the same value solved alone, in a one-rate batch or among
-    other rates. The rows run in chunks of _CHUNK_INPUTS // (k + 1), which
-    bounds the memory.
+    other rates. The rows run in chunks of _CHUNK_KKT // (k + 3)^2, which
+    bounds the KKT matrices of a barrier path (a 501-point curve at k <= 8
+    is one path).
 
     Returns (max output entropy in bits, certified gaps in nats, noise
     entropy H(Bin(k, r_p)) in bits, the maximizing pmfs), one row per gamma.
@@ -327,7 +329,7 @@ def _slices(k: int, r_p, gammas):
     chans = [_channel(k, float(rp)) for rp in rates]
     stack = np.array([rows for rows, _ in chans])
     A = np.stack([np.ones(k + 1), np.arange(k + 1.0)])
-    model, size = _SliceObjective(), max(_CHUNK_INPUTS // (k + 1), 1)
+    model, size = _SliceObjective(), max(_CHUNK_KKT // (k + 3) ** 2, 1)
     bits, gaps, p = np.empty(n), np.zeros(n), np.zeros((n, k + 1))
     for c in (slice(i, i + size) for i in range(0, n, size)):
         g, pc, data = gammas[c], p[c], (stack[chan[c]],)

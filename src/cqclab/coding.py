@@ -327,6 +327,9 @@ def _log_channel_table(width: int, r_p: float) -> np.ndarray:
     return table
 
 
+_GATHER = 1 << 15  # float64 log-likelihood terms per decode gather (256 KB)
+
+
 def _decode_rows_3user(y: np.ndarray, codebook: Codebook, r_p: float) -> np.ndarray:
     """Maximum-likelihood decoding of a (messages, windows) block of counts;
     see `decode_3user`."""
@@ -345,9 +348,12 @@ def _decode_rows_3user(y: np.ndarray, codebook: Codebook, r_p: float) -> np.ndar
         table = _log_channel_table(width, float(r_p))
         # a C-contiguous (messages, M, windows) gather keeps each score's
         # terms contiguous, which fixes the order of the sums (and so the
-        # tie-breaks between -1e30 scores)
-        terms = np.ascontiguousarray(table[counts[None, :, start:stop], yw[:, None, :]])
-        loglik += terms.sum(axis=2)
+        # tie-breaks between -1e30 scores) whatever the number of messages
+        # gathered at once; at most _GATHER terms are gathered at a time
+        x = counts[None, :, start:stop]
+        rows = max(_GATHER // x.size, 1)
+        for i in range(0, y.shape[0], rows):
+            loglik[i : i + rows] += table[x, yw[i : i + rows, None, :]].sum(axis=2)
     return loglik.argmax(axis=1)
 
 

@@ -24,12 +24,17 @@ per-slot counts, so they build no per-packet trace. The two long-trace calls,
 `stability_probe` and `empirical_channel_law`, run the kernel one block of
 `_BLOCK` slots at a time, each block starting from the queue the one before
 it left, so their integer sums are exact and equal the whole-horizon ones.
-Their memory is about one byte per slot per stored stream (the Bernoulli
-streams are drawn block by block straight into int8 arrays) plus one block.
+They store no stream: each user draws its block from a generator of its own,
+a copy of one PCG64(seed) state advanced to where that user's draws begin
+in the one `default_rng(seed)` stream (PCG64 jumps ahead in O(log n) steps;
+O'Neill 2014), so the draws are those of drawing the streams one after
+another. Their memory is one block, about 0.5 MB, whatever the horizon.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 import numbers
 from dataclasses import dataclass, fields
 
@@ -42,7 +47,7 @@ _OWNER_CODE = {SENTINEL: 0, DECODER: 1, ENCODER: 2, BACKGROUND: 3}
 _OWNER_LETTER = np.array(["s", "d", "e", "b"], dtype=object)  # indexed by owner code
 
 
-_BLOCK = 1 << 16  # slots per block of the long-trace kernel and of the Bernoulli draws
+_BLOCK = 1 << 14  # slots per block of the long-trace kernel and of the Bernoulli draws
 
 
 def _count(name: str, value, low: int) -> int:
@@ -58,7 +63,9 @@ def _bernoulli(rate: float, rng: np.random.Generator, out: np.ndarray) -> np.nda
     """Fill the 1-D int8 array `out` with i.i.d. Bernoulli(rate) 0/1 draws
     and return it. The uniforms are drawn `_BLOCK` at a time into one float
     buffer; consecutive `random(out=...)` calls continue one stream, so the
-    draws equal `rng.random(out.size) < rate` without its float64 copy."""
+    draws equal `rng.random(out.size) < rate` without its float64 copy. The
+    long-trace calls fill one block of a stream per call, from the stream's
+    own generator (`_generators`)."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must lie in [0, 1]")
     buf = np.empty(min(out.size, _BLOCK))
@@ -67,6 +74,21 @@ def _bernoulli(rate: float, rng: np.random.Generator, out: np.ndarray) -> np.nda
         rng.random(out=u)
         np.less(u, rate, out=out[start : start + u.size])
     return out
+
+
+def _generators(seed, offsets) -> list[np.random.Generator]:
+    """One generator per offset, each on the stream of `default_rng(seed)`
+    from draw `offset` on: a copy of one PCG64(seed) state advanced `offset`
+    64-bit outputs, one per uniform of `random`. Streams that one generator
+    would draw one after another can so be drawn side by side, block by
+    block, with the same values."""
+    root = np.random.PCG64(seed)
+    generators = []
+    for offset in offsets:
+        bits = copy.deepcopy(root)
+        bits.advance(offset)
+        generators.append(np.random.Generator(bits))
+    return generators
 
 
 class TooFewProbesError(ValueError):
@@ -217,20 +239,6 @@ def _observe_batch(issues: np.ndarray, queue: np.ndarray):
     return _intervals(slot.reshape(shape), dep.reshape(shape))
 
 
-def _queue_blocks(issues: np.ndarray, initial_backlog: int):
-    """`_queue` of a one-trace issue tensor, `_BLOCK` slots at a time.
-
-    Yields (start, queue) per block of slots start.. start + `_BLOCK` - 1;
-    each block starts from the queue the block before it left, so the
-    columns are exactly those of `_queue(issues, initial_backlog)`, with the
-    column between two blocks in both."""
-    backlog = initial_backlog
-    for start in range(0, issues.shape[1], _BLOCK):
-        queue = _queue(issues[:, start : start + _BLOCK], backlog)
-        yield start, queue[0]
-        backlog = queue[0, -1]
-
-
 def simulate(
     decoder: ArrivalSchedule,
     encoder: ArrivalSchedule,
@@ -332,41 +340,72 @@ def stability_probe(
     drift E[q(t+1)^2 - q(t)^2 | q(t) >= threshold] at the threshold
     K / (2 (1 - total_rate)), which queue stability requires to be negative.
     The queue series comes straight off the per-slot queue kernel (Lindley's
-    recursion in closed form), block by block; no per-packet trace and no
-    whole-horizon queue series are built. Every mean is an exact int64 sum
+    recursion in closed form), block by block, each user's block drawn from
+    its own generator (`_generators`); no stream, no per-packet trace and no
+    whole-horizon queue series are stored. Every mean is an exact int64 sum
     divided once by its count. The threshold needs K, the mean over the
-    whole horizon, so the drift re-runs the kernel over the stored streams.
+    whole horizon, so the drift is gathered in the same one pass before K is
+    known: a step a - s lies in {-1, 0, 1, 2}, so K <= 4 and the threshold
+    is at most cap = 2 / (1 - total_rate). Slots with q(t) >= cap add to the
+    drift sums directly; the others are counted per (q(t), step), in bins
+    that span only the queue values seen below the cap, and read once the
+    threshold is known. The memory is one block plus those bins, whatever
+    the horizon or the backlog.
     """
     rates = tuple(float(r) for r in rates)
     if not 1 <= len(rates) <= 3:
         raise ValueError("stability probe supports 1 to 3 users")
     horizon = _count("horizon", horizon, 1)
     initial_backlog = _count("initial_backlog", initial_backlog, 0)
-    rng = np.random.default_rng(seed)
-    issues = np.empty((1, horizon, len(rates)), dtype=np.int8)
-    for j, r in enumerate(rates):
-        _bernoulli(r, rng, issues[0, :, j])
-    # the queue series is q(t+1) = q(t) + a(t) - s(t), so its steps are a - s
+    generators = _generators(seed, [j * horizon for j in range(len(rates))])
+    total = sum(rates)
+    cap = math.ceil(4.0 / (2.0 * (1.0 - total))) if total < 1.0 else 0
+    bins, base = np.zeros((0, 4), dtype=np.int64), 0  # bins[q - base, step + 1]
+    high = rise = 0  # slots with q(t) >= cap, and their sum of q(t+1)^2 - q(t)^2
     squares = max_queue = half_sum = 0
-    for start, q in _queue_blocks(issues, initial_backlog):
-        steps = np.diff(q)
+    issues = np.empty((1, min(_BLOCK, horizon), len(rates)), dtype=np.int8)
+    backlog = initial_backlog
+    for start in range(0, horizon, _BLOCK):
+        block = issues[:, : min(_BLOCK, horizon - start)]
+        for j, (r, rng) in enumerate(zip(rates, generators)):
+            _bernoulli(r, rng, block[0, :, j])
+        queue = _queue(block, backlog)[0]
+        backlog = queue[-1]
+        # the queue series is q(t+1) = q(t) + a(t) - s(t), so its steps are a - s
+        steps = np.diff(queue)
         squares += int(np.dot(steps, steps))
-        max_queue = max(max_queue, int(q[1:].max()))
-        half_sum += int(q[1 + max(horizon // 2 - start, 0) :].sum())
-    final_queue = int(q[-1])
+        max_queue = max(max_queue, int(queue[1:].max()))
+        half_sum += int(queue[1 + max(horizon // 2 - start, 0) :].sum())
+        if not cap:
+            continue
+        q, d = queue[:-1], steps
+        low = q < cap
+        if not low.all():
+            q_high, d_high = q[~low], d[~low]
+            high += q_high.size
+            rise += int(np.dot(d_high, 2 * q_high + d_high))  # q(t+1)^2 - q(t)^2 = d (2 q(t) + d)
+            q, d = q[low], d[low]
+        if q.size:
+            lo, hi = int(q.min()), int(q.max())
+            if not bins.size:
+                base = lo
+            first, last = min(base, lo), max(base + len(bins), hi + 1)
+            if (first, last) != (base, base + len(bins)):  # widen the bins to [first, last)
+                bins = np.pad(bins, ((base - first, last - base - len(bins)), (0, 0)))
+                base = first
+            counts = np.bincount(4 * (q - lo) + d + 1, minlength=4 * (hi - lo + 1))
+            bins[lo - base : hi - base + 1] += counts.reshape(-1, 4)
     k_hat = squares / horizon
 
-    total = sum(rates)
     threshold = k_hat / (2.0 * (1.0 - total)) if total < 1.0 else None
     drift = None
     above = 0
     if threshold is not None:
-        rise = 0  # sum of q(t+1)^2 - q(t)^2 over the slots with q(t) >= threshold
-        for _, q in _queue_blocks(issues, initial_backlog):
-            mask = q[:-1] >= threshold
-            above += int(np.count_nonzero(mask))
-            q_start, q_end = q[:-1][mask], q[1:][mask]
-            rise += int(np.dot(q_end - q_start, q_end + q_start))
+        values = base + np.arange(len(bins))
+        counted = values >= threshold
+        counts, q, d = bins[counted], values[counted, None], np.arange(-1, 3)
+        above = high + int(counts.sum())
+        rise += int((counts * d * (2 * q + d)).sum())
         if above:
             drift = rise / above
     return DriftReport(
@@ -374,7 +413,7 @@ def stability_probe(
         total_rate=total,
         horizon=horizon,
         seed=seed,
-        final_queue=final_queue,
+        final_queue=int(backlog),
         max_queue=max_queue,
         mean_queue_second_half=half_sum / (horizon - horizon // 2),
         squared_increment_mean=k_hat,
@@ -398,20 +437,22 @@ def empirical_channel_law(
     opening probe, which pins every buffered flag. So Y - X isolates the
     background count per interval; its histogram estimates Bin(tau, r_p).
     The backlog is only an offset of the queue kernel's closed form, so its
-    size costs nothing. The encoder stream is drawn and stored first, as
-    int8; the background is then drawn block by block, and each block of a
-    whole number of intervals runs through the kernel from the queue the
-    one before it left. The block's probe intervals come straight off the
-    kernel, and its closing probe opens the next block, so every interval
-    is read once. The histogram is an exact int64 count.
+    size costs nothing. The encoder and the background are drawn block by
+    block, each from its own generator (`_generators`: the encoder's n draws
+    come first in the `default_rng(seed)` stream, the background's after
+    them), and each block of a whole number of intervals runs through the
+    kernel from the queue the one before it left. The block's probe
+    intervals come straight off the kernel, and its closing probe opens the
+    next block, so every interval is read once. No stream is stored; the
+    memory is one block whatever the number of intervals. The histogram is
+    an exact int64 count.
     """
     tau = _count("tau", tau, 1)
     intervals = _count("intervals", intervals, 1)
     if not (0.0 <= encoder_rate <= 1.0 and 0.0 <= r_p <= 1.0):
         raise ValueError("rate must lie in [0, 1]")
     n = tau * intervals + 1
-    rng = np.random.default_rng(seed)
-    encoder = _bernoulli(encoder_rate, rng, np.empty(n, dtype=np.int8))
+    encoder, background = _generators(seed, (0, n))
     block = tau * max(1, _BLOCK // tau)
     issues = np.zeros((1, block + 1, 3), dtype=np.int8)  # decoder, encoder, background
     issues[0, ::tau, 0] = 1
@@ -424,13 +465,13 @@ def empirical_channel_law(
         # departs on Q_{start+m-1}, the queue's last column, so the other
         # columns of its row (still the last block's) are never read
         chunk = issues[:, : m + 1]
-        chunk[0, :m, 1] = encoder[start : start + m]
-        _bernoulli(r_p, rng, chunk[0, :m, 2])
+        _bernoulli(encoder_rate, encoder, chunk[0, :m, 1])
+        _bernoulli(r_p, background, chunk[0, :m, 2])
         queue = _queue(chunk[:, :m], backlog)
         _, y, buffered = _observe_batch(chunk, queue)
         if not buffered.all():
             raise UnbufferedIntervalError("an interval ran unbuffered; counts unreliable")
-        x = encoder[start : start + m].reshape(-1, tau).sum(axis=1, dtype=np.int64)
+        x = chunk[0, :m, 1].reshape(-1, tau).sum(axis=1, dtype=np.int64)
         diff = y[0] - x
         if diff.min() < 0 or diff.max() > tau:
             raise AssertionError("buffered intervals must give Y - X within [0, tau]")

@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -135,6 +136,18 @@ class TestHCheck:
         q[0], q[1] = 1 - k * g, k * g  # a feasible point: its entropy is a lower bound
         lower = entropy(Pmf(np.convolve(q, binomial_pmf(k, rp).probs)))
         assert lower - 1e-9 <= bits <= lower + 1e-6
+
+    def test_subnormal_step_entry_warns_nothing(self):
+        # a Newton step entry of 5e-324 overflows the fraction-to-boundary
+        # ratio to inf, the value the step rule wants; the bits are the ones
+        # the solve gave while it still warned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bits, p = h_check(5e-324, 8, 5e-324)
+        assert bits.hex() == "0x1.97c6184fdf18ap-487"
+        assert [x.hex() for x in p.probs.tolist()] == ["0x1.0000000000000p+0"] + 8 * [
+            "0x1.a2fe76a3f9475p-499"
+        ]
 
 
 class TestITilde:
@@ -384,7 +397,7 @@ class TestBatchedSolver:
         rps = rng.choice([0.0, 0.1, 0.3, 0.7], size=gs.size)
         ref = capacity3._slices(k, rps, gs)
         for rows in (0, 1, k + 2):  # rows per chunk; 0: a window wider than the chunk takes 1
-            monkeypatch.setattr(capacity3, "_CHUNK_INPUTS", rows * (k + 1))
+            monkeypatch.setattr(capacity3, "_CHUNK_KKT", rows * (k + 3) ** 2)
             for got, want in zip(capacity3._slices(k, rps, gs)[:3], ref):
                 assert (got == want).all(), rows
 
@@ -404,6 +417,19 @@ class TestBatchedSolver:
         capacity3._slices(4, np.array([0.0, 0.2, 0.3]), [0.2, 0.5, 1.0])
         capacity3._slices(2, 0.3, [0.4])
         assert shapes == [((3, 5, 9),), ((2, 5, 9),), ((2, 5, 9),), ((1, 3, 5),)]
+
+    @pytest.mark.parametrize("k", [2, 8])
+    def test_a_501_point_curve_is_one_barrier_path(self, monkeypatch, k):
+        # the chunk bounds the KKT matrices, (k + 3)^2 entries a row
+        paths, real = [], capacity3._newton_path
+
+        def spy(q, *args):
+            paths.append(q.shape[0])
+            return real(q, *args)
+
+        monkeypatch.setattr(capacity3, "_newton_path", spy)
+        i_tilde_curve(np.linspace(0.0, 1.0, 501), k, 0.3)
+        assert paths == [499]  # the interior points
 
     def test_empty_batch_returns_empty_rows(self):
         bits, gaps, noise, p = capacity3._slices(3, np.array([]), [])

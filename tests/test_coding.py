@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -430,6 +431,30 @@ class TestBatchedTransmission:
         for y3, y2, d3, d2 in zip(y, rows2, decoded3, decoded2):
             assert decode_3user(_obs(list(zip(widths, y3))), cb, rp) == d3
             assert decode_2user(_obs(list(zip(widths, y2))), cb) == d2
+
+    @pytest.mark.parametrize("gather", [1, 2000, 1 << 30])
+    def test_decoding_does_not_depend_on_the_gather_size(self, monkeypatch, gather):
+        # one message's terms per gather, a few messages', every message's;
+        # the random rows score many codewords at -1e30, so ties are common
+        cb = build_codebook_3user(30, 64, 0.3, seed=2)
+        widths = cb.template.widths
+        y = np.random.default_rng(8).integers(0, 2 * widths + 1, size=(50, widths.size))
+        expected = _decode_rows_3user(y, cb, 0.3)
+        monkeypatch.setattr(coding, "_GATHER", gather)
+        assert (_decode_rows_3user(y, cb, 0.3) == expected).all()
+
+    def test_peak_memory_of_one_chunk_at_256_messages(self, cap3_rp01):
+        # the (messages, M, windows) terms are gathered at most _GATHER at a
+        # time (about 0.4 MB traced); one gather of the chunk peaked at 2.0 MB
+        cb = build_codebook_3user(60, 256, 0.1, capacity=cap3_rp01, seed=4)
+        run_transmission(cb, background_rate=0.1, trials=_CHUNK, seed=1)  # warm the caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_transmission(cb, background_rate=0.1, trials=_CHUNK, seed=1)
+            assert (tracemalloc.get_traced_memory()[1] - base) / 2**20 <= 0.75
+        finally:
+            tracemalloc.stop()
 
     def test_transmissions_leave_numpy_ma_unloaded(self):
         # np.unique on integers imports numpy.ma, about 1.6 MB of peak RSS

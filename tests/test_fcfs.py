@@ -38,6 +38,17 @@ def _random_streams(rng, n, rates=(0.4, 0.3, 0.2)):
     )
 
 
+class TestGenerators:
+    def test_each_generator_continues_the_one_stream_at_its_offset(self):
+        # advanced copies of one state: drawn side by side, the streams hold
+        # the uniforms one generator draws one after another
+        offsets = (0, 5, 12, 12)
+        streams = fcfs._generators(3, offsets)
+        one_call = np.random.default_rng(3).random(20)
+        for rng, offset in zip(streams, offsets):
+            assert (rng.random(8) == one_call[offset : offset + 8]).all()
+
+
 class TestSchedule:
     def test_rejects_nonbinary(self):
         with pytest.raises(ValueError):
@@ -340,10 +351,10 @@ class TestStability:
     )
     @pytest.mark.parametrize("initial_backlog", [0, 1, 50])
     def test_equals_the_per_packet_reference(self, rates, initial_backlog, monkeypatch):
-        # the default block holds the whole horizon; smaller blocks split it
-        # (7 divides neither horizon), the tiniest over a shorter horizon to
-        # bound the per-block cost
-        for horizon, blocks in ((20_000, (fcfs._BLOCK, 64)), (2_000, (7, 1))):
+        # one block of the whole horizon, then the default block and smaller
+        # ones that split it (7 divides neither horizon), the tiniest over a
+        # shorter horizon to bound the per-block cost
+        for horizon, blocks in ((20_000, (20_000, fcfs._BLOCK, 64)), (2_000, (7, 1))):
             args = (rates, horizon, 11)
             expected = _reference_stability_probe(*args, initial_backlog=initial_backlog)
             for block in blocks:
@@ -403,8 +414,8 @@ class TestStability:
             stability_probe((0.3, 1.5), 100, seed=0)
 
     def test_known_report_across_blocks(self):
-        # recorded from the whole-horizon implementation over five blocks:
-        # each mean is bitwise its exact integer sum over its count
+        # recorded from the whole-horizon implementation, here over many
+        # blocks: each mean is bitwise its exact integer sum over its count
         k_hat = 135744 / 300_000
         assert stability_probe((0.475, 0.475), 300_000, seed=9) == DriftReport(
             rates=(0.475, 0.475),
@@ -421,13 +432,61 @@ class TestStability:
         )
 
     def test_peak_memory_at_a_million_slots(self):
-        # two stored int8 streams (2 MB) plus one block; the whole-horizon
-        # float series peaked at 24.8 MB
-        assert _peak_mb(lambda: stability_probe((0.475, 0.475), 10**6, seed=9)) <= 8
+        # one block (about 0.9 MB traced); the stored int8 streams peaked at
+        # 4.8 MB and the whole-horizon float series at 24.8 MB
+        assert _peak_mb(lambda: stability_probe((0.475, 0.475), 10**6, seed=9)) <= 2
+
+    def test_peak_memory_does_not_grow_with_the_horizon(self):
+        one, four = (
+            _peak_mb(lambda: stability_probe((0.475, 0.475), h, seed=9)) for h in (10**6, 4 * 10**6)
+        )
+        assert four <= one + 0.5
+
+    @pytest.mark.parametrize(
+        "rates, initial_backlog", [((0.475, 0.475), 10**12), ((0.3, 0.3, 0.35), 60), ((0.5,), 0)]
+    )
+    def test_equals_a_slot_by_slot_count(self, rates, initial_backlog):
+        # Python integers slot by slot, so the squares of a queue of 10^12
+        # packets stay exact; 60 packets start above the cap 2 / (1 - 0.95)
+        # and the queue then drains through the binned values below it
+        horizon, seed = 3_000, 4
+        rng = np.random.default_rng(seed)
+        arrivals = sum((rng.random(horizon) < r).astype(int) for r in rates).tolist()
+        q, series = initial_backlog, []
+        for a in arrivals:
+            step = a - (1 if q + a > 0 else 0)
+            series.append((q, step))
+            q += step
+        k_hat = sum(d * d for _, d in series) / horizon
+        threshold = k_hat / (2.0 * (1.0 - sum(rates)))
+        above = [(s, d) for s, d in series if s >= threshold]
+        ends = [s + d for s, d in series]
+        expected = DriftReport(
+            rates=rates,
+            total_rate=sum(rates),
+            horizon=horizon,
+            seed=seed,
+            final_queue=q,
+            max_queue=max(ends),
+            mean_queue_second_half=sum(ends[horizon // 2 :]) / (horizon - horizon // 2),
+            squared_increment_mean=k_hat,
+            drift_threshold=threshold,
+            drift_above_threshold=sum(d * (2 * s + d) for s, d in above) / len(above),
+            slots_above_threshold=len(above),
+        )
+        assert stability_probe(rates, horizon, seed, initial_backlog=initial_backlog) == expected
+
+    def test_peak_memory_behind_a_huge_backlog(self):
+        # every slot sits above the threshold, so the drift is summed directly
+        def call():
+            return stability_probe((0.475, 0.475), 10**6, seed=9, initial_backlog=10**12)
+
+        assert _peak_mb(call) <= 2
 
 
 def _peak_mb(call) -> float:
     """Peak traced memory of one call above what was allocated before it, in MB."""
+    np.random.PCG64(0)  # the first seeding imports modules; keep them out of the peak
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -470,16 +529,16 @@ class TestEmpiricalChannelLaw:
         assert obs.buffered.all()
         x = encoder.slots[:-1].reshape(intervals, tau).sum(axis=1)
         counts = np.bincount(obs.y - x, minlength=tau + 1).astype(float)
-        # each block is cut down to whole intervals, at least one (the
-        # default holds all 400); the last block is partial at 64 for tau
+        # each block is cut down to whole intervals, at least one (a block
+        # of n slots holds all 400); the last block is partial at 64 for tau
         # 1 to 3 and at 7 for tau 1 and 2
-        for block in (fcfs._BLOCK, 64, 7, 1):
+        for block in (n, 64, 7, 1):
             monkeypatch.setattr(fcfs, "_BLOCK", block)
             law = empirical_channel_law(tau, r_p, intervals, seed, encoder_rate=encoder_rate)
             assert (law.probs == counts / counts.sum()).all(), block
 
     def test_known_law_across_blocks(self):
-        # recorded from the whole-horizon implementation; five blocks
+        # recorded from the whole-horizon implementation; many blocks
         law = empirical_channel_law(3, 0.4, 100_000, seed=8)
         assert [p.hex() for p in law.probs.tolist()] == [
             "0x1.bbf727136a401p-3",
@@ -503,9 +562,15 @@ class TestEmpiricalChannelLaw:
             empirical_channel_law(*args, seed=0)
 
     def test_peak_memory_at_a_million_intervals(self):
-        # the stored int8 encoder stream (2 MB) plus one block; the
-        # whole-horizon tensors peaked at 62.7 MB
-        assert _peak_mb(lambda: empirical_channel_law(2, 0.3, 10**6, seed=8)) <= 16
+        # one block (about 0.9 MB traced); the stored int8 encoder stream
+        # peaked at 5.4 MB and the whole-horizon tensors at 62.7 MB
+        assert _peak_mb(lambda: empirical_channel_law(2, 0.3, 10**6, seed=8)) <= 2
+
+    def test_peak_memory_does_not_grow_with_the_intervals(self):
+        one, four = (
+            _peak_mb(lambda: empirical_channel_law(2, 0.3, m, seed=8)) for m in (10**6, 4 * 10**6)
+        )
+        assert four <= one + 0.5
 
 
 class TestTraceCsv:
