@@ -35,7 +35,8 @@ from .fcfs import (
     ArrivalSchedule,
     ProbeObservations,
     UnbufferedIntervalError,
-    _observe_batch,
+    _bernoulli,
+    _probe_intervals,
     _queue,
 )
 
@@ -333,6 +334,7 @@ _GATHER = 1 << 15  # float64 log-likelihood terms per decode gather (256 KB)
 def _decode_rows_3user(y: np.ndarray, codebook: Codebook, r_p: float) -> np.ndarray:
     """Maximum-likelihood decoding of a (messages, windows) block of counts;
     see `decode_3user`."""
+    y = np.ascontiguousarray(y)  # the gather below follows the layout of y
     counts = codebook.window_counts
     loglik = np.zeros((y.shape[0], codebook.M))
     stop = 0
@@ -409,8 +411,6 @@ def _message_chunks(template: ProbeTemplate, draw, background_rate, seed, trials
     (messages, issues) per chunk of up to _CHUNK messages; `issues` is the
     (message x slot x user) tensor of the probe stream plus a closing probe
     at slot n, the bits and the background, in the users' priority order."""
-    if background_rate is not None and not 0.0 <= background_rate <= 1.0:
-        raise ValueError("rate must lie in [0, 1]")
     probes = np.append(probe_stream(template).slots, np.int8(1))
     users = 2 if background_rate is None else 3
     rng = np.random.default_rng(seed)
@@ -423,7 +423,7 @@ def _message_chunks(template: ProbeTemplate, draw, background_rate, seed, trials
             messages.append(msg)
             row[:-1, 1] = bits
             if background_rate is not None:
-                row[:, 2] = rng.random(probes.size) < background_rate
+                _bernoulli(background_rate, rng, row[:, 2])
         yield messages, issues
 
 
@@ -449,8 +449,9 @@ def _observed(chunks, template: ProbeTemplate, initial_backlog: int | None):
     of the FCFS kernel: yields (messages, y) with y the (messages, windows)
     block of observed counts. An unbuffered interval raises."""
     backlog = _backlog(template, initial_backlog)
+    probes = np.append(template.starts, template.n)
     for messages, issues in chunks:
-        tau, y, buffered = _observe_batch(issues, _queue(issues, backlog))
+        tau, y, buffered = _probe_intervals(_queue(issues, backlog), probes)
         _check_intervals(tau, buffered, template)
         yield messages, y
 

@@ -20,15 +20,18 @@ priority) departs at t + Q_{t-1} + 1. `simulate` is the one-trace case with
 per-packet records, and keeps the backlog in its trace as sentinel packets
 (owner code 0, arrival -1) at the head; the stability probe and the probe
 observations of transmissions and of the channel-law estimate need only the
-per-slot counts, so they build no per-packet trace. The two long-trace calls,
-`stability_probe` and `empirical_channel_law`, run the kernel one block of
-`_BLOCK` slots at a time, each block starting from the queue the one before
-it left, so their integer sums are exact and equal the whole-horizon ones.
-They store no stream: each user draws its block from a generator of its own,
-a copy of one PCG64(seed) state advanced to where that user's draws begin
-in the one `default_rng(seed)` stream (PCG64 jumps ahead in O(log n) steps;
-O'Neill 2014), so the draws are those of drawing the streams one after
-another. Their memory is one block, about 0.5 MB, whatever the horizon.
+per-slot counts, so they build no per-packet trace; the observations read
+each probe's departure off the queue at the slots where the probes were put
+(`_probe_intervals`). The two long-trace calls, `stability_probe` and
+`empirical_channel_law`, loop over one block stream (`_stream`) that runs
+the kernel one block of `_BLOCK` slots at a time, each block starting from
+the queue the one before it left, so their integer sums are exact and equal
+the whole-horizon ones. They store no stream: each user draws its block from
+a generator of its own, a copy of one PCG64(seed) state advanced to where
+that user's draws begin in the one `default_rng(seed)` stream (PCG64 jumps
+ahead in O(log n) steps; O'Neill 2014), so the draws are those of drawing
+the streams one after another. Their memory is one block, about 0.5 MB,
+whatever the horizon.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ _OWNER_CODE = {SENTINEL: 0, DECODER: 1, ENCODER: 2, BACKGROUND: 3}
 _OWNER_LETTER = np.array(["s", "d", "e", "b"], dtype=object)  # indexed by owner code
 
 
-_BLOCK = 1 << 14  # slots per block of the long-trace kernel and of the Bernoulli draws
+_BLOCK = 1 << 14  # slots per block of the long-trace stream, `_stream`
 
 
 def _count(name: str, value, low: int) -> int:
@@ -60,20 +63,11 @@ def _count(name: str, value, low: int) -> int:
 
 
 def _bernoulli(rate: float, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill the 1-D int8 array `out` with i.i.d. Bernoulli(rate) 0/1 draws
-    and return it. The uniforms are drawn `_BLOCK` at a time into one float
-    buffer; consecutive `random(out=...)` calls continue one stream, so the
-    draws equal `rng.random(out.size) < rate` without its float64 copy. The
-    long-trace calls fill one block of a stream per call, from the stream's
-    own generator (`_generators`)."""
+    """Fill the 1-D int8 array `out` with i.i.d. Bernoulli(rate) 0/1 draws,
+    those of `rng.random(out.size) < rate`, and return it."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must lie in [0, 1]")
-    buf = np.empty(min(out.size, _BLOCK))
-    for start in range(0, out.size, _BLOCK):
-        u = buf[: out.size - start]
-        rng.random(out=u)
-        np.less(u, rate, out=out[start : start + u.size])
-    return out
+    return np.less(rng.random(out.size), rate, out=out)
 
 
 def _generators(seed, offsets) -> list[np.random.Generator]:
@@ -223,20 +217,27 @@ def _intervals(arr: np.ndarray, dep: np.ndarray):
     return tau, np.diff(dep, axis=-1) - 1, dep[..., :-1] - arr[..., :-1] - 1 >= tau - 1
 
 
-def _observe_batch(issues: np.ndarray, queue: np.ndarray):
-    """`observe` of every trace of an issue tensor whose traces all issue
-    the same number of decoder (first column) packets: (tau, y, buffered),
-    each of shape (traces, intervals). `queue` is the tensor's `_queue`, or
-    any array holding Q_{t-1} in column t of each trace for every probe slot
-    t. A probe issued at t departs at t + Q_{t-1} + 1; only the decoder
-    column is searched."""
-    trace, slot = np.nonzero(issues[:, :, 0])
-    dep = queue[trace, slot]
-    del trace
-    dep += slot
-    dep += 1
-    shape = (issues.shape[0], -1)
-    return _intervals(slot.reshape(shape), dep.reshape(shape))
+def _probe_intervals(queue: np.ndarray, probes: np.ndarray):
+    """(tau, y, buffered) of the intervals between probes issued at the
+    sorted 1-D `probes` slots of every trace of a `_queue`: a probe issued
+    at t departs at t + Q_{t-1} + 1. `tau` is one row shared by the traces,
+    `y` and `buffered` have the queue's leading axes."""
+    return _intervals(probes, queue[..., probes] + probes + 1)
+
+
+def _stream(issues: np.ndarray, columns, slots: int, backlog: int):
+    """Yield (block, queue row) for `slots` slots run through the queue
+    kernel one block of the (1 x block x user) `issues` buffer at a time,
+    each from the queue the one before it left, the first from `backlog`.
+    The (column, rate, generator) `columns` of each block are drawn by
+    `_bernoulli`; the other columns keep what the caller put there."""
+    for start in range(0, slots, issues.shape[1]):
+        block = issues[:, : slots - start]
+        for j, rate, rng in columns:
+            _bernoulli(rate, rng, block[0, :, j])
+        queue = _queue(block, backlog)[0]
+        backlog = queue[-1]
+        yield block, queue
 
 
 def simulate(
@@ -342,8 +343,9 @@ def stability_probe(
     The queue series comes straight off the per-slot queue kernel (Lindley's
     recursion in closed form), block by block, each user's block drawn from
     its own generator (`_generators`); no stream, no per-packet trace and no
-    whole-horizon queue series are stored. Every mean is an exact int64 sum
-    divided once by its count. The threshold needs K, the mean over the
+    whole-horizon queue series are stored. Every mean is an exact integer
+    sum, taken per block relative to the block's first queue value so that
+    no backlog overflows int64, divided once by its count. The threshold needs K, the mean over the
     whole horizon, so the drift is gathered in the same one pass before K is
     known: a step a - s lies in {-1, 0, 1, 2}, so K <= 4 and the threshold
     is at most cap = 2 / (1 - total_rate). Slots with q(t) >= cap add to the
@@ -358,24 +360,21 @@ def stability_probe(
     horizon = _count("horizon", horizon, 1)
     initial_backlog = _count("initial_backlog", initial_backlog, 0)
     generators = _generators(seed, [j * horizon for j in range(len(rates))])
+    columns = [(j, r, rng) for j, (r, rng) in enumerate(zip(rates, generators))]
     total = sum(rates)
     cap = math.ceil(4.0 / (2.0 * (1.0 - total))) if total < 1.0 else 0
     bins, base = np.zeros((0, 4), dtype=np.int64), 0  # bins[q - base, step + 1]
     high = rise = 0  # slots with q(t) >= cap, and their sum of q(t+1)^2 - q(t)^2
     squares = max_queue = half_sum = 0
     issues = np.empty((1, min(_BLOCK, horizon), len(rates)), dtype=np.int8)
-    backlog = initial_backlog
-    for start in range(0, horizon, _BLOCK):
-        block = issues[:, : min(_BLOCK, horizon - start)]
-        for j, (r, rng) in enumerate(zip(rates, generators)):
-            _bernoulli(r, rng, block[0, :, j])
-        queue = _queue(block, backlog)[0]
-        backlog = queue[-1]
+    for i, (_, queue) in enumerate(_stream(issues, columns, horizon, initial_backlog)):
+        q0 = int(queue[0])  # the block's sums run relative to it
         # the queue series is q(t+1) = q(t) + a(t) - s(t), so its steps are a - s
         steps = np.diff(queue)
         squares += int(np.dot(steps, steps))
         max_queue = max(max_queue, int(queue[1:].max()))
-        half_sum += int(queue[1 + max(horizon // 2 - start, 0) :].sum())
+        half = queue[1 + max(horizon // 2 - i * issues.shape[1], 0) :]
+        half_sum += int((half - q0).sum()) + q0 * half.size
         if not cap:
             continue
         q, d = queue[:-1], steps
@@ -383,7 +382,9 @@ def stability_probe(
         if not low.all():
             q_high, d_high = q[~low], d[~low]
             high += q_high.size
-            rise += int(np.dot(d_high, 2 * q_high + d_high))  # q(t+1)^2 - q(t)^2 = d (2 q(t) + d)
+            # q(t+1)^2 - q(t)^2 = d (2 q(t) + d) = d (2 (q(t) - q0) + d) + 2 q0 d
+            rise += int(np.dot(d_high, 2 * (q_high - q0) + d_high))
+            rise += 2 * q0 * int(d_high.sum())
             q, d = q[low], d[low]
         if q.size:
             lo, hi = int(q.min()), int(q.max())
@@ -401,11 +402,11 @@ def stability_probe(
     drift = None
     above = 0
     if threshold is not None:
-        values = base + np.arange(len(bins))
-        counted = values >= threshold
-        counts, q, d = bins[counted], values[counted, None], np.arange(-1, 3)
+        offsets = np.arange(len(bins))  # q - base, which keeps the products within int64
+        counted = base + offsets >= threshold
+        counts, q, d = bins[counted], offsets[counted, None], np.arange(-1, 3)
         above = high + int(counts.sum())
-        rise += int((counts * d * (2 * q + d)).sum())
+        rise += int((counts * d * (2 * q + d)).sum()) + 2 * base * int((counts * d).sum())
         if above:
             drift = rise / above
     return DriftReport(
@@ -413,7 +414,7 @@ def stability_probe(
         total_rate=total,
         horizon=horizon,
         seed=seed,
-        final_queue=int(backlog),
+        final_queue=int(queue[-1]),
         max_queue=max_queue,
         mean_queue_second_half=half_sum / (horizon - horizon // 2),
         squared_increment_mean=k_hat,
@@ -441,42 +442,32 @@ def empirical_channel_law(
     block, each from its own generator (`_generators`: the encoder's n draws
     come first in the `default_rng(seed)` stream, the background's after
     them), and each block of a whole number of intervals runs through the
-    kernel from the queue the one before it left. The block's probe
-    intervals come straight off the kernel, and its closing probe opens the
-    next block, so every interval is read once. No stream is stored; the
+    kernel from the queue the one before it left (`_stream`). The block's
+    probe intervals are read off the queue at its probe slots, and its
+    closing probe opens the next block, so every interval is read once. A
+    rate outside [0, 1] raises ValueError. No stream is stored; the
     memory is one block whatever the number of intervals. The histogram is
     an exact int64 count.
     """
     tau = _count("tau", tau, 1)
     intervals = _count("intervals", intervals, 1)
-    if not (0.0 <= encoder_rate <= 1.0 and 0.0 <= r_p <= 1.0):
-        raise ValueError("rate must lie in [0, 1]")
     n = tau * intervals + 1
-    encoder, background = _generators(seed, (0, n))
-    block = tau * max(1, _BLOCK // tau)
-    issues = np.zeros((1, block + 1, 3), dtype=np.int8)  # decoder, encoder, background
+    columns = list(zip((1, 2), (encoder_rate, r_p), _generators(seed, (0, n))))
+    size = tau * max(1, _BLOCK // tau)  # slots per block, a whole number of intervals
+    issues = np.zeros((1, size, 3), dtype=np.int8)  # decoder, encoder, background
     issues[0, ::tau, 0] = 1
     counts = np.zeros(tau + 1, dtype=np.int64)
-    backlog = n
-    for start in range(0, n - 1, block):
-        m = min(block, n - 1 - start)
-        # slots start .. start + m - 1 and the probe at start + m that closes
-        # their last interval and opens the next block's first; that probe
-        # departs on Q_{start+m-1}, the queue's last column, so the other
-        # columns of its row (still the last block's) are never read
-        chunk = issues[:, : m + 1]
-        _bernoulli(encoder_rate, encoder, chunk[0, :m, 1])
-        _bernoulli(r_p, background, chunk[0, :m, 2])
-        queue = _queue(chunk[:, :m], backlog)
-        _, y, buffered = _observe_batch(chunk, queue)
+    for block, queue in _stream(issues, columns, n - 1, n):
+        # the probe closing the block's last interval opens the next block;
+        # it departs on the queue's last column
+        _, y, buffered = _probe_intervals(queue, np.arange(0, block.shape[1] + 1, tau))
         if not buffered.all():
             raise UnbufferedIntervalError("an interval ran unbuffered; counts unreliable")
-        x = chunk[0, :m, 1].reshape(-1, tau).sum(axis=1, dtype=np.int64)
-        diff = y[0] - x
+        x = block[0, :, 1].reshape(-1, tau).sum(axis=1, dtype=np.int64)
+        diff = y - x
         if diff.min() < 0 or diff.max() > tau:
             raise AssertionError("buffered intervals must give Y - X within [0, tau]")
         counts += np.bincount(diff, minlength=tau + 1)
-        backlog = queue[0, -1]
     counts = counts.astype(float)
     return Pmf(counts / counts.sum())
 

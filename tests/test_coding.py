@@ -443,6 +443,17 @@ class TestBatchedTransmission:
         monkeypatch.setattr(coding, "_GATHER", gather)
         assert (_decode_rows_3user(y, cb, 0.3) == expected).all()
 
+    def test_decoding_does_not_depend_on_the_memory_layout(self, cap3_rp01):
+        # the observed rows of a transmission whose likelihoods often tie,
+        # C- and F-ordered: the order of each score's float sum, and so its
+        # tie-breaks, must not follow the layout (8 of these 300 messages
+        # decoded otherwise when the sums followed it)
+        cb = build_codebook_3user(16, 256, 0.1, capacity=cap3_rp01, seed=3)
+        chunks = coding._codebook_chunks(cb, 0.1, 4, 300)
+        y = np.concatenate([y for _, y in coding._observed(chunks, cb.template, None)])
+        expected = _decode_rows_3user(np.ascontiguousarray(y), cb, 0.1)
+        assert (_decode_rows_3user(np.asfortranarray(y), cb, 0.1) == expected).all()
+
     def test_peak_memory_of_one_chunk_at_256_messages(self, cap3_rp01):
         # the (messages, M, windows) terms are gathered at most _GATHER at a
         # time (about 0.4 MB traced); one gather of the chunk peaked at 2.0 MB

@@ -15,7 +15,7 @@ from cqclab.fcfs import (
     DriftReport,
     TooFewProbesError,
     _fifo,
-    _observe_batch,
+    _probe_intervals,
     _queue,
     empirical_channel_law,
     observe,
@@ -258,10 +258,11 @@ class TestSegmentedKernel:
         issues[:, ::2, 0] = 1  # one probe stream shared by every trace
         if issues[0, :, 0].sum() < 2:
             return
-        tau, y, buffered = _observe_batch(issues, _queue(issues, backlog))
+        slots = issues.shape[1]
+        tau, y, buffered = _probe_intervals(_queue(issues, backlog), np.arange(0, slots, 2))
         for i, row in enumerate(issues):
             obs = observe(simulate(*_streams_of(row), initial_backlog=backlog))
-            assert np.array_equal(obs.tau, tau[i])
+            assert np.array_equal(obs.tau, tau)
             assert np.array_equal(obs.y, y[i])
             assert np.array_equal(obs.buffered, buffered[i])
 
@@ -443,12 +444,14 @@ class TestStability:
         assert four <= one + 0.5
 
     @pytest.mark.parametrize(
-        "rates, initial_backlog", [((0.475, 0.475), 10**12), ((0.3, 0.3, 0.35), 60), ((0.5,), 0)]
+        "rates, initial_backlog",
+        [((0.475, 0.475), 10**12), ((0.3, 0.3, 0.35), 60), ((0.5,), 0), ((0.475, 0.475), 10**17)],
     )
     def test_equals_a_slot_by_slot_count(self, rates, initial_backlog):
         # Python integers slot by slot, so the squares of a queue of 10^12
-        # packets stay exact; 60 packets start above the cap 2 / (1 - 0.95)
-        # and the queue then drains through the binned values below it
+        # packets and the block sums over a queue of 10^17 stay exact; 60
+        # packets start above the cap 2 / (1 - 0.95) and the queue then
+        # drains through the binned values below it
         horizon, seed = 3_000, 4
         rng = np.random.default_rng(seed)
         arrivals = sum((rng.random(horizon) < r).astype(int) for r in rates).tolist()
