@@ -5,20 +5,21 @@ alpha) and length 2 (weight 1 - alpha), subject to the heavy-traffic budget
 alpha*(gamma1 + 1) + (1 - alpha)*(gamma2 + 1/2) = 1. The objective is the
 matching mixture of per-slot entropy ceilings h_tilde.
 
-This is the three-user problem at r_p = 0 restricted to the window pair
-(1, 2), so the same engine solves it: one concave program over both
-windows' share-weighted input laws (`capacity3._pair_programs`), the share
-of window 1 free or frozen at alpha. The capacity is the objective above
-by h_tilde at the returned point, which meets the budget; `gap_bits` is the
-program's certified bound minus it, at most PAIR_GAP_TOL or
-UncertifiedSolveError.
+With the mix free this is the three-user problem at r_p = 0 restricted to
+the window pair (1, 2), solved by the same engine (`capacity3._pair_programs`).
+With the mix frozen at alpha the Lagrangian separates once the budget
+multiplier is fixed, so the slice is solved in closed form with no barrier.
+Either way the capacity is the objective above by h_tilde at the returned
+point, which meets the budget; `gap_bits` is the certified bound minus it,
+at most PAIR_GAP_TOL or UncertifiedSolveError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .capacity3 import PAIR_GAP_TOL, UncertifiedSolveError, _pair_programs
+from .capacity3 import LN2, PAIR_GAP_TOL, UncertifiedSolveError, _pair_programs
 from .dist import h_tilde
 
 # gamma boxes for the two-window mixture: both rates live in [0, 1/2]
@@ -73,44 +74,72 @@ def eliminate_gamma2(alpha: float, gamma1: float) -> float:
     return (1.0 - alpha * (gamma1 + 1.0)) / (1.0 - alpha) - 0.5
 
 
-def _solve(alpha: float | None) -> CapacityResult2:
-    """The window pair (1, 2) at r_p = 0 by its program, with the mix free
-    (alpha None) or frozen at 0 < alpha < 1."""
-    [(value, alpha, gamma1, gamma2, gap, _)] = _pair_programs(1, [0.0], alpha)
-    if gamma1 > _G_HI:
-        # alpha near 0: window 1's law carries a share of only alpha, so its
-        # gamma1 is 1/2 only to about 1e-9, and past 1/2 it only spends budget
-        gamma1 = _G_HI
-        gamma2 = eliminate_gamma2(alpha, gamma1)
-    capacity = objective_2user(alpha, gamma1, gamma2)
-    gap_bits = value + gap - capacity
+def _certified(alpha, gamma1, gamma2, capacity, gap_bits) -> CapacityResult2:
     if not gap_bits <= PAIR_GAP_TOL:
         raise UncertifiedSolveError(
             f"two-user solve at alpha={alpha} has duality gap {gap_bits:.3e} bits "
             f"> PAIR_GAP_TOL={PAIR_GAP_TOL:.0e}"
         )
-    return CapacityResult2(
-        capacity_bits_per_slot=capacity,
-        alpha=alpha,
-        gamma1=gamma1,
-        gamma2=gamma2,
-        constraint_residual=abs(constraint_value(alpha, gamma1, gamma2) - 1.0),
-        gap_bits=gap_bits,
-    )
+    residual = abs(constraint_value(alpha, gamma1, gamma2) - 1.0)
+    return CapacityResult2(capacity, alpha, gamma1, gamma2, residual, gap_bits)
 
 
 def solve_capacity_2user() -> CapacityResult2:
     """Maximize the two-user objective on the budget surface, certified by
     the dual of the window pair (1, 2)."""
-    return _solve(None)
+    [(value, alpha, gamma1, gamma2, gap, _)] = _pair_programs(1, [0.0])
+    capacity = objective_2user(alpha, gamma1, gamma2)
+    return _certified(alpha, gamma1, gamma2, capacity, value + gap - capacity)
+
+
+def _tilted(lam: float) -> tuple[float, float, float]:
+    """gamma1, gamma2 and 1/2 - gamma2 of windows 1 and 2 at tilt lam."""
+    e1, e2 = math.exp(lam), math.exp(2.0 * lam)
+    s2 = 2.0 * (1.0 + e1 + e2)
+    return e1 / (1.0 + e1), (e1 + 2.0 * e2) / s2, -math.expm1(2.0 * lam) / s2
 
 
 def solve_on_alpha_slice(alpha: float) -> CapacityResult2:
-    """Best feasible point with the window mix frozen at `alpha`."""
+    """Best feasible point with the window mix frozen at `alpha`, in closed form.
+
+    At budget multiplier s each window takes its max-entropy law, weights
+    e^(lam x), at one common tilt lam = -s ln 2 <= 0. The budget rises with
+    lam and is exceeded at lam = 0, so bisection on [-1e3, 0] finds its root.
+    The lighter window keeps its gamma; the budget fixes the other's. The
+    Lagrangian dual bounds the value by U = s (1 - alpha) / 2 + alpha L_1
+    + (1 - alpha) L_2 / 2, L_k = log2 sum_{x <= k} e^(lam x), and
+    `gap_bits` is U minus the capacity plus a rounding allowance.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise BoxViolationError(f"alpha={alpha} outside [0, 1]")
     if alpha == 1.0:  # the budget pins gamma1 = 0: a zero-rate point
         return CapacityResult2(0.0, 1.0, 0.0, 0.0, 0.0)
     if alpha == 0.0:  # the budget pins gamma2 = 1/2, the uniform law on {0, 1, 2}
         return CapacityResult2(h_tilde(0.5, 2).bits_per_slot, 0.0, 0.0, 0.5, 0.0)
-    return _solve(alpha)
+    # the budget as alpha gamma1 = (1 - alpha)(1/2 - gamma2), both sides
+    # accurate as alpha nears 0 or 1
+    lo, hi = -1e3, 0.0
+    while (lam := 0.5 * (lo + hi)) not in (lo, hi):
+        g1, _, d2 = _tilted(lam)
+        lo, hi = (lo, lam) if alpha * g1 >= (1.0 - alpha) * d2 else (lam, hi)
+    gamma1, gamma2, _ = _tilted(hi)
+    if alpha <= 0.5:
+        gamma2 = eliminate_gamma2(alpha, gamma1)
+    else:
+        gamma1 = (1.0 - (1.0 - alpha) * (gamma2 + 0.5)) / alpha - 1.0
+    capacity = objective_2user(alpha, gamma1, gamma2)
+    budget = constraint_value(alpha, gamma1, gamma2)
+    s, e1, e2 = -hi / LN2, math.exp(hi), math.exp(2.0 * hi)
+    upper = (s * (1.0 - alpha) / 2.0 + alpha * math.log1p(e1) / LN2
+             + (1.0 - alpha) * math.log1p(e1 + e2) / LN2 / 2.0)
+    # Weak duality: U >= objective - s (budget - 1). With at most n roundings
+    # per term, a sum errs by at most gamma_n = n u / (1 - n u) times the
+    # magnitudes of its terms (Higham 2002, ch. 3): U and the objective (on
+    # h_tilde's values) have no negative term, and budget - 1 has budget + 1.
+    # n = 8 bounds all three: (1 - alpha) L_2 / 2 rounds in exp (either one),
+    # e^lam + e^(2 lam), log1p (which passes on at most its argument's
+    # relative error), 1 - alpha, the product, LN2, the division and the sum
+    # U; the objective's terms round at most 3 times and the budget's 5.
+    gamma_n = 8 * 2.0**-53 / (1.0 - 8 * 2.0**-53)
+    slack = gamma_n * (upper + capacity + s * (budget + 1.0)) + s * abs(budget - 1.0)
+    return _certified(alpha, gamma1, gamma2, capacity, upper - capacity + slack)

@@ -33,20 +33,19 @@ barrier-Newton loop (`_newton_path`), each with its own objective and its
 own mu stages. `solve_capacity_grid` runs the tau loops of many rates in
 one sweep over ascending tau, each tau one program path for the pairs of
 every rate still in its loop, and `solve_capacity_3user` is its one-rate
-case. The two-user capacity
-(`capacity2`) is the pair (1, 2) of this engine at r_p = 0.
+case. The free two-user capacity (`capacity2.solve_capacity_2user`) is the
+pair (1, 2) of this engine at r_p = 0.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dist import Pmf, binomial_pmf, entropy
+from .dist import Pmf, _count, binomial_pmf, entropy
 
 LN2 = math.log(2.0)
 
@@ -361,15 +360,6 @@ def _slices(k: int, r_p, gammas):
     return bits, gaps, np.array([h for _, h in chans])[chan], p
 
 
-def _window(k) -> int:
-    """The window length k as an int; ValueError unless it is a whole number >= 1."""
-    if not (isinstance(k, numbers.Real) and float(k).is_integer()):
-        raise ValueError(f"window length must be a whole number, got k={k!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return int(k)
-
-
 def h_check(gamma: float, k: int, r_p: float) -> tuple[float, Pmf]:
     """Maximum output entropy (bits) over inputs on {0..k} with mean k*gamma.
 
@@ -378,7 +368,7 @@ def h_check(gamma: float, k: int, r_p: float) -> tuple[float, Pmf]:
     carries an LP gap below GAP_TOL (1e-9 nats), or UncertifiedSolveError
     is raised. A k that is not a whole number >= 1 raises ValueError.
     """
-    k = _window(k)
+    k = _count("k", k, 1)
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"infeasible mean: gamma={gamma} outside [0, 1]")
     bits, _, _, p = _slices(k, r_p, [gamma])
@@ -387,7 +377,7 @@ def h_check(gamma: float, k: int, r_p: float) -> tuple[float, Pmf]:
 
 def i_tilde(gamma: float, k: int, r_p: float) -> ITildeValue:
     """Per-slot information ceiling through the shifted-binomial channel."""
-    k = _window(k)
+    k = _count("k", k, 1)
     bits, p = h_check(gamma, k, r_p)
     _, noise_bits = _channel(k, r_p)
     return ITildeValue(
@@ -407,7 +397,7 @@ def i_tilde_curve(gammas, k: int, r_p: float) -> np.ndarray:
     otherwise), and each value equals its pointwise `i_tilde` bitwise. A k
     that is not a whole number >= 1 raises ValueError.
     """
-    k = _window(k)
+    k = _count("k", k, 1)
     gammas = np.asarray(gammas, dtype=float)
     if gammas.ndim != 1 or (np.diff(gammas) < 0).any():
         raise ValueError("gammas must be a nondecreasing 1-D grid")
@@ -450,59 +440,42 @@ class _PairObjective:
     lhs = staticmethod(_lhs)
 
 
-def _program_path(tau: int, r_ps: np.ndarray, alpha: float | None = None):
+def _program_path(tau: int, r_ps: np.ndarray):
     """Barrier path of the pair program (tau, tau + 1), one row per rate.
 
     Row r maximizes the `_PairObjective` over q = [q_tau; q_tau+1] >= 0,
     with the noise entropies at r_ps[r], subject to sum q = 1 and the budget
-    sum_w sum_x q_wx * (x + 1) / k_w = 1 - r_ps[r]; `alpha` adds
-    sum q_tau = alpha. Products go row by row, so no row depends on the
-    others. The start mixes the uniform point with the cheapest or dearest
-    one to meet the budget; `_newton_path` does the rest. Returns
-    (q, value, LP gap) in nats per slot, the gap infinite off the
-    constraints. A vertex of the feasible set is a two-point mixture (with
-    `alpha` frozen, a point of one window and a two-point mixture in the
-    other), so the LP gap is explicit.
+    sum_w sum_x q_wx * (x + 1) / k_w = 1 - r_ps[r]. Products go row by row,
+    so no row depends on the others. The start mixes the uniform point with
+    the cheapest or dearest one to meet the budget; `_newton_path` does the
+    rest. Returns (q, value, LP gap) in nats per slot, the gap infinite off
+    the constraints. A vertex of the feasible set is a two-point mixture, so
+    the LP gap is explicit.
     """
     model = _PairObjective(tau)
     rows, n, m1, win, k = r_ps.size, 2 * tau + 3, 2 * tau + 1, model.win, model.k
-    x = np.where(win, np.arange(n) - tau - 1.0, np.arange(n))
-    cost = (x + 1.0) / k
+    cost = (np.where(win, np.arange(n) - tau - 1.0, np.arange(n)) + 1.0) / k
     B, hn = np.zeros((rows, n, 4 * tau + 4)), np.empty((rows, n))
     for r, rp in enumerate(r_ps):
         (B1, h1), (B2, h2) = _channel(tau, rp), _channel(tau + 1, rp)
         B[r, : tau + 1, :m1], B[r, tau + 1 :, m1:] = B1, B2
         hn[r] = np.where(win, h2, h1) * LN2 / k
     c = 1.0 - r_ps
-    A = np.stack([np.ones(n), cost] + ([] if alpha is None else [1.0 * ~win]))
-    b = np.stack([np.ones(rows), c] + ([] if alpha is None else [np.full(rows, alpha)]), axis=1)
+    A, b = np.stack([np.ones(n), cost]), np.stack([np.ones(rows), c], axis=1)
 
-    if alpha is None:
-        uni, lo, hi = np.full(n, 1.0 / n), np.eye(n)[tau + 1], np.eye(n)[tau]
-    else:
-        s = np.where(win, 1.0 - alpha, alpha)
-        uni, lo, hi = s / (k + 1.0), s * (x == 0), s * (x == k)
+    uni, lo, hi = np.full(n, 1.0 / n), np.eye(n)[tau + 1], np.eye(n)[tau]
     u, l, h = cost @ uni, cost @ lo, cost @ hi
     w = np.where(c <= u, (c - l) / (u - l), (h - c) / (h - u))[:, None]
     q = w * uni + (1.0 - w) * np.where((c <= u)[:, None], lo, hi)
     q = _newton_path(q, A, b, (B, hn), model, _PROGRAM_MU_STAGES)
 
     f, g = model.newton(q, (B, hn))
-    if alpha is None:
-        gap = _lp_gaps(g, q, c, cost)
-    else:  # a point of one window (share sp), a two-point mixture in the other (share sm)
-        top = np.full(rows, -np.inf)
-        for pt, sp, sm in ((~win, alpha, 1.0 - alpha), (win, 1.0 - alpha, alpha)):
-            mean = ((c[:, None] - sp * cost[pt]) / sm).ravel()
-            mix = np.repeat(g[:, ~pt], pt.sum(), axis=0)
-            mix = _lp_gaps(mix, np.zeros_like(mix), mean, cost[~pt]).reshape(rows, -1)
-            top = np.maximum(top, (sp * g[:, pt] + sm * mix).max(axis=1))
-        gap = top - (g * q).sum(axis=1)
+    gap = _lp_gaps(g, q, c, cost)
     gap[~(np.abs(b - _lhs(q, A)).max(axis=1) <= FEAS_TOL)] = np.inf
     return q, f, gap
 
 
-def _pair_programs(tau: int, r_ps, alpha: float | None = None) -> list[tuple]:
+def _pair_programs(tau: int, r_ps) -> list[tuple]:
     """Best mix of windows tau and tau + 1 at budget c = 1 - r_p for every
     rate in r_ps, by one `_program_path`.
 
@@ -514,9 +487,8 @@ def _pair_programs(tau: int, r_ps, alpha: float | None = None) -> list[tuple]:
     alone by `i_tilde` at the gamma the budget pins, so alpha is exactly 0
     or 1 and equal pure windows of two pairs tie exactly. A budget
     c <= 1/(tau + 1) leaves one point, of value 0, and needs no barrier. An
-    `alpha` in (0, 1) freezes window tau's share: the lighter window keeps
-    its gamma and the budget fixes the other's. An LP gap above GAP_TOL nats
-    raises UncertifiedSolveError naming the pair and its rate.
+    LP gap above GAP_TOL nats raises UncertifiedSolveError naming the pair
+    and its rate.
     """
     out, todo = [None] * len(r_ps), []
 
@@ -525,14 +497,14 @@ def _pair_programs(tau: int, r_ps, alpha: float | None = None) -> list[tuple]:
         return val, a, gm1, gm2, gap, ((tau, a, laws[0]), (tau + 1, 1.0 - a, laws[1]))
 
     for i, rp in enumerate(r_ps):
-        if alpha is None and 1.0 - rp <= 1.0 / (tau + 1) + 1e-12:
+        if 1.0 - rp <= 1.0 / (tau + 1) + 1e-12:
             out[i] = result(0.0, 0.0, 0.0, 0.0, 0.0, np.full(tau + 1, 1.0 / (tau + 1)),
                             np.eye(tau + 2)[0])
         else:
             todo.append(i)
     if not todo:
         return out
-    q, f, gaps = _program_path(tau, np.array([r_ps[i] for i in todo], dtype=float), alpha)
+    q, f, gaps = _program_path(tau, np.array([r_ps[i] for i in todo], dtype=float))
     for i, qi, fi, gi in zip(todo, q, f, gaps):
         rp, c = r_ps[i], 1.0 - r_ps[i]
         if not gi <= GAP_TOL:
@@ -543,7 +515,7 @@ def _pair_programs(tau: int, r_ps, alpha: float | None = None) -> list[tuple]:
         gm1 = float(p1 @ np.arange(tau + 1.0)) / tau
         gm2 = float(p2 @ np.arange(tau + 2.0)) / (tau + 1)
         val, gap = float(fi) / LN2, float(gi) / LN2
-        if alpha is None and min(shares) <= PURE_SHARE:
+        if min(shares) <= PURE_SHARE:
             a = float(shares[0] > PURE_SHARE)  # 1: window tau alone
             gw = max(c - 1.0 / (tau + 1 - a), 0.0)
             it = i_tilde(gw, tau + 1 - int(a), rp)
@@ -553,14 +525,9 @@ def _pair_programs(tau: int, r_ps, alpha: float | None = None) -> list[tuple]:
             gap += abs(val - it.bits_per_slot)
             out[i] = result(it.bits_per_slot, a, *((gw, 0.0) if a else (0.0, gw)), gap, p1, p2)
             continue
-        if alpha is None:  # the budget fixes the mix of the two windows' gammas
-            u1, u2 = gm1 + 1.0 / tau, gm2 + 1.0 / (tau + 1)
-            a = (c - u2) / (u1 - u2)
-        elif alpha <= 0.5:  # the lighter window keeps its gamma; the budget fixes the other's
-            a, gm2 = alpha, (c - alpha * (gm1 + 1.0 / tau)) / (1.0 - alpha) - 1.0 / (tau + 1)
-        else:
-            a, gm1 = alpha, (c - (1.0 - alpha) * (gm2 + 1.0 / (tau + 1))) / alpha - 1.0 / tau
-        out[i] = result(val, a, gm1, gm2, gap, p1, p2)
+        # the budget fixes the mix of the two windows' gammas
+        u1, u2 = gm1 + 1.0 / tau, gm2 + 1.0 / (tau + 1)
+        out[i] = result(val, (c - u2) / (u1 - u2), gm1, gm2, gap, p1, p2)
     return out
 
 
@@ -656,7 +623,7 @@ def degradation_violations(
     deterministic and the ceiling is not globally monotone. A window length
     that is not a whole number >= 1 raises ValueError.
     """
-    ks = [_window(k) for k in ks]
+    ks = [_count("k", k, 1) for k in ks]
     if rp_grid is None:
         rp_grid = np.arange(0.0, 0.51, 0.05)
     gammas = np.asarray(gammas, dtype=float).reshape(-1)

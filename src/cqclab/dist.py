@@ -19,6 +19,7 @@ consumers convert via log2(e)).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,15 @@ LOG2E = math.log2(math.e)
 _SUM_TOL = 1e-12
 _MEAN_TOL = 1e-10
 _GRID_ROWS = 1024  # rows per batched tilt solve of h_tilde_grid; bounds its memory
+
+
+def _count(name: str, value, low: int) -> int:
+    """`value` as an int; ValueError naming `name` unless it is a whole number >= `low`."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {name}={value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return int(value)
 
 
 class SupportMismatchError(ValueError):

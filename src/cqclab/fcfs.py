@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import copy
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dist import Pmf
+from .dist import Pmf, _count
 
 DECODER, ENCODER, BACKGROUND, SENTINEL = "decoder", "encoder", "background", "sentinel"
 _OWNER_CODE = {SENTINEL: 0, DECODER: 1, ENCODER: 2, BACKGROUND: 3}
@@ -51,15 +50,6 @@ _OWNER_LETTER = np.array(["s", "d", "e", "b"], dtype=object)  # indexed by owner
 
 
 _BLOCK = 1 << 14  # slots per block of the long-trace stream, `_stream`
-
-
-def _count(name: str, value, low: int) -> int:
-    """`value` as an int; ValueError naming `name` unless it is a whole number >= `low`."""
-    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
-        raise ValueError(f"{name} must be a whole number, got {name}={value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}")
-    return int(value)
 
 
 def _bernoulli(rate: float, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:

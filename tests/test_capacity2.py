@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cqclab import capacity2, capacity3
 from cqclab.capacity2 import (
@@ -68,6 +70,16 @@ def _argmax_reference(alpha: float | None):
     g1, g2, _, _ = _touching(0.5 * (lo + hi))
     a = alpha if alpha is not None else (1.0 - (g2 + 0.5)) / ((g1 + 1.0) - (g2 + 0.5))
     return a, g1, g2
+
+
+def _certified_slice(alpha: float):
+    """The frozen slice at alpha, with its certificate, budget and boxes checked."""
+    res = solve_on_alpha_slice(alpha)
+    assert res.alpha == alpha
+    assert 0.0 <= res.gap_bits <= capacity3.PAIR_GAP_TOL
+    assert res.constraint_residual <= 1e-12
+    assert 0.0 <= res.gamma1 <= 0.5 and 0.0 <= res.gamma2 <= 0.5
+    return res
 
 
 class TestObjective:
@@ -139,13 +151,18 @@ class TestDualReference:
     def test_capacity(self, cap2):
         assert abs(cap2.capacity_bits_per_slot - _dual_reference(None)) <= 1e-10
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5, 0.9, 0.999, 0.9999, 0.99995, 0.99999,
+                                       1 - 3e-7, 1 - 1e-7, 2.3713737056616552e-11])
     def test_alpha_slice(self, alpha):
-        res = solve_on_alpha_slice(alpha)
+        res = _certified_slice(alpha)
         assert abs(res.capacity_bits_per_slot - _dual_reference(alpha)) <= 1e-10
-        assert res.alpha == alpha
-        assert 0.0 <= res.gap_bits <= capacity3.PAIR_GAP_TOL
         assert res.constraint_residual <= 1e-15
+
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_every_frozen_mix_certifies(self, alpha):
+        res = _certified_slice(alpha)
+        if alpha <= 1 - 1e-8:  # the optimal slope lies inside the reference's [-32, 32]
+            assert abs(res.capacity_bits_per_slot - _dual_reference(alpha)) <= 1e-10
 
 
     @pytest.mark.parametrize("alpha", [None, 0.3])
@@ -167,20 +184,18 @@ class TestCertificate:
 
     @pytest.mark.parametrize("alpha", [None, 0.5])
     def test_large_gap_raises(self, monkeypatch, alpha):
-        # no solve reaches a gap of 1e-30: the pair program refuses at
-        # GAP_TOL, the two-user result at its own PAIR_GAP_TOL check
-        for module, tol in ((capacity3, "GAP_TOL"), (capacity2, "PAIR_GAP_TOL")):
+        # no solve reaches a gap of 1e-30: the pair program of the free solve
+        # refuses at GAP_TOL, and both solves at their own PAIR_GAP_TOL check
+        tols = ((capacity3, "GAP_TOL"),) if alpha is None else ()
+        for module, tol in (*tols, (capacity2, "PAIR_GAP_TOL")):
             with monkeypatch.context() as m:
                 m.setattr(module, tol, 1e-30)
                 with pytest.raises(UncertifiedSolveError):
                     solve_capacity_2user() if alpha is None else solve_on_alpha_slice(alpha)
 
-    @pytest.mark.parametrize("alpha", [1e-12, 1e-9, 1 - 1e-6, 1 - 1e-9])
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-9, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
     def test_extreme_weights(self, alpha):
-        res = solve_on_alpha_slice(alpha)
-        assert 0.0 <= res.gamma1 <= 0.5 and 0.0 <= res.gamma2 <= 0.5
-        assert res.gap_bits <= capacity3.PAIR_GAP_TOL
-        assert res.constraint_residual <= 1e-12
+        _certified_slice(alpha)
 
 
 class TestConcavityAlongConstraint:

@@ -440,15 +440,14 @@ class TestBatchedSolver:
         with pytest.raises(UncertifiedSolveError, match=r"gamma=0\.4, k=3, r_p=0\.2 "):
             capacity3._slices(3, np.array([0.2, 0.7]), np.array([0.4, 0.6]))
 
-    @pytest.mark.parametrize("alpha", [None, 0.3])
-    def test_mixed_rates_match_one_rate_programs(self, alpha):
+    def test_mixed_rates_match_one_rate_programs(self):
         # a row's arithmetic does not depend on the rates that share its path
         rps = np.random.default_rng(44).permutation(np.repeat([0.0, 0.1, 0.3, 0.45], 3))
         for tau in (1, 2, 4):
-            q, f, gaps = capacity3._program_path(tau, rps, alpha)
+            q, f, gaps = capacity3._program_path(tau, rps)
             for rp in np.unique(rps):
                 sel = rps == rp
-                ref = capacity3._program_path(tau, np.array([rp]), alpha)
+                ref = capacity3._program_path(tau, np.array([rp]))
                 for got, want in zip((q[sel], f[sel], gaps[sel]), ref):
                     assert (got == want).all(), (tau, rp)
 
@@ -486,8 +485,8 @@ class TestBatchedSolver:
     def test_uncertified_free_row_of_a_grid_names_its_point(self, monkeypatch):
         real = capacity3._program_path
 
-        def failing(tau, r_ps, alpha=None):  # pair (1, 2) at r_p = 0.3 never certifies
-            q, f, gaps = real(tau, r_ps, alpha)
+        def failing(tau, r_ps):  # pair (1, 2) at r_p = 0.3 never certifies
+            q, f, gaps = real(tau, r_ps)
             return q, f, np.where((tau == 1) & (r_ps == 0.3), np.inf, gaps)
 
         monkeypatch.setattr(capacity3, "_program_path", failing)

@@ -78,6 +78,12 @@ class TestCapacity2:
             math.log2(3) / 2, abs=1e-9
         )
 
+    def test_alpha_fixed_near_one(self, tmp_path):
+        # a frozen mix near 1 exits 0 with a certified point
+        code, body = _run(tmp_path, "capacity2", "--alpha-fixed", "0.9999")
+        assert code == 0
+        assert float(_rows(body)[1].split(",")[1]) == 0.9999
+
     def test_header_has_no_tolerance(self, tmp_path):
         _, body = _run(tmp_path, "capacity2")
         assert any('"alpha_fixed": null' in ln for ln in body.splitlines())
@@ -143,9 +149,9 @@ class TestCapacity3:
         paths = []
         real = capacity3._program_path
 
-        def path(tau, r_ps, alpha=None):
+        def path(tau, r_ps):
             paths.append((tau, r_ps.size))
-            return real(tau, r_ps, alpha)
+            return real(tau, r_ps)
 
         monkeypatch.setattr(capacity3, "_program_path", path)
         code, _ = _run(tmp_path, "capacity3", "--rp-grid", "0,0.1,0.3", "--tau-max", "8")

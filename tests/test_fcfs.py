@@ -67,16 +67,14 @@ class TestSchedule:
         with pytest.raises(ValueError):
             _sched("intruder", [0, 1])
 
-    @pytest.mark.parametrize("block", [1, 7, 64])
-    def test_bernoulli_equals_the_one_call_draws(self, block, monkeypatch):
-        # drawn block by block, the schedule holds the draws of one
-        # random(n) call and leaves the stream where that call leaves it
-        monkeypatch.setattr(fcfs, "_BLOCK", block)
-        for n in (0, 1, block, 3 * block + 2):
-            rng, one_call = np.random.default_rng(n), np.random.default_rng(n)
-            schedule = ArrivalSchedule.bernoulli(ENCODER, 0.3, n, rng)
-            assert schedule.slots.tolist() == (one_call.random(n) < 0.3).tolist()
-            assert rng.random() == one_call.random()
+    @pytest.mark.parametrize("n", [0, 1, 5, 7, 23, 64, 194])
+    def test_bernoulli_equals_the_one_call_draws(self, n):
+        # the schedule holds the draws of one random(n) call and leaves the
+        # stream where that call leaves it
+        rng, one_call = np.random.default_rng(n), np.random.default_rng(n)
+        schedule = ArrivalSchedule.bernoulli(ENCODER, 0.3, n, rng)
+        assert schedule.slots.tolist() == (one_call.random(n) < 0.3).tolist()
+        assert rng.random() == one_call.random()
 
 
 class TestSimulate:
