@@ -7,14 +7,15 @@ and the symbol law on {0..k} of their symbols. The builders' schemes mix
 two adjacent lengths, tau_star and tau_star + 1. The template's per-window
 `widths` and `starts` and its `draw` serve every window operation: the
 codebook's count-image check and window counts, the codeword sampler, the
-probe stream, the decoders and the ensemble encoder. Each window holds one
+probe stream, the decoder and the ensemble encoder. Each window holds one
 symbol: count i maps to i ones followed by zeros, so the per-window packet
 count identifies the symbol exactly. The decoder's probe stream puts a
 packet at every window start, and transmissions add a closing probe at slot
 n; with a primed queue the observed per-interval counts equal the
 encoder-plus-background counts, noiselessly in the two-user case and through
-shifted-binomial noise in the three-user case. Decoders read the columns of
-`cqclab.fcfs.observe`.
+shifted-binomial noise in the three-user case. One decoder, exact matching at
+r_p = 0, reads the columns of `cqclab.fcfs.observe` for both: a matrix-product
+prefilter picks the codewords whose exact sums (`_GATHER`-bounded) decide.
 """
 
 from __future__ import annotations
@@ -177,6 +178,17 @@ class Codebook:
             raise ValueError(f"expected {self.n} bits, got shape {bits.shape}")
         return np.add.reduceat(bits, self.template.starts, dtype=np.int64)
 
+    @functools.cached_property
+    def symbol_indicators(self) -> np.ndarray:
+        """Read-only (M, n + windows + 1): per window, one 0/1 column per symbol
+        0..width, 1 at its stored count; then how many lie outside [0, width]."""
+        widths = self.template.widths
+        first = np.repeat(self.template.starts + np.arange(widths.size), widths + 1)
+        hits = np.repeat(self.window_counts, widths + 1, axis=1) == np.arange(first.size) - first
+        out = np.column_stack([hits, widths.size - hits.sum(axis=1)]).astype(float)
+        out.flags.writeable = False
+        return out
+
 
 def symbol_image(count: int, width: int) -> np.ndarray:
     """Binary image of a window symbol: `count` ones then zeros."""
@@ -298,25 +310,6 @@ def _check_intervals(tau: np.ndarray, buffered: np.ndarray, template: ProbeTempl
         )
 
 
-def _decode_rows_2user(y: np.ndarray, codebook: Codebook) -> np.ndarray:
-    """Exact-match decoding of a (messages, windows) block of counts: the
-    first codeword whose window counts equal each row."""
-    hits = (codebook.window_counts == y[:, None, :]).all(axis=2)
-    if not hits.any(axis=1).all():
-        raise DecodeMatchError("observed counts match no codeword")
-    return hits.argmax(axis=1)
-
-
-def decode_2user(observations: ProbeObservations, codebook: Codebook) -> int:
-    """Exact-match decoding for the noiseless two-user channel.
-
-    Window counts identify symbols uniquely, so the count sequence is looked
-    up against the codebook; a miss means the trace and codebook disagree.
-    """
-    _check_intervals(observations.tau, observations.buffered, codebook.template)
-    return int(_decode_rows_2user(observations.y[None], codebook)[0])
-
-
 @functools.lru_cache(maxsize=64)
 def _log_channel_table(width: int, r_p: float) -> np.ndarray:
     """Read-only log P(Y = y | X = x) of the width-slot channel, -1e30 where
@@ -328,50 +321,61 @@ def _log_channel_table(width: int, r_p: float) -> np.ndarray:
     return table
 
 
-_GATHER = 1 << 15  # float64 log-likelihood terms per decode gather (256 KB)
+_GATHER = 1 << 15  # float64 log-likelihood terms per exact-sum gather (256 KB)
 
 
-def _decode_rows_3user(y: np.ndarray, codebook: Codebook, r_p: float) -> np.ndarray:
-    """Maximum-likelihood decoding of a (messages, windows) block of counts;
-    see `decode_3user`."""
-    y = np.ascontiguousarray(y)  # the gather below follows the layout of y
-    counts = codebook.window_counts
-    loglik = np.zeros((y.shape[0], codebook.M))
-    stop = 0
+def _decode_rows(y: np.ndarray, codebook: Codebook, r_p: float) -> np.ndarray:
+    """`decode_3user` on a (messages, windows) block of counts."""
+    y = np.ascontiguousarray(y)  # the gathers below follow the layout of y
+    if ((y < 0) | (y > 2 * codebook.template.widths)).any():
+        raise DecodeMatchError("observed count outside the channel alphabet")
+    terms = np.full((y.shape[0], codebook.symbol_indicators.shape[1]), -1e30)  # log P(y | x)
+    stop = end = 0
     for width, count, _ in codebook.template.windows:
-        # each length's windows are one contiguous run of columns: a slice,
-        # where a boolean mask of `widths` took 2.7x as long per chunk
         start, stop = stop, stop + count
-        if not count:
-            continue
-        yw = y[:, start:stop]
-        if yw.min() < 0 or yw.max() > 2 * width:
-            raise DecodeMatchError("observed count outside the channel alphabet")
+        column, end = end, end + count * (width + 1)
         table = _log_channel_table(width, float(r_p))
-        # a C-contiguous (messages, M, windows) gather keeps each score's
-        # terms contiguous, which fixes the order of the sums (and so the
-        # tie-breaks between -1e30 scores) whatever the number of messages
-        # gathered at once; at most _GATHER terms are gathered at a time
-        x = counts[None, :, start:stop]
-        rows = max(_GATHER // x.size, 1)
-        for i in range(0, y.shape[0], rows):
-            loglik[i : i + rows] += table[x, yw[i : i + rows, None, :]].sum(axis=2)
+        terms[:, column:end] = table.T[y[:, start:stop]].reshape(y.shape[0], -1)
+    approx = terms @ codebook.symbol_indicators.T
+    best = approx.max(axis=1, keepdims=True)
+    if r_p == 0 and (best < 0).any():  # noiseless: 0 for an exact match, else <= -1e30
+        raise DecodeMatchError("observed counts match no codeword")
+    # Every term is <= 0, so the product and the exact sum, rounding each of
+    # W window terms at most W times, lie within gamma_W |S| of the true sum
+    # S (Higham 2002, ch. 3): only a codeword scoring >= best / (1 - 2 W u)^2
+    # can win, and n = 4 W + 4 also covers the roundings of that threshold.
+    n = 4 * codebook.template.widths.size + 4
+    at, msgs = np.nonzero(approx >= best * (1 + n * 2.0**-53 / (1 - n * 2.0**-53)))
+    exact, stop = np.zeros(at.size), 0
+    for width, count, _ in codebook.template.windows:
+        # a C-contiguous gather keeps each score's terms contiguous, which fixes
+        # the order of the sums (and so the tie-breaks between -1e30 scores)
+        start, stop = stop, stop + count
+        table, step = _log_channel_table(width, float(r_p)), max(_GATHER // max(count, 1), 1)
+        for i in range(0, at.size, step):
+            x = codebook.window_counts[msgs[i : i + step], start:stop]
+            exact[i : i + step] += table[x, y[at[i : i + step], start:stop]].sum(axis=1)
+    loglik = np.full(approx.shape, -np.inf)
+    loglik[at, msgs] = exact
     return loglik.argmax(axis=1)
 
 
 def decode_3user(observations: ProbeObservations, codebook: Codebook, r_p: float) -> int:
-    """Maximum-likelihood decoding through the shifted-binomial channel.
-
-    Scores every message by the float sum over windows of
-    log P(Y = y | X = count) with X + Bin(tau, r_p) noise. Equal float scores
-    go to the lowest message index, but an exact likelihood tie (the same
-    window terms in other positions) can differ in the last bit of its
-    sums and then goes to whichever sum rounds higher; integer-lattice
+    """Maximum-likelihood decoding through the shifted-binomial channel: the
+    first message of highest score, the float sum, one window length at a
+    time, of log P(Y = y | X = count) with X + Bin(tau, r_p) noise, -1e30
+    where impossible; at r_p = 0 that is exact matching, and a miss raises.
+    An exact likelihood tie (the same terms in other positions) can differ in
+    the last bit and goes to whichever sum rounds higher; integer-lattice
     scores would make ties exact (ROADMAP.md, "Exact maximum-likelihood
-    decoding on the integer lattice").
-    """
+    decoding on the integer lattice")."""
     _check_intervals(observations.tau, observations.buffered, codebook.template)
-    return int(_decode_rows_3user(observations.y[None], codebook, r_p)[0])
+    return int(_decode_rows(observations.y[None], codebook, r_p)[0])
+
+
+def decode_2user(observations: ProbeObservations, codebook: Codebook) -> int:
+    """`decode_3user` at r_p = 0: exact matching for the two-user channel."""
+    return decode_3user(observations, codebook, 0.0)
 
 
 _MAX_RATE = 1.0 + 1e-12  # bits per slot, with slack for the rounding of log2
@@ -469,25 +473,20 @@ def run_transmission(
     background traffic, one message after another on one random stream.
     Chunks of messages then run together through one pass of the per-slot
     FCFS queue kernel, with the codebook's probe stream plus the closing
-    boundary probe, and are decoded as one block from the probe
-    observations: exact matching without background, maximum likelihood
-    with it. Every result equals that of sending the messages one at a time
-    through `simulate`, `observe` and `decode_2user` / `decode_3user`. The
-    default backlog, n plus the longest window length (n + tau_star + 1 for
-    the builders' schemes), keeps every interval buffered
-    regardless of the codeword; an unbuffered interval raises instead of
-    degrading silently.
+    boundary probe, and are decoded as one block by the decoder of
+    `decode_3user`, at r_p = 0 without background. Every result equals that
+    of sending the messages one at a time through `simulate`, `observe` and
+    `decode_2user` / `decode_3user`. The default backlog, n plus the longest
+    window length (n + tau_star + 1 for the builders' schemes), keeps every
+    interval buffered regardless of the codeword; an unbuffered interval
+    raises instead of degrading silently.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     errors = 0
     chunks = _codebook_chunks(codebook, background_rate, seed, trials)
     for messages, y in _observed(chunks, codebook.template, initial_backlog):
-        if background_rate is None:
-            decoded = _decode_rows_2user(y, codebook)
-        else:
-            decoded = _decode_rows_3user(y, codebook, background_rate)
-        errors += int((decoded != messages).sum())
+        errors += int((_decode_rows(y, codebook, background_rate or 0.0) != messages).sum())
     return TransmissionReport(
         messages_sent=trials,
         errors=errors,

@@ -453,8 +453,9 @@ def empirical_channel_law(
         _, y, buffered = _probe_intervals(queue, np.arange(0, block.shape[1] + 1, tau))
         if not buffered.all():
             raise UnbufferedIntervalError("an interval ran unbuffered; counts unreliable")
-        x = block[0, :, 1].reshape(-1, tau).sum(axis=1, dtype=np.int64)
-        diff = y - x
+        diff = y - block[0, ::tau, 1]  # Y - X per interval, X by tau strided int64 subtractions
+        for j in range(1, tau):
+            diff -= block[0, j::tau, 1]
         if diff.min() < 0 or diff.max() > tau:
             raise AssertionError("buffered intervals must give Y - X within [0, tau]")
         counts += np.bincount(diff, minlength=tau + 1)

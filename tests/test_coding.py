@@ -33,8 +33,7 @@ from cqclab.coding import (
     run_transmission,
     symbol_image,
     _CHUNK,
-    _decode_rows_2user,
-    _decode_rows_3user,
+    _decode_rows,
 )
 from cqclab.capacity3 import i_tilde, solve_capacity_3user
 from cqclab.dist import Pmf
@@ -416,9 +415,9 @@ class TestBatchedTransmission:
     def test_row_decoders_reject_any_bad_row(self):
         cb = _handmade_codebook([[1, 0, 0, 0], [1, 1, 1, 0]])
         with pytest.raises(DecodeMatchError):
-            _decode_rows_2user(np.array([[1, 0], [2, 2]]), cb)  # row 1 matches no codeword
+            _decode_rows(np.array([[1, 0], [2, 2]]), cb, 0.0)  # row 1 matches no codeword
         with pytest.raises(DecodeMatchError):
-            _decode_rows_3user(np.array([[1, 0], [5, 0]]), cb, 0.3)  # 5 > 2 * width
+            _decode_rows(np.array([[1, 0], [5, 0]]), cb, 0.3)  # 5 > 2 * width
 
     @pytest.mark.parametrize("rp", [0.1, 0.5])
     def test_row_decoders_match_one_row_decoders(self, rp):
@@ -427,7 +426,7 @@ class TestBatchedTransmission:
         rng = np.random.default_rng(6)
         y = rng.integers(0, 2 * widths + 1, size=(50, widths.size))
         rows2 = cb.window_counts[rng.integers(cb.M, size=50)]
-        decoded3, decoded2 = _decode_rows_3user(y, cb, rp), _decode_rows_2user(rows2, cb)
+        decoded3, decoded2 = _decode_rows(y, cb, rp), _decode_rows(rows2, cb, 0.0)
         for y3, y2, d3, d2 in zip(y, rows2, decoded3, decoded2):
             assert decode_3user(_obs(list(zip(widths, y3))), cb, rp) == d3
             assert decode_2user(_obs(list(zip(widths, y2))), cb) == d2
@@ -439,9 +438,9 @@ class TestBatchedTransmission:
         cb = build_codebook_3user(30, 64, 0.3, seed=2)
         widths = cb.template.widths
         y = np.random.default_rng(8).integers(0, 2 * widths + 1, size=(50, widths.size))
-        expected = _decode_rows_3user(y, cb, 0.3)
+        expected = _decode_rows(y, cb, 0.3)
         monkeypatch.setattr(coding, "_GATHER", gather)
-        assert (_decode_rows_3user(y, cb, 0.3) == expected).all()
+        assert (_decode_rows(y, cb, 0.3) == expected).all()
 
     def test_decoding_does_not_depend_on_the_memory_layout(self, cap3_rp01):
         # the observed rows of a transmission whose likelihoods often tie,
@@ -451,8 +450,8 @@ class TestBatchedTransmission:
         cb = build_codebook_3user(16, 256, 0.1, capacity=cap3_rp01, seed=3)
         chunks = coding._codebook_chunks(cb, 0.1, 4, 300)
         y = np.concatenate([y for _, y in coding._observed(chunks, cb.template, None)])
-        expected = _decode_rows_3user(np.ascontiguousarray(y), cb, 0.1)
-        assert (_decode_rows_3user(np.asfortranarray(y), cb, 0.1) == expected).all()
+        expected = _decode_rows(np.ascontiguousarray(y), cb, 0.1)
+        assert (_decode_rows(np.asfortranarray(y), cb, 0.1) == expected).all()
 
     def test_peak_memory_of_one_chunk_at_256_messages(self, cap3_rp01):
         # the (messages, M, windows) terms are gathered at most _GATHER at a
@@ -483,6 +482,101 @@ class TestBatchedTransmission:
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+# The decoders that `_decode_rows` replaced, kept verbatim, with the gather
+# size they read, as bitwise references of its decisions.
+_log_channel_table = coding._log_channel_table
+_GATHER = 1 << 15  # float64 log-likelihood terms per decode gather (256 KB)
+
+
+def _decode_rows_2user(y: np.ndarray, codebook: Codebook) -> np.ndarray:
+    """Exact-match decoding of a (messages, windows) block of counts: the
+    first codeword whose window counts equal each row."""
+    hits = (codebook.window_counts == y[:, None, :]).all(axis=2)
+    if not hits.any(axis=1).all():
+        raise DecodeMatchError("observed counts match no codeword")
+    return hits.argmax(axis=1)
+
+
+def _decode_rows_3user(y: np.ndarray, codebook: Codebook, r_p: float) -> np.ndarray:
+    """Maximum-likelihood decoding of a (messages, windows) block of counts;
+    see `decode_3user`."""
+    y = np.ascontiguousarray(y)  # the gather below follows the layout of y
+    counts = codebook.window_counts
+    loglik = np.zeros((y.shape[0], codebook.M))
+    stop = 0
+    for width, count, _ in codebook.template.windows:
+        # each length's windows are one contiguous run of columns: a slice,
+        # where a boolean mask of `widths` took 2.7x as long per chunk
+        start, stop = stop, stop + count
+        if not count:
+            continue
+        yw = y[:, start:stop]
+        if yw.min() < 0 or yw.max() > 2 * width:
+            raise DecodeMatchError("observed count outside the channel alphabet")
+        table = _log_channel_table(width, float(r_p))
+        # a C-contiguous (messages, M, windows) gather keeps each score's
+        # terms contiguous, which fixes the order of the sums (and so the
+        # tie-breaks between -1e30 scores) whatever the number of messages
+        # gathered at once; at most _GATHER terms are gathered at a time
+        x = counts[None, :, start:stop]
+        rows = max(_GATHER // x.size, 1)
+        for i in range(0, y.shape[0], rows):
+            loglik[i : i + rows] += table[x, yw[i : i + rows, None, :]].sum(axis=2)
+    return loglik.argmax(axis=1)
+
+
+def _reference_rows(y, codebook, r_p):
+    """The reference decisions of each row, None where it raises."""
+    if r_p:
+        return _decode_rows_3user(y, codebook, r_p).tolist()
+    out = []
+    for row in y:
+        try:
+            out.append(int(_decode_rows_2user(row[None], codebook)[0]))
+        except DecodeMatchError:
+            out.append(None)
+    return out
+
+
+class TestOneDecoder:
+    @pytest.mark.parametrize("n, M", [(30, 64), (400, 16)])
+    @pytest.mark.parametrize("rp", [0.0, 0.1, 0.25, 0.3, 0.5])
+    def test_decisions_equal_the_replaced_decoders(self, rp, n, M):
+        # random rows score many codewords at -1e30, so ties are common;
+        # the transmitted rows are sent at the codebook's rate and above it
+        cb = build_codebook_3user(n, M, rp, seed=2)
+        widths = cb.template.widths
+        rng = np.random.default_rng(n)
+        blocks = [rng.integers(0, 2 * widths + 1, size=(100, widths.size))]
+        for rate in (rp, min(2 * rp, 0.9)):
+            chunks = coding._codebook_chunks(cb, rate, 3, 100)
+            observed = coding._observed(chunks, cb.template, None)
+            blocks.append(np.concatenate([y for _, y in observed]))
+        for y in blocks:
+            expected = _reference_rows(y, cb, rp)
+            if None not in expected:
+                assert _decode_rows(y, cb, rp).tolist() == expected
+            for row, want in zip(y, expected):
+                if want is None:
+                    with pytest.raises(DecodeMatchError):
+                        _decode_rows(row[None], cb, rp)
+                else:
+                    assert _decode_rows(row[None], cb, rp)[0] == want
+        if not rp:  # every sent row matches: the 3-user reference agrees
+            sent = blocks[1]
+            assert (_decode_rows_3user(sent, cb, 0.0) == _decode_rows(sent, cb, 0.0)).all()
+
+    def test_noiseless_decoding_raises_on_a_row_no_codeword_matches(self):
+        cb = _handmade_codebook([[0, 0], [1, 0]])
+        assert decode_3user(_obs([(2, 1)]), cb, 0.0) == 1
+        with pytest.raises(DecodeMatchError):
+            decode_3user(_obs([(2, 2)]), cb, 0.0)  # 2 lies in the alphabet {0..4}
+        cb = build_codebook_2user(30, 8, seed=1)
+        object.__setattr__(cb, "window_counts", cb.window_counts + 3)
+        with pytest.raises(DecodeMatchError):
+            run_transmission(cb, background_rate=0.0, trials=_CHUNK + 1, seed=0)
 
 
 @functools.lru_cache(maxsize=None)

@@ -26,3 +26,11 @@ def test_outputs_are_byte_identical(case, tmp_path, capsys):
     assert capsys.readouterr().out == want["stdout"]
     assert out.read_text() == want["csv"]
     assert (trace.read_text() if trace.exists() else None) == want["trace"]
+
+
+def test_without_out_the_csv_goes_to_stdout(tmp_path, monkeypatch, capsys):
+    want = GOLDEN["capacity2"]
+    monkeypatch.chdir(tmp_path)
+    assert main(want["argv"]) == want["exit"]
+    assert capsys.readouterr().out == want["stdout"] + want["csv"]
+    assert not list(tmp_path.iterdir())

@@ -1,0 +1,96 @@
+"""Solver-free exact values of the noiseless (r_p = 0) capacity.
+
+At r_p = 0, window k's pricing function is g_k(s) = (log2 Z_k(t) - s) / k,
+with t = 2^-s and Z_k(t) = sum_{x <= k} t^x; its maximizing law is
+(1, t, ..., t^k) / Z_k. Windows 1 and 2 touch one supporting line where
+g_1 = g_2, that is t (1 + t)^2 = 1 + t + t^2, so t^3 + t^2 = 1 and
+t = 1 / rho, with rho the real root of rho^3 = rho + 1 (the plastic number).
+Then C = s + g_1(s) = log2(1 + t) = 2 log2 rho = 0.81137046275164909...
+
+The operating point follows: gamma1 = t / (1 + t) = rho^-3, window 2's law
+is (1, t, t^2) / Z_2, and the budget alpha (gamma1 + 1)
++ (1 - alpha)(gamma2 + 1/2) = 1 fixes alpha. Window 2 alone at r_p = 0 is
+the uniform law on {0, 1, 2}: log2(3) / 2 bits per slot.
+
+This module finds rho by Newton's method in `decimal` and shares no code
+with the solvers.
+"""
+
+import decimal
+from decimal import Decimal
+
+import pytest
+
+from cqclab.capacity2 import solve_capacity_2user
+from cqclab.capacity3 import solve_capacity_3user
+
+DIGITS = 50
+TOL = 1e-15  # the largest deviation measured over every checked value is 8.8e-16
+
+
+def _exact():
+    """rho, C = 2 log2 rho and the operating point, to DIGITS digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = DIGITS + 10
+        rho = Decimal("1.3")
+        while True:
+            step = (rho**3 - rho - 1) / (3 * rho**2 - 1)
+            rho -= step
+            if abs(step) < Decimal(10) ** -(DIGITS + 5):
+                break
+        t = 1 / rho
+        z2 = 1 + t + t * t
+        gamma1 = t / (1 + t)
+        gamma2 = (t + 2 * t * t) / (2 * z2)
+        half = Decimal(1) / 2
+        alpha = (half - gamma2) / (gamma1 + half - gamma2)
+        return {
+            "rho": rho,
+            "capacity": 2 * rho.ln() / Decimal(2).ln(),
+            "gamma1": gamma1,
+            "gamma2": gamma2,
+            "alpha": alpha,
+            "law1": (1 - gamma1, gamma1),
+            "law2": (1 / z2, t / z2, t * t / z2),
+            "window2": Decimal(3).ln() / Decimal(2).ln() / 2,
+        }
+
+
+EXACT = _exact()
+
+
+def test_rho_is_the_plastic_number():
+    rho = EXACT["rho"]
+    with decimal.localcontext() as ctx:
+        ctx.prec = DIGITS + 10
+        assert abs(rho**3 - rho - 1) < Decimal(10) ** -DIGITS
+        assert abs(EXACT["gamma1"] - 1 / rho**3) < Decimal(10) ** -DIGITS
+    assert str(EXACT["capacity"]).startswith("0.8113704627516490916")
+
+
+@pytest.fixture(scope="module", params=["capacity2", "capacity3"])
+def result(request):
+    return solve_capacity_2user() if request.param == "capacity2" else solve_capacity_3user(0.0)
+
+
+def test_certified_value_brackets_two_log2_rho(result):
+    value, gap = Decimal(result.capacity_bits_per_slot), Decimal(result.gap_bits)
+    assert value <= EXACT["capacity"] <= value + gap
+
+
+def test_operating_point_is_algebraic(result):
+    for name in ("gamma1", "gamma2", "alpha"):
+        assert abs(getattr(result, name) - float(EXACT[name])) <= TOL, name
+
+
+def test_witness_laws_are_the_tilted_laws():
+    res = solve_capacity_3user(0.0)
+    assert [(k, share) for k, share, _ in res.witness] == [
+        (1, res.alpha), (2, 1.0 - res.alpha)
+    ]
+    for (_, _, law), exact in zip(res.witness, (EXACT["law1"], EXACT["law2"])):
+        assert max(abs(p - float(q)) for p, q in zip(law, exact)) <= TOL
+
+
+def test_window_two_alone_is_uniform():
+    assert abs(solve_capacity_3user(0.0).per_tau[2] - float(EXACT["window2"])) <= TOL
