@@ -21,7 +21,10 @@ per window length. Every row carries its own channel and its products go
 row by row, so a point has the same bits solved alone, in a one-rate batch
 or among other rates. Channels are built once per (k, r_p) and cached with
 their noise entropies. An uncertified slice point raises
-UncertifiedSolveError naming its k, gamma and r_p.
+UncertifiedSolveError naming its k, gamma and r_p. The path
+(`_newton_path`) certifies its own rows: it returns each row's LP gap,
+infinite for a row off its constraint plane, so its callers only name an
+uncertified point and raise.
 
 The best mix of windows k in {tau, tau + 1} at budget c = 1 - r_p is one
 concave program: with q_k = alpha_k * p_k, the share-weighted entropy
@@ -154,15 +157,14 @@ def output_mean_check(input_pmf: Pmf, tau: int, r_p: float) -> float:
     return float(np.arange(py.size) @ py)
 
 
-def _lp_gaps(g: np.ndarray, p: np.ndarray, m: np.ndarray, pos=None) -> np.ndarray:
+def _lp_gaps(g: np.ndarray, p: np.ndarray, m: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Linearized suboptimality bound max over the polytope of <g, q - p>, per row.
 
-    Entry i sits at pos[i]: its mean in a slice solve (the default, its
-    index), its budget cost in a pair program. The vertices of
+    Entry i sits at pos[i]: its mean in a slice solve (its index), its
+    budget cost in a pair program. The vertices of
     {q >= 0, sum q = 1, <pos, q> = m} are two-point mixtures on (i, j) with
     pos[i] <= m <= pos[j], so each row's LP maximum is explicit.
     """
-    pos = np.arange(p.shape[1], dtype=float) if pos is None else pos
     I, J = pos[:, None], pos[None, :]
     mm = m[:, None, None]
     gi, gj = g[:, :, None], g[:, None, :]
@@ -170,22 +172,6 @@ def _lp_gaps(g: np.ndarray, p: np.ndarray, m: np.ndarray, pos=None) -> np.ndarra
     vals = np.where(J > I, ((J - mm) * gi + (mm - I) * gj) / span, gi)
     vals = np.where((I <= mm) & (J >= mm), vals, -np.inf)
     return vals.max(axis=(1, 2)) - (g * p).sum(axis=1)
-
-
-def _kkt_solve(K: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Every row's KKT system; a singular one sends all rows to least squares.
-
-    Least squares first scales each system symmetrically so that no diagonal
-    entry exceeds 1 in size: the barrier terms mu / q**2 span many orders of
-    magnitude, and unscaled, a pair program's iterates leave their
-    constraints and never certify.
-    """
-    try:
-        return np.linalg.solve(K, r)
-    except np.linalg.LinAlgError:
-        d = 1.0 / np.sqrt(np.maximum(np.abs(np.diagonal(K, axis1=1, axis2=2)), 1.0))[:, :, None]
-        Ks, rs = K * d * d.transpose(0, 2, 1), r * d
-        return d * np.stack([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(Ks, rs)])
 
 
 def _entropy_rows(py: np.ndarray) -> np.ndarray:
@@ -211,24 +197,30 @@ def _channel(k: int, r_p: float) -> tuple[np.ndarray, float]:
     return channel_matrix(k, r_p).rows, entropy(binomial_pmf(k, r_p))
 
 
-def _newton_path(q, A, b, data, model, stages) -> np.ndarray:
+def _newton_path(q, A, b, data, model, stages):
     """Log-barrier Newton path (Boyd & Vandenberghe 2004, ch. 11) on every
     row of q: maximize the concave model.value(q) + mu * sum(log q) over
-    {A q = b[row]} for each mu in `stages`, and return the final iterates.
+    {A q = b[row]} for each mu in `stages`.
 
     `data` holds per-row arrays of the objective; a row leaves the loop
     with its data. model.newton(q, data, H) returns the objective and its
     gradient and writes its Hessian into H, a view of the preallocated KKT
-    matrices whose constraint blocks A are set once; model.lhs(q, A) gives
-    A q. Each stage's equality-constrained Newton system carries the
-    residual b - A q, which pulls rounding drift back onto the constraint
-    plane. Every row advances in the same batched KKT solve but keeps its
-    own fraction-to-boundary step, line search (50 halvings) and stopping
-    test. A row leaves a stage after 60 Newton steps, on a step below
-    1e-14, when its line search fails, or once it moves less than 1e-13. In
-    the last stage a row that moves less than 1e-13 keeps going while its
-    Newton decrement -dq' H dq is at least 1e-18: its entries near 1e-12,
-    which set the LP gap, may still be moving.
+    matrices whose constraint blocks A are set once. Each stage's
+    equality-constrained Newton system carries the residual b - A q, which
+    pulls rounding drift back onto the constraint plane. Every row advances
+    in the same batched KKT solve but keeps its own fraction-to-boundary
+    step, line search (50 halvings) and stopping test. A row leaves a stage
+    after 60 Newton steps, on a step below 1e-14, when its line search
+    fails, or once it moves less than 1e-13. In the last stage a row that
+    moves less than 1e-13 keeps going while its Newton decrement
+    -dq' H dq is at least 1e-18: its entries near 1e-12, which set the LP
+    gap, may still be moving. A singular KKT system gives every row of its
+    step a NaN step: none moves, and all leave the stage.
+
+    Returns the final iterates, their objective values and their LP gaps
+    (`_lp_gaps`, A's rows being the ones and the positions), infinite for a
+    row off its constraint plane by more than FEAS_TOL: the LP bound
+    certifies only a feasible point.
     """
     rows, n = q.shape
     size = n + A.shape[0]
@@ -244,8 +236,11 @@ def _newton_path(q, A, b, data, model, stages) -> np.ndarray:
             f, g = model.newton(ql, dl, K[:, :n, :n])
             K.reshape(live.size, -1)[:, : n * (size + 1) : size + 1] -= mu / ql**2  # diagonal
             r[:, :n, 0] = -g - mu / ql
-            r[:, n:, 0] = bl - model.lhs(ql, A)
-            dq = _kkt_solve(K, r)[:, :n, 0]
+            r[:, n:, 0] = bl - _lhs(ql, A)
+            try:
+                dq = np.linalg.solve(K, r)[:, :n, 0]
+            except np.linalg.LinAlgError:
+                dq = np.full_like(ql, np.nan)
             step = np.abs(dq).max(axis=1)
             moving = last and np.einsum("ri,rij,rj->r", dq, K[:, :n, :n], dq) <= -1e-18
             with np.errstate(over="ignore"):  # a subnormal step entry: the ratio is inf
@@ -274,7 +269,10 @@ def _newton_path(q, A, b, data, model, stages) -> np.ndarray:
                 if live.size == 0:
                     break
         q[live] = ql
-    return q
+    f, g = model.newton(q, data)
+    gap = _lp_gaps(g, q, b[:, 1], A[1])
+    gap[~(np.abs(_lhs(q, A) - b).max(axis=1) <= FEAS_TOL)] = np.inf
+    return q, f, gap
 
 
 class _SliceObjective:
@@ -292,8 +290,6 @@ class _SliceObjective:
             np.matmul(B / -py[:, None, :], Bt, out=H)
         return _entropy_rows(py), -_times(np.log(py) + 1.0, Bt)
 
-    lhs = staticmethod(_lhs)
-
 
 def _slices(k: int, r_p, gammas):
     """max H(B p) over the slice {p >= 0, sum p = 1, mean p = k * gamma} for
@@ -304,16 +300,16 @@ def _slices(k: int, r_p, gammas):
     2 * min(gamma, 1 - gamma) on the uniform pmf and the rest on the near
     endpoint, which meets the mean exactly. It then follows `_newton_path`
     (the objective is strictly concave: the shifted-binomial rows are
-    linearly independent). Rows at gamma 0 or 1, and every row at k = 1,
-    have a one-point slice. Each interior row is certified by its LP gap
-    and its distance from the slice; a row left uncertified (gap above
+    linearly independent), which certifies each row by its LP gap and its
+    distance from the slice. Rows at gamma 0 or 1, and every row at k = 1,
+    have a one-point slice. An interior row left uncertified (gap above
     GAP_TOL, or off the slice) raises UncertifiedSolveError naming its k,
     gamma and r_p.
 
     Every row takes its own (k + 1) x (2k + 1) channel and its products go
     row by row, whether the call has one rate or many, so a row's arithmetic
     does not depend on the other rows of its call (short of a singular KKT
-    matrix, which sends every row of its Newton step to least squares): a
+    matrix, which stops every row of its Newton step): a
     point has the same value solved alone, in a one-rate batch or among
     other rates. The rows run in chunks of _CHUNK_KKT // (k + 3)^2, which
     bounds the KKT matrices of a barrier path (a 501-point curve at k <= 8
@@ -344,10 +340,7 @@ def _slices(k: int, r_p, gammas):
             q = np.repeat((w / (k + 1))[:, None], k + 1, axis=1)
             q[np.arange(gi.size), np.where(gi <= 0.5, 0, k)] += 1 - w
             b = np.stack([np.ones(gi.size), k * gi], axis=1)
-            q = _newton_path(q, A, b, di, model, _MU_STAGES)
-            gap = _lp_gaps(model.newton(q, di)[1], q, b[:, 1])
-            # the LP bound certifies only a point on the constraint slice
-            gap[~(np.abs(_lhs(q, A) - b).max(axis=1) <= FEAS_TOL)] = np.inf
+            q, _, gap = _newton_path(q, A, b, di, model, _MU_STAGES)
             bad = np.flatnonzero(~(gap <= GAP_TOL))
             if bad.size:
                 j = bad[0]
@@ -437,8 +430,6 @@ class _PairObjective:
             H += self.same / (a[:, self.at[1]] * self.k)[:, :, None]
         return f, -_times(lv / self.ky, Bt) - hn
 
-    lhs = staticmethod(_lhs)
-
 
 def _program_path(tau: int, r_ps: np.ndarray):
     """Barrier path of the pair program (tau, tau + 1), one row per rate.
@@ -448,9 +439,9 @@ def _program_path(tau: int, r_ps: np.ndarray):
     sum_w sum_x q_wx * (x + 1) / k_w = 1 - r_ps[r]. Products go row by row,
     so no row depends on the others. The start mixes the uniform point with
     the cheapest or dearest one to meet the budget; `_newton_path` does the
-    rest. Returns (q, value, LP gap) in nats per slot, the gap infinite off
-    the constraints. A vertex of the feasible set is a two-point mixture, so
-    the LP gap is explicit.
+    rest and returns (q, value, LP gap) in nats per slot, the gap infinite
+    off the constraints. A vertex of the feasible set is a two-point
+    mixture, so the LP gap is explicit.
     """
     model = _PairObjective(tau)
     rows, n, m1, win, k = r_ps.size, 2 * tau + 3, 2 * tau + 1, model.win, model.k
@@ -467,12 +458,7 @@ def _program_path(tau: int, r_ps: np.ndarray):
     u, l, h = cost @ uni, cost @ lo, cost @ hi
     w = np.where(c <= u, (c - l) / (u - l), (h - c) / (h - u))[:, None]
     q = w * uni + (1.0 - w) * np.where((c <= u)[:, None], lo, hi)
-    q = _newton_path(q, A, b, (B, hn), model, _PROGRAM_MU_STAGES)
-
-    f, g = model.newton(q, (B, hn))
-    gap = _lp_gaps(g, q, c, cost)
-    gap[~(np.abs(b - _lhs(q, A)).max(axis=1) <= FEAS_TOL)] = np.inf
-    return q, f, gap
+    return _newton_path(q, A, b, (B, hn), model, _PROGRAM_MU_STAGES)
 
 
 def _pair_programs(tau: int, r_ps) -> list[tuple]:
@@ -543,8 +529,7 @@ def solve_capacity_grid(rps, tau_max: int = 8) -> list[CapacityResult3]:
     """
     if not all(0.0 <= r_p < 1.0 for r_p in rps):
         raise ValueError("r_p must lie in [0, 1)")
-    if tau_max < 2:
-        raise ValueError("tau_max must be >= 2")
+    tau_max = _count("tau_max", tau_max, 2)
     taus = [[t for t in range(1, tau_max) if 1.0 - r_p >= 1.0 / (t + 1) - 1e-12] for r_p in rps]
     for r_p, feasible in zip(rps, taus):
         if not feasible:
@@ -720,13 +705,11 @@ def validate_i_concavity(
     all noise rates, and the H_check values are scattered back to their
     margins. Each value equals the one-point solve of its point bitwise, so
     the worst margin is the least `concavity_margin` of the draws. A
-    negative `samples`, or an `r_p_step` that is not positive and finite,
+    `tau_max` that is not a whole number >= 3, a `samples` that is not a
+    whole number >= 0, or an `r_p_step` that is not positive and finite,
     raises ValueError.
     """
-    if tau_max < 3:
-        raise ValueError("tau_max must be >= 3")
-    if samples < 0:
-        raise ValueError("samples must be >= 0")
+    tau_max, samples = _count("tau_max", tau_max, 3), _count("samples", samples, 0)
     if not (math.isfinite(r_p_step) and r_p_step > 0.0):
         raise ValueError(f"r_p_step must be positive and finite, got {r_p_step}")
     ks = range(2, tau_max)

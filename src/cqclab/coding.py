@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .capacity3 import CapacityResult3, _channel, i_tilde, solve_capacity_3user
-from .dist import Pmf
+from .dist import Pmf, _count
 from .fcfs import (
     BACKGROUND,
     DECODER,
@@ -199,7 +199,8 @@ def symbol_image(count: int, width: int) -> np.ndarray:
 
 def _random_codebook(template: ProbeTemplate, M: int, seed: int) -> Codebook:
     """M distinct codewords with window counts drawn from the scheme's
-    symbol laws; collisions are resampled."""
+    symbol laws; collisions are resampled. M must be a whole number >= 1."""
+    M = _count("M", M, 1)
     rng = np.random.default_rng(seed)
     seen: set[bytes] = set()
     rows: list[np.ndarray] = []
@@ -227,7 +228,8 @@ def _adjacent_scheme(n: int, alpha: float, tau: int, p1: Pmf, p2: Pmf) -> ProbeT
     """Windows of tau slots with law p1 through the first
     `admissible_alpha_slots(n, alpha, tau)` slots, then windows of tau + 1
     slots with law p2. Both lengths stay in the scheme, with or without
-    windows."""
+    windows. n must be a whole number >= 1."""
+    n = _count("n", n, 1)
     a = admissible_alpha_slots(n, alpha, tau)
     return ProbeTemplate(((tau, a // tau, p1), (tau + 1, (n - a) // (tau + 1), p2)))
 
@@ -239,8 +241,6 @@ def build_codebook_2user(n: int, M: int, delta: float = 1e-3, seed: int = 0) -> 
     i.i.d. with P(1) = 0.43 and second-segment ternary symbols follow
     (0.43, 0.325, 0.245), mapped to 00/10/11. Collisions are resampled.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
     p1, p2 = Pmf(np.array(P1_2USER)), Pmf(np.array(P2_2USER))
     return _random_codebook(_adjacent_scheme(n, ALPHA_2USER - delta, 1, p1, p2), M, seed)
 
@@ -280,8 +280,6 @@ def build_codebook_3user(
     to i ones followed by zeros. Pass a precomputed capacity result, solved
     at the same r_p, to skip the solve.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
     return _random_codebook(_scheme_3user(n, r_p, tau_max, delta, capacity), M, seed)
 
 
@@ -481,8 +479,7 @@ def run_transmission(
     interval buffered regardless of the codeword; an unbuffered interval
     raises instead of degrading silently.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _count("trials", trials, 1)
     errors = 0
     chunks = _codebook_chunks(codebook, background_rate, seed, trials)
     for messages, y in _observed(chunks, codebook.template, initial_backlog):
@@ -566,9 +563,10 @@ def _competitor_probs(lattice, classes: dict, widths, ys, xs) -> tuple[float, fl
     window-by-window convolution over the whole tensor. The moves' offsets
     are nonnegative, so the mass stays in a prefix that grows by the
     window's largest offset; only that prefix is added, between two
-    reused buffers. A window's first move lands on cells that are still
-    0.0, and 0.0 + p * t is p * t exactly for these nonnegative products,
-    so it is written rather than added."""
+    reused buffers. The buffer written holds the tensor of two windows
+    back, which is 0.0 from hi on, so only the cells below the first move
+    are cleared. The first move is written rather than added: on a fresh
+    tensor 0.0 + p * t is p * t exactly for these nonnegative products."""
     tables, logs, beta = lattice
     d = ys - xs
     if ((d < 0) | (d > widths)).any():
@@ -586,14 +584,12 @@ def _competitor_probs(lattice, classes: dict, widths, ys, xs) -> tuple[float, fl
     size = math.prod(shape)
     tensor, new, scratch = np.zeros(size), np.zeros(size), np.empty(size)
     tensor[0] = 1.0
-    hi = 1  # every cell from hi on is 0.0
+    hi = 1  # every cell from hi on is 0.0, in both buffers
     for key in keys:
         first, p_first, rest, top = moves[key]
         src, prod = tensor[:hi], scratch[:hi]
         if first:
             new[:first] = 0.0
-        if top > first:
-            new[first + hi : hi + top] = 0.0
         np.multiply(p_first, src, out=new[first : first + hi])
         for off, p in rest:
             np.multiply(p, src, out=prod)
@@ -661,8 +657,7 @@ def ensemble_error_rate(
     this gives 0.020 / 0.16 against 0.013 / 0.080 for explicit codebooks at
     r_p = 0.3 / 0.5, and a negligible gap at 0.1.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _count("trials", trials, 1)
     try:
         m_float = float(M)
     except OverflowError:  # an int beyond the float range

@@ -283,7 +283,7 @@ class TestBatchedSolver:
         g = rng.normal(size=(40, 6))
         p = rng.dirichlet(np.ones(6), size=40)
         m = np.concatenate([p[:-2] @ np.arange(6.0), [0.0, 3.0]])
-        got = capacity3._lp_gaps(g, p, m)
+        got = capacity3._lp_gaps(g, p, m, np.arange(6.0))
         for row in range(40):
             best = -np.inf
             for i in range(6):
@@ -331,7 +331,8 @@ class TestBatchedSolver:
         model = capacity3._SliceObjective()
         data = (np.repeat([channel_matrix(5, 0.3).rows], gs.size, axis=0),)  # one channel per row
         A, b = np.stack([np.ones(6), np.arange(6.0)]), np.stack([np.ones(gs.size), m], axis=1)
-        q = capacity3._newton_path(tilted, A, b, data, model, capacity3._MU_STAGES)
+        q, _, path_gaps = capacity3._newton_path(tilted, A, b, data, model, capacity3._MU_STAGES)
+        assert (path_gaps <= GAP_TOL).all()
         assert np.allclose(model.value(q, data) / capacity3.LN2, bits, atol=1e-12)
         assert np.allclose(q, p, atol=1e-9)
 
@@ -359,22 +360,17 @@ class TestBatchedSolver:
                         for k in (tau, tau + 1) if 1 - rp >= 1 / k]
                 assert val >= max(pure) - 1e-12, (tau, rp)
 
-    def test_singular_kkt_falls_back_to_least_squares(self, monkeypatch):
-        # both the slice rows and the pair program run through the fallback
-        gs, rps = np.array([0.1, 0.5, 0.8]), np.array([0.1, 0.3])
-        ref, _, _, _ = capacity3._slices(3, 0.2, gs)
-        _, ref_f, _ = capacity3._program_path(2, rps)
-
+    def test_singular_kkt_leaves_its_rows_uncertified(self, monkeypatch):
+        # a singular KKT system moves no row of its step; rows left at their
+        # starts are uncertified, and the callers name the first one
         def singular(*args):
             raise np.linalg.LinAlgError("singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        bits, gaps, _, _ = capacity3._slices(3, 0.2, gs)
-        assert np.allclose(bits, ref, atol=1e-12)
-        assert (gaps <= GAP_TOL).all()
-        _, f, gaps = capacity3._program_path(2, rps)
-        assert np.allclose(f, ref_f, atol=1e-12)
-        assert (gaps <= GAP_TOL).all()
+        with pytest.raises(UncertifiedSolveError, match=r"gamma=0\.1, k=3, r_p=0\.2 "):
+            capacity3._slices(3, 0.2, [0.1, 0.5, 0.8])
+        with pytest.raises(UncertifiedSolveError, match=r"window pair \(2, 3\) at r_p=0\.1"):
+            capacity3._pair_programs(2, [0.1, 0.3])
 
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])

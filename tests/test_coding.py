@@ -35,7 +35,12 @@ from cqclab.coding import (
     _CHUNK,
     _decode_rows,
 )
-from cqclab.capacity3 import i_tilde, solve_capacity_3user
+from cqclab.capacity3 import (
+    i_tilde,
+    solve_capacity_3user,
+    solve_capacity_grid,
+    validate_i_concavity,
+)
 from cqclab.dist import Pmf
 from cqclab.fcfs import (
     BACKGROUND,
@@ -879,3 +884,23 @@ class TestEnsembleEstimator:
         rep = ensemble_error_rate(60, 2**60, 0.1, trials=20, seed=1, capacity=cap3_rp01)
         assert 0.0 <= rep.empirical_error_rate <= 1.0
         assert rep.empirical_rate_bits_per_slot == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("M", lambda cap: build_codebook_2user(20, 16.5)),
+    ("M", lambda cap: build_codebook_3user(30, 16.5, 0.1, capacity=cap)),
+    ("n", lambda cap: build_codebook_2user(20.5, 16)),
+    ("n", lambda cap: build_codebook_3user(20.5, 16, 0.1, capacity=cap)),
+    ("trials", lambda cap: run_transmission(build_codebook_2user(20, 16), trials=2.5)),
+    ("trials", lambda cap: ensemble_error_rate(30, 16, 0.1, trials=2.5, seed=0, capacity=cap)),
+    ("n", lambda cap: ensemble_error_rate(30.5, 16, 0.1, trials=2, seed=0, capacity=cap)),
+    ("tau_max", lambda cap: ensemble_error_rate(30, 16, 0.1, trials=2, seed=0, tau_max=3.5)),
+    ("tau_max", lambda cap: solve_capacity_grid([0.1], tau_max=2.5)),
+    ("samples", lambda cap: validate_i_concavity(samples=2.5)),
+    ("tau_max", lambda cap: validate_i_concavity(tau_max=4.5)),
+], ids=["build2-M", "build3-M", "build2-n", "build3-n", "transmission-trials", "ensemble-trials",
+        "ensemble-n", "ensemble-tau_max", "grid-tau_max", "validate-samples", "validate-tau_max"])
+def test_counts_must_be_whole_numbers(name, call, cap3_rp01):
+    # a float count is refused at the API boundary, not truncated or failed deep inside
+    with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+        call(cap3_rp01)

@@ -12,8 +12,14 @@ is (1, t, t^2) / Z_2, and the budget alpha (gamma1 + 1)
 + (1 - alpha)(gamma2 + 1/2) = 1 fixes alpha. Window 2 alone at r_p = 0 is
 the uniform law on {0, 1, 2}: log2(3) / 2 bits per slot.
 
-This module finds rho by Newton's method in `decimal` and shares no code
-with the solvers.
+Every adjacent pair (tau, tau + 1) at budget 1 has the exact value
+min over s of s + max(g_tau(s), g_tau+1(s)), the Lagrangian dual of its
+program: a one-dimensional convex minimisation (each log2 Z_k(2^-s) is a
+log-sum-exp in s). For tau >= 2 window tau alone wins, at gamma = 1 - 1/tau.
+
+This module finds rho by Newton's method and each pair's value by
+golden-section search, both in `decimal`, and shares no code with the
+solvers.
 """
 
 import decimal
@@ -21,6 +27,7 @@ from decimal import Decimal
 
 import pytest
 
+from cqclab import capacity3
 from cqclab.capacity2 import solve_capacity_2user
 from cqclab.capacity3 import solve_capacity_3user
 
@@ -59,6 +66,40 @@ def _exact():
 EXACT = _exact()
 
 
+def _pair_value(tau):
+    """min over s of s + max(g_tau(s), g_tau+1(s)), g_k(s) = (log2 Z_k(2^-s) - s) / k:
+    the exact value of the pair (tau, tau + 1) at r_p = 0, by golden-section
+    search on [-20, 20] down to a bracket of 10^-(DIGITS - 10)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = DIGITS + 10
+        ln2 = Decimal(2).ln()
+
+        def g(k, s):
+            t = (-s * ln2).exp()
+            return (sum(t**x for x in range(k + 1)).ln() / ln2 - s) / k
+
+        def phi(s):
+            return s + max(g(tau, s), g(tau + 1, s))
+
+        lo, hi = Decimal(-20), Decimal(20)
+        r = (Decimal(5).sqrt() - 1) / 2
+        a, b = hi - r * (hi - lo), lo + r * (hi - lo)
+        fa, fb = phi(a), phi(b)
+        while hi - lo > Decimal(10) ** -(DIGITS - 10):
+            if fa <= fb:
+                hi, b, fb = b, a, fa
+                a = hi - r * (hi - lo)
+                fa = phi(a)
+            else:
+                lo, a, fa = a, b, fb
+                b = lo + r * (hi - lo)
+                fb = phi(b)
+        return min(fa, fb)
+
+
+PAIRS = {tau: _pair_value(tau) for tau in range(1, 8)}
+
+
 def test_rho_is_the_plastic_number():
     rho = EXACT["rho"]
     with decimal.localcontext() as ctx:
@@ -66,6 +107,9 @@ def test_rho_is_the_plastic_number():
         assert abs(rho**3 - rho - 1) < Decimal(10) ** -DIGITS
         assert abs(EXACT["gamma1"] - 1 / rho**3) < Decimal(10) ** -DIGITS
     assert str(EXACT["capacity"]).startswith("0.8113704627516490916")
+    # the pair search meets both closed forms
+    assert abs(PAIRS[1] - EXACT["capacity"]) < Decimal(10) ** -(DIGITS - 15)
+    assert abs(PAIRS[2] - EXACT["window2"]) < Decimal(10) ** -(DIGITS - 15)
 
 
 @pytest.fixture(scope="module", params=["capacity2", "capacity3"])
@@ -94,3 +138,11 @@ def test_witness_laws_are_the_tilted_laws():
 
 def test_window_two_alone_is_uniform():
     assert abs(solve_capacity_3user(0.0).per_tau[2] - float(EXACT["window2"])) <= TOL
+
+
+@pytest.mark.parametrize("tau", sorted(PAIRS))
+def test_every_adjacent_pair_brackets_its_exact_value(tau):
+    [(value, alpha, gamma1, _, gap, _)] = capacity3._pair_programs(tau, [0.0])
+    assert Decimal(value) - Decimal("1e-15") <= PAIRS[tau] <= Decimal(value) + Decimal(gap)
+    if tau >= 2:  # window tau alone, its mean pinned by the budget
+        assert alpha == 1.0 and gamma1 == 1.0 - 1.0 / tau
