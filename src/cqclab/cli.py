@@ -23,7 +23,6 @@ from .coding import (
     _backlog,
     _codebook_chunks,
     _schedules,
-    build_codebook_2user,
     build_codebook_3user,
     run_transmission,
 )
@@ -141,17 +140,18 @@ def cmd_capacity3(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.users == 2:
-        cb = build_codebook_2user(args.n, args.M, delta=args.delta, seed=args.seed)
-        background = None
-    else:
-        if args.rp is None:
-            print("three-user simulation needs --rp", file=sys.stderr)
-            return 2
-        cb = build_codebook_3user(
-            args.n, args.M, args.rp, tau_max=args.tau_max, delta=args.delta, seed=args.seed
-        )
-        background = args.rp
+    if args.users == 3 and args.rp is None:
+        print("three-user simulation needs --rp", file=sys.stderr)
+        return 2
+    if args.users == 2 and args.rp:
+        print(f"usage error: two users have no background, so --rp must be 0, not {args.rp}",
+              file=sys.stderr)
+        return 2
+    # two users are the three-user channel with a silent background
+    background = args.rp or 0.0
+    cb = build_codebook_3user(
+        args.n, args.M, background, tau_max=args.tau_max, delta=args.delta, seed=args.seed
+    )
     report = run_transmission(
         cb,
         background_rate=background,
@@ -343,7 +343,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=cmd_capacity3)
 
     p = add_parser("simulate", help="end-to-end coded transmission")
-    p.add_argument("--users", type=int, choices=(2, 3), default=2)
+    p.add_argument("--users", type=int, choices=(2, 3), default=2,
+                   help="2: the three-user channel at --rp 0, the only rate it takes; 3: needs --rp")
     p.add_argument("--n", type=int, default=60)
     p.add_argument("--M", type=int, default=16)
     p.add_argument("--trials", type=int, default=1000)

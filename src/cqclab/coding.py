@@ -4,17 +4,18 @@ encoding, decoding, and Monte-Carlo error measurement.
 One scheme object, `ProbeTemplate`, describes a codeword of length n: for
 each window length k, in ascending order, the number of windows of k slots
 and the symbol law on {0..k} of their symbols. The builders' schemes mix
-two adjacent lengths, tau_star and tau_star + 1. The template's per-window
-`widths` and `starts` and its `draw` serve every window operation: the
-codebook's count-image check and window counts, the codeword sampler, the
-probe stream, the decoder and the ensemble encoder. Each window holds one
-symbol: count i maps to i ones followed by zeros, so the per-window packet
-count identifies the symbol exactly. The decoder's probe stream puts a
-packet at every window start, and transmissions add a closing probe at slot
-n; with a primed queue the observed per-interval counts equal the
-encoder-plus-background counts, noiselessly in the two-user case and through
-shifted-binomial noise in the three-user case. One decoder, exact matching at
-r_p = 0, reads the columns of `cqclab.fcfs.observe` for both: a matrix-product
+two adjacent lengths, tau_star and tau_star + 1, with the shares and laws
+of a certified capacity witness; two users are the r_p = 0 case. The
+template's per-window `widths` and `starts` and its `draw` serve every
+window operation: the codebook's count-image check and window counts, the
+codeword sampler, the probe stream, the decoder and the ensemble encoder.
+Each window holds one symbol: count i maps to i ones followed by zeros, so
+the per-window packet count identifies the symbol exactly. The decoder's
+probe stream puts a packet at every window start, and transmissions add a
+closing probe at slot n; with a primed queue the observed per-interval
+counts equal the encoder-plus-background counts, noiselessly at r_p = 0
+and through shifted-binomial noise above it. One decoder, exact matching
+at r_p = 0, reads the columns of `cqclab.fcfs.observe`: a matrix-product
 prefilter picks the codewords whose exact sums (`_GATHER`-bounded) decide.
 """
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capacity3 import CapacityResult3, _channel, i_tilde, solve_capacity_3user
+from .capacity3 import CapacityResult3, _channel, solve_capacity_3user
 from .dist import Pmf, _count
 from .fcfs import (
     BACKGROUND,
@@ -40,12 +41,6 @@ from .fcfs import (
     _probe_intervals,
     _queue,
 )
-
-# two-user operating point: window mix and within-window symbol laws
-ALPHA_2USER = 0.177
-P1_2USER = (0.57, 0.43)
-P2_2USER = (0.43, 0.325, 0.245)
-
 
 class CollisionExhaustionError(RuntimeError):
     """Could not sample the requested number of distinct codewords."""
@@ -199,8 +194,7 @@ def symbol_image(count: int, width: int) -> np.ndarray:
 
 def _random_codebook(template: ProbeTemplate, M: int, seed: int) -> Codebook:
     """M distinct codewords with window counts drawn from the scheme's
-    symbol laws; collisions are resampled. M must be a whole number >= 1."""
-    M = _count("M", M, 1)
+    symbol laws; collisions are resampled."""
     rng = np.random.default_rng(seed)
     seen: set[bytes] = set()
     rows: list[np.ndarray] = []
@@ -224,44 +218,41 @@ def _random_codebook(template: ProbeTemplate, M: int, seed: int) -> Codebook:
     return Codebook(template=template, codewords=np.stack(rows), seed=seed)
 
 
-def _adjacent_scheme(n: int, alpha: float, tau: int, p1: Pmf, p2: Pmf) -> ProbeTemplate:
-    """Windows of tau slots with law p1 through the first
-    `admissible_alpha_slots(n, alpha, tau)` slots, then windows of tau + 1
-    slots with law p2. Both lengths stay in the scheme, with or without
-    windows. n must be a whole number >= 1."""
-    n = _count("n", n, 1)
-    a = admissible_alpha_slots(n, alpha, tau)
-    return ProbeTemplate(((tau, a // tau, p1), (tau + 1, (n - a) // (tau + 1), p2)))
-
-
 def build_codebook_2user(n: int, M: int, delta: float = 1e-3, seed: int = 0) -> Codebook:
-    """Random codebook for the noiseless two-user scheme.
+    """Random codebook for the noiseless two-user channel: the three-user
+    scheme at r_p = 0, `build_codebook_3user(n, M, 0.0, tau_max=2, ...)`.
 
-    The window mix targets alpha = 0.177 - delta; first-segment bits are
-    i.i.d. with P(1) = 0.43 and second-segment ternary symbols follow
-    (0.43, 0.325, 0.245), mapped to 00/10/11. Collisions are resampled.
+    tau_max = 2 is the two-user problem's window set, the pair (1, 2). Its
+    certified witness is the closed form of README's noiseless capacity:
+    alpha = 0.1770088..., pulled back by delta, one-slot symbols with law
+    (rho, 1) / (rho + 1) and two-slot symbols with law (1, 1/rho, 1/rho^2)
+    / Z, rho the plastic number.
     """
-    p1, p2 = Pmf(np.array(P1_2USER)), Pmf(np.array(P2_2USER))
-    return _random_codebook(_adjacent_scheme(n, ALPHA_2USER - delta, 1, p1, p2), M, seed)
+    return build_codebook_3user(n, M, 0.0, tau_max=2, delta=delta, seed=seed)
 
 
 def _scheme_3user(
     n: int, r_p: float, tau_max: int, delta: float, capacity: CapacityResult3 | None
 ) -> ProbeTemplate:
-    """The three-user scheme at r_p: windows of tau_star and tau_star + 1
-    slots with their symbol laws.
+    """The three-user scheme at r_p: windows of tau_star slots through the
+    first `admissible_alpha_slots(n, alpha - delta, tau_star)` slots, then
+    windows of tau_star + 1 slots, each length with the symbol law of the
+    capacity witness. Both lengths stay in the scheme, with or without
+    windows.
 
-    The capacity solve (or the given result, which must be solved at r_p)
-    supplies tau_star, the window mix alpha, pulled back by delta onto an
-    admissible split, and the maximizing inputs at gamma1 and gamma2.
+    The capacity solve (or the given result, which must be solved at r_p
+    and carry a witness) supplies tau_star, the window mix alpha and the
+    laws. n must be a whole number >= 1; it is checked before the solve.
     """
+    n = _count("n", n, 1)
     cap = capacity if capacity is not None else solve_capacity_3user(r_p, tau_max)
     if cap.r_p != r_p:
         raise ValueError(f"capacity result was solved at r_p={cap.r_p}, not r_p={r_p}")
-    tau = cap.tau_star
-    p1 = i_tilde(cap.gamma1, tau, r_p).maximizing_input
-    p2 = i_tilde(cap.gamma2, tau + 1, r_p).maximizing_input
-    return _adjacent_scheme(n, max(cap.alpha - delta, 0.0), tau, p1, p2)
+    if not cap.witness:
+        raise ValueError("capacity result has no witness to read the symbol laws from")
+    tau, ((_, _, p1), (_, _, p2)) = cap.tau_star, cap.witness
+    a = admissible_alpha_slots(n, max(cap.alpha - delta, 0.0), tau)
+    return ProbeTemplate(((tau, a // tau, Pmf(p1)), (tau + 1, (n - a) // (tau + 1), Pmf(p2))))
 
 
 def build_codebook_3user(
@@ -273,13 +264,15 @@ def build_codebook_3user(
     seed: int = 0,
     capacity: CapacityResult3 | None = None,
 ) -> Codebook:
-    """Random codebook for the noisy three-user scheme.
+    """Random codebook for the three-user scheme (`_scheme_3user`).
 
     The capacity solve for r_p supplies the optimal window mix
-    (alpha, tau_star) and the two maximizing symbol laws; window symbols map
+    (alpha, tau_star) and the witness's two symbol laws; window symbols map
     to i ones followed by zeros. Pass a precomputed capacity result, solved
-    at the same r_p, to skip the solve.
+    at the same r_p, to skip the solve. n and M must be whole numbers >= 1,
+    checked before the solve.
     """
+    M = _count("M", M, 1)
     return _random_codebook(_scheme_3user(n, r_p, tau_max, delta, capacity), M, seed)
 
 
@@ -406,33 +399,31 @@ def _backlog(template: ProbeTemplate, initial_backlog: int | None) -> int:
     return backlog
 
 
-def _message_chunks(template: ProbeTemplate, draw, background_rate, seed, trials):
+def _message_chunks(template: ProbeTemplate, draw, background_rate: float, seed, trials):
     """Messages sent one after another on one random stream: each message
-    draws `draw(rng) -> (message, bits)` and then, unless the rate is None,
-    its Bernoulli background traffic over the n + 1 slots. Yields
+    draws `draw(rng) -> (message, bits)` and then its Bernoulli background
+    traffic over the n + 1 slots, n + 1 uniforms also at rate 0. Yields
     (messages, issues) per chunk of up to _CHUNK messages; `issues` is the
     (message x slot x user) tensor of the probe stream plus a closing probe
     at slot n, the bits and the background, in the users' priority order."""
     probes = np.append(probe_stream(template).slots, np.int8(1))
-    users = 2 if background_rate is None else 3
     rng = np.random.default_rng(seed)
     for first in range(0, trials, _CHUNK):
-        issues = np.zeros((min(_CHUNK, trials - first), probes.size, users), dtype=np.int8)
+        issues = np.zeros((min(_CHUNK, trials - first), probes.size, 3), dtype=np.int8)
         issues[:, :, 0] = probes
         messages = []
         for row in issues:
             msg, bits = draw(rng)
             messages.append(msg)
             row[:-1, 1] = bits
-            if background_rate is not None:
-                _bernoulli(background_rate, rng, row[:, 2])
+            _bernoulli(background_rate, rng, row[:, 2])
         yield messages, issues
 
 
 def _schedules(issues: np.ndarray) -> list[ArrivalSchedule]:
-    """The decoder, encoder and (if any) background schedules of one message
-    of a `_message_chunks` issue tensor."""
-    users = (DECODER, ENCODER, BACKGROUND)[: issues.shape[1]]
+    """The decoder, encoder and background schedules of one message of a
+    `_message_chunks` issue tensor."""
+    users = (DECODER, ENCODER, BACKGROUND)
     return [ArrivalSchedule(user, issues[:, j]) for j, user in enumerate(users)]
 
 
@@ -467,23 +458,24 @@ def run_transmission(
 ) -> TransmissionReport:
     """End-to-end Monte Carlo: encode, queue, observe, decode, compare.
 
-    Each trial draws a uniform message and then its optional Bernoulli
-    background traffic, one message after another on one random stream.
+    Each trial draws a uniform message and then its Bernoulli background
+    traffic, one message after another on one random stream; a rate of
+    None is the two-user channel, rate 0.0, and draws the same numbers.
     Chunks of messages then run together through one pass of the per-slot
     FCFS queue kernel, with the codebook's probe stream plus the closing
     boundary probe, and are decoded as one block by the decoder of
-    `decode_3user`, at r_p = 0 without background. Every result equals that
-    of sending the messages one at a time through `simulate`, `observe` and
-    `decode_2user` / `decode_3user`. The default backlog, n plus the longest
-    window length (n + tau_star + 1 for the builders' schemes), keeps every
-    interval buffered regardless of the codeword; an unbuffered interval
-    raises instead of degrading silently.
+    `decode_3user` at the background rate. Every result equals that of
+    sending the messages one at a time through `simulate`, `observe` and
+    `decode_3user`. The default backlog, n plus the longest window length
+    (n + tau_star + 1 for the builders' schemes), keeps every interval
+    buffered regardless of the codeword; an unbuffered interval raises
+    instead of degrading silently.
     """
     trials = _count("trials", trials, 1)
-    errors = 0
-    chunks = _codebook_chunks(codebook, background_rate, seed, trials)
+    rate, errors = background_rate or 0.0, 0
+    chunks = _codebook_chunks(codebook, rate, seed, trials)
     for messages, y in _observed(chunks, codebook.template, initial_backlog):
-        errors += int((_decode_rows(y, codebook, background_rate or 0.0) != messages).sum())
+        errors += int((_decode_rows(y, codebook, rate) != messages).sum())
     return TransmissionReport(
         messages_sent=trials,
         errors=errors,

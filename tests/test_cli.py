@@ -214,6 +214,22 @@ class TestSimulate:
         code, _ = _run(tmp_path, "simulate", "--users", "3", "--n", "30")
         assert code == 2
 
+    @pytest.mark.parametrize("rp", ["0.1", "1e-9", "-0.2"])
+    def test_two_user_rate_other_than_zero_is_a_usage_error(self, tmp_path, capsys, rp):
+        code, body = _run(tmp_path, "simulate", "--users", "2", "--rp", rp, "--n", "30")
+        assert code == 2 and body == ""
+        assert "--rp must be 0" in capsys.readouterr().err
+
+    def test_two_users_are_three_users_at_rate_zero(self, tmp_path):
+        # the rounded two-user constants drew another first codeword here
+        common = ["--seed", "41", "simulate", "--n", "60", "--M", "64", "--trials", "40"]
+        outputs = []
+        for users in (["--users", "2"], ["--users", "2", "--rp", "0"], ["--users", "3", "--rp", "0"]):
+            out, trace = tmp_path / "o.csv", tmp_path / "t.csv"
+            assert main(["--out", str(out), *common, *users, "--trace", str(trace)]) == 0
+            outputs.append((_rows(out.read_text()), trace.read_text()))
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_three_user_end_to_end(self, tmp_path):
         code, body = _run(
             tmp_path, "simulate", "--users", "3", "--rp", "0.1", "--n", "30",

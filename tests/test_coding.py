@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import importlib.util
 import math
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 import cqclab
 from cqclab import coding
 from cqclab.coding import (
-    ALPHA_2USER,
     Codebook,
     CollisionExhaustionError,
     DecodeMatchError,
@@ -144,14 +144,28 @@ class TestCodebook2User:
         assert np.abs(freq - [0.43, 0.325, 0.245]).max() < 0.01
         assert abs(cb.codewords[:, :ones].mean() - 0.43) < 0.01
 
-    def test_design_rate_stays_inside_budget(self):
+    def test_design_rate_stays_inside_budget(self, cap3_rp0):
         for n in (30, 60, 120):
             cb = build_codebook_2user(n, 4, seed=1)
             probe_rate = (len(cb.window_lengths()) + 1) / n
             enc_rate = sum(count * law.mean() for _, count, law in cb.template.windows) / n
             (k, count, _), _ = cb.template.windows
-            slack = abs(k * count - ALPHA_2USER * n) / n
+            slack = abs(k * count - cap3_rp0.alpha * n) / n
             assert enc_rate + probe_rate <= 1 + 1 / n + slack + 1e-9
+
+    @pytest.mark.parametrize(
+        "n, M, seed", [(20, 8, 4), (60, 256, 7), (30, 16, 3), (45, 64, 9), (120, 1024, 1)]
+    )
+    def test_is_the_three_user_build_at_rate_zero(self, cap3_rp0, n, M, seed):
+        # (120, 1024, 1) drew other codewords from the rounded constants
+        # 0.177, (0.57, 0.43) and (0.43, 0.325, 0.245)
+        two, three = build_codebook_2user(n, M, seed=seed), build_codebook_3user(n, M, 0.0, seed=seed)
+        assert two.seed == three.seed and np.array_equal(two.codewords, three.codewords)
+        for (k, count, law), (k3, count3, law3), (kw, _, exact) in zip(
+            two.template.windows, three.template.windows, cap3_rp0.witness
+        ):
+            assert (k, count) == (k3, count3) and k == kw
+            assert law.probs.tolist() == law3.probs.tolist() == list(exact)
 
     def test_rejects_duplicate_rows(self):
         with pytest.raises(ValueError):
@@ -198,6 +212,10 @@ class TestCodebook3User:
             gamma2=g2,
             tau_star=2,
             constraint_residual=0.0,
+            witness=tuple(
+                (k, share, tuple(i_tilde(g, k, rp).maximizing_input.probs.tolist()))
+                for k, share, g in ((2, alpha, g1), (3, 1 - alpha, g2))
+            ),
         )
         cb = build_codebook_3user(30, 2, rp, capacity=point, seed=9)
         assert cb.tau_star == 2
@@ -404,6 +422,22 @@ class TestBatchedTransmission:
         expected = results()
         monkeypatch.setattr(coding, "_CHUNK", chunk)
         assert results() == expected
+
+    def test_no_background_is_rate_zero(self, monkeypatch):
+        # both draw the background's n + 1 uniforms per message, so the same
+        # messages are sent and decoded
+        cb = build_codebook_2user(30, 16, seed=3)
+        decoded = []
+
+        def spy(y, codebook, r_p):
+            decoded.append((y.tolist(), r_p))
+            return _decode_rows(y, codebook, r_p)
+
+        monkeypatch.setattr(coding, "_decode_rows", spy)
+        reports = [run_transmission(cb, rate, trials=2 * _CHUNK + 3, seed=5) for rate in (None, 0.0)]
+        assert reports[0] == reports[1]
+        half = len(decoded) // 2
+        assert decoded[:half] == decoded[half:]
 
     def test_unbuffered_interval_raises_past_the_first_chunk(self):
         cb = _handmade_codebook([np.zeros(12, dtype=np.int8)])
@@ -904,3 +938,26 @@ def test_counts_must_be_whole_numbers(name, call, cap3_rp01):
     # a float count is refused at the API boundary, not truncated or failed deep inside
     with pytest.raises(ValueError, match=f"{name} must be a whole number"):
         call(cap3_rp01)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("M", lambda: build_codebook_2user(20, 16.5)),
+    ("n", lambda: build_codebook_2user(20.5, 16)),
+    ("M", lambda: build_codebook_3user(30, 16.5, 0.1)),
+    ("M", lambda: build_codebook_3user(30, 0, 0.1)),
+    ("n", lambda: build_codebook_3user(20.5, 16, 0.1)),
+    ("n", lambda: ensemble_error_rate(30.5, 16, 0.1, trials=2, seed=0)),
+], ids=["build2-M", "build2-n", "build3-M", "build3-M0", "build3-n", "ensemble-n"])
+def test_counts_are_checked_before_the_capacity_solve(name, call, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the capacity was solved before the counts were checked")
+
+    monkeypatch.setattr(coding, "solve_capacity_3user", no_solve)
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        call()
+
+
+def test_a_capacity_result_without_a_witness_is_refused(cap3_rp01):
+    bare = dataclasses.replace(cap3_rp01, witness=())
+    with pytest.raises(ValueError, match="no witness"):
+        build_codebook_3user(30, 4, 0.1, capacity=bare)

@@ -19,7 +19,8 @@ log-sum-exp in s). For tau >= 2 window tau alone wins, at gamma = 1 - 1/tau.
 
 This module finds rho by Newton's method and each pair's value by
 golden-section search, both in `decimal`, and shares no code with the
-solvers.
+solvers. The two-user coding scheme, built from the certified witness, is
+checked against the same closed forms.
 """
 
 import decimal
@@ -27,7 +28,7 @@ from decimal import Decimal
 
 import pytest
 
-from cqclab import capacity3
+from cqclab import capacity3, coding
 from cqclab.capacity2 import solve_capacity_2user
 from cqclab.capacity3 import solve_capacity_3user
 
@@ -134,6 +135,24 @@ def test_witness_laws_are_the_tilted_laws():
     ]
     for (_, _, law), exact in zip(res.witness, (EXACT["law1"], EXACT["law2"])):
         assert max(abs(p - float(q)) for p, q in zip(law, exact)) <= TOL
+
+
+def test_two_user_scheme_is_the_closed_form(monkeypatch):
+    # the codebook's window mix (before its rounding to whole windows) and
+    # its symbol laws, not the rounded 0.177, (0.57, 0.43), (0.43, 0.325, 0.245)
+    mixes, admissible_alpha_slots = [], coding.admissible_alpha_slots
+
+    def split(n, alpha, tau_star):
+        mixes.append(alpha)
+        return admissible_alpha_slots(n, alpha, tau_star)
+
+    monkeypatch.setattr(coding, "admissible_alpha_slots", split)
+    cb = coding.build_codebook_2user(60, 4, delta=0.0, seed=0)
+    assert len(mixes) == 1 and abs(mixes[0] - float(EXACT["alpha"])) <= TOL
+    (k1, _, law1), (k2, _, law2) = cb.template.windows
+    assert (k1, k2) == (1, 2)
+    for law, exact in ((law1, EXACT["law1"]), (law2, EXACT["law2"])):
+        assert max(abs(p - float(q)) for p, q in zip(law.probs, exact)) <= TOL
 
 
 def test_window_two_alone_is_uniform():
