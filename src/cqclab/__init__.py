@@ -7,7 +7,7 @@ coding schemes that realize the channel end to end.
 
 __version__ = "0.1.0"
 
-from .capacity2 import CapacityResult2, objective_2user, solve_capacity_2user
+from .capacity2 import solve_capacity_2user
 from .capacity3 import (
     CapacityResult3,
     ChannelMatrix,
@@ -59,7 +59,6 @@ from .fcfs import (
 
 __all__ = [
     "ArrivalSchedule",
-    "CapacityResult2",
     "CapacityResult3",
     "ChannelMatrix",
     "Codebook",
@@ -87,7 +86,6 @@ __all__ = [
     "i_tilde",
     "i_tilde_curve",
     "kl_divergence",
-    "objective_2user",
     "observe",
     "output_mean_check",
     "probe_stream",

@@ -5,91 +5,29 @@ alpha) and length 2 (weight 1 - alpha), subject to the heavy-traffic budget
 alpha*(gamma1 + 1) + (1 - alpha)*(gamma2 + 1/2) = 1. The objective is the
 matching mixture of per-slot entropy ceilings h_tilde.
 
-With the mix free this is the three-user problem at r_p = 0 restricted to
-the window pair (1, 2), solved by the same engine (`capacity3._pair_programs`).
-With the mix frozen at alpha the Lagrangian separates once the budget
-multiplier is fixed, so the slice is solved in closed form with no barrier.
-Either way the capacity is the objective above by h_tilde at the returned
-point, which meets the budget; `gap_bits` is the certified bound minus it,
-at most PAIR_GAP_TOL or UncertifiedSolveError.
+This is the three-user problem at r_p = 0 restricted to the window pair
+(1, 2), and both solves return its `CapacityResult3` with tau_star = 1.
+With the mix free it is `solve_capacity_3user(0.0, tau_max=2)`. With the
+mix frozen at alpha the Lagrangian separates once the budget multiplier is
+fixed, so the slice is solved in closed form with no barrier; its capacity
+is the objective above by h_tilde at the returned point, which meets the
+budget, and `gap_bits` is the certified bound minus it, at most
+PAIR_GAP_TOL or UncertifiedSolveError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .capacity3 import LN2, PAIR_GAP_TOL, UncertifiedSolveError, _pair_programs
+from .capacity3 import (LN2, PAIR_GAP_TOL, CapacityResult3, UncertifiedSolveError,
+                        solve_capacity_3user)
 from .dist import h_tilde
 
-# gamma boxes for the two-window mixture: both rates live in [0, 1/2]
-_G_HI = 0.5
 
-
-class BoxViolationError(ValueError):
-    """A parameter fell outside its admissible box."""
-
-
-@dataclass(frozen=True)
-class CapacityResult2:
-    capacity_bits_per_slot: float
-    alpha: float
-    gamma1: float
-    gamma2: float
-    constraint_residual: float
-    gap_bits: float = 0.0  # certified: the dual bound minus capacity_bits_per_slot
-
-    def __post_init__(self):
-        if not 0.0 <= self.capacity_bits_per_slot <= 1.0 + 1e-12:
-            raise ValueError("capacity outside [0, 1]")
-        if self.constraint_residual > 1e-9:
-            raise ValueError(
-                f"constraint residual {self.constraint_residual:.3e} exceeds 1e-9"
-            )
-
-
-def constraint_value(alpha: float, gamma1: float, gamma2: float) -> float:
-    return alpha * (gamma1 + 1.0) + (1.0 - alpha) * (gamma2 + 0.5)
-
-
-def objective_2user(alpha: float, gamma1: float, gamma2: float) -> float:
-    """Mixture objective alpha*h_tilde(gamma1, 1) + (1-alpha)*h_tilde(gamma2, 2).
-
-    Pure box-checked evaluation; the budget constraint is NOT enforced here.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise BoxViolationError(f"alpha={alpha} outside [0, 1]")
-    if not 0.0 <= gamma1 <= _G_HI:
-        raise BoxViolationError(f"gamma1={gamma1} outside [0, {_G_HI}]")
-    if not 0.0 <= gamma2 <= _G_HI:
-        raise BoxViolationError(f"gamma2={gamma2} outside [0, {_G_HI}]")
-    return (
-        alpha * h_tilde(gamma1, 1).bits_per_slot
-        + (1.0 - alpha) * h_tilde(gamma2, 2).bits_per_slot
-    )
-
-
-def eliminate_gamma2(alpha: float, gamma1: float) -> float:
-    """gamma2 forced by the budget constraint; requires alpha < 1."""
-    return (1.0 - alpha * (gamma1 + 1.0)) / (1.0 - alpha) - 0.5
-
-
-def _certified(alpha, gamma1, gamma2, capacity, gap_bits) -> CapacityResult2:
-    if not gap_bits <= PAIR_GAP_TOL:
-        raise UncertifiedSolveError(
-            f"two-user solve at alpha={alpha} has duality gap {gap_bits:.3e} bits "
-            f"> PAIR_GAP_TOL={PAIR_GAP_TOL:.0e}"
-        )
-    residual = abs(constraint_value(alpha, gamma1, gamma2) - 1.0)
-    return CapacityResult2(capacity, alpha, gamma1, gamma2, residual, gap_bits)
-
-
-def solve_capacity_2user() -> CapacityResult2:
+def solve_capacity_2user() -> CapacityResult3:
     """Maximize the two-user objective on the budget surface, certified by
     the dual of the window pair (1, 2)."""
-    [(value, alpha, gamma1, gamma2, gap, _)] = _pair_programs(1, [0.0])
-    capacity = objective_2user(alpha, gamma1, gamma2)
-    return _certified(alpha, gamma1, gamma2, capacity, value + gap - capacity)
+    return solve_capacity_3user(0.0, tau_max=2)
 
 
 def _tilted(lam: float) -> tuple[float, float, float]:
@@ -99,7 +37,17 @@ def _tilted(lam: float) -> tuple[float, float, float]:
     return e1 / (1.0 + e1), (e1 + 2.0 * e2) / s2, -math.expm1(2.0 * lam) / s2
 
 
-def solve_on_alpha_slice(alpha: float) -> CapacityResult2:
+def _slice(alpha, gamma1, gamma2, capacity, residual, gap_bits) -> CapacityResult3:
+    """A frozen-slice point as the three-user result of the pair (1, 2) at r_p = 0."""
+    return CapacityResult3(
+        r_p=0.0, capacity_bits_per_slot=capacity, alpha=alpha, gamma1=gamma1, gamma2=gamma2,
+        tau_star=1, constraint_residual=residual, per_tau={1: capacity},
+        per_tau_gap={1: gap_bits}, gap_bits=gap_bits,
+        windows=tuple((k, w) for k, w in ((1, alpha), (2, 1.0 - alpha)) if w > 0.0),
+    )
+
+
+def solve_on_alpha_slice(alpha: float) -> CapacityResult3:
     """Best feasible point with the window mix frozen at `alpha`, in closed form.
 
     At budget multiplier s each window takes its max-entropy law, weights
@@ -108,14 +56,16 @@ def solve_on_alpha_slice(alpha: float) -> CapacityResult2:
     The lighter window keeps its gamma; the budget fixes the other's. The
     Lagrangian dual bounds the value by U = s (1 - alpha) / 2 + alpha L_1
     + (1 - alpha) L_2 / 2, L_k = log2 sum_{x <= k} e^(lam x), and
-    `gap_bits` is U minus the capacity plus a rounding allowance.
+    `gap_bits` is U minus the capacity plus a rounding allowance. The
+    result has no witness: the free pair's laws would not bound the slice.
+    An alpha outside [0, 1] raises ValueError.
     """
     if not 0.0 <= alpha <= 1.0:
-        raise BoxViolationError(f"alpha={alpha} outside [0, 1]")
+        raise ValueError(f"alpha={alpha} outside [0, 1]")
     if alpha == 1.0:  # the budget pins gamma1 = 0: a zero-rate point
-        return CapacityResult2(0.0, 1.0, 0.0, 0.0, 0.0)
+        return _slice(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     if alpha == 0.0:  # the budget pins gamma2 = 1/2, the uniform law on {0, 1, 2}
-        return CapacityResult2(h_tilde(0.5, 2).bits_per_slot, 0.0, 0.0, 0.5, 0.0)
+        return _slice(0.0, 0.0, 0.5, h_tilde(0.5, 2).bits_per_slot, 0.0, 0.0)
     # the budget as alpha gamma1 = (1 - alpha)(1/2 - gamma2), both sides
     # accurate as alpha nears 0 or 1
     lo, hi = -1e3, 0.0
@@ -124,11 +74,12 @@ def solve_on_alpha_slice(alpha: float) -> CapacityResult2:
         lo, hi = (lo, lam) if alpha * g1 >= (1.0 - alpha) * d2 else (lam, hi)
     gamma1, gamma2, _ = _tilted(hi)
     if alpha <= 0.5:
-        gamma2 = eliminate_gamma2(alpha, gamma1)
+        gamma2 = (1.0 - alpha * (gamma1 + 1.0)) / (1.0 - alpha) - 0.5
     else:
         gamma1 = (1.0 - (1.0 - alpha) * (gamma2 + 0.5)) / alpha - 1.0
-    capacity = objective_2user(alpha, gamma1, gamma2)
-    budget = constraint_value(alpha, gamma1, gamma2)
+    capacity = (alpha * h_tilde(gamma1, 1).bits_per_slot
+                + (1.0 - alpha) * h_tilde(gamma2, 2).bits_per_slot)
+    budget = alpha * (gamma1 + 1.0) + (1.0 - alpha) * (gamma2 + 0.5)
     s, e1, e2 = -hi / LN2, math.exp(hi), math.exp(2.0 * hi)
     upper = (s * (1.0 - alpha) / 2.0 + alpha * math.log1p(e1) / LN2
              + (1.0 - alpha) * math.log1p(e1 + e2) / LN2 / 2.0)
@@ -142,4 +93,10 @@ def solve_on_alpha_slice(alpha: float) -> CapacityResult2:
     # U; the objective's terms round at most 3 times and the budget's 5.
     gamma_n = 8 * 2.0**-53 / (1.0 - 8 * 2.0**-53)
     slack = gamma_n * (upper + capacity + s * (budget + 1.0)) + s * abs(budget - 1.0)
-    return _certified(alpha, gamma1, gamma2, capacity, upper - capacity + slack)
+    gap_bits = upper - capacity + slack
+    if not gap_bits <= PAIR_GAP_TOL:
+        raise UncertifiedSolveError(
+            f"two-user solve at alpha={alpha} has duality gap {gap_bits:.3e} bits "
+            f"> PAIR_GAP_TOL={PAIR_GAP_TOL:.0e}"
+        )
+    return _slice(alpha, gamma1, gamma2, capacity, abs(budget - 1.0), gap_bits)

@@ -36,8 +36,8 @@ barrier-Newton loop (`_newton_path`), each with its own objective and its
 own mu stages. `solve_capacity_grid` runs the tau loops of many rates in
 one sweep over ascending tau, each tau one program path for the pairs of
 every rate still in its loop, and `solve_capacity_3user` is its one-rate
-case. The free two-user capacity (`capacity2.solve_capacity_2user`) is the
-pair (1, 2) of this engine at r_p = 0.
+case. Both two-user solves in `capacity2` return its r_p = 0 result; the
+free one is `solve_capacity_3user(0.0, tau_max=2)`, the pair (1, 2).
 """
 
 from __future__ import annotations
@@ -126,9 +126,11 @@ class CapacityResult3:
     witness: tuple[tuple[int, float, tuple[float, ...]], ...] = ()  # (k, share, input law) per window
 
     def __post_init__(self):
-        if self.constraint_residual > 1e-8:
+        if not 0.0 <= self.capacity_bits_per_slot <= 1.0 + 1e-12:
+            raise ValueError("capacity outside [0, 1]")
+        if self.constraint_residual > 1e-9:
             raise ValueError(
-                f"constraint residual {self.constraint_residual:.3e} exceeds 1e-8"
+                f"constraint residual {self.constraint_residual:.3e} exceeds 1e-9"
             )
         if self.tau_star < 1:
             raise ValueError("tau_star must be >= 1")

@@ -178,6 +178,7 @@ def cmd_simulate(args) -> int:
         "M": args.M,
         "trials": args.trials,
         "rp": args.rp,
+        "tau_max": args.tau_max,
         "delta": args.delta,
         "backlog": args.backlog,
     }

@@ -5,17 +5,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cqclab
 from cqclab import capacity2, capacity3
-from cqclab.capacity2 import (
-    BoxViolationError,
-    constraint_value,
-    eliminate_gamma2,
-    objective_2user,
-    solve_capacity_2user,
-    solve_on_alpha_slice,
-)
-from cqclab.capacity3 import UncertifiedSolveError
+from cqclab.capacity2 import solve_capacity_2user, solve_on_alpha_slice
+from cqclab.capacity3 import UncertifiedSolveError, solve_capacity_3user
 from cqclab.dist import h_tilde
+
+
+def _objective(alpha: float, gamma1: float, gamma2: float) -> tuple[float, float]:
+    """The two-user objective alpha h_tilde(gamma1, 1) + (1 - alpha) h_tilde(gamma2, 2)
+    and the budget alpha (gamma1 + 1) + (1 - alpha)(gamma2 + 1/2), which it does not enforce."""
+    return (alpha * h_tilde(gamma1, 1).bits_per_slot + (1.0 - alpha) * h_tilde(gamma2, 2).bits_per_slot,
+            alpha * (gamma1 + 1.0) + (1.0 - alpha) * (gamma2 + 0.5))
+
+
+def _gamma2(alpha: float, gamma1: float) -> float:
+    """gamma2 forced by the budget; requires alpha < 1."""
+    return (1.0 - alpha * (gamma1 + 1.0)) / (1.0 - alpha) - 0.5
 
 
 def _g(k: int, s: float) -> float:
@@ -84,23 +90,15 @@ def _certified_slice(alpha: float):
 
 class TestObjective:
     def test_reported_operating_point(self):
-        assert objective_2user(0.177, 0.43, 0.407) == pytest.approx(0.8114, abs=5e-4)
+        assert _objective(0.177, 0.43, 0.407)[0] == pytest.approx(0.8114, abs=5e-4)
 
     def test_all_short_windows_zero_rate(self):
-        assert objective_2user(1.0, 0.0, 0.3) == 0.0
+        assert _objective(1.0, 0.0, 0.3)[0] == 0.0
 
     def test_all_long_windows_uniform(self):
-        assert objective_2user(0.0, 0.1, 0.5) == pytest.approx(
+        assert _objective(0.0, 0.1, 0.5)[0] == pytest.approx(
             math.log2(3) / 2, abs=1e-12
         )
-
-    @pytest.mark.parametrize(
-        "args",
-        [(-0.1, 0.3, 0.3), (1.5, 0.3, 0.3), (0.5, 0.6, 0.3), (0.5, 0.3, 0.7)],
-    )
-    def test_box_violations(self, args):
-        with pytest.raises(BoxViolationError):
-            objective_2user(*args)
 
 
 class TestSolve:
@@ -121,10 +119,10 @@ class TestSolve:
         for _ in range(200):
             a = float(rng.uniform(0, 0.99))
             g1 = float(rng.uniform(0, 0.5))
-            g2 = eliminate_gamma2(a, g1)
+            g2 = _gamma2(a, g1)
             if not 0 <= g2 <= 0.5:
                 continue
-            assert objective_2user(a, g1, g2) <= cap2.capacity_bits_per_slot + 1e-9
+            assert _objective(a, g1, g2)[0] <= cap2.capacity_bits_per_slot + 1e-9
 
     def test_alpha_zero_slice(self):
         res = solve_on_alpha_slice(0.0)
@@ -140,8 +138,26 @@ class TestSolve:
 
     def test_zero_rate_slice(self):
         # gamma1 = gamma2 = 0 is feasible only at alpha = 1 and carries nothing
-        assert constraint_value(1.0, 0.0, 0.0) == pytest.approx(1.0)
-        assert objective_2user(1.0, 0.0, 0.0) == 0.0
+        value, budget = _objective(1.0, 0.0, 0.0)
+        assert budget == pytest.approx(1.0)
+        assert value == 0.0
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, math.nan])
+    def test_alpha_outside_box_raises(self, alpha):
+        with pytest.raises(ValueError, match="outside"):
+            solve_on_alpha_slice(alpha)
+
+    def test_free_solve_is_the_three_user_pair(self, cap2):
+        assert cap2 == solve_capacity_3user(0.0, tau_max=2)
+        assert (cap2.r_p, cap2.tau_star, list(cap2.per_tau)) == (0.0, 1, [1])
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-12, 0.3, 1 - 1e-9, 1.0])
+    def test_slice_is_a_three_user_result(self, alpha):
+        res = solve_on_alpha_slice(alpha)
+        assert (res.r_p, res.tau_star, res.witness) == (0.0, 1, ())
+        assert res.per_tau == {1: res.capacity_bits_per_slot}
+        assert res.per_tau_gap == {1: res.gap_bits}
+        assert res.windows == tuple((k, w) for k, w in ((1, alpha), (2, 1.0 - alpha)) if w > 0.0)
 
 
 class TestDualReference:
@@ -180,14 +196,25 @@ class TestCertificate:
         assert cap2.alpha == pytest.approx(cap3_rp0.alpha, abs=1e-12)
 
     def test_reported_capacity_is_the_objective(self, cap2):
-        assert cap2.capacity_bits_per_slot == objective_2user(cap2.alpha, cap2.gamma1, cap2.gamma2)
+        # the frozen slice reports the objective by h_tilde bit for bit; the
+        # free solve reports its program value, which the objective at its
+        # point cannot exceed beyond the certified gap
+        for alpha in (cap2.alpha, 0.3):
+            res = solve_on_alpha_slice(alpha)
+            assert res.capacity_bits_per_slot == _objective(alpha, res.gamma1, res.gamma2)[0]
+        value, _ = _objective(cap2.alpha, cap2.gamma1, cap2.gamma2)
+        assert value <= cap2.capacity_bits_per_slot + cap2.gap_bits
 
     @pytest.mark.parametrize("alpha", [None, 0.5])
     def test_large_gap_raises(self, monkeypatch, alpha):
-        # no solve reaches a gap of 1e-30: the pair program of the free solve
-        # refuses at GAP_TOL, and both solves at their own PAIR_GAP_TOL check
-        tols = ((capacity3, "GAP_TOL"),) if alpha is None else ()
-        for module, tol in (*tols, (capacity2, "PAIR_GAP_TOL")):
+        # no solve reaches a gap of 1e-30: the free solve's pair program
+        # refuses at GAP_TOL and its pair at PAIR_GAP_TOL, both in capacity3,
+        # and the frozen slice at its own PAIR_GAP_TOL check
+        if alpha is None:
+            tols = ((capacity3, "GAP_TOL"), (capacity3, "PAIR_GAP_TOL"))
+        else:
+            tols = ((capacity2, "PAIR_GAP_TOL"),)
+        for module, tol in tols:
             with monkeypatch.context() as m:
                 m.setattr(module, tol, 1e-30)
                 with pytest.raises(UncertifiedSolveError):
@@ -208,18 +235,16 @@ class TestConcavityAlongConstraint:
             while len(pts) < 2:
                 a = float(rng.uniform(0, 0.98))
                 g1 = float(rng.uniform(0, 0.5))
-                g2 = eliminate_gamma2(a, g1)
+                g2 = _gamma2(a, g1)
                 if 0 <= g2 <= 0.5:
                     pts.append((a, g1, g2))
             (a1, g11, g21), (a2, g12, g22) = pts
             am = 0.5 * (a1 + a2)
             g1m = (0.5 * a1 * g11 + 0.5 * a2 * g12) / am if am else 0.0
             g2m = (0.5 * (1 - a1) * g21 + 0.5 * (1 - a2) * g22) / (1 - am)
-            assert constraint_value(am, g1m, g2m) == pytest.approx(1.0, abs=1e-12)
-            mixed = objective_2user(am, g1m, g2m)
-            mean = 0.5 * objective_2user(a1, g11, g21) + 0.5 * objective_2user(
-                a2, g12, g22
-            )
+            mixed, budget = _objective(am, g1m, g2m)
+            assert budget == pytest.approx(1.0, abs=1e-12)
+            mean = 0.5 * _objective(a1, g11, g21)[0] + 0.5 * _objective(a2, g12, g22)[0]
             assert mixed >= mean - 1e-9
 
 
@@ -228,3 +253,25 @@ def test_window_value_baselines(cap2):
     pure_short = h_tilde(0.0, 1).bits_per_slot  # budget forces gamma1 = 0
     pure_long = h_tilde(0.5, 2).bits_per_slot
     assert cap2.capacity_bits_per_slot >= max(pure_short, pure_long)
+
+
+class TestTwoSolvers:
+    """The closed-form frozen slice against the barrier-solved free pair,
+    which share no code."""
+
+    @given(st.floats(0.0, 1.0))
+    def test_no_frozen_mix_beats_the_free_solve(self, cap2, alpha):
+        res = solve_on_alpha_slice(alpha)
+        assert res.capacity_bits_per_slot <= cap2.capacity_bits_per_slot + cap2.gap_bits
+
+    def test_slice_at_the_free_mix_reproduces_it(self, cap2):
+        res = solve_on_alpha_slice(cap2.alpha)
+        diff = abs(res.capacity_bits_per_slot - cap2.capacity_bits_per_slot)
+        assert diff <= res.gap_bits + cap2.gap_bits
+        assert (res.gamma1, res.gamma2) == pytest.approx((cap2.gamma1, cap2.gamma2), abs=1e-12)
+
+
+def test_public_names_resolve_once():
+    assert len(set(cqclab.__all__)) == len(cqclab.__all__)
+    for name in cqclab.__all__:
+        assert getattr(cqclab, name) is not None, name

@@ -84,6 +84,13 @@ class TestCapacity2:
         assert code == 0
         assert float(_rows(body)[1].split(",")[1]) == 0.9999
 
+    @pytest.mark.parametrize("alpha", ["1.5", "nan"])
+    def test_alpha_outside_box_is_a_usage_error(self, tmp_path, capsys, alpha):
+        code, body = _run(tmp_path, "capacity2", "--alpha-fixed", alpha)
+        assert code == 2
+        assert body == ""
+        assert "outside [0, 1]" in capsys.readouterr().err
+
     def test_header_has_no_tolerance(self, tmp_path):
         _, body = _run(tmp_path, "capacity2")
         assert any('"alpha_fixed": null' in ln for ln in body.splitlines())
@@ -229,6 +236,17 @@ class TestSimulate:
             assert main(["--out", str(out), *common, *users, "--trace", str(trace)]) == 0
             outputs.append((_rows(out.read_text()), trace.read_text()))
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_window_bound_is_in_the_header(self, tmp_path):
+        # the window bound can change the codebook and so the errors (33
+        # against 17 at --M 64 --trials 300), so the header must name it
+        heads = []
+        for tau_max in ("2", "8"):
+            _, body = _run(tmp_path, "--seed", "3", "simulate", "--users", "3", "--rp", "0.3",
+                           "--n", "30", "--M", "8", "--trials", "5", "--tau-max", tau_max)
+            heads.append([ln for ln in body.splitlines() if ln.startswith("# config=")])
+        assert heads[0] != heads[1]
+        assert '"tau_max": 2' in heads[0][0] and '"tau_max": 8' in heads[1][0]
 
     def test_three_user_end_to_end(self, tmp_path):
         code, body = _run(
