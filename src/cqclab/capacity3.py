@@ -19,8 +19,9 @@ its slowest point. Rows may differ in their noise rate r_p, so a sweep over
 many rates (`validate_i_concavity`, `degradation_violations`) is one solve
 per window length. Every row carries its own channel and its products go
 row by row, so a point has the same bits solved alone, in a one-rate batch
-or among other rates. Channels are built once per (k, r_p) and cached with
-their noise entropies. An uncertified slice point raises
+or among other rates. Channels and noise entropies are built once per
+(k, r_p) and cached, so the concavity sweep's noise gaps reuse the
+entropies of its slice solves. An uncertified slice point raises
 UncertifiedSolveError naming its k, gamma and r_p. The path
 (`_newton_path`) certifies its own rows: it returns each row's LP gap,
 infinite for a row off its constraint plane, so its callers only name an
@@ -35,9 +36,11 @@ of q >= 0 under two linear equalities, by one log-barrier Newton path
 barrier-Newton loop (`_newton_path`), each with its own objective and its
 own mu stages. `solve_capacity_grid` runs the tau loops of many rates in
 one sweep over ascending tau, each tau one program path for the pairs of
-every rate still in its loop, and `solve_capacity_3user` is its one-rate
-case. Both two-user solves in `capacity2` return its r_p = 0 result; the
-free one is `solve_capacity_3user(0.0, tau_max=2)`, the pair (1, 2).
+every rate still in its loop, then one slice path per window length for
+the pairs whose optimum is one window alone, each such point solved once
+in the sweep; `solve_capacity_3user` is its one-rate case. Both two-user
+solves in `capacity2` return its r_p = 0 result; the free one is
+`solve_capacity_3user(0.0, tau_max=2)`, the pair (1, 2).
 """
 
 from __future__ import annotations
@@ -193,10 +196,17 @@ def _lhs(q: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
+def _noise_bits(k: int, r_p: float) -> float:
+    """The noise entropy H(Bin(k, r_p)) in bits, k >= 0, computed once per
+    (k, r_p)."""
+    return entropy(binomial_pmf(k, r_p))
+
+
+@functools.lru_cache(maxsize=1024)
 def _channel(k: int, r_p: float) -> tuple[np.ndarray, float]:
     """The rows of channel_matrix(k, r_p) and the noise entropy H(Bin(k, r_p))
     in bits, built once per (k, r_p)."""
-    return channel_matrix(k, r_p).rows, entropy(binomial_pmf(k, r_p))
+    return channel_matrix(k, r_p).rows, _noise_bits(k, r_p)
 
 
 def _newton_path(q, A, b, data, model, stages):
@@ -205,19 +215,25 @@ def _newton_path(q, A, b, data, model, stages):
     {A q = b[row]} for each mu in `stages`.
 
     `data` holds per-row arrays of the objective; a row leaves the loop
-    with its data. model.newton(q, data, H) returns the objective and its
-    gradient and writes its Hessian into H, a view of the preallocated KKT
-    matrices whose constraint blocks A are set once. Each stage's
-    equality-constrained Newton system carries the residual b - A q, which
-    pulls rounding drift back onto the constraint plane. Every row advances
-    in the same batched KKT solve but keeps its own fraction-to-boundary
-    step, line search (50 halvings) and stopping test. A row leaves a stage
-    after 60 Newton steps, on a step below 1e-14, when its line search
-    fails, or once it moves less than 1e-13. In the last stage a row that
-    moves less than 1e-13 keeps going while its Newton decrement
-    -dq' H dq is at least 1e-18: its entries near 1e-12, which set the LP
-    gap, may still be moving. A singular KKT system gives every row of its
-    step a NaN step: none moves, and all leave the stage.
+    with its data. model.parts(q, data) returns the per-row arrays that
+    model.value(q, data, parts) and model.newton(q, data, H, parts) read
+    (each computes them when given none). model.newton returns the
+    objective and its gradient and writes its Hessian into H, a view of the
+    preallocated KKT matrices whose constraint blocks A are set once. The
+    line search's parts at the accepted point serve the next Newton step,
+    unless the 1e-150 floor moved an entry, so each step evaluates the
+    objective's parts once; a row's parts depend on that row alone. Each
+    stage's equality-constrained Newton system carries the residual
+    b - A q, which pulls rounding drift back onto the constraint plane.
+    Every row advances in the same batched KKT solve but keeps its own
+    fraction-to-boundary step, line search (50 halvings) and stopping
+    test. A row leaves a stage after 60 Newton steps, on a step below
+    1e-14, when its line search fails, or once it moves less than 1e-13.
+    In the last stage a row that moves less than 1e-13 keeps going while
+    its Newton decrement -dq' H dq is at least 1e-18: its entries near
+    1e-12, which set the LP gap, may still be moving. A singular KKT system
+    gives every row of its step a NaN step: none moves, and all leave the
+    stage.
 
     Returns the final iterates, their objective values and their LP gaps
     (`_lp_gaps`, A's rows being the ones and the positions), infinite for a
@@ -233,9 +249,10 @@ def _newton_path(q, A, b, data, model, stages):
         last = mu == stages[-1]
         q = np.maximum(q, 1e-150)  # barrier needs strict positivity (and q**2 > 0)
         live, ql, bl, dl = np.arange(rows), q, b, data  # the rows still moving
+        parts = None  # the objective's parts at ql, when the line search left them
         for _ in range(60):
             K, r = kkt[: live.size], rhs[: live.size]
-            f, g = model.newton(ql, dl, K[:, :n, :n])
+            f, g = model.newton(ql, dl, K[:, :n, :n], parts)
             K.reshape(live.size, -1)[:, : n * (size + 1) : size + 1] -= mu / ql**2  # diagonal
             r[:, :n, 0] = -g - mu / ql
             r[:, n:, 0] = bl - _lhs(ql, A)
@@ -255,7 +272,8 @@ def _newton_path(q, A, b, data, model, stages):
                 cand = ql + t[:, None] * dq
                 inside = (cand > 0).all(axis=1)
                 cq = np.where(inside[:, None], cand, 1.0)
-                merit = model.value(cq, dl) + mu * np.log(cq).sum(axis=1)
+                parts = model.parts(cq, dl)
+                merit = model.value(cq, dl, parts) + mu * np.log(cq).sum(axis=1)
                 ok = todo & inside & (merit >= base - 1e-12)
                 accepted |= ok
                 todo &= ~ok
@@ -264,10 +282,13 @@ def _newton_path(q, A, b, data, model, stages):
                 t[todo] *= 0.5
             ql = np.where(accepted[:, None], np.maximum(cand, 1e-150), ql)
             keep = accepted & ((step * t >= 1e-13) | moving)
+            if not (cand[keep] >= 1e-150).all():  # a floored entry moved a kept row off cq
+                parts = None
             if not keep.all():
                 q[live] = ql
                 live, ql, bl = live[keep], ql[keep], bl[keep]
                 dl = tuple(d[keep] for d in dl)
+                parts = parts and tuple(x[keep] for x in parts)
                 if live.size == 0:
                     break
         q[live] = ql
@@ -281,13 +302,16 @@ class _SliceObjective:
     """H(B p) in nats, the objective of a slice solve. A row's data are its
     channel B, so its products go row by row."""
 
-    def value(self, q, data):
-        return _entropy_rows(_times(q, data[0]))
+    def parts(self, q, data):  # the outputs B p
+        return (_times(q, data[0]),)
 
-    def newton(self, q, data, H=None):
+    def value(self, q, data, parts=None):
+        return _entropy_rows((parts or self.parts(q, data))[0])
+
+    def newton(self, q, data, H=None, parts=None):
         B = data[0]
         Bt = B.transpose(0, 2, 1)
-        py = np.maximum(_times(q, B), 1e-300)
+        py = np.maximum((parts or self.parts(q, data))[0], 1e-300)
         if H is not None:
             np.matmul(B / -py[:, None, :], Bt, out=H)
         return _entropy_rows(py), -_times(np.log(py) + 1.0, Bt)
@@ -415,17 +439,18 @@ class _PairObjective:
         self.at = (self.ky > tau).astype(int), self.win.astype(int)  # share index of each output and entry
         self.same = self.win[:, None] == self.win[None, :]
 
-    def _parts(self, q, B, hn):  # objective, outputs, shares and log(output / share)
+    def parts(self, q, data):  # objective, outputs, shares and log(output / share)
+        B, hn = data
         v = np.maximum(_times(q, B), 1e-300)
-        a = np.stack([q[:, : self.tau + 1].sum(axis=1), q[:, self.tau + 1 :].sum(axis=1)], axis=1)
+        a = np.array([q[:, : self.tau + 1].sum(axis=1), q[:, self.tau + 1 :].sum(axis=1)]).T
         lv = np.log(v / a[:, self.at[0]])
         return -(v * lv / self.ky).sum(axis=1) - (q * hn).sum(axis=1), v, a, lv
 
-    def value(self, q, data):
-        return self._parts(q, *data)[0]
+    def value(self, q, data, parts=None):
+        return (parts or self.parts(q, data))[0]
 
-    def newton(self, q, data, H=None):
-        (f, v, a, lv), (B, hn) = self._parts(q, *data), data
+    def newton(self, q, data, H=None, parts=None):
+        (f, v, a, lv), (B, hn) = parts or self.parts(q, data), data
         Bt = B.transpose(0, 2, 1)
         if H is not None:
             np.matmul(B / -(v * self.ky)[:, None, :], Bt, out=H)
@@ -463,7 +488,7 @@ def _program_path(tau: int, r_ps: np.ndarray):
     return _newton_path(q, A, b, (B, hn), model, _PROGRAM_MU_STAGES)
 
 
-def _pair_programs(tau: int, r_ps) -> list[tuple]:
+def _pair_programs(tau: int, r_ps, pure=None) -> list[tuple]:
     """Best mix of windows tau and tau + 1 at budget c = 1 - r_p for every
     rate in r_ps, by one `_program_path`.
 
@@ -472,13 +497,19 @@ def _pair_programs(tau: int, r_ps) -> list[tuple]:
     window; a window without share keeps the program's normalized law). A
     share at or below PURE_SHARE is the barrier's resolution of 0, and
     dropping it loses about its square: the other window is then reported
-    alone by `i_tilde` at the gamma the budget pins, so alpha is exactly 0
-    or 1 and equal pure windows of two pairs tie exactly. A budget
-    c <= 1/(tau + 1) leaves one point, of value 0, and needs no barrier. An
-    LP gap above GAP_TOL nats raises UncertifiedSolveError naming the pair
-    and its rate.
+    alone, as `i_tilde` at the gamma the budget pins, so alpha is exactly 0
+    or 1 and equal pure windows of two pairs tie exactly. The windows alone
+    are solved after the program path, one `_slices` call per window length
+    over the points not yet in `pure`, a dict keyed by (k, r_p, gamma) that
+    a caller may share across taus, so a point is solved once. A slice row
+    has the bits of its point solved alone, so each value and law is
+    `i_tilde`'s.
+    A budget c <= 1/(tau + 1) leaves one point, of value 0, and needs no
+    barrier. An LP gap above GAP_TOL nats raises UncertifiedSolveError
+    naming the pair and its rate.
     """
-    out, todo = [None] * len(r_ps), []
+    out, todo, alone = [None] * len(r_ps), [], []  # alone: the pairs of one window
+    pure = {} if pure is None else pure
 
     def result(val, a, gm1, gm2, gap, p1, p2):
         laws = tuple(np.asarray(p1).tolist()), tuple(np.asarray(p2).tolist())
@@ -505,17 +536,25 @@ def _pair_programs(tau: int, r_ps) -> list[tuple]:
         val, gap = float(fi) / LN2, float(gi) / LN2
         if min(shares) <= PURE_SHARE:
             a = float(shares[0] > PURE_SHARE)  # 1: window tau alone
-            gw = max(c - 1.0 / (tau + 1 - a), 0.0)
-            it = i_tilde(gw, tau + 1 - int(a), rp)
-            p1, p2 = (it.maximizing_input.probs, p2) if a else (p1, it.maximizing_input.probs)
-            # the bound val + gap over the pure value, |val - pure| covering
-            # the rounding of two sums that can cross
-            gap += abs(val - it.bits_per_slot)
-            out[i] = result(it.bits_per_slot, a, *((gw, 0.0) if a else (0.0, gw)), gap, p1, p2)
+            key = tau + 1 - int(a), rp, max(c - 1.0 / (tau + 1 - a), 0.0)  # (k, r_p, gamma)
+            pure.setdefault(key, None)  # None: not solved yet
+            alone.append((i, a, key, val, gap, p1, p2))
             continue
         # the budget fixes the mix of the two windows' gammas
         u1, u2 = gm1 + 1.0 / tau, gm2 + 1.0 / (tau + 1)
         out[i] = result(val, (c - u2) / (u1 - u2), gm1, gm2, gap, p1, p2)
+    for k in sorted({key[0] for key, v in pure.items() if v is None}):
+        new = [key for key, v in pure.items() if v is None and key[0] == k]
+        bits, _, noise, laws = _slices(k, [rp for _, rp, _ in new], [gw for *_, gw in new])
+        for key, b, h, law in zip(new, bits, noise, laws):
+            pure[key] = max((float(b) - float(h)) / k, 0.0), law
+    for i, a, (k, rp, gw), val, gap, p1, p2 in alone:
+        it, law = pure[k, rp, gw]
+        p1, p2 = (law, p2) if a else (p1, law)
+        # the bound val + gap over the pure value, |val - pure| covering
+        # the rounding of two sums that can cross
+        gap += abs(val - it)
+        out[i] = result(it, a, *((gw, 0.0) if a else (0.0, gw)), gap, p1, p2)
     return out
 
 
@@ -527,7 +566,9 @@ def solve_capacity_grid(rps, tau_max: int = 8) -> list[CapacityResult3]:
     whose optimum decreases and its own tie rules. One sweep runs over
     ascending tau: each tau solves, in one `_pair_programs` call, the pair of
     every rate still in its loop for which that tau is feasible, and a
-    rate's result does not depend on the others.
+    rate's result does not depend on the others. The windows alone that the
+    sweep reports are solved once per (k, r_p, gamma), one `_slices` call
+    per tau and window length, in a dict that lives for this call only.
     """
     if not all(0.0 <= r_p < 1.0 for r_p in rps):
         raise ValueError("r_p must lie in [0, 1)")
@@ -539,12 +580,12 @@ def solve_capacity_grid(rps, tau_max: int = 8) -> list[CapacityResult3]:
                 f"rate budget {1.0 - r_p} cannot be met with tau <= {tau_max - 1}"
             )
 
-    per_tau, per_tau_gap = [{} for _ in rps], [{} for _ in rps]
+    per_tau, per_tau_gap, pure = [{} for _ in rps], [{} for _ in rps], {}
     best = [None] * len(rps)  # per rate: (tau, the _pair_programs tuple of its best pair)
     live = list(range(len(rps)))  # the rates still in their tau loops
     for tau in range(1, tau_max):
         group = [i for i in live if tau in taus[i]]
-        for i, pair in zip(group, _pair_programs(tau, [rps[i] for i in group])):
+        for i, pair in zip(group, _pair_programs(tau, [rps[i] for i in group], pure)):
             val, gap = pair[0], pair[4]
             if not gap <= PAIR_GAP_TOL:
                 raise UncertifiedSolveError(
@@ -657,11 +698,7 @@ class ConcavityReport:
 def binomial_entropy_gap(k: int, r_p: float) -> float:
     """H(Bin(k-1)) + H(Bin(k+1)) - 2 H(Bin(k)) in bits, the noise correction
     in the mixed-window concavity inequality."""
-    return (
-        entropy(binomial_pmf(k - 1, r_p))
-        + entropy(binomial_pmf(k + 1, r_p))
-        - 2.0 * entropy(binomial_pmf(k, r_p))
-    )
+    return _noise_bits(k - 1, r_p) + _noise_bits(k + 1, r_p) - 2.0 * _noise_bits(k, r_p)
 
 
 def concavity_margin(k: int, gamma1: float, gamma3: float, r_p: float) -> float:

@@ -414,6 +414,32 @@ class TestBatchedSolver:
         capacity3._slices(2, 0.3, [0.4])
         assert shapes == [((3, 5, 9),), ((2, 5, 9),), ((2, 5, 9),), ((1, 3, 5),)]
 
+    @pytest.mark.parametrize("objective", ["pair", "slice"])
+    def test_line_search_parts_serve_the_next_step(self, monkeypatch, objective):
+        # every Newton step but the first of each stage (and the final
+        # gradient) reads the parts its line search evaluated, and they are
+        # bitwise the parts of its iterate
+        cls, stages, run = {
+            "pair": (capacity3._PairObjective, capacity3._PROGRAM_MU_STAGES,
+                     lambda: capacity3._program_path(3, np.array([0.0, 0.1, 0.3]))),
+            "slice": (capacity3._SliceObjective, capacity3._MU_STAGES,
+                      lambda: capacity3._slices(4, [0.0, 0.2, 0.5], [0.3, 0.5, 0.9])),
+        }[objective]
+        ref = run()
+        offered, real = Counter(), cls.newton
+
+        def fresh(self, q, data, H=None, parts=None):
+            if parts is not None:
+                for got, want in zip(parts, self.parts(q, data)):
+                    assert (got == want).all()
+            offered[parts is not None] += 1
+            return real(self, q, data, H)
+
+        monkeypatch.setattr(cls, "newton", fresh)
+        for got, want in zip(run(), ref):
+            assert (np.asarray(got) == np.asarray(want)).all()
+        assert offered[False] == len(stages) + 1 and offered[True] > 4 * offered[False]
+
     @pytest.mark.parametrize("k", [2, 8])
     def test_a_501_point_curve_is_one_barrier_path(self, monkeypatch, k):
         # the chunk bounds the KKT matrices, (k + 3)^2 entries a row
@@ -590,6 +616,46 @@ class TestCapacity3:
         for r_p, res in zip(rates, capacity3.solve_capacity_grid(rates, 8)):
             assert res == (solo.get(r_p) or solve_capacity_3user(r_p, 8)), r_p
 
+    def test_grid_solves_each_pure_window_once(self, monkeypatch):
+        # one program path per tau, then one slice path per tau and window
+        # length for the windows alone, each point once
+        paths, real = [], capacity3._newton_path
+
+        def spy(*args):
+            paths.append(args[0].shape)
+            return real(*args)
+
+        monkeypatch.setattr(capacity3, "_newton_path", spy)
+        capacity3.solve_capacity_grid([round(0.05 * i, 2) for i in range(17)], 8)
+        assert len(paths) <= 20
+
+    def test_pure_pairs_carry_i_tilde_laws_and_floats(self, monkeypatch):
+        # every pure pair of the 17-rate grid reports i_tilde's value and
+        # maximizing law bitwise, and every value and gap is a Python float
+        pairs, real = [], capacity3._pair_programs
+
+        def spy(tau, r_ps, pure=None):
+            out = real(tau, r_ps, pure)
+            pairs.extend((tau, rp, pair) for rp, pair in zip(r_ps, out))
+            return out
+
+        monkeypatch.setattr(capacity3, "_pair_programs", spy)
+        results = capacity3.solve_capacity_grid([round(0.05 * i, 2) for i in range(17)], 8)
+        checked = 0
+        for tau, rp, (val, a, g1, g2, gap, witness) in pairs:
+            assert type(val) is float and type(gap) is float, (tau, rp)
+            if a not in (0.0, 1.0) or 1.0 - rp <= 1.0 / (tau + 1) + 1e-12:
+                continue  # a mix, or a budget of one point, value 0, solved by no path
+            k, gamma, law = (tau, g1, witness[0][2]) if a else (tau + 1, g2, witness[1][2])
+            it = i_tilde(gamma, k, rp)
+            assert val == it.bits_per_slot, (tau, rp)
+            assert law == tuple(it.maximizing_input.probs.tolist()), (tau, rp)
+            checked += 1
+        assert checked >= 20
+        for res in results:
+            assert type(res.gap_bits) is float and type(res.capacity_bits_per_slot) is float
+            assert all(type(v) is float for v in [*res.per_tau.values(), *res.per_tau_gap.values()])
+
     def test_grid_rejects_bad_args(self):
         with pytest.raises(ValueError):
             capacity3.solve_capacity_grid([0.1, 1.0])
@@ -729,11 +795,36 @@ class TestMixedWindowConcavity:
             assert report.worst_location == where[int(np.argmin(margins))], seed
 
     def test_binomial_entropy_gap_matches_direct(self):
-        for k in (2, 5):
-            for rp in (0.2, 0.5):
+        # bitwise, down to k = 1, whose window k - 1 = 0 has no channel
+        for k in range(1, 10):
+            for rp in (0.0, 0.05, 0.2, 0.5, 0.95):
                 direct = (
                     entropy(binomial_pmf(k - 1, rp))
                     + entropy(binomial_pmf(k + 1, rp))
                     - 2 * entropy(binomial_pmf(k, rp))
                 )
-                assert binomial_entropy_gap(k, rp) == pytest.approx(direct)
+                assert binomial_entropy_gap(k, rp) == direct, (k, rp)
+
+    def test_each_noise_entropy_is_computed_once(self, monkeypatch):
+        # the noise gaps of neighbouring windows and the slice channels
+        # share one H(Bin(k, r_p)) per (k, r_p)
+        made = Counter()
+        real = capacity3.binomial_pmf
+
+        def counting(k, p):
+            made[k, p] += 1
+            return real(k, p)
+
+        monkeypatch.setattr(capacity3, "binomial_pmf", counting)
+        capacity3._noise_bits.cache_clear()
+        capacity3._channel.cache_clear()
+        try:
+            for k in (2, 3, 4):
+                binomial_entropy_gap(k, 0.35)
+            noise = capacity3._slices(3, 0.35, [0.5])[2]
+        finally:  # drop the entropies computed under the counter
+            capacity3._noise_bits.cache_clear()
+            capacity3._channel.cache_clear()
+        assert noise[0] == entropy(real(3, 0.35))
+        # one pmf per entropy of k = 1..5, and one for the channel of k = 3
+        assert made == {(1, 0.35): 1, (2, 0.35): 1, (3, 0.35): 2, (4, 0.35): 1, (5, 0.35): 1}

@@ -167,6 +167,27 @@ class TestCapacity3:
         # two rates whose optimum did not yet decrease
         assert paths == [(1, 3), (2, 3), (3, 2)]
 
+    def test_one_slice_path_per_tau_and_pure_window(self, tmp_path, monkeypatch):
+        # the windows alone of each tau are solved after its program path,
+        # one slice call per window length, each (k, gamma, r_p) once in
+        # the sweep
+        calls = []
+        real = capacity3._slices
+
+        def slices(k, r_p, gammas):
+            calls.append((k, list(r_p), list(gammas)))
+            return real(k, r_p, gammas)
+
+        monkeypatch.setattr(capacity3, "_slices", slices)
+        code, _ = _run(tmp_path, "capacity3", "--rp-grid", "0,0.1,0.3", "--tau-max", "8")
+        assert code == 0
+        # window 2 at r_p 0.1 and 0.3 (tau 1), window 2 at r_p 0 (tau 2),
+        # window 3 at r_p 0.1 and 0.3 (tau 3)
+        assert [(k, len(g)) for k, _, g in calls] == [(2, 2), (2, 1), (3, 2)]
+        points = [(k, g, rp) for k, rps, gs in calls for rp, g in zip(rps, gs)]
+        assert len(set(points)) == len(points)
+        assert (2, pytest.approx(0.4), 0.1) in points
+
 
 class TestSimulate:
     def test_noiseless_run_is_clean(self, tmp_path):
