@@ -1,18 +1,11 @@
 """Two-user capacity of the covert queueing channel on a shared FCFS slot server.
 
-The operating point mixes probe inter-arrival windows of length 1 (weight
-alpha) and length 2 (weight 1 - alpha), subject to the heavy-traffic budget
-alpha*(gamma1 + 1) + (1 - alpha)*(gamma2 + 1/2) = 1. The objective is the
-matching mixture of per-slot entropy ceilings h_tilde.
-
-This is the three-user problem at r_p = 0 restricted to the window pair
-(1, 2), and both solves return its `CapacityResult3` with tau_star = 1.
-With the mix free it is `solve_capacity_3user(0.0, tau_max=2)`. With the
-mix frozen at alpha the Lagrangian separates once the budget multiplier is
-fixed, so the slice is solved in closed form with no barrier; its capacity
-is the objective above by h_tilde at the returned point, which meets the
-budget, and `gap_bits` is the certified bound minus it, at most
-PAIR_GAP_TOL or UncertifiedSolveError.
+Probe windows of length 1 (share alpha) and 2 (share 1 - alpha) under the
+heavy-traffic budget alpha*(gamma1 + 1) + (1 - alpha)*(gamma2 + 1/2) = 1,
+valued by the matching mixture of per-slot entropy ceilings h_tilde: the
+three-user problem at r_p = 0 on the window pair (1, 2). Both solves return
+its `CapacityResult3` with tau_star = 1, certified to PAIR_GAP_TOL or
+UncertifiedSolveError.
 """
 
 from __future__ import annotations
@@ -21,20 +14,13 @@ import math
 
 from .capacity3 import (LN2, PAIR_GAP_TOL, CapacityResult3, UncertifiedSolveError,
                         solve_capacity_3user)
-from .dist import h_tilde
+from .dist import _tilt_to_mean, h_tilde
 
 
 def solve_capacity_2user() -> CapacityResult3:
     """Maximize the two-user objective on the budget surface, certified by
     the dual of the window pair (1, 2)."""
     return solve_capacity_3user(0.0, tau_max=2)
-
-
-def _tilted(lam: float) -> tuple[float, float, float]:
-    """gamma1, gamma2 and 1/2 - gamma2 of windows 1 and 2 at tilt lam."""
-    e1, e2 = math.exp(lam), math.exp(2.0 * lam)
-    s2 = 2.0 * (1.0 + e1 + e2)
-    return e1 / (1.0 + e1), (e1 + 2.0 * e2) / s2, -math.expm1(2.0 * lam) / s2
 
 
 def _slice(alpha, gamma1, gamma2, capacity, residual, gap_bits) -> CapacityResult3:
@@ -48,17 +34,18 @@ def _slice(alpha, gamma1, gamma2, capacity, residual, gap_bits) -> CapacityResul
 
 
 def solve_on_alpha_slice(alpha: float) -> CapacityResult3:
-    """Best feasible point with the window mix frozen at `alpha`, in closed form.
+    """Best feasible point with the window mix frozen at `alpha`, with no barrier.
 
-    At budget multiplier s each window takes its max-entropy law, weights
-    e^(lam x), at one common tilt lam = -s ln 2 <= 0. The budget rises with
-    lam and is exceeded at lam = 0, so bisection on [-1e3, 0] finds its root.
-    The lighter window keeps its gamma; the budget fixes the other's. The
-    Lagrangian dual bounds the value by U = s (1 - alpha) / 2 + alpha L_1
-    + (1 - alpha) L_2 / 2, L_k = log2 sum_{x <= k} e^(lam x), and
-    `gap_bits` is U minus the capacity plus a rounding allowance. The
-    result has no witness: the free pair's laws would not bound the slice.
-    An alpha outside [0, 1] raises ValueError.
+    At budget multiplier s both windows take their max-entropy laws, weights
+    e^(lam x), at one tilt lam = -s ln 2, where the budget reads
+    alpha m_1 + (1 - alpha) m_2 / 2 = (1 - alpha) / 2 in the windows' means
+    m_k: one `_tilt_to_mean` solve, with lam <= 0 as lam = 0 exceeds the
+    budget. The lighter window keeps its gamma, the budget fixes the other's,
+    and the capacity is the objective at that point. The dual bounds it by
+    U = s (1 - alpha) / 2 + alpha L_1 + (1 - alpha) L_2 / 2, L_k = log2
+    sum_{x <= k} e^(lam x); `gap_bits` is U minus the capacity plus a
+    rounding allowance. There is no witness: the free pair's laws would not
+    bound the slice. An alpha outside [0, 1] raises ValueError.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha={alpha} outside [0, 1]")
@@ -66,13 +53,9 @@ def solve_on_alpha_slice(alpha: float) -> CapacityResult3:
         return _slice(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     if alpha == 0.0:  # the budget pins gamma2 = 1/2, the uniform law on {0, 1, 2}
         return _slice(0.0, 0.0, 0.5, h_tilde(0.5, 2).bits_per_slot, 0.0, 0.0)
-    # the budget as alpha gamma1 = (1 - alpha)(1/2 - gamma2), both sides
-    # accurate as alpha nears 0 or 1
-    lo, hi = -1e3, 0.0
-    while (lam := 0.5 * (lo + hi)) not in (lo, hi):
-        g1, _, d2 = _tilted(lam)
-        lo, hi = (lo, lam) if alpha * g1 >= (1.0 - alpha) * d2 else (lam, hi)
-    gamma1, gamma2, _ = _tilted(hi)
+    half = (1.0 - alpha) / 2.0
+    tilt, (p1, p2) = _tilt_to_mean((1, 2), [half], (alpha, half))
+    lam, gamma1, gamma2 = float(tilt[0]), float(p1[0, 1]), float(p2[0] @ (0.0, 0.5, 1.0))
     if alpha <= 0.5:
         gamma2 = (1.0 - alpha * (gamma1 + 1.0)) / (1.0 - alpha) - 0.5
     else:
@@ -80,17 +63,16 @@ def solve_on_alpha_slice(alpha: float) -> CapacityResult3:
     capacity = (alpha * h_tilde(gamma1, 1).bits_per_slot
                 + (1.0 - alpha) * h_tilde(gamma2, 2).bits_per_slot)
     budget = alpha * (gamma1 + 1.0) + (1.0 - alpha) * (gamma2 + 0.5)
-    s, e1, e2 = -hi / LN2, math.exp(hi), math.exp(2.0 * hi)
+    s, e1, e2 = -lam / LN2, math.exp(lam), math.exp(2.0 * lam)
     upper = (s * (1.0 - alpha) / 2.0 + alpha * math.log1p(e1) / LN2
              + (1.0 - alpha) * math.log1p(e1 + e2) / LN2 / 2.0)
-    # Weak duality: U >= objective - s (budget - 1). With at most n roundings
-    # per term, a sum errs by at most gamma_n = n u / (1 - n u) times the
-    # magnitudes of its terms (Higham 2002, ch. 3): U and the objective (on
-    # h_tilde's values) have no negative term, and budget - 1 has budget + 1.
-    # n = 8 bounds all three: (1 - alpha) L_2 / 2 rounds in exp (either one),
-    # e^lam + e^(2 lam), log1p (which passes on at most its argument's
-    # relative error), 1 - alpha, the product, LN2, the division and the sum
-    # U; the objective's terms round at most 3 times and the budget's 5.
+    # Weak duality: U >= objective - s (budget - 1). A sum whose terms round
+    # at most n times errs by gamma_n = n u / (1 - n u) times their magnitudes
+    # (Higham 2002, ch. 3); no term of U or the objective is negative, and
+    # budget - 1 has budget + 1. n = 8 bounds all three: (1 - alpha) L_2 / 2
+    # rounds in exp, e^lam + e^(2 lam), log1p (passing on at most its
+    # argument's relative error), 1 - alpha, the product, LN2, the division
+    # and the sum U; the objective's terms round at most 3 times, the budget's 5.
     gamma_n = 8 * 2.0**-53 / (1.0 - 8 * 2.0**-53)
     slack = gamma_n * (upper + capacity + s * (budget + 1.0)) + s * abs(budget - 1.0)
     gap_bits = upper - capacity + slack

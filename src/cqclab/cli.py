@@ -11,6 +11,7 @@ failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -368,6 +369,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, subparsers
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every call, built on the first one and never changed:
+    a --config call puts its defaults on a parser of its own."""
+    return build_parser()[0]
+
+
 def _typed_config(parsers, cfg: dict) -> dict:
     """cfg with each option's value passed through the option's argparse
     type and choices, as the same value given as a flag would be; a value
@@ -389,9 +397,9 @@ def _typed_config(parsers, cfg: dict) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     if args.config:
+        parser, subparsers = build_parser()
         with open(args.config) as fh:
             cfg = json.load(fh)
         known = set(vars(args))

@@ -185,13 +185,6 @@ class Codebook:
         return out
 
 
-def symbol_image(count: int, width: int) -> np.ndarray:
-    """Binary image of a window symbol: `count` ones then zeros."""
-    if not 0 <= count <= width:
-        raise ValueError("count must lie in [0, width]")
-    return (np.arange(width) < count).astype(np.int8)
-
-
 def _random_codebook(template: ProbeTemplate, M: int, seed: int) -> Codebook:
     """M distinct codewords with window counts drawn from the scheme's
     symbol laws; collisions are resampled."""

@@ -6,11 +6,14 @@ constraint), the log-moment generating function of the uniform distribution
 and its Legendre-Fenchel rate function, and the per-slot entropy ceiling
 h_tilde built from them.
 
-One batched tilt solver, `_tilt_to_mean`, finds every tilt: solve_tilt,
-rate_function and h_tilde are its one-row cases, solve_tilt_grid and
-h_tilde_grid its batched cases. Batched rows are independent: each row
-freezes at its own stopping test and shares no arithmetic with the others,
-so a batch returns, bitwise, the values of its one-row solves.
+One batched tilt solver, `_tilt_to_mean`, finds every tilt of the package.
+It tilts a weighted set of windows to one weighted mean: solve_tilt,
+rate_function and h_tilde are its one-row cases on one window of weight 1,
+solve_tilt_grid and h_tilde_grid its batched cases, and the two-user frozen
+slice of `capacity2` its case of windows 1 and 2. Batched rows are
+independent: each row freezes at its own stopping test and shares no
+arithmetic with the others, so a batch returns, bitwise, the values of its
+one-row solves.
 
 Entropies and divergences are in bits; rate_function returns nats (its
 consumers convert via log2(e)).
@@ -165,78 +168,89 @@ def tilted_pmf(k: int, lam: float) -> Pmf:
     return Pmf(w / w.sum())
 
 
-def _tilt_to_mean(k: int, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exponentially tilt the uniform law on {0..k} once per target, so that
-    row r has mean m[r]; return the tilts s and the pmfs, proportional to
-    exp(s * i) on {0..k}.
+def _tilt_to_mean(ks: tuple[int, ...], m, weights=1.0) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Tilt the uniform laws on the windows {0..k}, k in `ks`, at one common
+    tilt s per target, so that row r meets sum_w a_w m_w(s) = m[r], where
+    m_w(s) is the mean of window w's law, proportional to exp(s i) on
+    {0..k_w}, and the positive weights a broadcast to (rows, windows).
+    Return the tilts s and the laws, one (rows, k + 1) array per window.
+    One window of weight 1 tilts its law to the mean m itself.
 
-    Each row takes Newton steps from s = 0 on the log of its mean's distance
-    to the endpoint nearer its target (the mean itself up to k/2, k minus
-    the mean above). On an exponential tail that log is linear in s, so a
-    target such as 1e-300 takes a few steps rather than one per unit of s.
-    A step that leaves the bracket the signs so far establish, within
-    |s| <= 1e5, is replaced by bisection. A row freezes at the tilt it
-    reaches on its first Newton step below 1e-9, or on any step at the
-    rounding level of s; the pmfs are evaluated at the tilts reached. Rows
-    share no arithmetic, so each row of a batch is bitwise the one-row
-    solve of its target. A target outside (0, k) raises TiltEndpointError,
-    and a row that ends more than a relative 1e-10 off its target raises
-    TiltConvergenceError.
+    Each row takes Newton steps from s = 0 on the log of its weighted mean's
+    distance to the endpoint nearer its target: the weighted mean itself up
+    to half of K = sum_w a_w k_w, K minus it above. On an exponential tail
+    that log is linear in s, so a target such as 1e-300 takes a few steps
+    rather than one per unit of s. A step that leaves the bracket the signs
+    so far establish, within |s| <= 1e5, is replaced by bisection. A row
+    freezes at the tilt it reaches on its first Newton step below 1e-9, or
+    on any step at the rounding level of s; the laws are evaluated at the
+    tilts reached. Rows share no arithmetic, so each row of a batch is
+    bitwise the one-row solve of its target. A target outside (0, K) raises
+    TiltEndpointError, and a row that ends more than a relative 1e-10 off
+    its target raises TiltConvergenceError.
     """
     m = np.asarray(m, dtype=float)
-    if not ((m > 0.0) & (m < k)).all():
-        raise TiltEndpointError(f"target means must lie strictly inside (0, {k})")
-    i = np.arange(k + 1.0)
-    low = m <= 0.5 * k
-    d = np.where(low[:, None], i, k - i)  # distance of each point to the near endpoint
-    log_target = np.log(np.where(low, m, k - m))
+    a = np.broadcast_to(np.asarray(weights, dtype=float), (m.size, len(ks))).T
+    top = sum(a_w * k for a_w, k in zip(a, ks))  # K, the weighted mean as s grows without bound
+    if not ((m > 0.0) & (m < top)).all():
+        raise TiltEndpointError(f"target means must lie strictly inside (0, {top.max():g})")
+    low = m <= 0.5 * top
+    points = [np.arange(k + 1.0) for k in ks]
+    # distance of each point to the near endpoint of its window
+    dists = [np.where(low[:, None], i, k - i) for k, i in zip(ks, points)]
+    log_target = np.log(np.where(low, m, top - m))
     sign = np.where(low, 1.0, -1.0)
 
-    def tilted(s, rows):  # pmfs, distances and log-residuals (increasing in s) at tilts s
-        z = s[:, None] * i
-        z -= z.max(axis=1, keepdims=True)
-        p = np.exp(z, out=z)
-        p /= p.sum(axis=1, keepdims=True)
-        dist = (p * d[rows]).sum(axis=1)
-        return p, dist, sign[rows] * (np.log(dist) - log_target[rows])
+    def tilted(s):
+        """Laws, weighted distance, weighted variance (the distance's slope in
+        s) and log-residual (increasing in s) at tilts s."""
+        laws, dist, var = [], 0.0, 0.0
+        for i, d, a_w in zip(points, dists, a):
+            z = s[:, None] * i
+            z -= z.max(axis=1, keepdims=True)
+            p = np.exp(z, out=z)
+            p /= p.sum(axis=1, keepdims=True)
+            dist_w = (p * d).sum(axis=1)
+            dist = dist + a_w * dist_w
+            var = var + a_w * ((d - dist_w[:, None]) ** 2 * p).sum(axis=1)
+            laws.append(p)
+        return laws, dist, var, sign * (np.log(dist) - log_target)
 
     lo = np.full(m.size, -1e5)
     hi = np.full(m.size, 1e5)
     s = np.zeros(m.size)
-    live = np.arange(m.size)  # rows still stepping; a row freezes at its own stopping test
+    live = np.ones(m.size, dtype=bool)  # rows still stepping; each freezes at its own stopping test
     with np.errstate(divide="ignore", invalid="ignore"):  # a distance may underflow to 0
         for _ in range(100):
-            sl = s[live]
-            p, dist, f = tilted(sl, live)
-            var = ((d[live] - dist[:, None]) ** 2 * p).sum(axis=1)  # f has slope var / dist
-            newton = sl - f * dist / var
-            lo[live] = lol = np.where(f < 0, sl, lo[live])
-            hi[live] = hil = np.where(f > 0, sl, hi[live])
-            in_bracket = (newton >= lol) & (newton <= hil)
-            s_new = np.where(in_bracket, newton, 0.5 * (lol + hil))
-            step = np.abs(s_new - sl)
+            _, dist, var, f = tilted(s)
+            newton = s - f * dist / var  # f has slope var / dist
+            lo = np.where(f < 0, s, lo)
+            hi = np.where(f > 0, s, hi)
+            in_bracket = (newton >= lo) & (newton <= hi)
+            s_new = np.where(in_bracket, newton, 0.5 * (lo + hi))
+            step = np.abs(s_new - s)
             # a Newton step leaves an error of the order of its square
-            done = (in_bracket & (step <= 1e-9)) | (step <= 1e-13 + 8.9e-16 * np.abs(sl))
-            s[live] = s_new
-            live = live[~done]
-            if live.size == 0:
+            done = (in_bracket & (step <= 1e-9)) | (step <= 1e-13 + 8.9e-16 * np.abs(s))
+            s = np.where(live, s_new, s)
+            live &= ~done
+            if not live.any():
                 break
-        p, _, f = tilted(s, slice(None))
+        laws, _, _, f = tilted(s)
     off = np.flatnonzero(~(np.abs(f) <= 1e-10))
     if off.size:
         j = int(off[0])
         raise TiltConvergenceError(
-            f"tilt for target mean {m[j]!r} on {{0..{k}}} stopped at s={s[j]!r}, "
+            f"tilt for target mean {m[j]!r} on windows {tuple(ks)} stopped at s={s[j]!r}, "
             f"relative residual {abs(f[j]):.3e}"
         )
-    return s, p
+    return s, laws
 
 
 def _rate_grid(k: int, x: np.ndarray) -> np.ndarray:
     """Rate function (nats) of the uniform law on {0..k} at interior means x:
     lam * x - psi(lam) at the tilt lam matching each mean, with psi the
     uniform log-MGF."""
-    lam, _ = _tilt_to_mean(k, x)
+    lam, _ = _tilt_to_mean((k,), x)
     z = np.multiply.outer(lam, np.arange(k + 1.0))
     zmax = z.max(axis=1)
     psi = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1)) - math.log(k + 1)
@@ -254,7 +268,7 @@ def solve_tilt_grid(k: int, target_means) -> tuple[np.ndarray, np.ndarray]:
     if k < 1:
         raise ValueError("k must be >= 1")
     m = np.asarray(target_means, dtype=float).reshape(-1)
-    lam, p = _tilt_to_mean(k, m)
+    lam, (p,) = _tilt_to_mean((k,), m)
     residual = np.abs(p @ np.arange(k + 1.0) - m)
     off = np.flatnonzero(~(residual <= _MEAN_TOL))
     if off.size:

@@ -127,13 +127,6 @@ class SchedulerTrace:
         mask = self.owners == _OWNER_CODE[user]
         return self.arrivals[mask], self.departures[mask]
 
-    def queue_at_arrival(self, slot: int) -> int:
-        """Queue length seen by a highest-priority arrival at `slot`
-        (packets from earlier slots still present)."""
-        if slot <= 0:
-            return self.initial_backlog
-        return int(self.queue_len[slot - 1])
-
 
 @dataclass(frozen=True)
 class ProbeObservations:
@@ -461,13 +454,6 @@ def empirical_channel_law(
         counts += np.bincount(diff, minlength=tau + 1)
     counts = counts.astype(float)
     return Pmf(counts / counts.sum())
-
-
-def total_variation(p: Pmf, q: Pmf) -> float:
-    """Total-variation distance between two pmfs on the same support."""
-    if p.k != q.k:
-        raise ValueError("supports differ")
-    return 0.5 * float(np.abs(p.probs - q.probs).sum())
 
 
 def trace_to_csv_rows(

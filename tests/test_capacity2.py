@@ -224,6 +224,13 @@ class TestCertificate:
     def test_extreme_weights(self, alpha):
         _certified_slice(alpha)
 
+    def test_alpha_sweep_certifies(self):
+        # 1,000 frozen mixes: 500 uniform, and 250 log-spaced from 1e-15 to
+        # 1e-1 off each end of [0, 1]
+        tail = np.logspace(-15, -1, 250)
+        for alpha in np.concatenate([np.linspace(0.0, 1.0, 502)[1:-1], tail, 1.0 - tail]):
+            _certified_slice(float(alpha))
+
 
 class TestConcavityAlongConstraint:
     def test_scheme_mixtures_dominate(self):

@@ -298,7 +298,7 @@ class TestBatchedSolver:
     def test_tilt_matches_scalar_root(self):
         rng = np.random.default_rng(12)
         m = rng.uniform(0.01, 3.99, size=30)
-        _, got = _tilt_to_mean(4, m)
+        _, (got,) = _tilt_to_mean((4,), m)
         idx = np.arange(5.0)
 
         def pm(s):
@@ -327,7 +327,7 @@ class TestBatchedSolver:
         bits, gaps, _, p = capacity3._slices(5, 0.3, gs)
         assert (gaps <= GAP_TOL).all()
         m = 5 * gs
-        _, tilted = _tilt_to_mean(5, m)
+        _, (tilted,) = _tilt_to_mean((5,), m)
         model = capacity3._SliceObjective()
         data = (np.repeat([channel_matrix(5, 0.3).rows], gs.size, axis=0),)  # one channel per row
         A, b = np.stack([np.ones(6), np.arange(6.0)]), np.stack([np.ones(gs.size), m], axis=1)

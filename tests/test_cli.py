@@ -388,6 +388,22 @@ class TestConfig:
         )
         assert len(_rows(body)) - 1 == 3
 
+    def test_config_defaults_stay_off_later_calls(self, tmp_path, monkeypatch):
+        # calls without --config share one parser; a --config call builds its own
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._shared_parser.cache_clear()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma_step": 0.5, "k_set": "1", "seed": 7}))
+        _, body = _run(tmp_path, "--config", str(cfg), "htilde")
+        assert "# seed=7" in body.splitlines()
+        _, body = _run(tmp_path, "htilde")
+        _run(tmp_path, "capacity2")
+        assert len(builds) == 2
+        head = body.splitlines()[:4]
+        assert head[2:] == ['# config={"gamma_step": 0.01, "k_set": [1, 2, 3]}', "# seed=0"]
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"not_a_flag": 1}))

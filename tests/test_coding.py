@@ -31,7 +31,6 @@ from cqclab.coding import (
     load_codebook,
     probe_stream,
     run_transmission,
-    symbol_image,
     _CHUNK,
     _decode_rows,
 )
@@ -96,17 +95,22 @@ class TestSegmentSplit:
 
 
 class TestSymbolMap:
+    @staticmethod
+    def _image(count, width):
+        # one window of `width` slots carrying `count`
+        return ProbeTemplate(((width, 1, Pmf.uniform(width)),)).image(np.array([count]))
+
     @pytest.mark.parametrize("width", [1, 2, 3, 4])
     def test_injective_count_map(self, width):
-        images = [symbol_image(c, width).tolist() for c in range(width + 1)]
+        images = [self._image(c, width).tolist() for c in range(width + 1)]
         assert len({tuple(im) for im in images}) == width + 1
         for c, im in enumerate(images):
             assert sum(im) == c
 
     def test_second_segment_pairs(self):
-        assert symbol_image(0, 2).tolist() == [0, 0]
-        assert symbol_image(1, 2).tolist() == [1, 0]
-        assert symbol_image(2, 2).tolist() == [1, 1]
+        assert self._image(0, 2).tolist() == [0, 0]
+        assert self._image(1, 2).tolist() == [1, 0]
+        assert self._image(2, 2).tolist() == [1, 1]
 
     def test_window_counts_of_row(self):
         cb = _handmade_codebook([[1, 1, 0, 0], [1, 0, 1, 1]], short=2)

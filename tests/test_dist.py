@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -166,7 +167,7 @@ class TestTiltTails:
     @pytest.mark.parametrize("m", TAIL_MEANS)
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_reaches_tail_root(self, k, m):
-        s, p = _tilt_to_mean(k, np.array([m]))
+        s, (p,) = _tilt_to_mean((k,), np.array([m]))
         assert s[0] == pytest.approx(math.log(m), rel=1e-14)
         assert p[0] @ np.arange(k + 1.0) == pytest.approx(m, rel=1e-12)
         sol = solve_tilt(k, m)
@@ -175,7 +176,7 @@ class TestTiltTails:
 
     def test_tail_rows_in_one_batch(self):
         m = np.array([0.5, *TAIL_MEANS, 1.5])
-        s, p = _tilt_to_mean(2, m)
+        s, (p,) = _tilt_to_mean((2,), m)
         assert s[1:4] == pytest.approx(np.log(TAIL_MEANS), rel=1e-14)
         assert p @ np.arange(3.0) == pytest.approx(m, rel=1e-12)
 
@@ -188,15 +189,15 @@ class TestTiltTails:
         with pytest.raises(TiltEndpointError):
             solve_tilt(k, k - m)
         with pytest.raises(TiltEndpointError):
-            _tilt_to_mean(k, np.array([k - m]))
+            _tilt_to_mean((k,), np.array([k - m]))
 
     @pytest.mark.parametrize("d", [1e-3, 1e-8, 1e-15])
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_mirror_of_representable_tails(self, k, d):
         up = k - d
         d = k - up  # exact: the distance the upper target really has
-        s_lo, p_lo = _tilt_to_mean(k, np.array([d]))
-        s_up, p_up = _tilt_to_mean(k, np.array([up]))
+        s_lo, (p_lo,) = _tilt_to_mean((k,), np.array([d]))
+        s_up, (p_up,) = _tilt_to_mean((k,), np.array([up]))
         assert s_up[0] == pytest.approx(-s_lo[0], rel=1e-12)
         assert np.allclose(p_up[0], p_lo[0][::-1], rtol=1e-10, atol=0.0)
 
@@ -334,6 +335,67 @@ class TestBatchedRows:
     def test_tilt_grid_rejects_endpoints(self):
         with pytest.raises(TiltEndpointError):
             solve_tilt_grid(3, [1.0, 3.0])
+
+
+# SHA-256 over solve_tilt_grid's tilts and laws and h_tilde_grid's values at
+# k = 1..8 on PINNED_GAMMAS, recorded from the one-window solver before it
+# took weighted windows. It holds for one numpy build on one CPU; where exp
+# or log round differently, re-record it from a solver known to be unchanged.
+PINNED_DIGEST = "f4fc87306a5086bbc2b88ee84c854678657a9391c5319d3839149d22dcedb0c0"
+PINNED_GAMMAS = np.concatenate([[1e-300, 1e-200, 1e-100, 1e-30, 1e-15, 1e-8],
+                                np.linspace(1e-3, 1.0 - 1e-3, 101), [1.0 - 1e-8, 1.0 - 1e-15]])
+
+
+class TestWeightedWindows:
+    """Windows at one tilt meet one weighted mean; one window of weight 1 is
+    the plain tilt to a mean, bit for bit."""
+
+    def test_one_window_outputs_are_pinned(self):
+        digest = hashlib.sha256()
+        for k in range(1, 9):
+            lam, p = solve_tilt_grid(k, k * PINNED_GAMMAS)
+            for arr in (lam, p, h_tilde_grid(PINNED_GAMMAS, k)):
+                digest.update(arr.tobytes())
+        assert digest.hexdigest() == PINNED_DIGEST
+
+    @pytest.mark.parametrize("ks", [(1, 2), (2, 5), (1, 3, 8)])
+    def test_meets_the_weighted_mean(self, ks):
+        from scipy.optimize import brentq
+
+        rng = np.random.default_rng(len(ks))
+        a = rng.uniform(0.01, 1.0, size=(40, len(ks)))
+        top = a @ np.array(ks, dtype=float)
+        m = top * np.concatenate([rng.uniform(0.001, 0.999, 38), [1e-200, 1.0 - 1e-12]])
+        s, laws = _tilt_to_mean(ks, m, a)
+        means = [p @ np.arange(k + 1.0) for k, p in zip(ks, laws)]
+        assert sum(a[:, w] * mw for w, mw in enumerate(means)) == pytest.approx(m, rel=1e-10)
+        for r in range(m.size):
+            # every window carries the law of the row's one tilt
+            for k, p in zip(ks, laws):
+                assert np.allclose(p[r], tilted_pmf(k, s[r]).probs, rtol=1e-12, atol=0.0)
+            if r < 38:  # the root by a bracketing solver that shares no code
+                def residual(t, r=r):
+                    return sum(a[r, w] * tilted_pmf(k, t).mean() for w, k in enumerate(ks)) - m[r]
+
+                root = brentq(residual, -200.0, 200.0, xtol=1e-14)
+                assert s[r] == pytest.approx(root, abs=1e-9)
+
+    def test_batch_rows_are_one_row_solves(self):
+        tail = np.logspace(-15, -1, 8)
+        alpha = np.concatenate([tail, np.linspace(0.05, 0.95, 7), 1.0 - tail])
+        half = (1.0 - alpha) / 2.0  # the two-user frozen slice's budget at each alpha
+        a = np.stack([alpha, half], axis=1)
+        s, laws = _tilt_to_mean((1, 2), half, a)
+        for r in range(alpha.size):
+            s_r, laws_r = _tilt_to_mean((1, 2), half[r : r + 1], a[r : r + 1])
+            assert s_r[0] == s[r]
+            assert all(np.array_equal(p_r[0], p[r]) for p_r, p in zip(laws_r, laws))
+
+    def test_target_outside_the_weighted_range_raises(self):
+        # 0.5 m_1 + 0.5 m_2 ranges over (0, 1.5)
+        for m in (0.0, 1.5):
+            with pytest.raises(TiltEndpointError):
+                _tilt_to_mean((1, 2), [m], (0.5, 0.5))
 
 
 class TestBinomialPmf:

@@ -19,7 +19,6 @@ from cqclab.coding import (
     dump_codebook,
     load_codebook,
     probe_stream,
-    symbol_image,
 )
 from cqclab.dist import Pmf
 from cqclab.fcfs import (
@@ -119,7 +118,7 @@ def handmade_codebooks(draw):
     widths = template.widths.tolist()
     symbols = st.tuples(*(st.integers(0, w) for w in widths))
     messages = draw(st.lists(symbols, min_size=1, max_size=8, unique=True))
-    rows = [np.concatenate([symbol_image(c, w) for c, w in zip(m, widths)]) for m in messages]
+    rows = template.image(np.array(messages))
     return Codebook(template=template, codewords=np.array(rows), seed=draw(st.integers(0, 2**32)))
 
 
