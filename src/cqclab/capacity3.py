@@ -19,9 +19,10 @@ its slowest point. Rows may differ in their noise rate r_p, so a sweep over
 many rates (`validate_i_concavity`, `degradation_violations`) is one solve
 per window length. Every row carries its own channel and its products go
 row by row, so a point has the same bits solved alone, in a one-rate batch
-or among other rates. Channels and noise entropies are built once per
-(k, r_p) and cached, so the concavity sweep's noise gaps reuse the
-entropies of its slice solves. An uncertified slice point raises
+or among other rates. Channel rows (`_channel`) and noise entropies
+(`_noise_bits`, the one H(Bin(k, r_p))) are each built once per (k, r_p)
+and cached, so the concavity sweep's noise gaps reuse the entropies of its
+slice solves. An uncertified slice point raises
 UncertifiedSolveError naming its k, gamma and r_p. The path
 (`_newton_path`) certifies its own rows: it returns each row's LP gap,
 infinite for a row off its constraint plane, so its callers only name an
@@ -34,13 +35,16 @@ Vandenberghe 2004, sec. 3.2.6), so the pair maximizes a concave function
 of q >= 0 under two linear equalities, by one log-barrier Newton path
 (ibid., ch. 11) certified by its LP gap. Both problems run the same
 barrier-Newton loop (`_newton_path`), each with its own objective and its
-own mu stages. `solve_capacity_grid` runs the tau loops of many rates in
-one sweep over ascending tau, each tau one program path for the pairs of
-every rate still in its loop, then one slice path per window length for
-the pairs whose optimum is one window alone, each such point solved once
-in the sweep; `solve_capacity_3user` is its one-rate case. Both two-user
-solves in `capacity2` return its r_p = 0 result; the free one is
-`solve_capacity_3user(0.0, tau_max=2)`, the pair (1, 2).
+own mu stages. An objective has two methods: `parts` returns its per-row
+arrays, the value first, and `newton` turns them into the gradient and
+writes the Hessian; the path alone evaluates parts and keeps those of the
+line search for the next step. `solve_capacity_grid` runs the tau loops
+of many rates in one sweep over ascending tau, each tau one program path
+for the pairs of every rate still in its loop, then one slice path per
+window length for the pairs whose optimum is one window alone, each such
+point solved once in the sweep; `solve_capacity_3user` is its one-rate
+case. Both two-user solves in `capacity2` return its r_p = 0 result; the
+free one is `solve_capacity_3user(0.0, tau_max=2)`, the pair (1, 2).
 """
 
 from __future__ import annotations
@@ -203,26 +207,26 @@ def _noise_bits(k: int, r_p: float) -> float:
 
 
 @functools.lru_cache(maxsize=1024)
-def _channel(k: int, r_p: float) -> tuple[np.ndarray, float]:
-    """The rows of channel_matrix(k, r_p) and the noise entropy H(Bin(k, r_p))
-    in bits, built once per (k, r_p)."""
-    return channel_matrix(k, r_p).rows, _noise_bits(k, r_p)
+def _channel(k: int, r_p: float) -> np.ndarray:
+    """The read-only rows of channel_matrix(k, r_p), built once per (k, r_p)."""
+    return channel_matrix(k, r_p).rows
 
 
 def _newton_path(q, A, b, data, model, stages):
     """Log-barrier Newton path (Boyd & Vandenberghe 2004, ch. 11) on every
-    row of q: maximize the concave model.value(q) + mu * sum(log q) over
+    row of q: maximize the concave objective f(q) + mu * sum(log q) over
     {A q = b[row]} for each mu in `stages`.
 
     `data` holds per-row arrays of the objective; a row leaves the loop
-    with its data. model.parts(q, data) returns the per-row arrays that
-    model.value(q, data, parts) and model.newton(q, data, H, parts) read
-    (each computes them when given none). model.newton returns the
-    objective and its gradient and writes its Hessian into H, a view of the
-    preallocated KKT matrices whose constraint blocks A are set once. The
-    line search's parts at the accepted point serve the next Newton step,
-    unless the 1e-150 floor moved an entry, so each step evaluates the
-    objective's parts once; a row's parts depend on that row alone. Each
+    with its data. The objective has two methods. model.parts(q, data)
+    returns per-row arrays, the value f first; a row's parts depend on that
+    row alone. model.newton(q, data, parts, H) returns the gradient from
+    the parts at q and writes the Hessian into H, a view of the
+    preallocated KKT matrices whose constraint blocks A are set once. The path is the
+    one caller of parts: the line search evaluates them at each candidate
+    and reads the value as parts[0], and those of the accepted point serve
+    the next Newton step, unless the 1e-150 floor moved an entry, when the
+    step evaluates them afresh (as it does at the start of each stage). Each
     stage's equality-constrained Newton system carries the residual
     b - A q, which pulls rounding drift back onto the constraint plane.
     Every row advances in the same batched KKT solve but keeps its own
@@ -252,7 +256,9 @@ def _newton_path(q, A, b, data, model, stages):
         parts = None  # the objective's parts at ql, when the line search left them
         for _ in range(60):
             K, r = kkt[: live.size], rhs[: live.size]
-            f, g = model.newton(ql, dl, K[:, :n, :n], parts)
+            if parts is None:
+                parts = model.parts(ql, dl)
+            g = model.newton(ql, dl, parts, K[:, :n, :n])
             K.reshape(live.size, -1)[:, : n * (size + 1) : size + 1] -= mu / ql**2  # diagonal
             r[:, :n, 0] = -g - mu / ql
             r[:, n:, 0] = bl - _lhs(ql, A)
@@ -265,7 +271,7 @@ def _newton_path(q, A, b, data, model, stages):
             with np.errstate(over="ignore"):  # a subnormal step entry: the ratio is inf
                 ratio = np.divide(ql, -dq, out=np.full_like(ql, np.inf), where=dq < 0)
             t = np.minimum(1.0, 0.99 * ratio.min(axis=1))
-            base = f + mu * np.log(ql).sum(axis=1)
+            base = parts[0] + mu * np.log(ql).sum(axis=1)
             todo = step >= 1e-14
             accepted = np.zeros(live.size, dtype=bool)
             for _ in range(50):
@@ -273,8 +279,7 @@ def _newton_path(q, A, b, data, model, stages):
                 inside = (cand > 0).all(axis=1)
                 cq = np.where(inside[:, None], cand, 1.0)
                 parts = model.parts(cq, dl)
-                merit = model.value(cq, dl, parts) + mu * np.log(cq).sum(axis=1)
-                ok = todo & inside & (merit >= base - 1e-12)
+                ok = todo & inside & (parts[0] + mu * np.log(cq).sum(axis=1) >= base - 1e-12)
                 accepted |= ok
                 todo &= ~ok
                 if not todo.any():
@@ -292,29 +297,27 @@ def _newton_path(q, A, b, data, model, stages):
                 if live.size == 0:
                     break
         q[live] = ql
-    f, g = model.newton(q, data)
-    gap = _lp_gaps(g, q, b[:, 1], A[1])
+    parts = model.parts(q, data)
+    gap = _lp_gaps(model.newton(q, data, parts), q, b[:, 1], A[1])
     gap[~(np.abs(_lhs(q, A) - b).max(axis=1) <= FEAS_TOL)] = np.inf
-    return q, f, gap
+    return q, parts[0], gap
 
 
 class _SliceObjective:
     """H(B p) in nats, the objective of a slice solve. A row's data are its
     channel B, so its products go row by row."""
 
-    def parts(self, q, data):  # the outputs B p
-        return (_times(q, data[0]),)
+    def parts(self, q, data):  # objective and outputs B p
+        py = _times(q, data[0])
+        return _entropy_rows(py), py
 
-    def value(self, q, data, parts=None):
-        return _entropy_rows((parts or self.parts(q, data))[0])
-
-    def newton(self, q, data, H=None, parts=None):
+    def newton(self, q, data, parts, H=None):
         B = data[0]
         Bt = B.transpose(0, 2, 1)
-        py = np.maximum((parts or self.parts(q, data))[0], 1e-300)
+        py = np.maximum(parts[1], 1e-300)
         if H is not None:
             np.matmul(B / -py[:, None, :], Bt, out=H)
-        return _entropy_rows(py), -_times(np.log(py) + 1.0, Bt)
+        return -_times(np.log(py) + 1.0, Bt)
 
 
 def _slices(k: int, r_p, gammas):
@@ -347,8 +350,7 @@ def _slices(k: int, r_p, gammas):
     gammas = np.asarray(gammas, dtype=float)
     n = gammas.size
     rates, chan = np.unique(np.broadcast_to(r_p, n), return_inverse=True)
-    chans = [_channel(k, float(rp)) for rp in rates]
-    stack = np.array([rows for rows, _ in chans])
+    stack = np.array([_channel(k, float(rp)) for rp in rates])
     A = np.stack([np.ones(k + 1), np.arange(k + 1.0)])
     model, size = _SliceObjective(), max(_CHUNK_KKT // (k + 3) ** 2, 1)
     bits, gaps, p = np.empty(n), np.zeros(n), np.zeros((n, k + 1))
@@ -375,8 +377,8 @@ def _slices(k: int, r_p, gammas):
                     f"LP gap {gap[j]:.3e} nats > GAP_TOL={GAP_TOL:.0e}"
                 )
             pc[inner], gaps[c][inner] = q, gap
-        bits[c] = model.value(pc, data) / LN2
-    return bits, gaps, np.array([h for _, h in chans])[chan], p
+        bits[c] = model.parts(pc, data)[0] / LN2
+    return bits, gaps, np.array([_noise_bits(k, float(rp)) for rp in rates])[chan], p
 
 
 def h_check(gamma: float, k: int, r_p: float) -> tuple[float, Pmf]:
@@ -398,12 +400,11 @@ def i_tilde(gamma: float, k: int, r_p: float) -> ITildeValue:
     """Per-slot information ceiling through the shifted-binomial channel."""
     k = _count("k", k, 1)
     bits, p = h_check(gamma, k, r_p)
-    _, noise_bits = _channel(k, r_p)
     return ITildeValue(
         gamma=gamma,
         k=k,
         r_p=r_p,
-        bits_per_slot=max((bits - noise_bits) / k, 0.0),
+        bits_per_slot=max((bits - _noise_bits(k, r_p)) / k, 0.0),
         maximizing_input=p,
     )
 
@@ -446,16 +447,13 @@ class _PairObjective:
         lv = np.log(v / a[:, self.at[0]])
         return -(v * lv / self.ky).sum(axis=1) - (q * hn).sum(axis=1), v, a, lv
 
-    def value(self, q, data, parts=None):
-        return (parts or self.parts(q, data))[0]
-
-    def newton(self, q, data, H=None, parts=None):
-        (f, v, a, lv), (B, hn) = parts or self.parts(q, data), data
+    def newton(self, q, data, parts, H=None):
+        (_, v, a, lv), (B, hn) = parts, data
         Bt = B.transpose(0, 2, 1)
         if H is not None:
             np.matmul(B / -(v * self.ky)[:, None, :], Bt, out=H)
             H += self.same / (a[:, self.at[1]] * self.k)[:, :, None]
-        return f, -_times(lv / self.ky, Bt) - hn
+        return -_times(lv / self.ky, Bt) - hn
 
 
 def _program_path(tau: int, r_ps: np.ndarray):
@@ -475,9 +473,8 @@ def _program_path(tau: int, r_ps: np.ndarray):
     cost = (np.where(win, np.arange(n) - tau - 1.0, np.arange(n)) + 1.0) / k
     B, hn = np.zeros((rows, n, 4 * tau + 4)), np.empty((rows, n))
     for r, rp in enumerate(r_ps):
-        (B1, h1), (B2, h2) = _channel(tau, rp), _channel(tau + 1, rp)
-        B[r, : tau + 1, :m1], B[r, tau + 1 :, m1:] = B1, B2
-        hn[r] = np.where(win, h2, h1) * LN2 / k
+        B[r, : tau + 1, :m1], B[r, tau + 1 :, m1:] = _channel(tau, rp), _channel(tau + 1, rp)
+        hn[r] = np.where(win, _noise_bits(tau + 1, rp), _noise_bits(tau, rp)) * LN2 / k
     c = 1.0 - r_ps
     A, b = np.stack([np.ones(n), cost]), np.stack([np.ones(rows), c], axis=1)
 

@@ -165,14 +165,8 @@ def cmd_simulate(args) -> int:
         f"bits/slot: {report.errors} errors "
         f"(rate {report.empirical_error_rate:.4f})"
     )
-    row = (
-        report.messages_sent,
-        report.errors,
-        report.empirical_error_rate,
-        report.empirical_rate_bits_per_slot,
-        report.seed,
-    )
-    header = "messages_sent,errors,empirical_error_rate,empirical_rate_bits_per_slot,seed"
+    columns = ("messages_sent", "errors", "empirical_error_rate", "empirical_rate_bits_per_slot",
+               "seed")
     cfg = {
         "users": args.users,
         "n": args.n,
@@ -183,18 +177,18 @@ def cmd_simulate(args) -> int:
         "delta": args.delta,
         "backlog": args.backlog,
     }
-    _emit(args, cfg, header, [row])
+    _emit(args, cfg, ",".join(columns), [tuple(getattr(report, c) for c in columns)])
     if args.trace:
         # the first message of the run above, on the same seed
         messages, issues = next(_codebook_chunks(cb, background, args.seed, trials=1))
-        schedules = _schedules(issues[0])
-        trace = simulate(*schedules, initial_backlog=_backlog(cb.template, args.backlog))
+        backlog = _backlog(cb.template, args.backlog)
+        trace = simulate(*_schedules(issues[0]), initial_backlog=backlog)
         comments = [
             f"tool=cqclab version={__version__}",
             f"command=simulate-trace message={messages[0]} seed={args.seed}",
         ]
         header = "slot,arrivals_by_user,served_owner,queue_len"
-        _write(args.trace, comments, header, trace_to_csv_rows(trace, *schedules))
+        _write(args.trace, comments, header, trace_to_csv_rows(trace))
     return 0
 
 
@@ -209,22 +203,11 @@ def cmd_stability(args) -> int:
         f"second-half mean {report.mean_queue_second_half:.2f}, "
         f"drift above threshold {thr}: {drift}"
     )
-    row = (
-        report.total_rate,
-        report.horizon,
-        report.final_queue,
-        report.max_queue,
-        report.mean_queue_second_half,
-        report.squared_increment_mean,
-        report.drift_threshold,
-        report.drift_above_threshold,
-        report.slots_above_threshold,
-    )
-    header = (
-        "total_rate,horizon,final_queue,max_queue,mean_queue_second_half,"
-        "squared_increment_mean,drift_threshold,drift_above_threshold,slots_above_threshold"
-    )
-    _emit(args, {"rates": rates, "horizon": args.horizon}, header, [row])
+    columns = ("total_rate", "horizon", "final_queue", "max_queue", "mean_queue_second_half",
+               "squared_increment_mean", "drift_threshold", "drift_above_threshold",
+               "slots_above_threshold")
+    _emit(args, {"rates": rates, "horizon": args.horizon}, ",".join(columns),
+          [tuple(getattr(report, c) for c in columns)])
     return 0
 
 
@@ -402,7 +385,8 @@ def main(argv: list[str] | None = None) -> int:
         parser, subparsers = build_parser()
         with open(args.config) as fh:
             cfg = json.load(fh)
-        known = set(vars(args))
+        known = {a.dest for p in (parser, subparsers[args.command]) for a in p._actions
+                 if a.option_strings and a.dest not in ("help", "config")}
         bad = set(cfg) - known
         if bad:
             print(f"unknown config keys: {sorted(bad)}", file=sys.stderr)
@@ -414,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         parser.set_defaults(**cfg)
         for sp in subparsers.values():
-            sp.set_defaults(**{k: v for k, v in cfg.items() if k != "command"})
+            sp.set_defaults(**cfg)
         args = parser.parse_args(argv)
     if args.tolerance is not None and args.command != "validate":
         print(f"usage error: --tolerance applies only to validate, not {args.command}",

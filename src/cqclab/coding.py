@@ -175,12 +175,15 @@ class Codebook:
 
     @functools.cached_property
     def symbol_indicators(self) -> np.ndarray:
-        """Read-only (M, n + windows + 1): per window, one 0/1 column per symbol
-        0..width, 1 at its stored count; then how many lie outside [0, width]."""
+        """Read-only (M, n + windows): per window, one 0/1 column per symbol
+        0..width, 1 at its stored count. A stored count outside [0, width],
+        which no count-image has, raises DecodeMatchError."""
         widths = self.template.widths
         first = np.repeat(self.template.starts + np.arange(widths.size), widths + 1)
         hits = np.repeat(self.window_counts, widths + 1, axis=1) == np.arange(first.size) - first
-        out = np.column_stack([hits, widths.size - hits.sum(axis=1)]).astype(float)
+        if (hits.sum(axis=1) != widths.size).any():
+            raise DecodeMatchError("stored window counts outside their windows match no codeword")
+        out = hits.astype(float)
         out.flags.writeable = False
         return out
 
@@ -299,7 +302,7 @@ def _log_channel_table(width: int, r_p: float) -> np.ndarray:
     """Read-only log P(Y = y | X = x) of the width-slot channel, -1e30 where
     impossible; built once per (width, r_p) from the rows that
     `cqclab.capacity3` caches for the same channel."""
-    rows, _ = _channel(width, r_p)
+    rows = _channel(width, r_p)
     table = np.where(rows > 0, np.log(np.maximum(rows, 1e-300)), -1e30)
     table.flags.writeable = False
     return table
@@ -313,7 +316,7 @@ def _decode_rows(y: np.ndarray, codebook: Codebook, r_p: float) -> np.ndarray:
     y = np.ascontiguousarray(y)  # the gathers below follow the layout of y
     if ((y < 0) | (y > 2 * codebook.template.widths)).any():
         raise DecodeMatchError("observed count outside the channel alphabet")
-    terms = np.full((y.shape[0], codebook.symbol_indicators.shape[1]), -1e30)  # log P(y | x)
+    terms = np.empty((y.shape[0], codebook.symbol_indicators.shape[1]))  # log P(y | x)
     stop = end = 0
     for width, count, _ in codebook.template.windows:
         start, stop = stop, stop + count

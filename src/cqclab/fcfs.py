@@ -456,27 +456,18 @@ def empirical_channel_law(
     return Pmf(counts / counts.sum())
 
 
-def trace_to_csv_rows(
-    trace: SchedulerTrace,
-    decoder: ArrivalSchedule,
-    encoder: ArrivalSchedule,
-    background: ArrivalSchedule | None = None,
-) -> list[tuple[int, str, str, int]]:
+def trace_to_csv_rows(trace: SchedulerTrace) -> list[tuple[int, str, str, int]]:
     """Rows (slot, arrivals_by_user, served_owner, queue_len) for CSV export.
 
     Covers every slot from 0 through the drain of the queue; arrival codes
-    are the user initials in priority order and '-' marks an idle server.
+    are the user initials in priority order, read off the trace's service
+    order, and '-' marks an idle server.
     """
     length = trace.queue_len.size
     served = np.full(length, "-", dtype=object)
     served[trace.departures - 1] = _OWNER_LETTER[trace.owners]  # one departure per slot
-    streams = [decoder, encoder] + ([background] if background is not None else [])
-    rows = []
-    for t in range(length):
-        arr = "".join(
-            _OWNER_LETTER[_OWNER_CODE[s.user]]
-            for s in streams
-            if t < len(s) and s.slots[t]
-        )
-        rows.append((t, arr, str(served[t]), int(trace.queue_len[t])))
-    return rows
+    arrivals = [""] * length
+    for slot, owner in zip(trace.arrivals.tolist(), trace.owners.tolist()):
+        if slot >= 0:  # FIFO order, so a slot's arrivals in priority order; no sentinels
+            arrivals[slot] += _OWNER_LETTER[owner]
+    return [(t, arrivals[t], str(served[t]), int(trace.queue_len[t])) for t in range(length)]

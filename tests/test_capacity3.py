@@ -333,7 +333,7 @@ class TestBatchedSolver:
         A, b = np.stack([np.ones(6), np.arange(6.0)]), np.stack([np.ones(gs.size), m], axis=1)
         q, _, path_gaps = capacity3._newton_path(tilted, A, b, data, model, capacity3._MU_STAGES)
         assert (path_gaps <= GAP_TOL).all()
-        assert np.allclose(model.value(q, data) / capacity3.LN2, bits, atol=1e-12)
+        assert np.allclose(model.parts(q, data)[0] / capacity3.LN2, bits, atol=1e-12)
         assert np.allclose(q, p, atol=1e-9)
 
     def test_every_slice_row_certifies(self):
@@ -426,19 +426,62 @@ class TestBatchedSolver:
                       lambda: capacity3._slices(4, [0.0, 0.2, 0.5], [0.3, 0.5, 0.9])),
         }[objective]
         ref = run()
-        offered, real = Counter(), cls.newton
+        offered, real_parts, real_newton = Counter(), cls.parts, cls.newton
+        latest = [None]  # the iterate of the latest parts call
 
-        def fresh(self, q, data, H=None, parts=None):
-            if parts is not None:
-                for got, want in zip(parts, self.parts(q, data)):
-                    assert (got == want).all()
-            offered[parts is not None] += 1
-            return real(self, q, data, H)
+        def parts(self, q, data):
+            latest[0] = q
+            return real_parts(self, q, data)
 
-        monkeypatch.setattr(cls, "newton", fresh)
+        def newton(self, q, data, parts, H=None):
+            for got, want in zip(parts, real_parts(self, q, data)):
+                assert (got == want).all()
+            # parts evaluated at this very iterate were not the line search's
+            offered[latest[0] is not q] += 1
+            return real_newton(self, q, data, parts, H)
+
+        monkeypatch.setattr(cls, "parts", parts)
+        monkeypatch.setattr(cls, "newton", newton)
         for got, want in zip(run(), ref):
             assert (np.asarray(got) == np.asarray(want)).all()
         assert offered[False] == len(stages) + 1 and offered[True] > 4 * offered[False]
+
+    def test_a_floored_entry_invalidates_the_line_search_parts(self):
+        # a gradient of -1e150 on entry 0 takes it from the 1e-150 floor to
+        # about 1e-152 at every step while the other entries still move, so
+        # each accepted point is floored and its line-search parts are stale:
+        # every Newton step must read parts evaluated at its own iterate
+        calls = []  # "b": parts below the floor, "p": other parts, "n": Newton
+
+        class Floored:  # c q - |q - z|^2 / 2 per row, data (c, z)
+            def parts(self, q, data):
+                calls.append("b" if 0 < q.min() < 1e-150 else "p")
+                c, z = data
+                return (c * q).sum(axis=1) - ((q - z) ** 2).sum(axis=1) / 2, q - z, q.copy()
+
+            def newton(self, q, data, parts, H=None):
+                calls.append("n")
+                assert (parts[2] == q).all()  # the parts of this iterate
+                if H is not None:
+                    H[:] = -np.eye(q.shape[1])
+                return data[0] - parts[1]
+
+        class Fresh(Floored):  # reuse disabled: each step overwrites its parts
+            def newton(self, q, data, parts, H=None):
+                for x, y in zip(parts, Floored.parts(self, q, data)):
+                    x[...] = y
+                return super().newton(q, data, parts, H)
+
+        A = np.stack([np.ones(4), np.arange(4.0)])
+        data = (np.array([[-1e150, 0.0, 0.0, 0.0]]), np.array([[0.0, 0.0, 0.2, 0.8]]))
+        out = capacity3._newton_path(np.array([[0.0, 0.3, 0.4, 0.3]]), A,
+                                     np.array([[1.0, 2.0]]), data, Floored(), (1e-2, 1e-4))
+        # floored candidates, fresh parts at the floored point, a Newton step
+        assert "".join(calls).count("bpn") > 10
+        ref = capacity3._newton_path(np.array([[0.0, 0.3, 0.4, 0.3]]), A,
+                                     np.array([[1.0, 2.0]]), data, Fresh(), (1e-2, 1e-4))
+        for got, want in zip(out, ref):
+            assert (got == want).all()
 
     @pytest.mark.parametrize("k", [2, 8])
     def test_a_501_point_curve_is_one_barrier_path(self, monkeypatch, k):

@@ -235,7 +235,7 @@ class TestSimulate:
         tr = simulate(decoder, encoder, background, initial_backlog=backlog or 30 + cb.tau_star + 1)
         lines = trace.read_text().splitlines()
         assert lines[1] == f"# command=simulate-trace message={msg} seed=4"
-        rows = trace_to_csv_rows(tr, decoder, encoder, background)
+        rows = trace_to_csv_rows(tr)
         assert lines[3:] == [",".join(map(str, row)) for row in rows]
 
     def test_three_user_needs_rate(self, tmp_path):
@@ -409,6 +409,19 @@ class TestConfig:
         cfg.write_text(json.dumps({"not_a_flag": 1}))
         code, _ = _run(tmp_path, "--config", str(cfg), "htilde")
         assert code == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("func", "x"), ("command", "validate"), ("config", "other.json"),
+    ])
+    def test_parsed_names_that_are_not_options_are_unknown_keys(self, tmp_path, capsys, key,
+                                                                value):
+        # the subcommand and its handler are set by the parser, and the config
+        # file by the command line, not by a config
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, body = _run(tmp_path, "--config", str(cfg), "htilde")
+        assert code == 2 and body == ""
+        assert capsys.readouterr().err == f"unknown config keys: ['{key}']\n"
 
     @pytest.mark.parametrize("command, key, value", [
         ("capacity3", "tau_max", 2.5), ("validate", "samples", 2.5),

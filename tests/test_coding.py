@@ -454,6 +454,10 @@ class TestBatchedTransmission:
         object.__setattr__(cb, "window_counts", cb.window_counts + 3)
         with pytest.raises(DecodeMatchError):
             run_transmission(cb, trials=_CHUNK + 1, seed=0)
+        cb = build_codebook_3user(30, 8, 0.1, seed=1)  # and through noise
+        object.__setattr__(cb, "window_counts", cb.window_counts + 3)
+        with pytest.raises(DecodeMatchError):
+            run_transmission(cb, background_rate=0.1, trials=_CHUNK + 1, seed=0)
 
     def test_row_decoders_reject_any_bad_row(self):
         cb = _handmade_codebook([[1, 0, 0, 0], [1, 1, 1, 0]])

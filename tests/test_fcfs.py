@@ -579,7 +579,16 @@ class TestTraceCsv:
         dec = _sched(DECODER, [1, 0, 0, 0])
         enc = _sched(ENCODER, [0, 0, 0, 1])
         tr = simulate(dec, enc)
-        rows = trace_to_csv_rows(tr, dec, enc)
+        rows = trace_to_csv_rows(tr)
         assert rows[0] == (0, "d", "d", 0)
         assert [r[2] for r in rows].count("-") == 2  # slots 1 and 2 idle
         assert rows[-1][3] == 0
+
+    def test_arrivals_follow_the_service_order(self):
+        # with the background ahead of the encoder, slot 0 reads d, b, e,
+        # the order its packets are served in
+        dec, enc, bg = (_sched(u, [1, 0, 1]) for u in (DECODER, ENCODER, BACKGROUND))
+        tr = simulate(dec, enc, bg, initial_backlog=1, priority=(DECODER, BACKGROUND, ENCODER))
+        rows = trace_to_csv_rows(tr)
+        assert [r[1] for r in rows[:3]] == ["dbe", "", "dbe"]
+        assert [r[2] for r in rows[:7]] == ["s", "d", "b", "e", "d", "b", "e"]
