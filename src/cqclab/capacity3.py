@@ -145,8 +145,7 @@ class CapacityResult3:
 
 def channel_matrix(tau: int, r_p: float) -> ChannelMatrix:
     """Build the shifted-binomial channel for a window of length tau."""
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
+    tau = _count("tau", tau, 1)
     noise = binomial_pmf(tau, r_p).probs
     rows = np.zeros((tau + 1, 2 * tau + 1))
     for x in range(tau + 1):
@@ -160,6 +159,7 @@ def output_mean_check(input_pmf: Pmf, tau: int, r_p: float) -> float:
     By linearity this must equal mean(input) + tau * r_p; the identity is
     asserted in the test suite rather than here.
     """
+    tau = _count("tau", tau, 0)
     if input_pmf.k != tau:
         raise ValueError(f"input must live on {{0..{tau}}}")
     py = np.convolve(input_pmf.probs, binomial_pmf(tau, r_p).probs)
@@ -646,9 +646,12 @@ def degradation_violations(
     Each window length is one slice solve over every gamma at every rate.
     Such points exist: the noise is an additive count, so r_p -> 1 is again
     deterministic and the ceiling is not globally monotone. A window length
-    that is not a whole number >= 1 raises ValueError.
+    that is not a whole number >= 1, or a tolerance that is not finite and
+    >= 0, raises ValueError.
     """
     ks = [_count("k", k, 1) for k in ks]
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     if rp_grid is None:
         rp_grid = np.arange(0.0, 0.51, 0.05)
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
@@ -742,10 +745,12 @@ def validate_i_concavity(
     margins. Each value equals the one-point solve of its point bitwise, so
     the worst margin is the least `concavity_margin` of the draws. A
     `tau_max` that is not a whole number >= 3, a `samples` that is not a
-    whole number >= 0, or an `r_p_step` that is not positive and finite,
-    raises ValueError.
+    whole number >= 0, a `tolerance` that is not finite and >= 0, or an
+    `r_p_step` that is not positive and finite, raises ValueError.
     """
     tau_max, samples = _count("tau_max", tau_max, 3), _count("samples", samples, 0)
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     if not (math.isfinite(r_p_step) and r_p_step > 0.0):
         raise ValueError(f"r_p_step must be positive and finite, got {r_p_step}")
     ks = range(2, tau_max)

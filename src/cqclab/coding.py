@@ -53,9 +53,10 @@ class DecodeMatchError(LookupError):
 def admissible_alpha_slots(n: int, alpha: float, tau_star: int) -> int:
     """Nearest first-segment length to alpha*n that splits both segments into
     whole windows: alpha_slots divisible by tau_star and the remainder by
-    tau_star + 1. Ties prefer the smaller value."""
-    if tau_star < 1:
-        raise ValueError("tau_star must be >= 1")
+    tau_star + 1. Ties prefer the smaller value; alpha must be finite."""
+    n, tau_star = _count("n", n, 0), _count("tau_star", tau_star, 1)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     target = alpha * n
     candidates = [a for a in range(n + 1) if a % tau_star == 0 and (n - a) % (tau_star + 1) == 0]
     if not candidates:
@@ -390,9 +391,7 @@ def _backlog(template: ProbeTemplate, initial_backlog: int | None) -> int:
     length."""
     longest = template.windows[-1][0]
     backlog = initial_backlog if initial_backlog is not None else template.n + longest
-    if backlog < longest:
-        raise ValueError(f"initial_backlog must be >= {longest}")
-    return backlog
+    return _count("initial_backlog", backlog, longest)
 
 
 def _message_chunks(template: ProbeTemplate, draw, background_rate: float, seed, trials):

@@ -69,7 +69,7 @@ class Pmf:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("probs must be a nonempty 1-D vector")
-        if np.any(p < 0):
+        if not (p >= 0).all():
             raise ValueError("probabilities must be nonnegative")
         if abs(float(p.sum()) - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities must sum to 1 (got {p.sum()!r})")
@@ -158,8 +158,7 @@ def tilted_pmf(k: int, lam: float) -> Pmf:
     Computed in the log domain (max-subtracted) so extreme tilts neither
     overflow nor underflow to an all-zero vector.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _count("k", k, 1)
     if not math.isfinite(lam):
         raise ValueError("lam must be finite")
     z = np.arange(k + 1) * float(lam)
@@ -265,8 +264,7 @@ def solve_tilt_grid(k: int, target_means) -> tuple[np.ndarray, np.ndarray]:
     same absolute mean residual, 1e-10 (ValueError otherwise). Degenerate
     means 0 and k are rejected (TiltEndpointError).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _count("k", k, 1)
     m = np.asarray(target_means, dtype=float).reshape(-1)
     lam, (p,) = _tilt_to_mean((k,), m)
     residual = np.abs(p @ np.arange(k + 1.0) - m)
@@ -286,12 +284,6 @@ def solve_tilt(k: int, target_mean: float) -> TiltSolution:
     polished to a mean residual below 1e-10. Degenerate means 0 and k are
     rejected: the corresponding pmfs are point masses with infinite tilt.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not 0.0 < target_mean < k:
-        raise TiltEndpointError(
-            f"target mean {target_mean} must lie strictly inside (0, {k})"
-        )
     lam, p = solve_tilt_grid(k, [float(target_mean)])
     pmf = Pmf(p[0])
     return TiltSolution(
@@ -308,8 +300,7 @@ def rate_function(k: int, x: float) -> float:
     sup over lam of lam*x - psi(lam), evaluated at the maximizing tilt for
     interior x; the endpoints 0 and k take the limit value ln(k+1).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _count("k", k, 1)
     if not 0.0 <= x <= k:
         raise ValueError(f"x={x} outside [0, {k}]")
     if x == 0.0 or x == float(k):
@@ -325,18 +316,14 @@ def h_tilde(gamma: float, k: int) -> HTildeValue:
     (entropy of the mean-matched tilted pmf over k) must agree to 1e-9 and is
     reconciled against this one in the test suite.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma={gamma} outside [0, 1]")
+    k = _count("k", k, 1)
     bits = float(h_tilde_grid(np.array([float(gamma)]), k)[0])
     return HTildeValue(gamma=gamma, k=k, bits_per_slot=bits)
 
 
 def binomial_pmf(k: int, p: float) -> Pmf:
     """Binomial(k, p) mass function; exact point masses at p = 0 and p = 1."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = _count("k", k, 0)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
     if p == 0.0:
@@ -357,8 +344,7 @@ def h_tilde_grid(gammas: np.ndarray, k: int) -> np.ndarray:
     Each value is bitwise the scalar `h_tilde`, and every one is held to
     `HTildeValue`'s range [0, log2(k+1)/k] (ValueError otherwise).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _count("k", k, 1)
     gammas = np.asarray(gammas, dtype=float)
     if not ((gammas >= 0.0) & (gammas <= 1.0)).all():
         raise ValueError("gammas must lie in [0, 1]")

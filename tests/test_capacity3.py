@@ -203,6 +203,14 @@ class TestITilde:
         assert inc > 1e-4
         assert not degradation_violations([0.5], [1, 2, 3])
 
+    def test_degradation_tolerance_must_be_finite_and_nonnegative(self):
+        # a NaN tolerance reported none of the 22 increases the default finds
+        rps = np.linspace(0.0, 0.99, 12)
+        assert len(degradation_violations([0.3, 0.6], [2, 3], rps)) == 22
+        for tolerance in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+                degradation_violations([0.3, 0.6], [2, 3], rps, tolerance=tolerance)
+
     def test_degradation_violations_match_pointwise_solves(self):
         gammas, ks, rps = [0.1, 0.25, 0.6], [1, 2, 3], np.arange(0.0, 0.96, 0.05)
         expected = []
@@ -817,6 +825,14 @@ class TestMixedWindowConcavity:
     def test_sweep_rejects_a_bad_rate_step(self, step):
         with pytest.raises(ValueError, match="r_p_step"):
             validate_i_concavity(tau_max=4, samples=5, r_p_step=step)
+
+    def test_sweep_rejects_a_tolerance_that_masks_or_invents_violations(self):
+        # the default finds 3 certified violations here; a NaN tolerance
+        # reported none and a negative one counted 386
+        assert validate_i_concavity(4, 200, seed=0).violations == 3
+        for tolerance in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+                validate_i_concavity(4, 200, seed=0, tolerance=tolerance)
 
     def test_sweep_matches_pointwise_margins(self):
         # the sweep solves each window length once across all rates; the

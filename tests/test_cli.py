@@ -353,6 +353,16 @@ class TestValidate:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1"])
+    def test_tolerance_that_masks_or_invents_violations_is_a_usage_error(
+        self, tmp_path, capsys, tolerance
+    ):
+        code, body = _run(tmp_path, "--tolerance", tolerance, "validate", "--tau-max", "3",
+                          "--samples", "10")
+        assert code == 2
+        assert body == ""
+        assert capsys.readouterr().err.startswith("error: tolerance must be finite and >= 0")
+
     def test_negative_samples_is_a_usage_error(self, tmp_path, capsys):
         code, body = _run(tmp_path, "validate", "--tau-max", "3", "--samples", "-1")
         assert code == 2

@@ -93,6 +93,17 @@ class TestSegmentSplit:
         with pytest.raises(ValueError):
             admissible_alpha_slots(5, 0.5, 3)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            admissible_alpha_slots(12, alpha, 2)
+
+    def test_nan_delta_is_refused(self, cap3_rp01):
+        # alpha - nan is NaN; the split used to pick 0 and build a scheme
+        # with no window of tau_star slots
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            build_codebook_3user(30, 4, 0.1, delta=float("nan"), capacity=cap3_rp01)
+
 
 class TestSymbolMap:
     @staticmethod

@@ -47,6 +47,12 @@ class TestPmf:
         with pytest.raises(ValueError):
             Pmf(np.array([0.5, 0.4]))
 
+    @pytest.mark.parametrize("probs", [[math.nan, 1.0], [math.nan], [0.5, math.nan, 0.5]])
+    def test_rejects_nan(self, probs):
+        # NaN fails every comparison, so a `p < 0` test and the sum test let it through
+        with pytest.raises(ValueError, match="nonnegative"):
+            Pmf(np.array(probs))
+
     def test_immutable(self):
         p = Pmf(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
