@@ -44,7 +44,8 @@ for the pairs of every rate still in its loop, then one slice path per
 window length for the pairs whose optimum is one window alone, each such
 point solved once in the sweep; `solve_capacity_3user` is its one-rate
 case. Both two-user solves in `capacity2` return its r_p = 0 result; the
-free one is `solve_capacity_3user(0.0, tau_max=2)`, the pair (1, 2).
+free one is `solve_capacity_3user(0.0, tau_max=2)`, the pair (1, 2). Every
+result, the frozen two-user slice's too, is built by `_result`.
 """
 
 from __future__ import annotations
@@ -555,6 +556,20 @@ def _pair_programs(tau: int, r_ps, pure=None) -> list[tuple]:
     return out
 
 
+def _result(r_p, tau, pair, per_tau, per_tau_gap) -> CapacityResult3:
+    """The result of the pair (tau, tau + 1) at r_p from its `_pair_programs`
+    tuple, with the windows of positive share and the residual of the budget
+    alpha (gamma1 + 1/tau) + (1 - alpha)(gamma2 + 1/(tau + 1)) = 1 - r_p."""
+    val, a, g1, g2, gap, witness = pair
+    lhs = a * (g1 + 1.0 / tau) + (1.0 - a) * (g2 + 1.0 / (tau + 1))
+    return CapacityResult3(
+        r_p=r_p, capacity_bits_per_slot=val, alpha=a, gamma1=g1, gamma2=g2, tau_star=tau,
+        constraint_residual=abs(lhs - (1.0 - r_p)), per_tau=per_tau, per_tau_gap=per_tau_gap,
+        gap_bits=gap, windows=tuple((k, w) for k, w in ((tau, a), (tau + 1, 1.0 - a)) if w > 0.0),
+        witness=witness,
+    )
+
+
 def solve_capacity_grid(rps, tau_max: int = 8) -> list[CapacityResult3]:
     """Capacity of the channel at every background rate r_p in `rps`, one
     result per rate, each equal to `solve_capacity_3user(r_p, tau_max)`.
@@ -595,16 +610,8 @@ def solve_capacity_grid(rps, tau_max: int = 8) -> list[CapacityResult3]:
             if best[i] is None or val > best[i][1][0]:
                 best[i] = tau, pair
 
-    results = []
-    for r_p, pt, pg, (tau, (val, a, g1, g2, gap, witness)) in zip(rps, per_tau, per_tau_gap, best):
-        lhs = a * (g1 + 1.0 / tau) + (1.0 - a) * (g2 + 1.0 / (tau + 1))
-        results.append(CapacityResult3(
-            r_p=r_p, capacity_bits_per_slot=val, alpha=a, gamma1=g1, gamma2=g2, tau_star=tau,
-            constraint_residual=abs(lhs - (1.0 - r_p)), per_tau=pt, per_tau_gap=pg, gap_bits=gap,
-            windows=tuple((k, w) for k, w in ((tau, a), (tau + 1, 1.0 - a)) if w > 0.0),
-            witness=witness,
-        ))
-    return results
+    return [_result(r_p, tau, pair, pt, pg)
+            for r_p, pt, pg, (tau, pair) in zip(rps, per_tau, per_tau_gap, best)]
 
 
 def solve_capacity_3user(r_p: float, tau_max: int = 8) -> CapacityResult3:
@@ -646,8 +653,8 @@ def degradation_violations(
     Each window length is one slice solve over every gamma at every rate.
     Such points exist: the noise is an additive count, so r_p -> 1 is again
     deterministic and the ceiling is not globally monotone. A window length
-    that is not a whole number >= 1, or a tolerance that is not finite and
-    >= 0, raises ValueError.
+    that is not a whole number >= 1, a gamma that is not finite and in
+    [0, 1], or a tolerance that is not finite and >= 0, raises ValueError.
     """
     ks = [_count("k", k, 1) for k in ks]
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
@@ -655,6 +662,8 @@ def degradation_violations(
     if rp_grid is None:
         rp_grid = np.arange(0.0, 0.51, 0.05)
     gammas = np.asarray(gammas, dtype=float).reshape(-1)
+    if not (np.isfinite(gammas) & (gammas >= 0.0) & (gammas <= 1.0)).all():
+        raise ValueError("gammas must be finite and lie in [0, 1]")
     rps = np.asarray(rp_grid, dtype=float).reshape(-1)
     out = []
     if gammas.size == 0 or rps.size == 0:

@@ -62,19 +62,23 @@ def _emit(args, header_cfg: dict, header: str, rows) -> None:
     _write(args.out, comments, header, rows)
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip() != ""]
+def _parse(text: str, kind) -> list:
+    """The comma-separated values of `text` as `kind`, blank items skipped."""
+    return [kind(t) for t in text.split(",") if t.strip() != ""]
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip() != ""]
+def _table(results, fields) -> tuple[str, list[tuple]]:
+    """The CSV header and rows of `results`, one column per field name;
+    the field capacity_bits_per_slot is headed `capacity`."""
+    header = ",".join("capacity" if f == "capacity_bits_per_slot" else f for f in fields)
+    return header, [tuple(getattr(r, f) for f in fields) for r in results]
 
 
 def _gamma_grid(args) -> tuple[np.ndarray, list[int]]:
     """The gamma grid step, 2 * step, ... below 1 and the window lengths of
     `htilde` and `capacity3 --itilde`; a step outside (0, 1) or a window
     below 1 is a usage error."""
-    ks = _parse_ints(args.k_set)
+    ks = _parse(args.k_set, int)
     if not 0 < args.gamma_step < 1 or any(k < 1 for k in ks):
         raise ValueError("invalid gamma step or k set")
     return np.arange(args.gamma_step, 1.0, args.gamma_step), ks
@@ -97,20 +101,13 @@ def cmd_capacity2(args) -> int:
         f"(alpha={res.alpha:.4f}, gamma1={res.gamma1:.4f}, gamma2={res.gamma2:.4f}; "
         f"certified gap {res.gap_bits:.1e} bits)"
     )
-    row = (
-        res.capacity_bits_per_slot,
-        res.alpha,
-        res.gamma1,
-        res.gamma2,
-        res.constraint_residual,
-    )
-    header = "capacity,alpha,gamma1,gamma2,constraint_residual"
-    _emit(args, {"alpha_fixed": args.alpha_fixed}, header, [row])
+    fields = ("capacity_bits_per_slot", "alpha", "gamma1", "gamma2", "constraint_residual")
+    _emit(args, {"alpha_fixed": args.alpha_fixed}, *_table([res], fields))
     return 0
 
 
 def cmd_capacity3(args) -> int:
-    rps = _parse_floats(args.rp_grid)
+    rps = _parse(args.rp_grid, float)
     if any(not 0 <= r < 1 for r in rps):
         raise ValueError("background rates must lie in [0, 1)")
     if args.itilde:
@@ -124,19 +121,9 @@ def cmd_capacity3(args) -> int:
         cfg = {"rp_grid": rps, "k_set": ks, "gamma_step": args.gamma_step, "itilde": True}
         _emit(args, cfg, "gamma,k,r_p,i_tilde", rows)
         return 0
-    rows = [
-        (
-            rp,
-            res.capacity_bits_per_slot,
-            res.alpha,
-            res.gamma1,
-            res.gamma2,
-            res.tau_star,
-        )
-        for rp, res in zip(rps, solve_capacity_grid(rps, tau_max=args.tau_max))
-    ]
-    header = "r_p,capacity,alpha,gamma1,gamma2,tau_star"
-    _emit(args, {"rp_grid": rps, "tau_max": args.tau_max}, header, rows)
+    fields = ("r_p", "capacity_bits_per_slot", "alpha", "gamma1", "gamma2", "tau_star")
+    results = solve_capacity_grid(rps, tau_max=args.tau_max)
+    _emit(args, {"rp_grid": rps, "tau_max": args.tau_max}, *_table(results, fields))
     return 0
 
 
@@ -165,19 +152,10 @@ def cmd_simulate(args) -> int:
         f"bits/slot: {report.errors} errors "
         f"(rate {report.empirical_error_rate:.4f})"
     )
-    columns = ("messages_sent", "errors", "empirical_error_rate", "empirical_rate_bits_per_slot",
-               "seed")
-    cfg = {
-        "users": args.users,
-        "n": args.n,
-        "M": args.M,
-        "trials": args.trials,
-        "rp": args.rp,
-        "tau_max": args.tau_max,
-        "delta": args.delta,
-        "backlog": args.backlog,
-    }
-    _emit(args, cfg, ",".join(columns), [tuple(getattr(report, c) for c in columns)])
+    fields = ("messages_sent", "errors", "empirical_error_rate", "empirical_rate_bits_per_slot",
+              "seed")
+    keys = ("users", "n", "M", "trials", "rp", "tau_max", "delta", "backlog")
+    _emit(args, {key: getattr(args, key) for key in keys}, *_table([report], fields))
     if args.trace:
         # the first message of the run above, on the same seed
         messages, issues = next(_codebook_chunks(cb, background, args.seed, trials=1))
@@ -193,7 +171,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    rates = _parse_floats(args.rates)
+    rates = _parse(args.rates, float)
     report = stability_probe(rates, args.horizon, seed=args.seed)
     drift = "n/a" if report.drift_above_threshold is None else f"{report.drift_above_threshold:.4f}"
     thr = "n/a" if report.drift_threshold is None else f"{report.drift_threshold:.4f}"
@@ -203,11 +181,10 @@ def cmd_stability(args) -> int:
         f"second-half mean {report.mean_queue_second_half:.2f}, "
         f"drift above threshold {thr}: {drift}"
     )
-    columns = ("total_rate", "horizon", "final_queue", "max_queue", "mean_queue_second_half",
-               "squared_increment_mean", "drift_threshold", "drift_above_threshold",
-               "slots_above_threshold")
-    _emit(args, {"rates": rates, "horizon": args.horizon}, ",".join(columns),
-          [tuple(getattr(report, c) for c in columns)])
+    fields = ("total_rate", "horizon", "final_queue", "max_queue", "mean_queue_second_half",
+              "squared_increment_mean", "drift_threshold", "drift_above_threshold",
+              "slots_above_threshold")
+    _emit(args, {"rates": rates, "horizon": args.horizon}, *_table([report], fields))
     return 0
 
 
@@ -292,7 +269,7 @@ def cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="cqclab",
         description="covert queueing channel laboratory",
@@ -304,22 +281,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "--tolerance", type=float, default=None, help="override the validate tolerances"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers: dict[str, argparse.ArgumentParser] = {}
 
-    def add_parser(name, **kw):
-        subparsers[name] = sub.add_parser(name, **kw)
-        return subparsers[name]
-
-    p = add_parser("htilde", help="entropy-ceiling sweep over gamma and k")
+    p = sub.add_parser("htilde", help="entropy-ceiling sweep over gamma and k")
     p.add_argument("--gamma-step", type=float, default=0.01)
     p.add_argument("--k-set", type=str, default="1,2,3")
     p.set_defaults(func=cmd_htilde)
 
-    p = add_parser("capacity2", help="two-user capacity solve")
+    p = sub.add_parser("capacity2", help="two-user capacity solve")
     p.add_argument("--alpha-fixed", type=float, default=None)
     p.set_defaults(func=cmd_capacity2)
 
-    p = add_parser("capacity3", help="three-user capacity over background rates")
+    p = sub.add_parser("capacity3", help="three-user capacity over background rates")
     p.add_argument("--rp-grid", type=str, default="0,0.05,0.1")
     p.add_argument("--tau-max", type=int, default=8)
     p.add_argument("--itilde", action="store_true", help="emit i_tilde sweep instead")
@@ -327,7 +299,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--gamma-step", type=float, default=0.01)
     p.set_defaults(func=cmd_capacity3)
 
-    p = add_parser("simulate", help="end-to-end coded transmission")
+    p = sub.add_parser("simulate", help="end-to-end coded transmission")
     p.add_argument("--users", type=int, choices=(2, 3), default=2,
                    help="2: the three-user channel at --rp 0, the only rate it takes; 3: needs --rp")
     p.add_argument("--n", type=int, default=60)
@@ -340,16 +312,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--trace", type=str, default=None, help="per-slot trace CSV path")
     p.set_defaults(func=cmd_simulate)
 
-    p = add_parser("stability", help="Bernoulli-traffic queue drift probe")
+    p = sub.add_parser("stability", help="Bernoulli-traffic queue drift probe")
     p.add_argument("--rates", type=str, default="0.475,0.475")
     p.add_argument("--horizon", type=int, default=10**6)
     p.set_defaults(func=cmd_stability)
 
-    p = add_parser("validate", help="property sweeps with worst margins")
+    p = sub.add_parser("validate", help="property sweeps with worst margins")
     p.add_argument("--tau-max", type=int, default=8)
     p.add_argument("--samples", type=int, default=500)
     p.set_defaults(func=cmd_validate)
-    return parser, subparsers
+    return parser, sub.choices
 
 
 @functools.cache
@@ -359,16 +331,15 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()[0]
 
 
-def _typed_config(parsers, cfg: dict) -> dict:
-    """cfg with each option's value passed through the option's argparse
-    type and choices, as the same value given as a flag would be; a value
-    that does not convert, or is not one of the choices, raises ValueError
-    naming its key."""
-    actions = {a.dest: a for p in parsers for a in p._actions if a.type is not None}
+def _typed_config(actions: dict, cfg: dict) -> dict:
+    """cfg with each option's value passed through the argparse type and
+    choices of its action in `actions`, as the same value given as a flag
+    would be; a value that does not convert, or is not one of the choices,
+    raises ValueError naming its key."""
     out = dict(cfg)
     for key, value in cfg.items():
-        if key in actions and value is not None:
-            a = actions[key]
+        a = actions[key]
+        if a.type is not None and value is not None:
             try:
                 out[key] = a.type(str(value))
             except ValueError:
@@ -383,22 +354,22 @@ def main(argv: list[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
     if args.config:
         parser, subparsers = build_parser()
+        parsers = parser, subparsers[args.command]  # the two that parse this call
         with open(args.config) as fh:
             cfg = json.load(fh)
-        known = {a.dest for p in (parser, subparsers[args.command]) for a in p._actions
-                 if a.option_strings and a.dest not in ("help", "config")}
-        bad = set(cfg) - known
+        actions = {a.dest: a for p in parsers for a in p._actions
+                   if a.option_strings and a.dest not in ("help", "config")}
+        bad = set(cfg) - set(actions)
         if bad:
             print(f"unknown config keys: {sorted(bad)}", file=sys.stderr)
             return 2
         try:
-            cfg = _typed_config([parser, *subparsers.values()], cfg)
+            cfg = _typed_config(actions, cfg)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        parser.set_defaults(**cfg)
-        for sp in subparsers.values():
-            sp.set_defaults(**cfg)
+        for p in parsers:
+            p.set_defaults(**cfg)
         args = parser.parse_args(argv)
     if args.tolerance is not None and args.command != "validate":
         print(f"usage error: --tolerance applies only to validate, not {args.command}",

@@ -86,10 +86,14 @@ class Pmf:
 
     @staticmethod
     def uniform(k: int) -> "Pmf":
+        k = _count("k", k, 0)
         return Pmf(np.full(k + 1, 1.0 / (k + 1)))
 
     @staticmethod
     def point_mass(k: int, at: int) -> "Pmf":
+        k, at = _count("k", k, 0), _count("at", at, 0)
+        if at > k:
+            raise ValueError(f"at must be <= k, got at={at}, k={k}")
         p = np.zeros(k + 1)
         p[at] = 1.0
         return Pmf(p)
@@ -322,14 +326,10 @@ def h_tilde(gamma: float, k: int) -> HTildeValue:
 
 
 def binomial_pmf(k: int, p: float) -> Pmf:
-    """Binomial(k, p) mass function; exact point masses at p = 0 and p = 1."""
+    """Binomial(k, p) mass function; exact point masses at p = 0 and 1, as 0.0**0 == 1.0."""
     k = _count("k", k, 0)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
-    if p == 0.0:
-        return Pmf.point_mass(k, 0)
-    if p == 1.0:
-        return Pmf.point_mass(k, k)
     probs = np.array(
         [math.comb(k, i) * p**i * (1.0 - p) ** (k - i) for i in range(k + 1)]
     )

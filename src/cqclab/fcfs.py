@@ -107,6 +107,7 @@ class ArrivalSchedule:
 
     @staticmethod
     def bernoulli(user: str, rate: float, n: int, rng: np.random.Generator) -> "ArrivalSchedule":
+        n = _count("n", n, 0)
         return ArrivalSchedule(user, _bernoulli(rate, rng, np.empty(n, dtype=np.int8)))
 
 

@@ -211,6 +211,13 @@ class TestITilde:
             with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
                 degradation_violations([0.3, 0.6], [2, 3], rps, tolerance=tolerance)
 
+    def test_degradation_gammas_must_be_finite_and_in_the_unit_interval(self):
+        # a NaN row used to read as an all-zero law, and gammas outside
+        # [0, 1] as the nearest endpoint, so the sweep returned []
+        for gamma in (float("nan"), float("inf"), -0.5, 1.5):
+            with pytest.raises(ValueError, match=r"gammas must be finite and lie in \[0, 1\]"):
+                degradation_violations([0.3, gamma], [2], [0.0, 0.3, 0.6])
+
     def test_degradation_violations_match_pointwise_solves(self):
         gammas, ks, rps = [0.1, 0.25, 0.6], [1, 2, 3], np.arange(0.0, 0.96, 0.05)
         expected = []

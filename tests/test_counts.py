@@ -88,6 +88,11 @@ COUNTS = {
         lambda v: stability_probe((0.3,), 10, 0, initial_backlog=v),
     ("empirical_channel_law", "tau"): lambda v: empirical_channel_law(v, 0.1, 4, 0),
     ("empirical_channel_law", "intervals"): lambda v: empirical_channel_law(2, 0.1, v, 0),
+    ("Pmf.uniform", "k"): lambda v: Pmf.uniform(v),
+    ("Pmf.point_mass", "k"): lambda v: Pmf.point_mass(v, 1),
+    ("Pmf.point_mass", "at"): lambda v: Pmf.point_mass(3, v),
+    ("ArrivalSchedule.bernoulli", "n"):
+        lambda v: ArrivalSchedule.bernoulli(ENCODER, 0.3, v, np.random.default_rng(0)),
 }
 
 # ensemble_error_rate's M is any finite float >= 1: the ensemble never
@@ -121,15 +126,39 @@ def test_whole_float_window_gives_the_int_results():
     assert channel_matrix(np.int64(3), 0.1).tau == 3
 
 
-def test_every_public_count_argument_is_in_the_table():
-    # a new public function with a count argument must join COUNTS (or be
-    # exempted with its reason), so it cannot skip the whole-number rule
-    missing = []
+@pytest.mark.parametrize("at", [-1, 4, 7])
+def test_a_point_mass_outside_its_support_is_refused(at):
+    # at = -1 used to put the mass on k, and at > k raised IndexError
+    with pytest.raises(ValueError, match="at must be"):
+        Pmf.point_mass(3, at)
+
+
+def _public_callables():
+    """Every function in cqclab.__all__, and every static and class method
+    of its classes, by name ("Pmf.uniform" for a method)."""
     for name in cqclab.__all__:
         obj = getattr(cqclab, name)
-        if not inspect.isfunction(obj):
-            continue
-        for arg in inspect.signature(obj).parameters:
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if isinstance(member, (staticmethod, classmethod)):
+                    yield f"{name}.{attr}", getattr(obj, attr)
+
+
+def test_every_public_count_argument_is_in_the_table():
+    # a new public function or constructor with a count argument must join
+    # COUNTS (or be exempted with its reason), so it cannot skip the
+    # whole-number rule
+    missing = []
+    for name, fn in _public_callables():
+        for arg in inspect.signature(fn).parameters:
             if arg in COUNT_NAMES and (name, arg) not in COUNTS and (name, arg) not in EXEMPT:
                 missing.append((name, arg))
     assert missing == []
+
+
+def test_the_walk_reaches_the_static_constructors():
+    names = {name for name, _ in _public_callables()}
+    assert {"Pmf.uniform", "Pmf.point_mass", "ArrivalSchedule.bernoulli",
+            "ProbeTemplate.for_codebook", "solve_tilt"} <= names

@@ -412,6 +412,14 @@ class TestBinomialPmf:
         assert binomial_pmf(3, 0.0).probs[0] == 1.0
         assert binomial_pmf(3, 1.0).probs[3] == 1.0
 
+    def test_degenerate_rates_are_the_point_masses_bitwise(self):
+        # every entry, the zeros too, is the exact point mass at 0 or at k
+        for k in range(65):
+            for p, at in ((0.0, 0), (1.0, k)):
+                expected = np.zeros(k + 1)
+                expected[at] = 1.0
+                assert binomial_pmf(k, p).probs.tobytes() == expected.tobytes()
+
     def test_direct_formula(self):
         assert np.allclose(
             binomial_pmf(2, 0.3).probs, [0.49, 0.42, 0.09], atol=1e-12
