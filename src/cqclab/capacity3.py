@@ -250,37 +250,41 @@ def _newton_path(q, A, b, data, model, stages):
     kkt = np.zeros((rows, size, size))
     kkt[:, :n, n:], kkt[:, n:, :n] = A.T, A
     rhs = np.empty((rows, size, 1))
+    # views written at every step: the Hessian block, its diagonal, the two right-hand sides
+    hess, diag = kkt[:, :n, :n], kkt.reshape(rows, -1)[:, : n * (size + 1) : size + 1]
+    grad_rhs, feas_rhs = rhs[:, :n, 0], rhs[:, n:, 0]
     for mu in stages:
         last = mu == stages[-1]
         q = np.maximum(q, 1e-150)  # barrier needs strict positivity (and q**2 > 0)
         live, ql, bl, dl = np.arange(rows), q, b, data  # the rows still moving
         parts = None  # the objective's parts at ql, when the line search left them
         for _ in range(60):
-            K, r = kkt[: live.size], rhs[: live.size]
+            m = live.size
             if parts is None:
                 parts = model.parts(ql, dl)
-            g = model.newton(ql, dl, parts, K[:, :n, :n])
-            K.reshape(live.size, -1)[:, : n * (size + 1) : size + 1] -= mu / ql**2  # diagonal
-            r[:, :n, 0] = -g - mu / ql
-            r[:, n:, 0] = bl - _lhs(ql, A)
+                base = parts[0] + mu * np.log(ql).sum(axis=1)  # the barrier objective at ql
+            g = model.newton(ql, dl, parts, hess[:m])
+            diag[:m] -= mu / ql**2
+            grad_rhs[:m] = -g - mu / ql
+            feas_rhs[:m] = bl - _lhs(ql, A)
             try:
-                dq = np.linalg.solve(K, r)[:, :n, 0]
+                dq = np.linalg.solve(kkt[:m], rhs[:m])[:, :n, 0]
             except np.linalg.LinAlgError:
                 dq = np.full_like(ql, np.nan)
             step = np.abs(dq).max(axis=1)
-            moving = last and np.einsum("ri,rij,rj->r", dq, K[:, :n, :n], dq) <= -1e-18
+            moving = last and np.einsum("ri,rij,rj->r", dq, hess[:m], dq) <= -1e-18
             with np.errstate(over="ignore"):  # a subnormal step entry: the ratio is inf
                 ratio = np.divide(ql, -dq, out=np.full_like(ql, np.inf), where=dq < 0)
             t = np.minimum(1.0, 0.99 * ratio.min(axis=1))
-            base = parts[0] + mu * np.log(ql).sum(axis=1)
             todo = step >= 1e-14
-            accepted = np.zeros(live.size, dtype=bool)
+            accepted = np.zeros(m, dtype=bool)
             for _ in range(50):
                 cand = ql + t[:, None] * dq
                 inside = (cand > 0).all(axis=1)
-                cq = np.where(inside[:, None], cand, 1.0)
+                cq = cand if inside.all() else np.where(inside[:, None], cand, 1.0)
                 parts = model.parts(cq, dl)
-                ok = todo & inside & (parts[0] + mu * np.log(cq).sum(axis=1) >= base - 1e-12)
+                value = parts[0] + mu * np.log(cq).sum(axis=1)
+                ok = todo & inside & (value >= base - 1e-12)
                 accepted |= ok
                 todo &= ~ok
                 if not todo.any():
@@ -290,9 +294,10 @@ def _newton_path(q, A, b, data, model, stages):
             keep = accepted & ((step * t >= 1e-13) | moving)
             if not (cand[keep] >= 1e-150).all():  # a floored entry moved a kept row off cq
                 parts = None
+            base = value  # the kept rows' barrier objective, at the accepted cq
             if not keep.all():
                 q[live] = ql
-                live, ql, bl = live[keep], ql[keep], bl[keep]
+                live, ql, bl, base = live[keep], ql[keep], bl[keep], base[keep]
                 dl = tuple(d[keep] for d in dl)
                 parts = parts and tuple(x[keep] for x in parts)
                 if live.size == 0:
