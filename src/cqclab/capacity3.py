@@ -227,18 +227,21 @@ def _newton_path(q, A, b, data, model, stages):
     one caller of parts: the line search evaluates them at each candidate
     and reads the value as parts[0], and those of the accepted point serve
     the next Newton step, unless the 1e-150 floor moved an entry, when the
-    step evaluates them afresh (as it does at the start of each stage). Each
-    stage's equality-constrained Newton system carries the residual
-    b - A q, which pulls rounding drift back onto the constraint plane.
-    Every row advances in the same batched KKT solve but keeps its own
-    fraction-to-boundary step, line search (50 halvings) and stopping
-    test. A row leaves a stage after 60 Newton steps, on a step below
-    1e-14, when its line search fails, or once it moves less than 1e-13.
-    In the last stage a row that moves less than 1e-13 keeps going while
-    its Newton decrement -dq' H dq is at least 1e-18: its entries near
-    1e-12, which set the LP gap, may still be moving. A singular KKT system
-    gives every row of its step a NaN step: none moves, and all leave the
-    stage.
+    step evaluates them afresh (as it does at the start of each stage). The
+    barrier value of the accepted point likewise serves as the next line
+    search's base. Each stage's equality-constrained Newton system carries
+    the residual b - A q, which pulls rounding drift back onto the
+    constraint plane. Every row advances in the same batched KKT solve but
+    keeps its own fraction-to-boundary step, line search (50 halvings) and
+    stopping test. A row leaves a stage after 60 Newton steps, on a step
+    below 1e-14, when its line search fails, or once its accepted move is
+    below the stage's mu (at least 1e-13): the next stage moves the centre
+    by about mu, so centering need not be exact before the last stage
+    (Boyd & Vandenberghe 2004, sec. 11.3). In the last stage the bound is
+    1e-13, and a row that moves less keeps going while its Newton decrement
+    -dq' H dq is at least 1e-18: its entries near 1e-12, which set the LP
+    gap, may still be moving. A singular KKT system gives every row of its
+    step a NaN step: none moves, and all leave the stage.
 
     Returns the final iterates, their objective values and their LP gaps
     (`_lp_gaps`, A's rows being the ones and the positions), infinite for a
@@ -255,6 +258,7 @@ def _newton_path(q, A, b, data, model, stages):
     grad_rhs, feas_rhs = rhs[:, :n, 0], rhs[:, n:, 0]
     for mu in stages:
         last = mu == stages[-1]
+        settled = 1e-13 if last else max(mu, 1e-13)  # a row's move below this ends its stage
         q = np.maximum(q, 1e-150)  # barrier needs strict positivity (and q**2 > 0)
         live, ql, bl, dl = np.arange(rows), q, b, data  # the rows still moving
         parts = None  # the objective's parts at ql, when the line search left them
@@ -291,7 +295,7 @@ def _newton_path(q, A, b, data, model, stages):
                     break
                 t[todo] *= 0.5
             ql = np.where(accepted[:, None], np.maximum(cand, 1e-150), ql)
-            keep = accepted & ((step * t >= 1e-13) | moving)
+            keep = accepted & ((step * t >= settled) | moving)
             if not (cand[keep] >= 1e-150).all():  # a floored entry moved a kept row off cq
                 parts = None
             base = value  # the kept rows' barrier objective, at the accepted cq

@@ -8,10 +8,14 @@ program must keep tau_star and the window lengths, agree on every value to
 1e-12 bits, and reproduce every pure-window value bitwise. Budgets on a
 vertex, c = 1/(tau + 1), are exactly 0.
 
-`REPINNED` holds the pure-window values that moved, by at most 3.4e-16 bits,
-when every slice solve (one rate or many) came to take per-row channels:
+`REPINNED` holds the pure-window values whose bits differ from `PARENT`'s:
 the bitwise pin of such an entry is its value there, and its 1e-12
-agreement is still with `PARENT`.
+agreement is still with `PARENT`. Entries moved by at most 3.4e-16 bits
+when every slice solve (one rate or many) came to take per-row channels,
+and by at most 3.4e-16 bits again when every barrier stage but the last
+came to end a row once its move falls below the stage's mu; five of those
+moves, at (r_p, tau) = (0.2, 1), (0.2, 3), (0.5, 4), (0.6, 2) and
+(0.65, 4), landed back on `PARENT`'s bits.
 """
 
 import numpy as np
@@ -68,20 +72,20 @@ PARENT = {
          0.0760376172283797}, {5, 6, 7}),
 }
 
-# (r_p, tau): the pure per-tau value with per-row slice channels
+# (r_p, tau): the pure per-tau value where its bits differ from PARENT's
 REPINNED = {
     (0.1, 3): 0.43614493823707373,
     (0.15, 1): 0.44332564389176443,
-    (0.2, 1): 0.3811091416044162,
-    (0.2, 3): 0.34831066114473547,
-    (0.45, 1): 0.10412385079451891,
+    (0.4, 1): 0.16952426825441713,
+    (0.45, 1): 0.10412385079451925,
+    (0.45, 2): 0.21838193933291286,
     (0.45, 4): 0.20975894151917984,
-    (0.5, 4): 0.19300955806233822,
-    (0.6, 2): 0.1082897988241321,
+    (0.5, 2): 0.18958987298028918,
     (0.6, 3): 0.15166789416563398,
-    (0.65, 4): 0.13582568616945948,
-    (0.7, 5): 0.11708932548406163,
+    (0.7, 4): 0.11082303350856826,
+    (0.7, 5): 0.11708932548406177,
     (0.7, 7): 0.11596484064635673,
+    (0.75, 4): 0.0734207089071778,
     (0.8, 5): 0.052677207140400174,
     (0.8, 6): 0.06948081273803185,
 }
