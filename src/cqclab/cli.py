@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -27,7 +28,7 @@ from .coding import (
     build_codebook_3user,
     run_transmission,
 )
-from .dist import h_tilde_grid, solve_tilt_grid
+from .dist import LOG2E, _rate_at_tilts, h_tilde_grid, solve_tilt_grid
 from .fcfs import simulate, stability_probe, trace_to_csv_rows
 
 
@@ -213,11 +214,13 @@ def _h_tilde_checks(rng, samples: int) -> tuple[float, float, float]:
     worst_dual = worst_sym = 0.0
     for k in range(1, 9):
         at_k = ks == k
-        vals = h_tilde_grid(np.concatenate([dual_g, sym_g, 1 - sym_g, gs[at_k]]), k)
-        via_rate, sym, mirror, h[at_k] = np.split(
-            vals, np.cumsum([dual_g.size, sym_g.size, sym_g.size]))
-        # dual-formula equivalence of the entropy ceiling
-        _, p = solve_tilt_grid(k, k * dual_g)
+        vals = h_tilde_grid(np.concatenate([sym_g, 1 - sym_g, gs[at_k]]), k)
+        sym, mirror, h[at_k] = np.split(vals, [sym_g.size, 2 * sym_g.size])
+        # dual-formula equivalence of the entropy ceiling: the rate function
+        # and the entropy of the tilted law, both at the tilts of one solve
+        x = k * dual_g
+        lam, p = solve_tilt_grid(k, x)
+        via_rate = (math.log2(k + 1) - _rate_at_tilts(k, lam, x) * LOG2E) / k
         via_tilt = -(p * np.log2(np.where(p > 0, p, 1.0))).sum(axis=1) / k
         worst_dual = max(worst_dual, float(np.abs(via_rate - via_tilt).max()))
         # mirror symmetry of the entropy ceiling
@@ -334,11 +337,14 @@ def _shared_parser() -> argparse.ArgumentParser:
 def _typed_config(actions: dict, cfg: dict) -> dict:
     """cfg with each option's value passed through the argparse type and
     choices of its action in `actions`, as the same value given as a flag
-    would be; a value that does not convert, or is not one of the choices,
-    raises ValueError naming its key."""
+    would be; a flag option (one that takes no value, such as --itilde)
+    takes only JSON true or false. A value that does not convert, or is not
+    one of the choices, raises ValueError naming its key."""
     out = dict(cfg)
     for key, value in cfg.items():
         a = actions[key]
+        if a.nargs == 0 and not isinstance(value, bool):
+            raise ValueError(f"config key {key!r}: invalid value {value!r}")
         if a.type is not None and value is not None:
             try:
                 out[key] = a.type(str(value))

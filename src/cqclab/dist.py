@@ -249,15 +249,20 @@ def _tilt_to_mean(ks: tuple[int, ...], m, weights=1.0) -> tuple[np.ndarray, list
     return s, laws
 
 
-def _rate_grid(k: int, x: np.ndarray) -> np.ndarray:
-    """Rate function (nats) of the uniform law on {0..k} at interior means x:
-    lam * x - psi(lam) at the tilt lam matching each mean, with psi the
+def _rate_at_tilts(k: int, lam: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Rate function (nats) of the uniform law on {0..k} at interior means x,
+    given the tilts lam that match them: lam * x - psi(lam), with psi the
     uniform log-MGF."""
-    lam, _ = _tilt_to_mean((k,), x)
     z = np.multiply.outer(lam, np.arange(k + 1.0))
     zmax = z.max(axis=1)
     psi = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1)) - math.log(k + 1)
     return lam * x - psi
+
+
+def _rate_grid(k: int, x: np.ndarray) -> np.ndarray:
+    """Rate function (nats) of the uniform law on {0..k} at interior means x,
+    at the tilts that one batched tilt solve finds for them."""
+    return _rate_at_tilts(k, _tilt_to_mean((k,), x)[0], x)
 
 
 def solve_tilt_grid(k: int, target_means) -> tuple[np.ndarray, np.ndarray]:

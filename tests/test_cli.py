@@ -445,6 +445,27 @@ class TestConfig:
         assert code == 2 and body == ""
         assert capsys.readouterr().err.startswith(f"error: config key '{key}'")
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_a_config_flag_is_not_set_by_other_values(self, tmp_path, capsys, value):
+        # a flag option takes no argparse type: only JSON true or false reads as one
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"itilde": value}))
+        code, body = _run(tmp_path, "--config", str(cfg), "capacity3")
+        assert code == 2 and body == ""
+        assert capsys.readouterr().err == f"error: config key 'itilde': invalid value {value!r}\n"
+
+    @pytest.mark.parametrize("value", [False, True])
+    def test_a_config_flag_takes_true_or_false(self, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"itilde": value, "rp_grid": "0", "tau_max": 2,
+                                   "k_set": "1", "gamma_step": 0.5}))
+        code, body = _run(tmp_path, "--config", str(cfg), "capacity3")
+        assert code == 0
+        head = next(ln for ln in body.splitlines() if ln.startswith("# config="))
+        assert ('"itilde": true' in head) == value
+        assert _rows(body)[0] == ("gamma,k,r_p,i_tilde" if value
+                                  else "r_p,capacity,alpha,gamma1,gamma2,tau_star")
+
 
 def test_header_contains_effective_config(tmp_path):
     _, body = _run(tmp_path, "--seed", "5", "htilde", "--gamma-step", "0.5")
