@@ -23,20 +23,17 @@ from cqclab.capacity3 import (
 )
 from cqclab.dist import Pmf, _tilt_to_mean, binomial_pmf, entropy, h_tilde
 
-# Newton steps and row-steps (rows summed over steps) of three runs: the
-# validate sweep, the two solves of `cqclab capacity2` and `cqclab
-# capacity3 --rp-grid 0,0.1,0.3`, and one pair-program path
-RUNS = {
-    "validate_i_concavity(8, 50, seed=5)": lambda: validate_i_concavity(8, 50, seed=5),
-    "capacity2 and capacity3 solves": lambda: (
-        solve_capacity_3user(0.0, 2), capacity3.solve_capacity_grid([0.0, 0.1, 0.3], 8)),
-    "_program_path(3, [0, 0.1, 0.3])": lambda: capacity3._program_path(
-        3, np.array([0.0, 0.1, 0.3])),
-}
+# name: (run, its Newton steps, its row-steps: the rows summed over those
+# steps) for the validate sweep, the two solves of `cqclab capacity2` and
+# `cqclab capacity3 --rp-grid 0,0.1,0.3`, and one pair-program path
 NEWTON_STEPS = {
-    "validate_i_concavity(8, 50, seed=5)": (398, 21096),
-    "capacity2 and capacity3 solves": (191, 349),
-    "_program_path(3, [0, 0.1, 0.3])": (43, 100),
+    "validate_i_concavity(8, 50, seed=5)": (lambda: validate_i_concavity(8, 50, seed=5),
+                                            398, 21096),
+    "capacity2 and capacity3 solves": (lambda: (
+        solve_capacity_3user(0.0, 2), capacity3.solve_capacity_grid([0.0, 0.1, 0.3], 8)),
+        191, 349),
+    "_program_path(3, [0, 0.1, 0.3])": (lambda: capacity3._program_path(
+        3, np.array([0.0, 0.1, 0.3])), 43, 100),
 }
 
 
@@ -450,12 +447,11 @@ class TestBatchedSolver:
         # every Newton step but the first of each stage (and the final
         # gradient) reads the parts its line search evaluated, and they are
         # bitwise the parts of its iterate
-        cls, stages, run, steps = {
+        cls, stages, (run, steps, _) = {
             "pair": (capacity3._PairObjective, capacity3._PROGRAM_MU_STAGES,
-                     RUNS["_program_path(3, [0, 0.1, 0.3])"],
-                     NEWTON_STEPS["_program_path(3, [0, 0.1, 0.3])"][0]),
+                     NEWTON_STEPS["_program_path(3, [0, 0.1, 0.3])"]),
             "slice": (capacity3._SliceObjective, capacity3._MU_STAGES,
-                      lambda: capacity3._slices(4, [0.0, 0.2, 0.5], [0.3, 0.5, 0.9]), None),
+                      (lambda: capacity3._slices(4, [0.0, 0.2, 0.5], [0.3, 0.5, 0.9]), None, None)),
         }[objective]
         ref = run()
         offered, real_parts, real_newton = Counter(), cls.parts, cls.newton
@@ -482,8 +478,8 @@ class TestBatchedSolver:
         else:  # every step of the pinned count but the first of each stage
             assert offered[True] == steps - len(stages)
 
-    @pytest.mark.parametrize("run", sorted(NEWTON_STEPS))
-    def test_newton_steps_are_pinned(self, monkeypatch, run):
+    @pytest.mark.parametrize("name", sorted(NEWTON_STEPS))
+    def test_newton_steps_are_pinned(self, monkeypatch, name):
         # a Newton step is a newton call that writes a Hessian; a change that
         # adds steps fails here, and must re-pin the counts and say what moved
         counts, objectives = [0, 0], (capacity3._SliceObjective, capacity3._PairObjective)
@@ -498,8 +494,9 @@ class TestBatchedSolver:
 
         for cls in objectives:
             monkeypatch.setattr(cls, "newton", counted(cls.newton))
-        RUNS[run]()
-        assert tuple(counts) == NEWTON_STEPS[run]
+        run, *want = NEWTON_STEPS[name]
+        run()
+        assert counts == want
 
     def test_a_floored_entry_invalidates_the_line_search_parts(self):
         # a gradient of -1e150 on entry 0 takes it from the 1e-150 floor to
