@@ -420,7 +420,7 @@ def i_tilde(gamma: float, k: int, r_p: float) -> ITildeValue:
 
 
 def i_tilde_curve(gammas, k: int, r_p: float) -> np.ndarray:
-    """i_tilde values (bits per slot) over a nondecreasing gamma grid in [0, 1].
+    """i_tilde values (bits per slot) over a 1-D gamma grid in [0, 1], in any order.
 
     All points are solved cold by one batched `_slices` call, each
     certified like a single `i_tilde` solve (UncertifiedSolveError
@@ -429,8 +429,8 @@ def i_tilde_curve(gammas, k: int, r_p: float) -> np.ndarray:
     """
     k = _count("k", k, 1)
     gammas = np.asarray(gammas, dtype=float)
-    if gammas.ndim != 1 or (np.diff(gammas) < 0).any():
-        raise ValueError("gammas must be a nondecreasing 1-D grid")
+    if gammas.ndim != 1:
+        raise ValueError("gammas must be a 1-D grid")
     if not (np.isfinite(gammas) & (gammas >= 0.0) & (gammas <= 1.0)).all():
         raise ValueError("gammas must be finite and lie in [0, 1]")
     bits, _, noise, _ = _slices(k, r_p, gammas)

@@ -334,6 +334,8 @@ def _decode_rows(y: np.ndarray, codebook: Codebook, r_p: float) -> np.ndarray:
     # can win, and n = 4 W + 4 also covers the roundings of that threshold.
     n = 4 * codebook.template.widths.size + 4
     at, msgs = np.nonzero(approx >= best * (1 + n * 2.0**-53 / (1 - n * 2.0**-53)))
+    if at.size == y.shape[0]:  # one candidate per row: it is the row's argmax
+        return msgs
     exact, stop = np.zeros(at.size), 0
     for width, count, _ in codebook.template.windows:
         # a C-contiguous gather keeps each score's terms contiguous, which fixes

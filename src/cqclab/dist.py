@@ -331,13 +331,18 @@ def h_tilde(gamma: float, k: int) -> HTildeValue:
 
 
 def binomial_pmf(k: int, p: float) -> Pmf:
-    """Binomial(k, p) mass function; exact point masses at p = 0 and 1, as 0.0**0 == 1.0."""
+    """Binomial(k, p) mass function; exact point masses at p = 0 and 1, as 0.0**0 == 1.0.
+    From k = 1030 on, C(k, k // 2) exceeds the float range and a ValueError
+    names k."""
     k = _count("k", k, 0)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
-    probs = np.array(
-        [math.comb(k, i) * p**i * (1.0 - p) ** (k - i) for i in range(k + 1)]
-    )
+    try:
+        probs = np.array(
+            [math.comb(k, i) * p**i * (1.0 - p) ** (k - i) for i in range(k + 1)]
+        )
+    except OverflowError:
+        raise ValueError(f"k={k}: the binomial coefficients exceed the float range") from None
     return Pmf(probs / probs.sum())
 
 

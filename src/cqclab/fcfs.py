@@ -324,19 +324,17 @@ def stability_probe(
     below 1; in that regime the report includes the empirical quadratic
     drift E[q(t+1)^2 - q(t)^2 | q(t) >= threshold] at the threshold
     K / (2 (1 - total_rate)), which queue stability requires to be negative.
-    The queue series comes straight off the per-slot queue kernel (Lindley's
-    recursion in closed form), block by block, each user's block drawn from
-    its own generator (`_generators`); no stream, no per-packet trace and no
-    whole-horizon queue series are stored. Every mean is an exact integer
-    sum, taken per block relative to the block's first queue value so that
-    no backlog overflows int64, divided once by its count. The threshold needs K, the mean over the
-    whole horizon, so the drift is gathered in the same one pass before K is
-    known: a step a - s lies in {-1, 0, 1, 2}, so K <= 4 and the threshold
-    is at most cap = 2 / (1 - total_rate). Slots with q(t) >= cap add to the
-    drift sums directly; the others are counted per (q(t), step), in bins
-    that span only the queue values seen below the cap, and read once the
-    threshold is known. The memory is one block plus those bins, whatever
-    the horizon or the backlog.
+    The queue series comes off the per-slot queue kernel block by block
+    (`_stream`, each user's block from its own `_generators` generator) and
+    is not stored. Every mean is an exact integer sum divided once by its
+    count, the queue's taken per block relative to the block's first value
+    so that no backlog overflows int64. A step a - s lies in {-1, 0, 1, 2},
+    so K <= 4 and the threshold is at most cap = 2 / (1 - total_rate): the
+    one pass, before K is known, bins the slots below the cap per
+    (q(t), step), over the queue values seen there. Summed over every slot,
+    q(t+1)^2 - q(t)^2 telescopes to final_queue^2 - initial_backlog^2; the
+    drift above the threshold is that total less the binned slots below it.
+    The memory is one block plus those bins, whatever the horizon or backlog.
     """
     rates = tuple(float(r) for r in rates)
     if not 1 <= len(rates) <= 3:
@@ -348,28 +346,18 @@ def stability_probe(
     total = sum(rates)
     cap = math.ceil(4.0 / (2.0 * (1.0 - total))) if total < 1.0 else 0
     bins, base = np.zeros((0, 4), dtype=np.int64), 0  # bins[q - base, step + 1]
-    high = rise = 0  # slots with q(t) >= cap, and their sum of q(t+1)^2 - q(t)^2
     squares = max_queue = half_sum = 0
     issues = np.empty((1, min(_BLOCK, horizon), len(rates)), dtype=np.int8)
     for i, (_, queue) in enumerate(_stream(issues, columns, horizon, initial_backlog)):
-        q0 = int(queue[0])  # the block's sums run relative to it
+        q0 = int(queue[0])  # the block's half sum runs relative to it
         # the queue series is q(t+1) = q(t) + a(t) - s(t), so its steps are a - s
         steps = np.diff(queue)
         squares += int(np.dot(steps, steps))
         max_queue = max(max_queue, int(queue[1:].max()))
         half = queue[1 + max(horizon // 2 - i * issues.shape[1], 0) :]
         half_sum += int((half - q0).sum()) + q0 * half.size
-        if not cap:
-            continue
-        q, d = queue[:-1], steps
-        low = q < cap
-        if not low.all():
-            q_high, d_high = q[~low], d[~low]
-            high += q_high.size
-            # q(t+1)^2 - q(t)^2 = d (2 q(t) + d) = d (2 (q(t) - q0) + d) + 2 q0 d
-            rise += int(np.dot(d_high, 2 * (q_high - q0) + d_high))
-            rise += 2 * q0 * int(d_high.sum())
-            q, d = q[low], d[low]
+        low = queue[:-1] < cap
+        q, d = (queue[:-1], steps) if low.all() else (queue[:-1][low], steps[low])
         if q.size:
             lo, hi = int(q.min()), int(q.max())
             if not bins.size:
@@ -381,16 +369,16 @@ def stability_probe(
             counts = np.bincount(4 * (q - lo) + d + 1, minlength=4 * (hi - lo + 1))
             bins[lo - base : hi - base + 1] += counts.reshape(-1, 4)
     k_hat = squares / horizon
-
     threshold = k_hat / (2.0 * (1.0 - total)) if total < 1.0 else None
-    drift = None
-    above = 0
+    drift, above = None, 0
     if threshold is not None:
-        offsets = np.arange(len(bins))  # q - base, which keeps the products within int64
-        counted = base + offsets >= threshold
-        counts, q, d = bins[counted], offsets[counted, None], np.arange(-1, 3)
-        above = high + int(counts.sum())
-        rise += int((counts * d * (2 * q + d)).sum()) + 2 * base * int((counts * d).sum())
+        counts = bins[: max(math.ceil(threshold) - base, 0)]  # the bins below the threshold
+        # at offsets q - base, which keep the products within int64
+        q, d = np.arange(len(counts))[:, None], np.arange(-1, 3)
+        above = horizon - int(counts.sum())
+        # q(t+1)^2 - q(t)^2 = d (2 q(t) + d), over every slot final^2 - backlog^2
+        rise = int(queue[-1]) ** 2 - initial_backlog**2
+        rise -= int((counts * d * (2 * q + d)).sum()) + 2 * base * int((counts * d).sum())
         if above:
             drift = rise / above
     return DriftReport(

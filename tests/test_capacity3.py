@@ -8,6 +8,9 @@ from scipy.optimize import brentq
 from cqclab import capacity3
 from cqclab.capacity3 import (
     GAP_TOL,
+    CapacityResult3,
+    ChannelMatrix,
+    ITildeValue,
     InfeasibleError,
     UncertifiedSolveError,
     binomial_entropy_gap,
@@ -55,6 +58,13 @@ class TestChannelMatrix:
     def test_rows_normalized(self):
         cm = channel_matrix(5, 0.61)
         assert np.allclose(cm.rows.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_rejects_a_wrong_shape_and_unnormalized_rows(self):
+        rows = channel_matrix(2, 0.3).rows
+        with pytest.raises(ValueError, match=r"rows must be \(3, 5\)"):
+            ChannelMatrix(tau=2, r_p=0.3, rows=rows[:, :4])
+        with pytest.raises(ValueError, match="sum to 1"):
+            ChannelMatrix(tau=2, r_p=0.3, rows=rows * (1 + 1e-9))
 
 
 class TestOutputMean:
@@ -204,6 +214,18 @@ class TestITilde:
             ]
             assert all(b <= a + 1e-6 for a, b in zip(vals, vals[1:]))
 
+    def test_value_rejects_negative_bits_and_a_missed_mean(self):
+        law = Pmf.uniform(2)  # mean 1 = k * 0.5
+        ITildeValue(gamma=0.5, k=2, r_p=0.1, bits_per_slot=-1e-12, maximizing_input=law)
+        with pytest.raises(ValueError, match="cannot be negative"):
+            ITildeValue(gamma=0.5, k=2, r_p=0.1, bits_per_slot=-1e-9, maximizing_input=law)
+        with pytest.raises(ValueError, match="mean constraint"):
+            ITildeValue(gamma=0.4, k=2, r_p=0.1, bits_per_slot=0.5, maximizing_input=law)
+
+    def test_degradation_violations_on_an_empty_grid(self):
+        assert degradation_violations([], [1, 2]) == []
+        assert degradation_violations([0.3], [1, 2], []) == []
+
     def test_degradation_violations_are_reported(self):
         # the ceiling is not globally monotone in the noise rate: with the
         # input pinned at k = 1, gamma = 0.25 it rises again past
@@ -270,9 +292,14 @@ class TestITilde:
                 i_tilde(float(g), k, rp).bits_per_slot, abs=1e-9
             )
 
-    def test_curve_rejects_unsorted_grid(self):
-        with pytest.raises(ValueError):
-            i_tilde_curve([0.5, 0.2], 2, 0.1)
+    @pytest.mark.parametrize("k, rp", [(2, 0.1), (5, 0.3)])
+    def test_curve_on_a_permuted_grid_is_the_permuted_curve(self, k, rp):
+        # every point is solved cold and on its own, so the order is free
+        gs = np.linspace(0.0, 1.0, 21)
+        order = np.random.default_rng(k).permutation(gs.size)
+        curve = i_tilde_curve(gs, k, rp)
+        assert i_tilde_curve(gs[order], k, rp).tobytes() == curve[order].tobytes()
+        assert i_tilde_curve([0.5, 0.2], k, rp).tobytes() == curve[[10, 4]].tobytes()
 
     @pytest.mark.parametrize(
         "gammas", [[0.5, 1.2, 3.0], [-0.5, 0.5], [0.2, np.nan], [0.2, np.inf]]
@@ -636,6 +663,20 @@ class TestCapacity3:
         assert 0 <= cap3_rp01.gamma1 <= 1
         assert 0 <= cap3_rp01.gamma2 <= 1
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("capacity_bits_per_slot", -1e-9, "capacity outside"),
+         ("capacity_bits_per_slot", 1.0 + 1e-9, "capacity outside"),
+         ("constraint_residual", 2e-9, "constraint residual"),
+         ("tau_star", 0, "tau_star")],
+    )
+    def test_result_rejects_values_out_of_range(self, field, value, message):
+        args = dict(r_p=0.1, capacity_bits_per_slot=0.5, alpha=0.5, gamma1=0.5, gamma2=0.5,
+                    tau_star=1, constraint_residual=1e-9)
+        CapacityResult3(**args)
+        with pytest.raises(ValueError, match=message):
+            CapacityResult3(**{**args, field: value})
+
     def test_per_tau_audit_recorded(self, cap3_rp01):
         assert 1 in cap3_rp01.per_tau
         assert cap3_rp01.per_tau[cap3_rp01.tau_star] == pytest.approx(
@@ -857,6 +898,11 @@ class TestMixedWindowConcavity:
         assert report.violations > 0
         assert not report.passed
         assert report.max_gap_nats <= GAP_TOL
+
+    def test_sweep_of_no_samples_is_clean(self):
+        report = validate_i_concavity(tau_max=4, samples=0)
+        assert (report.samples, report.violations, report.worst_margin) == (0, 0, np.inf)
+        assert report.passed
 
     def test_sweep_clean_when_noiseless(self):
         report = validate_i_concavity(tau_max=4, samples=30, seed=3, r_p_step=2.0)

@@ -138,6 +138,15 @@ class TestCapacity3:
         code, _ = _run(tmp_path, "capacity3", "--rp-grid", "1.5")
         assert code == 2
 
+    def test_window_beyond_the_float_binomial_exits_2(self, tmp_path, capsys):
+        # it used to die with an OverflowError traceback and exit 1
+        code, _ = _run(tmp_path, "capacity3", "--itilde", "--k-set", "1030",
+                       "--rp-grid", "0.1", "--gamma-step", "0.5")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: k=1030: the binomial coefficients exceed the float range\n"
+        )
+
     @pytest.mark.parametrize("extra", [[], ["--itilde"]])
     def test_rate_of_one_is_a_usage_error(self, tmp_path, capsys, monkeypatch, extra):
         def no_solve(*args, **kwargs):

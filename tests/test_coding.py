@@ -20,6 +20,7 @@ from cqclab.coding import (
     CollisionExhaustionError,
     DecodeMatchError,
     ProbeTemplate,
+    TransmissionReport,
     UnbufferedIntervalError,
     admissible_alpha_slots,
     build_codebook_2user,
@@ -189,6 +190,11 @@ class TestCodebook2User:
     def test_rejects_non_symbol_windows(self):
         with pytest.raises(ValueError):
             _handmade_codebook([[0, 1]])  # "01" is not ones-then-zeros
+
+    @pytest.mark.parametrize("codewords", [np.zeros(4), np.zeros((2, 3))])
+    def test_rejects_codewords_not_of_shape_m_by_n(self, codewords):
+        with pytest.raises(ValueError, match=r"\(M, n\)"):
+            Codebook(template=_pair(1, 0, 2), codewords=codewords, seed=0)
 
 
 class TestCodebook3User:
@@ -365,6 +371,12 @@ class TestRunTransmission:
         rep = run_transmission(cb, trials=10, seed=1)
         assert rep.errors == 0 and rep.empirical_rate_bits_per_slot == 0.0
 
+    def test_report_rejects_a_rate_above_one_bit_per_slot(self):
+        args = dict(messages_sent=1, errors=0, empirical_error_rate=0.0, seed=0)
+        TransmissionReport(**args, empirical_rate_bits_per_slot=1.0 + 1e-13)
+        with pytest.raises(ValueError, match="1 bit per slot"):
+            TransmissionReport(**args, empirical_rate_bits_per_slot=1.0 + 1e-9)
+
     def test_minimum_backlog_enforced(self):
         cb = build_codebook_2user(30, 4, seed=2)
         with pytest.raises(ValueError):
@@ -488,6 +500,18 @@ class TestBatchedTransmission:
         for y3, y2, d3, d2 in zip(y, rows2, decoded3, decoded2):
             assert decode_3user(_obs(list(zip(widths, y3))), cb, rp) == d3
             assert decode_2user(_obs(list(zip(widths, y2))), cb) == d2
+
+    def test_one_candidate_per_row_skips_the_exact_sums(self, monkeypatch):
+        # noiseless rows of distinct codewords leave one candidate per row, the
+        # row's argmax, so each window length's table is read once, not twice
+        cb = build_codebook_2user(30, 64, seed=2)
+        sent = np.random.default_rng(6).integers(cb.M, size=_CHUNK)
+        table, widths = coding._log_channel_table, []
+        monkeypatch.setattr(
+            coding, "_log_channel_table", lambda w, rp: widths.append(w) or table(w, rp)
+        )
+        assert (_decode_rows(cb.window_counts[sent], cb, 0.0) == sent).all()
+        assert widths == [w for w, _, _ in cb.template.windows]
 
     @pytest.mark.parametrize("gather", [1, 2000, 1 << 30])
     def test_decoding_does_not_depend_on_the_gather_size(self, monkeypatch, gather):

@@ -13,6 +13,7 @@ from cqclab.dist import (
     Pmf,
     SupportMismatchError,
     TiltEndpointError,
+    TiltSolution,
     _tilt_to_mean,
     binomial_pmf,
     entropy,
@@ -51,6 +52,11 @@ class TestPmf:
     def test_rejects_nan(self, probs):
         # NaN fails every comparison, so a `p < 0` test and the sum test let it through
         with pytest.raises(ValueError, match="nonnegative"):
+            Pmf(np.array(probs))
+
+    @pytest.mark.parametrize("probs", [[[0.5, 0.5]], 1.0, []])
+    def test_rejects_input_that_is_not_a_nonempty_vector(self, probs):
+        with pytest.raises(ValueError, match="nonempty 1-D"):
             Pmf(np.array(probs))
 
     def test_immutable(self):
@@ -138,6 +144,12 @@ class TestSolveTilt:
     def test_residual_bound(self):
         sol = solve_tilt(2, 0.86)
         assert abs(sol.pmf.mean() - 0.86) < 1e-10
+
+    def test_solution_rejects_a_residual_above_its_tolerance(self):
+        args = dict(lam=0.0, pmf=Pmf.uniform(2), target_mean=1.0)
+        TiltSolution(**args, residual=1e-10)
+        with pytest.raises(ValueError, match="residual"):
+            TiltSolution(**args, residual=2e-10)
 
     def test_solution_follows_closed_form(self):
         sol = solve_tilt(4, 1.37)
@@ -424,6 +436,18 @@ class TestBinomialPmf:
         assert np.allclose(
             binomial_pmf(2, 0.3).probs, [0.49, 0.42, 0.09], atol=1e-12
         )
+
+    @pytest.mark.parametrize("p", [-0.1, 1.1, math.nan])
+    def test_rejects_a_rate_outside_the_unit_interval(self, p):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            binomial_pmf(3, p)
+
+    @pytest.mark.parametrize("p", [0.0, 1e-9, 0.5, 1.0])
+    def test_coefficients_beyond_the_float_range_name_k(self, p):
+        # C(1029, 514) is the last central coefficient below 2^1024
+        assert binomial_pmf(1029, p).k == 1029
+        with pytest.raises(ValueError, match="k=1030"):
+            binomial_pmf(1030, p)
 
 
 class TestKlProjection:

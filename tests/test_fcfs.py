@@ -13,6 +13,7 @@ from cqclab.fcfs import (
     ENCODER,
     ArrivalSchedule,
     DriftReport,
+    ProbeObservations,
     TooFewProbesError,
     _fifo,
     _probe_intervals,
@@ -65,6 +66,11 @@ class TestSchedule:
     def test_rejects_unknown_user(self):
         with pytest.raises(ValueError):
             _sched("intruder", [0, 1])
+
+    @pytest.mark.parametrize("slots", [np.zeros((2, 2)), np.int8(1)])
+    def test_rejects_slots_that_are_not_1d(self, slots):
+        with pytest.raises(ValueError, match="1-D"):
+            ArrivalSchedule(DECODER, slots)
 
     @pytest.mark.parametrize("n", [0, 1, 5, 7, 23, 64, 194])
     def test_bernoulli_equals_the_one_call_draws(self, n):
@@ -281,6 +287,17 @@ class TestObserve:
         with pytest.raises(TooFewProbesError):
             observe(tr)
 
+    @pytest.mark.parametrize(
+        "column, value", [("y", [0]), ("arrival_slot", [0, 1, 2]), ("buffered", [[True, True]])]
+    )
+    def test_observations_reject_columns_of_other_shapes(self, column, value):
+        columns = dict(tau=[1, 2], y=[0, 1], buffered=[True, True], arrival_slot=[0, 1])
+        ProbeObservations(**columns)
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            ProbeObservations(**{**columns, column: value})
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            ProbeObservations(**{name: [col] for name, col in columns.items()})  # all 2-D
+
 
 def _reference_stability_probe(
     rates: tuple[float, ...] | list[float],
@@ -450,39 +467,53 @@ class TestStability:
         # packets and the block sums over a queue of 10^17 stay exact; 60
         # packets start above the cap 2 / (1 - 0.95) and the queue then
         # drains through the binned values below it
-        horizon, seed = 3_000, 4
-        rng = np.random.default_rng(seed)
-        arrivals = sum((rng.random(horizon) < r).astype(int) for r in rates).tolist()
-        q, series = initial_backlog, []
-        for a in arrivals:
-            step = a - (1 if q + a > 0 else 0)
-            series.append((q, step))
-            q += step
-        k_hat = sum(d * d for _, d in series) / horizon
-        threshold = k_hat / (2.0 * (1.0 - sum(rates)))
-        above = [(s, d) for s, d in series if s >= threshold]
-        ends = [s + d for s, d in series]
-        expected = DriftReport(
-            rates=rates,
-            total_rate=sum(rates),
-            horizon=horizon,
-            seed=seed,
-            final_queue=q,
-            max_queue=max(ends),
-            mean_queue_second_half=sum(ends[horizon // 2 :]) / (horizon - horizon // 2),
-            squared_increment_mean=k_hat,
-            drift_threshold=threshold,
-            drift_above_threshold=sum(d * (2 * s + d) for s, d in above) / len(above),
-            slots_above_threshold=len(above),
-        )
-        assert stability_probe(rates, horizon, seed, initial_backlog=initial_backlog) == expected
+        expected = _slot_by_slot_report(rates, 3_000, 4, initial_backlog)
+        assert stability_probe(rates, 3_000, 4, initial_backlog=initial_backlog) == expected
+
+    @pytest.mark.parametrize("horizon", [1, 7, 16_385])
+    def test_a_backlog_of_10_15_equals_the_slot_by_slot_count(self, horizon):
+        # the drift telescopes to final_queue^2 - backlog^2, squares of about
+        # 10^30 that int64 cannot hold; 16,385 slots end one slot past a block
+        rates, backlog = (0.475, 0.475), 10**15
+        expected = _slot_by_slot_report(rates, horizon, 5, backlog)
+        assert expected.slots_above_threshold == horizon
+        assert stability_probe(rates, horizon, 5, initial_backlog=backlog) == expected
 
     def test_peak_memory_behind_a_huge_backlog(self):
-        # every slot sits above the threshold, so the drift is summed directly
+        # every slot sits above the threshold and the cap, so none is binned
         def call():
             return stability_probe((0.475, 0.475), 10**6, seed=9, initial_backlog=10**12)
 
         assert _peak_mb(call) <= 2
+
+
+def _slot_by_slot_report(rates, horizon: int, seed: int, initial_backlog: int) -> DriftReport:
+    """The subcritical `stability_probe` report over the same draws, from a
+    queue run slot by slot with one service per busy slot, in Python integers."""
+    rng = np.random.default_rng(seed)
+    arrivals = sum((rng.random(horizon) < r).astype(int) for r in rates).tolist()
+    q, series = initial_backlog, []
+    for a in arrivals:
+        step = a - (1 if q + a > 0 else 0)
+        series.append((q, step))
+        q += step
+    k_hat = sum(d * d for _, d in series) / horizon
+    threshold = k_hat / (2.0 * (1.0 - sum(rates)))
+    above = [(s, d) for s, d in series if s >= threshold]
+    ends = [s + d for s, d in series]
+    return DriftReport(
+        rates=rates,
+        total_rate=sum(rates),
+        horizon=horizon,
+        seed=seed,
+        final_queue=q,
+        max_queue=max(ends),
+        mean_queue_second_half=sum(ends[horizon // 2 :]) / (horizon - horizon // 2),
+        squared_increment_mean=k_hat,
+        drift_threshold=threshold,
+        drift_above_threshold=sum(d * (2 * s + d) for s, d in above) / len(above) if above else None,
+        slots_above_threshold=len(above),
+    )
 
 
 def _peak_mb(call) -> float:
