@@ -11,11 +11,13 @@ mixed-window concavity inequality has certified counterexamples (see
 `validate_i_concavity`), so non-adjacent mixes can do better.
 
 The inner maximization (max output entropy over a simplex slice) is smooth
-and strictly concave, solved by a log-barrier Newton path with an LP duality
-gap certificate below GAP_TOL = 1e-9 nats. One call (`_slices`) solves a
-whole batch of rows at one window length k: every row advances in the same
-batched KKT solve, so an i_tilde table takes about as many numpy calls as
-its slowest point. Rows may differ in their noise rate r_p, so a sweep over
+and strictly concave, solved by a primal-dual interior-point iteration
+(`_primal_dual`) that ends each row at an LP duality gap of rounding level,
+about 1e-13 nats, and certifies it below GAP_TOL = 1e-9 nats. One call
+(`_slices`) solves a whole batch of rows at one window length k: every row
+advances in the same batched KKT solve and leaves once its own gap is at
+rounding level, so an i_tilde table takes about as many numpy calls as its
+slowest point. Rows may differ in their noise rate r_p, so a sweep over
 many rates (`validate_i_concavity`, `degradation_violations`) is one solve
 per window length. Every row carries its own channel and its products go
 row by row, so a point has the same bits solved alone, in a one-rate batch
@@ -23,21 +25,22 @@ or among other rates. Channel rows (`_channel`) and noise entropies
 (`_noise_bits`, the one H(Bin(k, r_p))) are each built once per (k, r_p)
 and cached, so the concavity sweep's noise gaps reuse the entropies of its
 slice solves. An uncertified slice point raises
-UncertifiedSolveError naming its k, gamma and r_p. The path
-(`_newton_path`) certifies its own rows: it returns each row's LP gap,
-infinite for a row off its constraint plane, so its callers only name an
-uncertified point and raise.
+UncertifiedSolveError naming its k, gamma and r_p. Each loop certifies
+its own rows (`_certified`): it returns each row's LP gap, infinite for a
+row off its constraint plane, so its callers only name an uncertified
+point and raise.
 
 The best mix of windows k in {tau, tau + 1} at budget c = 1 - r_p is one
 concave program: with q_k = alpha_k * p_k, the share-weighted entropy
 alpha_k * H(B_k p_k) is the perspective of a concave function (Boyd &
 Vandenberghe 2004, sec. 3.2.6), so the pair maximizes a concave function
 of q >= 0 under two linear equalities, by one log-barrier Newton path
-(ibid., ch. 11) certified by its LP gap. Both problems run the same
-barrier-Newton loop (`_newton_path`), each with its own objective and its
-own mu stages. An objective has two methods: `parts` returns its per-row
-arrays, the value first, and `newton` turns them into the gradient and
-writes the Hessian; the path alone evaluates parts and keeps those of the
+(ibid., ch. 11) certified by its LP gap. The pair program runs that
+barrier path (`_newton_path`) through fixed mu stages; the slice solve runs
+the primal-dual loop. Both loops share one objective contract and one KKT
+layout (`_kkt`): `parts` returns an objective's per-row arrays, the value
+first, and `newton` turns them into the gradient and writes the Hessian;
+the loops alone evaluate parts, and the barrier path keeps those of its
 line search for the next step. `solve_capacity_grid` runs the tau loops
 of many rates in one sweep over ascending tau, each tau one program path
 for the pairs of every rate still in its loop, then one slice path per
@@ -62,9 +65,8 @@ LN2 = math.log(2.0)
 
 GAP_TOL = 1e-9  # nats; certified suboptimality of the inner maximization
 FEAS_TOL = 1e-10  # largest sum / mean residual of a certified inner maximizer
-_MU_STAGES = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 5e-13)
 _PROGRAM_MU_STAGES = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-16)
-_CHUNK_KKT = 1 << 16  # rows x (k + 3)^2 KKT entries per barrier path of a slice solve (0.5 MB)
+_CHUNK_KKT = 1 << 16  # rows x (k + 3)^2 KKT entries per path of a slice solve (0.5 MB)
 
 PAIR_GAP_TOL = 1e-9  # bits; largest duality gap of a certified window pair
 PURE_SHARE = 1e-9  # a window share at or below this reads as 0 (see _pair_programs)
@@ -96,7 +98,7 @@ class ChannelMatrix:
         r = np.asarray(self.rows, dtype=float)
         if r.shape != (self.tau + 1, 2 * self.tau + 1):
             raise ValueError(f"rows must be ({self.tau + 1}, {2 * self.tau + 1})")
-        if np.any(np.abs(r.sum(axis=1) - 1.0) > 1e-12):
+        if not (np.abs(r.sum(axis=1) - 1.0) <= 1e-12).all():
             raise ValueError("every channel row must sum to 1")
         r = r.copy()
         r.flags.writeable = False
@@ -112,9 +114,9 @@ class ITildeValue:
     maximizing_input: Pmf
 
     def __post_init__(self):
-        if self.bits_per_slot < -1e-12:
+        if not self.bits_per_slot >= -1e-12:
             raise ValueError("information ceiling cannot be negative")
-        if abs(self.maximizing_input.mean() - self.k * self.gamma) > 1e-8:
+        if not abs(self.maximizing_input.mean() - self.k * self.gamma) <= 1e-8:
             raise ValueError("maximizing input violates its mean constraint")
 
 
@@ -136,7 +138,7 @@ class CapacityResult3:
     def __post_init__(self):
         if not 0.0 <= self.capacity_bits_per_slot <= 1.0 + 1e-12:
             raise ValueError("capacity outside [0, 1]")
-        if self.constraint_residual > 1e-9:
+        if not self.constraint_residual <= 1e-9:
             raise ValueError(
                 f"constraint residual {self.constraint_residual:.3e} exceeds 1e-9"
             )
@@ -173,15 +175,14 @@ def _lp_gaps(g: np.ndarray, p: np.ndarray, m: np.ndarray, pos: np.ndarray) -> np
     Entry i sits at pos[i]: its mean in a slice solve (its index), its
     budget cost in a pair program. The vertices of
     {q >= 0, sum q = 1, <pos, q> = m} are two-point mixtures on (i, j) with
-    pos[i] <= m <= pos[j], so each row's LP maximum is explicit.
+    pos[i] < m < pos[j], and the points i with pos[i] = m, so each row's LP
+    maximum is explicit.
     """
-    I, J = pos[:, None], pos[None, :]
-    mm = m[:, None, None]
-    gi, gj = g[:, :, None], g[:, None, :]
-    span = np.where(J > I, J - I, 1.0)
-    vals = np.where(J > I, ((J - mm) * gi + (mm - I) * gj) / span, gi)
-    vals = np.where((I <= mm) & (J >= mm), vals, -np.inf)
-    return vals.max(axis=(1, 2)) - (g * p).sum(axis=1)
+    i, j = np.nonzero(pos[:, None] < pos[None, :])  # the pairs with pos[i] < pos[j]
+    lo, hi, mm = pos[i], pos[j], m[:, None]
+    mix = ((hi - mm) * g[:, i] + (mm - lo) * g[:, j]) / (hi - lo)
+    vals = np.where((lo <= mm) & (hi >= mm), mix, -np.inf).max(axis=1)
+    return np.maximum(vals, np.where(pos == mm, g, -np.inf).max(axis=1)) - (g * p).sum(axis=1)
 
 
 def _entropy_rows(py: np.ndarray) -> np.ndarray:
@@ -213,18 +214,53 @@ def _channel(k: int, r_p: float) -> np.ndarray:
     return channel_matrix(k, r_p).rows
 
 
+def _kkt(rows: int, n: int, A: np.ndarray):
+    """Preallocated KKT systems of `rows` Newton steps on n entries under the
+    constraints A, whose blocks A are set once: returns the matrices, their
+    right-hand sides and the views every step writes, the Hessian block, its
+    diagonal and the two right-hand sides."""
+    size = n + A.shape[0]
+    kkt = np.zeros((rows, size, size))
+    kkt[:, :n, n:], kkt[:, n:, :n] = A.T, A
+    rhs = np.empty((rows, size, 1))
+    diag = kkt.reshape(rows, -1)[:, : n * (size + 1) : size + 1]
+    return kkt, rhs, kkt[:, :n, :n], diag, rhs[:, :n, 0], rhs[:, n:, 0]
+
+
+def _to_boundary(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """The fraction-to-boundary step min(1, 0.99 * min x / -dx over dx < 0)
+    of every row, which keeps x + t dx > 0."""
+    with np.errstate(over="ignore"):  # a subnormal step entry: the ratio is inf
+        ratio = np.divide(x, -dx, out=np.full_like(x, np.inf), where=dx < 0)
+    return np.minimum(1.0, 0.99 * ratio.min(axis=1))
+
+
+def _certified(q, A, b, data, model):
+    """(q, objective values, LP gaps) of every row: `_lp_gaps`, A's rows
+    being the ones and the positions, infinite for a row off its constraint
+    plane by more than FEAS_TOL, since the LP bound certifies only a
+    feasible point."""
+    parts = model.parts(q, data)
+    gap = _lp_gaps(model.newton(q, data, parts), q, b[:, 1], A[1])
+    gap[~(np.abs(_lhs(q, A) - b).max(axis=1) <= FEAS_TOL)] = np.inf
+    return q, parts[0], gap
+
+
 def _newton_path(q, A, b, data, model, stages):
     """Log-barrier Newton path (Boyd & Vandenberghe 2004, ch. 11) on every
-    row of q: maximize the concave objective f(q) + mu * sum(log q) over
-    {A q = b[row]} for each mu in `stages`.
+    row of q, the pair program's solver: maximize the concave objective
+    f(q) + mu * sum(log q) over {A q = b[row]} for each mu in `stages`.
+    The pair program keeps it because `_primal_dual` stalls where a
+    window's share goes to 0 (an LP gap of 0.34 nats for the pair (5, 6) at
+    r_p = 0): the vanishing window's normalized law leaves the central path.
 
     `data` holds per-row arrays of the objective; a row leaves the loop
     with its data. The objective has two methods. model.parts(q, data)
     returns per-row arrays, the value f first; a row's parts depend on that
     row alone. model.newton(q, data, parts, H) returns the gradient from
     the parts at q and writes the Hessian into H, a view of the
-    preallocated KKT matrices whose constraint blocks A are set once. The path is the
-    one caller of parts: the line search evaluates them at each candidate
+    preallocated KKT matrices (`_kkt`). The path and `_primal_dual` are the
+    callers of parts: the line search evaluates them at each candidate
     and reads the value as parts[0], and those of the accepted point serve
     the next Newton step, unless the 1e-150 floor moved an entry, when the
     step evaluates them afresh (as it does at the start of each stage). The
@@ -244,18 +280,10 @@ def _newton_path(q, A, b, data, model, stages):
     step a NaN step: none moves, and all leave the stage.
 
     Returns the final iterates, their objective values and their LP gaps
-    (`_lp_gaps`, A's rows being the ones and the positions), infinite for a
-    row off its constraint plane by more than FEAS_TOL: the LP bound
-    certifies only a feasible point.
+    (`_certified`).
     """
     rows, n = q.shape
-    size = n + A.shape[0]
-    kkt = np.zeros((rows, size, size))
-    kkt[:, :n, n:], kkt[:, n:, :n] = A.T, A
-    rhs = np.empty((rows, size, 1))
-    # views written at every step: the Hessian block, its diagonal, the two right-hand sides
-    hess, diag = kkt[:, :n, :n], kkt.reshape(rows, -1)[:, : n * (size + 1) : size + 1]
-    grad_rhs, feas_rhs = rhs[:, :n, 0], rhs[:, n:, 0]
+    kkt, rhs, hess, diag, grad_rhs, feas_rhs = _kkt(rows, n, A)
     for mu in stages:
         last = mu == stages[-1]
         settled = 1e-13 if last else max(mu, 1e-13)  # a row's move below this ends its stage
@@ -277,9 +305,7 @@ def _newton_path(q, A, b, data, model, stages):
                 dq = np.full_like(ql, np.nan)
             step = np.abs(dq).max(axis=1)
             moving = last and np.einsum("ri,rij,rj->r", dq, hess[:m], dq) <= -1e-18
-            with np.errstate(over="ignore"):  # a subnormal step entry: the ratio is inf
-                ratio = np.divide(ql, -dq, out=np.full_like(ql, np.inf), where=dq < 0)
-            t = np.minimum(1.0, 0.99 * ratio.min(axis=1))
+            t = _to_boundary(ql, dq)
             todo = step >= 1e-14
             accepted = np.zeros(m, dtype=bool)
             for _ in range(50):
@@ -307,10 +333,63 @@ def _newton_path(q, A, b, data, model, stages):
                 if live.size == 0:
                     break
         q[live] = ql
-    parts = model.parts(q, data)
-    gap = _lp_gaps(model.newton(q, data, parts), q, b[:, 1], A[1])
-    gap[~(np.abs(_lhs(q, A) - b).max(axis=1) <= FEAS_TOL)] = np.inf
-    return q, parts[0], gap
+    return _certified(q, A, b, data, model)
+
+
+def _primal_dual(q, A, b, data, model):
+    """Primal-dual interior-point iteration (Wright 1997, *Primal-Dual
+    Interior-Point Methods*) on every row of q, the slice solver: maximize
+    the concave objective f(q) over {q >= 0, A q = b[row]}.
+
+    Each row carries bound multipliers z > 0 and takes Newton steps on
+    grad f - A'nu + z = 0, A q = b, q * z = sigma * mu, with sigma = 0.1 and
+    mu = q'z / n its own complementarity. Eliminating the step on z leaves
+    `_newton_path`'s KKT system (`_kkt`) with z / q in place of mu / q**2 and
+    sigma * mu / q in place of mu / q, and its multiplier block solves for
+    the new nu itself, so nu needs no state. The step on q and the step on
+    z each take their own fraction-to-boundary limit (`_to_boundary`), and q
+    keeps the barrier path's 1e-150 floor. The rows start on the central
+    path at mu = 1e-2, z = mu / q. The objective contract is
+    `_newton_path`'s: each step evaluates the parts of its iterate once and
+    writes its Hessian, and a row leaves with its data. A row leaves the
+    loop once it lies within FEAS_TOL of its constraint plane and its LP gap
+    is at most 1e-13 nats, rounding level, or after 100 steps; a singular
+    KKT system stops every row of its step where it stands.
+
+    Returns the final iterates, their objective values and their LP gaps
+    (`_certified`).
+    """
+    rows, n = q.shape
+    kkt, rhs, hess, diag, grad_rhs, feas_rhs = _kkt(rows, n, A)
+    q = np.maximum(q, 1e-150)
+    live, ql, zl, bl, dl = np.arange(rows), q, 1e-2 / q, b, data  # the rows still moving
+    for _ in range(100):
+        m = live.size
+        g = model.newton(ql, dl, model.parts(ql, dl), hess[:m])
+        res = bl - _lhs(ql, A)
+        gap = _lp_gaps(g, ql, bl[:, 1], A[1])
+        keep = ~((np.abs(res).max(axis=1) <= FEAS_TOL) & (gap <= 1e-13))  # rows not yet certified
+        if not keep.all():
+            q[live] = ql
+            live, ql, zl, bl, g, res = live[keep], ql[keep], zl[keep], bl[keep], g[keep], res[keep]
+            dl = tuple(d[keep] for d in dl)
+            hess[: live.size] = hess[:m][keep]
+            m = live.size
+            if m == 0:
+                break
+        smu = 0.1 * (ql * zl).sum(axis=1, keepdims=True) / n  # sigma * mu
+        diag[:m] -= zl / ql
+        grad_rhs[:m] = -g - smu / ql
+        feas_rhs[:m] = res
+        try:
+            dq = np.linalg.solve(kkt[:m], rhs[:m])[:, :n, 0]
+        except np.linalg.LinAlgError:
+            break
+        dz = smu / ql - zl - zl / ql * dq
+        ql = np.maximum(ql + _to_boundary(ql, dq)[:, None] * dq, 1e-150)
+        zl = zl + _to_boundary(zl, dz)[:, None] * dz
+    q[live] = ql
+    return _certified(q, A, b, data, model)
 
 
 class _SliceObjective:
@@ -337,13 +416,13 @@ def _slices(k: int, r_p, gammas):
 
     Each interior row starts from the centre of its slice: a share
     2 * min(gamma, 1 - gamma) on the uniform pmf and the rest on the near
-    endpoint, which meets the mean exactly. It then follows `_newton_path`
-    (the objective is strictly concave: the shifted-binomial rows are
-    linearly independent), which certifies each row by its LP gap and its
-    distance from the slice. Rows at gamma 0 or 1, and every row at k = 1,
-    have a one-point slice. An interior row left uncertified (gap above
-    GAP_TOL, or off the slice) raises UncertifiedSolveError naming its k,
-    gamma and r_p.
+    endpoint, which meets the mean exactly. It then runs `_primal_dual` (the
+    objective is strictly concave: the shifted-binomial rows are linearly
+    independent), which ends each row once its LP gap is at most 1e-13 nats
+    and certifies it by that gap and its distance from the slice. Rows at
+    gamma 0 or 1, and every row at k = 1, have a one-point slice. An
+    interior row left uncertified (gap above GAP_TOL, or off the slice)
+    raises UncertifiedSolveError naming its k, gamma and r_p.
 
     Every row takes its own (k + 1) x (2k + 1) channel and its products go
     row by row, whether the call has one rate or many, so a row's arithmetic
@@ -351,8 +430,8 @@ def _slices(k: int, r_p, gammas):
     matrix, which stops every row of its Newton step): a
     point has the same value solved alone, in a one-rate batch or among
     other rates. The rows run in chunks of _CHUNK_KKT // (k + 3)^2, which
-    bounds the KKT matrices of a barrier path (a 501-point curve at k <= 8
-    is one path).
+    bounds the KKT matrices of a path (a 501-point curve at k <= 8 is one
+    path).
 
     Returns (max output entropy in bits, certified gaps in nats, noise
     entropy H(Bin(k, r_p)) in bits, the maximizing pmfs), one row per gamma.
@@ -378,7 +457,7 @@ def _slices(k: int, r_p, gammas):
             q = np.repeat((w / (k + 1))[:, None], k + 1, axis=1)
             q[np.arange(gi.size), np.where(gi <= 0.5, 0, k)] += 1 - w
             b = np.stack([np.ones(gi.size), k * gi], axis=1)
-            q, _, gap = _newton_path(q, A, b, di, model, _MU_STAGES)
+            q, _, gap = _primal_dual(q, A, b, di, model)
             bad = np.flatnonzero(~(gap <= GAP_TOL))
             if bad.size:
                 j = bad[0]
@@ -394,10 +473,11 @@ def _slices(k: int, r_p, gammas):
 def h_check(gamma: float, k: int, r_p: float) -> tuple[float, Pmf]:
     """Maximum output entropy (bits) over inputs on {0..k} with mean k*gamma.
 
-    The output is the input convolved with Bin(k, r_p). Solved via the
-    barrier Newton path from the centre of the slice; the returned point
-    carries an LP gap below GAP_TOL (1e-9 nats), or UncertifiedSolveError
-    is raised. A k that is not a whole number >= 1 raises ValueError.
+    The output is the input convolved with Bin(k, r_p). Solved by the
+    primal-dual interior-point loop from the centre of the slice; the
+    returned point carries an LP gap of about 1e-13 nats, always below
+    GAP_TOL (1e-9 nats), or UncertifiedSolveError is raised. A k that is
+    not a whole number >= 1 raises ValueError.
     """
     k = _count("k", k, 1)
     if not 0.0 <= gamma <= 1.0:

@@ -380,7 +380,7 @@ class TransmissionReport:
     seed: int
 
     def __post_init__(self):
-        if self.empirical_rate_bits_per_slot > _MAX_RATE:
+        if not self.empirical_rate_bits_per_slot <= _MAX_RATE:
             raise ValueError("empirical rate cannot exceed 1 bit per slot")
 
 

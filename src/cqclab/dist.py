@@ -113,7 +113,7 @@ class TiltSolution:
     residual: float = field(default=0.0)
 
     def __post_init__(self):
-        if self.residual > _MEAN_TOL:
+        if not self.residual <= _MEAN_TOL:
             raise ValueError(
                 f"tilt solution residual {self.residual:.3e} exceeds {_MEAN_TOL:.0e}"
             )

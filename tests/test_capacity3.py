@@ -26,15 +26,21 @@ from cqclab.capacity3 import (
 )
 from cqclab.dist import Pmf, _tilt_to_mean, binomial_pmf, entropy, h_tilde
 
+# means down to 1e-12 from either end, plus two extreme means of
+# test_noiseless_equals_ceiling
+EDGE_GAMMAS = np.concatenate([10.0 ** -np.arange(1.0, 13.0), 1 - 10.0 ** -np.arange(1.0, 13.0),
+                              [4.8286e-8, 1 - 4.14e-8]])
+
 # name: (run, its Newton steps, its row-steps: the rows summed over those
 # steps) for the validate sweep, the two solves of `cqclab capacity2` and
-# `cqclab capacity3 --rp-grid 0,0.1,0.3`, and one pair-program path
+# `cqclab capacity3 --rp-grid 0,0.1,0.3`, and one pair-program path; a step
+# of a slice solve is one primal-dual iteration
 NEWTON_STEPS = {
     "validate_i_concavity(8, 50, seed=5)": (lambda: validate_i_concavity(8, 50, seed=5),
-                                            398, 21096),
+                                            116, 11721),
     "capacity2 and capacity3 solves": (lambda: (
         solve_capacity_3user(0.0, 2), capacity3.solve_capacity_grid([0.0, 0.1, 0.3], 8)),
-        191, 349),
+        172, 331),
     "_program_path(3, [0, 0.1, 0.3])": (lambda: capacity3._program_path(
         3, np.array([0.0, 0.1, 0.3])), 43, 100),
 }
@@ -65,6 +71,10 @@ class TestChannelMatrix:
             ChannelMatrix(tau=2, r_p=0.3, rows=rows[:, :4])
         with pytest.raises(ValueError, match="sum to 1"):
             ChannelMatrix(tau=2, r_p=0.3, rows=rows * (1 + 1e-9))
+
+    def test_rejects_nan_rows(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            ChannelMatrix(tau=2, r_p=0.3, rows=np.full((3, 5), np.nan))
 
 
 class TestOutputMean:
@@ -161,16 +171,20 @@ class TestHCheck:
         assert lower - 1e-9 <= bits <= lower + 1e-6
 
     def test_subnormal_step_entry_warns_nothing(self):
-        # a Newton step entry of 5e-324 overflows the fraction-to-boundary
-        # ratio to inf, the value the step rule wants; the bits are the ones
-        # the solve gave while it still warned
+        # a subnormal mean puts every entry but the first on the 1e-150
+        # floor, where z / q and the fraction-to-boundary ratios must not
+        # overflow; the start at the floor is certified, and its bits are
+        # the ones the barrier path gave while it still warned
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bits, p = h_check(5e-324, 8, 5e-324)
+            tiny, q = h_check(1e-191, 8, 0.3)
         assert bits.hex() == "0x1.97c6184fdf18ap-487"
         assert [x.hex() for x in p.probs.tolist()] == ["0x1.0000000000000p+0"] + 8 * [
             "0x1.a2fe76a3f9475p-499"
         ]
+        assert tiny == pytest.approx(entropy(binomial_pmf(8, 0.3)), abs=1e-12)
+        assert q.probs[0] == 1.0 and (q.probs[1:] <= 1e-149).all()
 
 
 class TestITilde:
@@ -221,6 +235,13 @@ class TestITilde:
             ITildeValue(gamma=0.5, k=2, r_p=0.1, bits_per_slot=-1e-9, maximizing_input=law)
         with pytest.raises(ValueError, match="mean constraint"):
             ITildeValue(gamma=0.4, k=2, r_p=0.1, bits_per_slot=0.5, maximizing_input=law)
+
+    def test_value_rejects_nan_bits_and_a_nan_mean(self):
+        law = Pmf.uniform(2)
+        with pytest.raises(ValueError, match="cannot be negative"):
+            ITildeValue(gamma=0.5, k=2, r_p=0.1, bits_per_slot=np.nan, maximizing_input=law)
+        with pytest.raises(ValueError, match="mean constraint"):
+            ITildeValue(gamma=np.nan, k=2, r_p=0.1, bits_per_slot=0.5, maximizing_input=law)
 
     def test_degradation_violations_on_an_empty_grid(self):
         assert degradation_violations([], [1, 2]) == []
@@ -376,8 +397,8 @@ class TestBatchedSolver:
             assert batch[3][i] @ np.arange(5.0) == pytest.approx(4 * g, abs=1e-9)
 
     def test_path_does_not_depend_on_its_start(self):
-        # from the tilted pmf, far from the slice's centre, the barrier path
-        # reaches the optimum that the central start certifies
+        # from the tilted pmf, far from the slice's centre, the primal-dual
+        # loop reaches the optimum that the central start certifies
         gs = np.array([0.02, 0.3, 0.5, 0.71, 0.98])
         bits, gaps, _, p = capacity3._slices(5, 0.3, gs)
         assert (gaps <= GAP_TOL).all()
@@ -386,21 +407,28 @@ class TestBatchedSolver:
         model = capacity3._SliceObjective()
         data = (np.repeat([channel_matrix(5, 0.3).rows], gs.size, axis=0),)  # one channel per row
         A, b = np.stack([np.ones(6), np.arange(6.0)]), np.stack([np.ones(gs.size), m], axis=1)
-        q, _, path_gaps = capacity3._newton_path(tilted, A, b, data, model, capacity3._MU_STAGES)
+        q, _, path_gaps = capacity3._primal_dual(tilted, A, b, data, model)
         assert (path_gaps <= GAP_TOL).all()
         assert np.allclose(model.parts(q, data)[0] / capacity3.LN2, bits, atol=1e-12)
         assert np.allclose(q, p, atol=1e-9)
 
     def test_every_slice_row_certifies(self):
-        # means down to 1e-12 from either end, plus the two extreme means
-        # of test_noiseless_equals_ceiling
-        j = np.arange(1.0, 13.0)
-        gs = np.concatenate([10.0**-j, 1 - 10.0**-j, [4.8286e-8, 1 - 4.14e-8]])
         for k in (2, 4, 8, 11, 12, 16):
             for rp in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9):
-                _, gaps, _, p = capacity3._slices(k, rp, gs)
+                _, gaps, _, p = capacity3._slices(k, rp, EDGE_GAMMAS)
                 assert (gaps <= GAP_TOL).all(), (k, rp)
-                assert np.allclose(p @ np.arange(k + 1.0), k * gs, atol=1e-10)
+                assert np.allclose(p @ np.arange(k + 1.0), k * EDGE_GAMMAS, atol=1e-10)
+
+    def test_every_slice_row_certifies_at_rounding_level(self):
+        # the primal-dual loop ends a row once its LP gap is 1e-13 nats, on
+        # the sweep above and on 300 random rows per window length
+        for k in (2, 4, 8, 11, 12, 16):
+            for rp in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9):
+                assert capacity3._slices(k, rp, EDGE_GAMMAS)[1].max() <= 1e-12, (k, rp)
+        rng = np.random.default_rng(39)
+        for k in range(2, 17):
+            gaps = capacity3._slices(k, rng.uniform(size=300), rng.uniform(size=300))[1]
+            assert gaps.max() <= 1e-12, k
 
     def test_every_pair_program_certifies(self):
         # every rate with an interior budget, up to windows of 64; the value
@@ -456,13 +484,13 @@ class TestBatchedSolver:
         # one rate or several, each row carries its whole (k + 1) x (2k + 1)
         # channel, so the arithmetic of a row does not depend on which rates
         # share its call
-        shapes, real = [], capacity3._newton_path
+        shapes, real = [], capacity3._primal_dual
 
-        def spy(q, A, b, data, model, stages):
+        def spy(q, A, b, data, model):
             shapes.append(tuple(d.shape for d in data))
-            return real(q, A, b, data, model, stages)
+            return real(q, A, b, data, model)
 
-        monkeypatch.setattr(capacity3, "_newton_path", spy)
+        monkeypatch.setattr(capacity3, "_primal_dual", spy)
         capacity3._slices(4, 0.0, [0.2, 0.5, 0.7])
         capacity3._slices(4, np.array([0.0, 0.0]), [0.2, 0.5])
         capacity3._slices(4, np.array([0.0, 0.2, 0.3]), [0.2, 0.5, 1.0])
@@ -471,14 +499,16 @@ class TestBatchedSolver:
 
     @pytest.mark.parametrize("objective", ["pair", "slice"])
     def test_line_search_parts_serve_the_next_step(self, monkeypatch, objective):
-        # every Newton step but the first of each stage (and the final
-        # gradient) reads the parts its line search evaluated, and they are
-        # bitwise the parts of its iterate
-        cls, stages, (run, steps, _) = {
-            "pair": (capacity3._PairObjective, capacity3._PROGRAM_MU_STAGES,
+        # every Newton step of the pair path but the first of each stage
+        # (and the final gradient) reads the parts its line search
+        # evaluated; the slice loop has no line search, so each of its 14
+        # steps (and the final gradient) reads parts evaluated at its own
+        # iterate, once. Either way they are bitwise the parts of the iterate
+        fresh, cls, (run, steps, _) = {
+            "pair": (len(capacity3._PROGRAM_MU_STAGES), capacity3._PairObjective,
                      NEWTON_STEPS["_program_path(3, [0, 0.1, 0.3])"]),
-            "slice": (capacity3._SliceObjective, capacity3._MU_STAGES,
-                      (lambda: capacity3._slices(4, [0.0, 0.2, 0.5], [0.3, 0.5, 0.9]), None, None)),
+            "slice": (14, capacity3._SliceObjective,
+                      (lambda: capacity3._slices(4, [0.0, 0.2, 0.5], [0.3, 0.5, 0.9]), 14, None)),
         }[objective]
         ref = run()
         offered, real_parts, real_newton = Counter(), cls.parts, cls.newton
@@ -499,11 +529,8 @@ class TestBatchedSolver:
         monkeypatch.setattr(cls, "newton", newton)
         for got, want in zip(run(), ref):
             assert (np.asarray(got) == np.asarray(want)).all()
-        assert offered[False] == len(stages) + 1
-        if steps is None:
-            assert offered[True] > 4 * offered[False]
-        else:  # every step of the pinned count but the first of each stage
-            assert offered[True] == steps - len(stages)
+        assert offered[False] == fresh + 1
+        assert offered[True] == steps - fresh
 
     @pytest.mark.parametrize("name", sorted(NEWTON_STEPS))
     def test_newton_steps_are_pinned(self, monkeypatch, name):
@@ -564,14 +591,15 @@ class TestBatchedSolver:
 
     @pytest.mark.parametrize("k", [2, 8])
     def test_a_501_point_curve_is_one_barrier_path(self, monkeypatch, k):
-        # the chunk bounds the KKT matrices, (k + 3)^2 entries a row
-        paths, real = [], capacity3._newton_path
+        # the chunk bounds the KKT matrices, (k + 3)^2 entries a row, so the
+        # interior points are one primal-dual path
+        paths, real = [], capacity3._primal_dual
 
         def spy(q, *args):
             paths.append(q.shape[0])
             return real(q, *args)
 
-        monkeypatch.setattr(capacity3, "_newton_path", spy)
+        monkeypatch.setattr(capacity3, "_primal_dual", spy)
         i_tilde_curve(np.linspace(0.0, 1.0, 501), k, 0.3)
         assert paths == [499]  # the interior points
 
@@ -677,6 +705,11 @@ class TestCapacity3:
         with pytest.raises(ValueError, match=message):
             CapacityResult3(**{**args, field: value})
 
+    def test_result_rejects_a_nan_residual(self):
+        with pytest.raises(ValueError, match="constraint residual"):
+            CapacityResult3(r_p=0.1, capacity_bits_per_slot=0.5, alpha=0.5, gamma1=0.5,
+                            gamma2=0.5, tau_star=1, constraint_residual=np.nan)
+
     def test_per_tau_audit_recorded(self, cap3_rp01):
         assert 1 in cap3_rp01.per_tau
         assert cap3_rp01.per_tau[cap3_rp01.tau_star] == pytest.approx(
@@ -755,13 +788,16 @@ class TestCapacity3:
     def test_grid_solves_each_pure_window_once(self, monkeypatch):
         # one program path per tau, then one slice path per tau and window
         # length for the windows alone, each point once
-        paths, real = [], capacity3._newton_path
+        paths = []
 
-        def spy(*args):
-            paths.append(args[0].shape)
-            return real(*args)
+        def spy(real):
+            def path(*args):
+                paths.append(args[0].shape)
+                return real(*args)
+            return path
 
-        monkeypatch.setattr(capacity3, "_newton_path", spy)
+        for name in ("_newton_path", "_primal_dual"):
+            monkeypatch.setattr(capacity3, name, spy(getattr(capacity3, name)))
         capacity3.solve_capacity_grid([round(0.05 * i, 2) for i in range(17)], 8)
         assert len(paths) <= 20
 

@@ -15,7 +15,12 @@ when every slice solve (one rate or many) came to take per-row channels,
 and by at most 3.4e-16 bits again when every barrier stage but the last
 came to end a row once its move falls below the stage's mu; five of those
 moves, at (r_p, tau) = (0.2, 1), (0.2, 3), (0.5, 4), (0.6, 2) and
-(0.65, 4), landed back on `PARENT`'s bits.
+(0.65, 4), landed back on `PARENT`'s bits. When the slice solve moved from
+the barrier path to the primal-dual iteration, which ends each row at an LP
+gap of rounding level, 36 pure entries moved by at most 4.7e-13 bits, all
+up by the barrier path's bias but (0.1, 3) and (0.2, 1), down by 1.1e-16
+and 2.2e-16; (0.15, 1) landed back on `PARENT`'s bits, and the mixed
+entries kept theirs.
 """
 
 import numpy as np
@@ -74,20 +79,41 @@ PARENT = {
 
 # (r_p, tau): the pure per-tau value where its bits differ from PARENT's
 REPINNED = {
-    (0.1, 3): 0.43614493823707373,
-    (0.15, 1): 0.44332564389176443,
-    (0.4, 1): 0.16952426825441713,
-    (0.45, 1): 0.10412385079451925,
-    (0.45, 2): 0.21838193933291286,
-    (0.45, 4): 0.20975894151917984,
-    (0.5, 2): 0.18958987298028918,
-    (0.6, 3): 0.15166789416563398,
-    (0.7, 4): 0.11082303350856826,
-    (0.7, 5): 0.11708932548406177,
-    (0.7, 7): 0.11596484064635673,
-    (0.75, 4): 0.0734207089071778,
-    (0.8, 5): 0.052677207140400174,
-    (0.8, 6): 0.06948081273803185,
+    (0.1, 3): 0.4361449382370736,
+    (0.15, 3): 0.38677883958673215,
+    (0.2, 1): 0.3811091416044161,
+    (0.25, 1): 0.3295817380615147,
+    (0.3, 1): 0.27740390028553685,
+    (0.3, 3): 0.29234458318312,
+    (0.35, 1): 0.22478193652117318,
+    (0.35, 3): 0.2687521674128106,
+    (0.4, 1): 0.16952426825476796,
+    (0.4, 2): 0.24429797233187692,
+    (0.4, 3): 0.24429797233187692,
+    (0.4, 4): 0.22547521295319783,
+    (0.45, 1): 0.10412385079487052,
+    (0.45, 2): 0.21838193933338168,
+    (0.45, 4): 0.20975894151953778,
+    (0.5, 2): 0.1895898729807605,
+    (0.5, 4): 0.1930095580625133,
+    (0.55, 2): 0.15451352657710124,
+    (0.6, 2): 0.10828979882434837,
+    (0.6, 3): 0.1516678941659778,
+    (0.6, 5): 0.15435928609399358,
+    (0.65, 2): 0.03982812358990192,
+    (0.65, 3): 0.12191940019002256,
+    (0.65, 4): 0.13582568616987264,
+    (0.65, 6): 0.1346051685997094,
+    (0.7, 3): 0.07964144670728218,
+    (0.7, 4): 0.11082303350899467,
+    (0.7, 5): 0.11708932548440898,
+    (0.7, 7): 0.11596484064676524,
+    (0.75, 4): 0.07342070890745127,
+    (0.75, 5): 0.09231432073818817,
+    (0.75, 6): 0.09733368965535931,
+    (0.8, 5): 0.052677207140519634,
+    (0.8, 6): 0.0694808127382329,
+    (0.8, 7): 0.07603761722873381,
 }
 
 
@@ -116,9 +142,10 @@ def test_grid_matches_the_recorded_table(grid, r_p):
 def test_vertex_budget_needs_no_barrier(monkeypatch, tau, r_p):
     # the budget admits only window tau + 1 at gamma = 0
     def refuse(*args, **kwargs):
-        raise AssertionError("barrier path on a vertex budget")
+        raise AssertionError("interior-point path on a vertex budget")
 
     monkeypatch.setattr(capacity3, "_newton_path", refuse)
+    monkeypatch.setattr(capacity3, "_primal_dual", refuse)
     [(value, alpha, gamma1, gamma2, gap, witness)] = capacity3._pair_programs(tau, [r_p])
     assert (value, alpha, gamma1, gamma2, gap) == (0.0, 0.0, 0.0, 0.0, 0.0)
     assert witness[1] == (tau + 1, 1.0, tuple(np.eye(tau + 2)[0]))

@@ -377,6 +377,11 @@ class TestRunTransmission:
         with pytest.raises(ValueError, match="1 bit per slot"):
             TransmissionReport(**args, empirical_rate_bits_per_slot=1.0 + 1e-9)
 
+    def test_report_rejects_a_nan_rate(self):
+        with pytest.raises(ValueError, match="1 bit per slot"):
+            TransmissionReport(messages_sent=1, errors=0, empirical_error_rate=0.0, seed=0,
+                               empirical_rate_bits_per_slot=float("nan"))
+
     def test_minimum_backlog_enforced(self):
         cb = build_codebook_2user(30, 4, seed=2)
         with pytest.raises(ValueError):

@@ -151,6 +151,10 @@ class TestSolveTilt:
         with pytest.raises(ValueError, match="residual"):
             TiltSolution(**args, residual=2e-10)
 
+    def test_solution_rejects_a_nan_residual(self):
+        with pytest.raises(ValueError, match="residual"):
+            TiltSolution(lam=0.0, pmf=Pmf.uniform(2), target_mean=1.0, residual=float("nan"))
+
     def test_solution_follows_closed_form(self):
         sol = solve_tilt(4, 1.37)
         w = np.exp(np.arange(5) * sol.lam)

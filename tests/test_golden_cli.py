@@ -5,8 +5,13 @@ path), the exit code, stdout, the CSV file and the trace file of a small
 run, recorded from the package before its CSV writers were merged into one.
 Any moved byte fails the case. One stdout text was re-recorded since: the
 certified gap of `capacity2` reads 1.6e-16 bits (4.8e-16 before) once
-every barrier stage but the last ends a row at its own mu; every CSV body
-is as first recorded.
+every barrier stage but the last ends a row at its own mu. Three CSV
+bodies were re-recorded in their last digits when the slice solve moved
+from the barrier path to the primal-dual iteration, which removed the
+barrier's bias: `capacity3_itilde` (k = 3, gamma = 0.1, r_p = 0.2:
+0.148468737717 -> 0.148468737718), `validate` (-0.00607672249281 ->
+-0.00607672249353) and `validate_tolerance` (-0.00573284394425 ->
+-0.00573284394378); every other CSV body is as first recorded.
 """
 
 import json

@@ -20,17 +20,21 @@ log-sum-exp in s). For tau >= 2 window tau alone wins, at gamma = 1 - 1/tau.
 This module finds rho by Newton's method and each pair's value by
 golden-section search, both in `decimal`, and shares no code with the
 solvers. The two-user coding scheme, built from the certified witness, is
-checked against the same closed forms.
+checked against the same closed forms. At r_p = 0 a slice maximizer is a
+tilted law, so one more check holds the slice solve to the tilt solver,
+window by window, at rounding level.
 """
 
 import decimal
 from decimal import Decimal
 
+import numpy as np
 import pytest
 
 from cqclab import capacity3, coding
 from cqclab.capacity2 import solve_capacity_2user
 from cqclab.capacity3 import solve_capacity_3user
+from cqclab.dist import h_tilde_grid
 
 DIGITS = 50
 TOL = 1e-15  # the largest deviation measured over every checked value is 8.8e-16
@@ -165,3 +169,12 @@ def test_every_adjacent_pair_brackets_its_exact_value(tau):
     assert Decimal(value) - Decimal("1e-15") <= PAIRS[tau] <= Decimal(value) + Decimal(gap)
     if tau >= 2:  # window tau alone, its mean pinned by the budget
         assert alpha == 1.0 and gamma1 == 1.0 - 1.0 / tau
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 12, 16])
+def test_noiseless_slices_meet_the_tilt_solver(k):
+    # the slice solve's max H(p) at mean k * gamma is k * h_tilde, which the
+    # tilt solver reaches in closed form, so the two meet at rounding level
+    gammas = np.linspace(0.01, 0.99, 99)
+    bits = capacity3._slices(k, 0.0, gammas)[0]
+    assert np.abs(bits - k * h_tilde_grid(gammas, k)).max() <= 5e-14
