@@ -21,14 +21,13 @@ slowest point. Rows may differ in their noise rate r_p, so a sweep over
 many rates (`validate_i_concavity`, `degradation_violations`) is one solve
 per window length. Every row carries its own channel and its products go
 row by row, so a point has the same bits solved alone, in a one-rate batch
-or among other rates. Channel rows (`_channel`) and noise entropies
-(`_noise_bits`, the one H(Bin(k, r_p))) are each built once per (k, r_p)
-and cached, so the concavity sweep's noise gaps reuse the entropies of its
-slice solves. An uncertified slice point raises
-UncertifiedSolveError naming its k, gamma and r_p. Each loop certifies
-its own rows (`_certified`): it returns each row's LP gap, infinite for a
-row off its constraint plane, so its callers only name an uncertified
-point and raise.
+or among other rates. Each (k, r_p) has one cached channel record
+(`_channel`), built from one binomial pmf: the channel rows and the noise
+entropy H(Bin(k, r_p)), so the concavity sweep's noise gaps reuse the
+records of its slice solves. Each loop certifies its own rows: it returns
+each row's LP gap, infinite for a row off its constraint plane, so its
+callers only name an uncertified point (k, gamma and r_p for a slice) and
+raise UncertifiedSolveError.
 
 The best mix of windows k in {tau, tau + 1} at budget c = 1 - r_p is one
 concave program: with q_k = alpha_k * p_k, the share-weighted entropy
@@ -40,15 +39,16 @@ barrier path (`_newton_path`) through fixed mu stages; the slice solve runs
 the primal-dual loop. Both loops share one objective contract and one KKT
 layout (`_kkt`): `parts` returns an objective's per-row arrays, the value
 first, and `newton` turns them into the gradient and writes the Hessian;
-the loops alone evaluate parts, and the barrier path keeps those of its
-line search for the next step. `solve_capacity_grid` runs the tau loops
-of many rates in one sweep over ascending tau, each tau one program path
-for the pairs of every rate still in its loop, then one slice path per
-window length for the pairs whose optimum is one window alone, each such
-point solved once in the sweep; `solve_capacity_3user` is its one-rate
-case. Both two-user solves in `capacity2` return its r_p = 0 result; the
-free one is `solve_capacity_3user(0.0, tau_max=2)`, the pair (1, 2). Every
-result, the frozen two-user slice's too, is built by `_result`.
+the barrier path keeps the parts of its line search for the next step, and
+the primal-dual loop writes Hessians only for the rows that stay.
+`solve_capacity_grid` runs the tau loops of many rates in one sweep over
+ascending tau, each tau one program path for the pairs of every rate still
+in its loop, then one slice path per window length for the pairs whose
+optimum is one window alone, each such point solved once in the sweep;
+`solve_capacity_3user` is its one-rate case. Both two-user solves in
+`capacity2` return its r_p = 0 result; the free one is
+`solve_capacity_3user(0.0, tau_max=2)`, the pair (1, 2). Every result, the
+frozen two-user slice's too, is built by `_result`.
 """
 
 from __future__ import annotations
@@ -146,14 +146,21 @@ class CapacityResult3:
             raise ValueError("tau_star must be >= 1")
 
 
+@functools.lru_cache(maxsize=1024)
+def _channel(k: int, r_p: float) -> tuple[ChannelMatrix, float]:
+    """The channel record of (k, r_p), k >= 0, built once from one
+    binomial_pmf: the shifted-binomial ChannelMatrix and the noise entropy
+    H(Bin(k, r_p)) in bits."""
+    noise = binomial_pmf(k, r_p)
+    rows = np.zeros((k + 1, 2 * k + 1))
+    for x in range(k + 1):
+        rows[x, x : x + k + 1] = noise.probs
+    return ChannelMatrix(tau=k, r_p=r_p, rows=rows), entropy(noise)
+
+
 def channel_matrix(tau: int, r_p: float) -> ChannelMatrix:
-    """Build the shifted-binomial channel for a window of length tau."""
-    tau = _count("tau", tau, 1)
-    noise = binomial_pmf(tau, r_p).probs
-    rows = np.zeros((tau + 1, 2 * tau + 1))
-    for x in range(tau + 1):
-        rows[x, x : x + tau + 1] = noise
-    return ChannelMatrix(tau=tau, r_p=r_p, rows=rows)
+    """The shifted-binomial channel for a window of length tau."""
+    return _channel(_count("tau", tau, 1), r_p)[0]
 
 
 def output_mean_check(input_pmf: Pmf, tau: int, r_p: float) -> float:
@@ -201,19 +208,6 @@ def _lhs(q: np.ndarray, A: np.ndarray) -> np.ndarray:
     return (q[:, None, :] * A).sum(axis=2)
 
 
-@functools.lru_cache(maxsize=1024)
-def _noise_bits(k: int, r_p: float) -> float:
-    """The noise entropy H(Bin(k, r_p)) in bits, k >= 0, computed once per
-    (k, r_p)."""
-    return entropy(binomial_pmf(k, r_p))
-
-
-@functools.lru_cache(maxsize=1024)
-def _channel(k: int, r_p: float) -> np.ndarray:
-    """The read-only rows of channel_matrix(k, r_p), built once per (k, r_p)."""
-    return channel_matrix(k, r_p).rows
-
-
 def _kkt(rows: int, n: int, A: np.ndarray):
     """Preallocated KKT systems of `rows` Newton steps on n entries under the
     constraints A, whose blocks A are set once: returns the matrices, their
@@ -235,17 +229,6 @@ def _to_boundary(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
     return np.minimum(1.0, 0.99 * ratio.min(axis=1))
 
 
-def _certified(q, A, b, data, model):
-    """(q, objective values, LP gaps) of every row: `_lp_gaps`, A's rows
-    being the ones and the positions, infinite for a row off its constraint
-    plane by more than FEAS_TOL, since the LP bound certifies only a
-    feasible point."""
-    parts = model.parts(q, data)
-    gap = _lp_gaps(model.newton(q, data, parts), q, b[:, 1], A[1])
-    gap[~(np.abs(_lhs(q, A) - b).max(axis=1) <= FEAS_TOL)] = np.inf
-    return q, parts[0], gap
-
-
 def _newton_path(q, A, b, data, model, stages):
     """Log-barrier Newton path (Boyd & Vandenberghe 2004, ch. 11) on every
     row of q, the pair program's solver: maximize the concave objective
@@ -257,11 +240,11 @@ def _newton_path(q, A, b, data, model, stages):
     `data` holds per-row arrays of the objective; a row leaves the loop
     with its data. The objective has two methods. model.parts(q, data)
     returns per-row arrays, the value f first; a row's parts depend on that
-    row alone. model.newton(q, data, parts, H) returns the gradient from
-    the parts at q and writes the Hessian into H, a view of the
-    preallocated KKT matrices (`_kkt`). The path and `_primal_dual` are the
-    callers of parts: the line search evaluates them at each candidate
-    and reads the value as parts[0], and those of the accepted point serve
+    row alone. model.newton(q, data, parts, H=None) returns the gradient
+    from the parts at q and, given H, a view of the preallocated KKT
+    matrices (`_kkt`), writes the Hessian there. In the path the line
+    search evaluates parts at each candidate and reads the value as
+    parts[0], and those of the accepted point serve
     the next Newton step, unless the 1e-150 floor moved an entry, when the
     step evaluates them afresh (as it does at the start of each stage). The
     barrier value of the accepted point likewise serves as the next line
@@ -280,7 +263,9 @@ def _newton_path(q, A, b, data, model, stages):
     step a NaN step: none moves, and all leave the stage.
 
     Returns the final iterates, their objective values and their LP gaps
-    (`_certified`).
+    (`_lp_gaps`, A's rows being the ones and the positions), a gap infinite
+    for a row off its constraint plane by more than FEAS_TOL, since the LP
+    bound certifies only a feasible point.
     """
     rows, n = q.shape
     kkt, rhs, hess, diag, grad_rhs, feas_rhs = _kkt(rows, n, A)
@@ -333,7 +318,10 @@ def _newton_path(q, A, b, data, model, stages):
                 if live.size == 0:
                     break
         q[live] = ql
-    return _certified(q, A, b, data, model)
+    parts = model.parts(q, data)
+    gap = _lp_gaps(model.newton(q, data, parts), q, b[:, 1], A[1])
+    gap[~(np.abs(_lhs(q, A) - b).max(axis=1) <= FEAS_TOL)] = np.inf
+    return q, parts[0], gap
 
 
 def _primal_dual(q, A, b, data, model):
@@ -350,33 +338,41 @@ def _primal_dual(q, A, b, data, model):
     z each take their own fraction-to-boundary limit (`_to_boundary`), and q
     keeps the barrier path's 1e-150 floor. The rows start on the central
     path at mu = 1e-2, z = mu / q. The objective contract is
-    `_newton_path`'s: each step evaluates the parts of its iterate once and
-    writes its Hessian, and a row leaves with its data. A row leaves the
-    loop once it lies within FEAS_TOL of its constraint plane and its LP gap
-    is at most 1e-13 nats, rounding level, or after 100 steps; a singular
-    KKT system stops every row of its step where it stands.
+    `_newton_path`'s, and a row leaves with its data.
 
-    Returns the final iterates, their objective values and their LP gaps
-    (`_certified`).
+    Each step evaluates the parts and the gradient of its live rows once and
+    certifies every row by its LP gap (`_lp_gaps`, infinite off the
+    constraint plane by more than FEAS_TOL, since the LP bound certifies
+    only a feasible point). A row whose gap is at most 1e-13 nats, rounding
+    level, leaves with the value and gap of that step; only the rows that
+    stay get a Hessian and a Newton step. A row still live after 100 steps,
+    or at a singular KKT system, which stops every row of its step where it
+    stands, leaves with the certificate of its last iterate.
+
+    Returns the final iterates, their objective values and their LP gaps.
     """
     rows, n = q.shape
     kkt, rhs, hess, diag, grad_rhs, feas_rhs = _kkt(rows, n, A)
     q = np.maximum(q, 1e-150)
+    value, gap = np.empty(rows), np.empty(rows)
     live, ql, zl, bl, dl = np.arange(rows), q, 1e-2 / q, b, data  # the rows still moving
-    for _ in range(100):
-        m = live.size
-        g = model.newton(ql, dl, model.parts(ql, dl), hess[:m])
+    for left in range(100, -1, -1):  # the steps left after this certificate
+        parts = model.parts(ql, dl)
+        g = model.newton(ql, dl, parts)
         res = bl - _lhs(ql, A)
-        gap = _lp_gaps(g, ql, bl[:, 1], A[1])
-        keep = ~((np.abs(res).max(axis=1) <= FEAS_TOL) & (gap <= 1e-13))  # rows not yet certified
-        if not keep.all():
-            q[live] = ql
-            live, ql, zl, bl, g, res = live[keep], ql[keep], zl[keep], bl[keep], g[keep], res[keep]
-            dl = tuple(d[keep] for d in dl)
-            hess[: live.size] = hess[:m][keep]
-            m = live.size
-            if m == 0:
+        gl = _lp_gaps(g, ql, bl[:, 1], A[1])
+        gl[~(np.abs(res).max(axis=1) <= FEAS_TOL)] = np.inf
+        done = (gl <= 1e-13) | (left == 0)
+        if done.any():
+            out = live[done]
+            q[out], value[out], gap[out] = ql[done], parts[0][done], gl[done]
+            if done.all():
                 break
+            keep = ~done
+            live, ql, zl, bl, res, gl = (x[keep] for x in (live, ql, zl, bl, res, gl))
+            dl, parts = (tuple(x[keep] for x in y) for y in (dl, parts))
+        m = live.size
+        g = model.newton(ql, dl, parts, hess[:m])
         smu = 0.1 * (ql * zl).sum(axis=1, keepdims=True) / n  # sigma * mu
         diag[:m] -= zl / ql
         grad_rhs[:m] = -g - smu / ql
@@ -384,29 +380,29 @@ def _primal_dual(q, A, b, data, model):
         try:
             dq = np.linalg.solve(kkt[:m], rhs[:m])[:, :n, 0]
         except np.linalg.LinAlgError:
+            q[live], value[live], gap[live] = ql, parts[0], gl
             break
         dz = smu / ql - zl - zl / ql * dq
         ql = np.maximum(ql + _to_boundary(ql, dq)[:, None] * dq, 1e-150)
         zl = zl + _to_boundary(zl, dz)[:, None] * dz
-    q[live] = ql
-    return _certified(q, A, b, data, model)
+    return q, value, gap
 
 
 class _SliceObjective:
     """H(B p) in nats, the objective of a slice solve. A row's data are its
-    channel B, so its products go row by row."""
+    channel B, so its products go row by row. The loop certifies every
+    iterate it evaluates, so the parts carry the gradient."""
 
-    def parts(self, q, data):  # objective and outputs B p
-        py = _times(q, data[0])
-        return _entropy_rows(py), py
+    def parts(self, q, data):  # objective, outputs B p floored at 1e-300, gradient
+        B = data[0]
+        py = _times(q, B)
+        fy = np.maximum(py, 1e-300)
+        return _entropy_rows(py), fy, -_times(np.log(fy) + 1.0, B.transpose(0, 2, 1))
 
     def newton(self, q, data, parts, H=None):
-        B = data[0]
-        Bt = B.transpose(0, 2, 1)
-        py = np.maximum(parts[1], 1e-300)
         if H is not None:
-            np.matmul(B / -py[:, None, :], Bt, out=H)
-        return -_times(np.log(py) + 1.0, Bt)
+            np.matmul(data[0] / -parts[1][:, None, :], data[0].transpose(0, 2, 1), out=H)
+        return parts[2]
 
 
 def _slices(k: int, r_p, gammas):
@@ -439,7 +435,8 @@ def _slices(k: int, r_p, gammas):
     gammas = np.asarray(gammas, dtype=float)
     n = gammas.size
     rates, chan = np.unique(np.broadcast_to(r_p, n), return_inverse=True)
-    stack = np.array([_channel(k, float(rp)) for rp in rates])
+    records = [_channel(k, float(rp)) for rp in rates]
+    stack = np.array([cm.rows for cm, _ in records])
     A = np.stack([np.ones(k + 1), np.arange(k + 1.0)])
     model, size = _SliceObjective(), max(_CHUNK_KKT // (k + 3) ** 2, 1)
     bits, gaps, p = np.empty(n), np.zeros(n), np.zeros((n, k + 1))
@@ -467,7 +464,7 @@ def _slices(k: int, r_p, gammas):
                 )
             pc[inner], gaps[c][inner] = q, gap
         bits[c] = model.parts(pc, data)[0] / LN2
-    return bits, gaps, np.array([_noise_bits(k, float(rp)) for rp in rates])[chan], p
+    return bits, gaps, np.array([h for _, h in records])[chan], p
 
 
 def h_check(gamma: float, k: int, r_p: float) -> tuple[float, Pmf]:
@@ -494,7 +491,7 @@ def i_tilde(gamma: float, k: int, r_p: float) -> ITildeValue:
         gamma=gamma,
         k=k,
         r_p=r_p,
-        bits_per_slot=max((bits - _noise_bits(k, r_p)) / k, 0.0),
+        bits_per_slot=max((bits - _channel(k, r_p)[1]) / k, 0.0),
         maximizing_input=p,
     )
 
@@ -563,8 +560,9 @@ def _program_path(tau: int, r_ps: np.ndarray):
     cost = (np.where(win, np.arange(n) - tau - 1.0, np.arange(n)) + 1.0) / k
     B, hn = np.zeros((rows, n, 4 * tau + 4)), np.empty((rows, n))
     for r, rp in enumerate(r_ps):
-        B[r, : tau + 1, :m1], B[r, tau + 1 :, m1:] = _channel(tau, rp), _channel(tau + 1, rp)
-        hn[r] = np.where(win, _noise_bits(tau + 1, rp), _noise_bits(tau, rp)) * LN2 / k
+        (c1, h1), (c2, h2) = _channel(tau, rp), _channel(tau + 1, rp)
+        B[r, : tau + 1, :m1], B[r, tau + 1 :, m1:] = c1.rows, c2.rows
+        hn[r] = np.where(win, h2, h1) * LN2 / k
     c = 1.0 - r_ps
     A, b = np.stack([np.ones(n), cost]), np.stack([np.ones(rows), c], axis=1)
 
@@ -796,7 +794,7 @@ class ConcavityReport:
 def binomial_entropy_gap(k: int, r_p: float) -> float:
     """H(Bin(k-1)) + H(Bin(k+1)) - 2 H(Bin(k)) in bits, the noise correction
     in the mixed-window concavity inequality."""
-    return _noise_bits(k - 1, r_p) + _noise_bits(k + 1, r_p) - 2.0 * _noise_bits(k, r_p)
+    return _channel(k - 1, r_p)[1] + _channel(k + 1, r_p)[1] - 2.0 * _channel(k, r_p)[1]
 
 
 def concavity_margin(k: int, gamma1: float, gamma3: float, r_p: float) -> float:

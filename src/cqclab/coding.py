@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capacity3 import CapacityResult3, _channel, solve_capacity_3user
+from .capacity3 import CapacityResult3, channel_matrix, solve_capacity_3user
 from .dist import Pmf, _count
 from .fcfs import (
     BACKGROUND,
@@ -301,9 +301,9 @@ def _check_intervals(tau: np.ndarray, buffered: np.ndarray, template: ProbeTempl
 @functools.lru_cache(maxsize=64)
 def _log_channel_table(width: int, r_p: float) -> np.ndarray:
     """Read-only log P(Y = y | X = x) of the width-slot channel, -1e30 where
-    impossible; built once per (width, r_p) from the rows that
-    `cqclab.capacity3` caches for the same channel."""
-    rows = _channel(width, r_p)
+    impossible; built once per (width, r_p) from `channel_matrix`, which
+    reads the channel record that `cqclab.capacity3` caches."""
+    rows = channel_matrix(width, r_p).rows
     table = np.where(rows > 0, np.log(np.maximum(rows, 1e-300)), -1e30)
     table.flags.writeable = False
     return table

@@ -1,3 +1,4 @@
+import math
 import warnings
 from collections import Counter
 
@@ -34,13 +35,13 @@ EDGE_GAMMAS = np.concatenate([10.0 ** -np.arange(1.0, 13.0), 1 - 10.0 ** -np.ara
 # name: (run, its Newton steps, its row-steps: the rows summed over those
 # steps) for the validate sweep, the two solves of `cqclab capacity2` and
 # `cqclab capacity3 --rp-grid 0,0.1,0.3`, and one pair-program path; a step
-# of a slice solve is one primal-dual iteration
+# of a slice solve is one primal-dual iteration that some row outlives
 NEWTON_STEPS = {
     "validate_i_concavity(8, 50, seed=5)": (lambda: validate_i_concavity(8, 50, seed=5),
-                                            116, 11721),
+                                            109, 10871),
     "capacity2 and capacity3 solves": (lambda: (
         solve_capacity_3user(0.0, 2), capacity3.solve_capacity_grid([0.0, 0.1, 0.3], 8)),
-        172, 331),
+        169, 326),
     "_program_path(3, [0, 0.1, 0.3])": (lambda: capacity3._program_path(
         3, np.array([0.0, 0.1, 0.3])), 43, 100),
 }
@@ -75,6 +76,17 @@ class TestChannelMatrix:
     def test_rejects_nan_rows(self):
         with pytest.raises(ValueError, match="sum to 1"):
             ChannelMatrix(tau=2, r_p=0.3, rows=np.full((3, 5), np.nan))
+
+    def test_record_holds_the_matrix_and_the_noise_entropy(self):
+        # one record per (k, r_p), k >= 0: channel_matrix's rows and the
+        # entropy of the same pmf, -0.0 for the empty window as entropy() has it
+        for k, rp in ((0, 0.3), (0, 0.0), (1, 0.0), (4, 0.37)):
+            cm, bits = capacity3._channel(k, rp)
+            assert cm.rows.shape == (k + 1, 2 * k + 1) and not cm.rows.flags.writeable
+            want = entropy(binomial_pmf(k, rp))
+            assert bits == want and math.copysign(1.0, bits) == math.copysign(1.0, want)
+        assert math.copysign(1.0, capacity3._channel(0, 0.3)[1]) == -1.0
+        assert channel_matrix(4, 0.37) is capacity3._channel(4, 0.37)[0]
 
 
 class TestOutputMean:
@@ -500,37 +512,123 @@ class TestBatchedSolver:
     @pytest.mark.parametrize("objective", ["pair", "slice"])
     def test_line_search_parts_serve_the_next_step(self, monkeypatch, objective):
         # every Newton step of the pair path but the first of each stage
-        # (and the final gradient) reads the parts its line search
-        # evaluated; the slice loop has no line search, so each of its 14
-        # steps (and the final gradient) reads parts evaluated at its own
-        # iterate, once. Either way they are bitwise the parts of the iterate
-        fresh, cls, (run, steps, _) = {
-            "pair": (len(capacity3._PROGRAM_MU_STAGES), capacity3._PairObjective,
-                     NEWTON_STEPS["_program_path(3, [0, 0.1, 0.3])"]),
-            "slice": (14, capacity3._SliceObjective,
-                      (lambda: capacity3._slices(4, [0.0, 0.2, 0.5], [0.3, 0.5, 0.9]), 14, None)),
+        # reads the parts its line search evaluated, and the final
+        # certificate reads one gradient. The slice loop has no line search:
+        # each of its 14 steps evaluates the parts of its iterate once for
+        # one gradient, the 13 steps that some row outlives read them again
+        # for the Hessians of those rows, and the value pass makes a 15th
+        # parts call. Either way they are bitwise the parts of the iterate
+        path, steps, _ = NEWTON_STEPS["_program_path(3, [0, 0.1, 0.3])"]
+        stages = len(capacity3._PROGRAM_MU_STAGES)
+        cls, run, expected = {
+            "pair": (capacity3._PairObjective, path,
+                     {"hessian": steps, "gradient": 1, "fresh": stages + 1,
+                      "line search": steps - stages}),
+            "slice": (capacity3._SliceObjective,
+                      lambda: capacity3._slices(4, [0.0, 0.2, 0.5], [0.3, 0.5, 0.9]),
+                      {"parts": 15, "gradient": 14, "hessian": 13}),
         }[objective]
         ref = run()
-        offered, real_parts, real_newton = Counter(), cls.parts, cls.newton
+        calls, real_parts, real_newton = Counter(), cls.parts, cls.newton
         latest = [None]  # the iterate of the latest parts call
 
         def parts(self, q, data):
+            calls["parts"] += 1
             latest[0] = q
             return real_parts(self, q, data)
 
         def newton(self, q, data, parts, H=None):
             for got, want in zip(parts, real_parts(self, q, data)):
                 assert (got == want).all()
+            calls["gradient" if H is None else "hessian"] += 1
             # parts evaluated at this very iterate were not the line search's
-            offered[latest[0] is not q] += 1
+            calls["line search" if latest[0] is not q else "fresh"] += 1
             return real_newton(self, q, data, parts, H)
 
         monkeypatch.setattr(cls, "parts", parts)
         monkeypatch.setattr(cls, "newton", newton)
         for got, want in zip(run(), ref):
             assert (np.asarray(got) == np.asarray(want)).all()
-        assert offered[False] == fresh + 1
-        assert offered[True] == steps - fresh
+        assert {key: calls[key] for key in expected} == expected
+
+    def test_validate_builds_each_quantity_once(self, monkeypatch):
+        # one binomial per (k, r_p); every Hessian that a slice step writes
+        # is read by that step's KKT solve; parts once per step of each
+        # primal-dual path plus one value pass per window length
+        made, counts, pending = Counter(), Counter(), []
+        real_pmf, real_solve = capacity3.binomial_pmf, np.linalg.solve
+        real_parts, real_newton = capacity3._SliceObjective.parts, capacity3._SliceObjective.newton
+        real_slices, real_path = capacity3._slices, capacity3._primal_dual
+
+        def pmf(k, p):
+            made[k, p] += 1
+            return real_pmf(k, p)
+
+        def parts(self, q, data):
+            counts["parts"] += 1
+            return real_parts(self, q, data)
+
+        def newton(self, q, data, parts, H=None):
+            if H is not None:
+                assert not pending  # the previous Hessian was solved
+                pending.append(H)
+            return real_newton(self, q, data, parts, H)
+
+        def solve(a, b):
+            H = pending.pop()
+            assert np.shares_memory(a, H) and H.shape[0] == a.shape[0]
+            counts["solves"] += 1
+            return real_solve(a, b)
+
+        def count(name, real):
+            def spy(*args):
+                counts[name] += 1
+                return real(*args)
+            return spy
+
+        for obj, name, f in ((capacity3, "binomial_pmf", pmf), (np.linalg, "solve", solve),
+                             (capacity3._SliceObjective, "parts", parts),
+                             (capacity3._SliceObjective, "newton", newton),
+                             (capacity3, "_slices", count("value passes", real_slices)),
+                             (capacity3, "_primal_dual", count("paths", real_path))):
+            monkeypatch.setattr(obj, name, f)
+        capacity3._channel.cache_clear()
+        try:
+            validate_i_concavity(8, 50, seed=5)
+        finally:  # drop the records built under the counter
+            capacity3._channel.cache_clear()
+        assert len(made) == 159 and set(made.values()) == {1}
+        assert not pending and counts["solves"] == NEWTON_STEPS[
+            "validate_i_concavity(8, 50, seed=5)"][1]
+        assert counts["parts"] == counts["solves"] + counts["paths"] + counts["value passes"] == 124
+
+    def test_a_path_leaves_with_the_certificate_of_its_last_iterate(self, monkeypatch):
+        # rows that certify, rows stopped by a singular KKT system and rows
+        # of a finished path each carry the value and LP gap of the point
+        # they return, bitwise
+        gs = np.array([0.02, 0.3, 0.5, 0.71, 0.98])
+        model, A = capacity3._SliceObjective(), np.stack([np.ones(6), np.arange(6.0)])
+        data = (np.repeat([channel_matrix(5, 0.3).rows], gs.size, axis=0),)
+        b = np.stack([np.ones(gs.size), 5 * gs], axis=1)
+        q0 = np.full((gs.size, 6), 1 / 6) * 2 * np.minimum(gs, 1 - gs)[:, None]
+        q0[np.arange(gs.size), np.where(gs <= 0.5, 0, 5)] += 1 - q0.sum(axis=1)
+        runs = [capacity3._primal_dual(q0, A, b, data, model)]
+        real, solves = np.linalg.solve, []
+
+        def singular_at_six(a, rhs):
+            solves.append(a.shape[0])
+            if len(solves) == 6:
+                raise np.linalg.LinAlgError("singular matrix")
+            return real(a, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_at_six)
+        runs.append(capacity3._primal_dual(q0, A, b, data, model))
+        assert len(solves) == 6
+        for q, value, gap in runs:
+            parts = model.parts(q, data)
+            want = capacity3._lp_gaps(model.newton(q, data, parts), q, b[:, 1], A[1])
+            assert (value == parts[0]).all() and (gap == want).all()
+        assert (runs[0][2] <= 1e-13).all() and (runs[1][2] > 1e-13).any()
 
     @pytest.mark.parametrize("name", sorted(NEWTON_STEPS))
     def test_newton_steps_are_pinned(self, monkeypatch, name):
@@ -739,23 +837,26 @@ class TestCapacity3:
             solve_capacity_3user(0.6, tau_max=2)
 
     def test_each_solver_built_once(self, monkeypatch):
-        # each (k, r_p) channel is built once per solve, whether it serves
-        # a row-stacked zoom round or a one-channel i_tilde
+        # each (k, r_p) channel record, its rows and its noise entropy, is
+        # built once per solve from one binomial, whether it serves a
+        # program path or the slice of a window alone
         built = Counter()
-        real = capacity3.channel_matrix
+        real = capacity3.binomial_pmf
 
-        def counting(tau, r_p):
-            built[tau, r_p] += 1
-            return real(tau, r_p)
+        def counting(k, p):
+            built[k, p] += 1
+            return real(k, p)
 
-        monkeypatch.setattr(capacity3, "channel_matrix", counting)
+        monkeypatch.setattr(capacity3, "binomial_pmf", counting)
         capacity3._channel.cache_clear()
         try:
             res = solve_capacity_3user(0.3, tau_max=8)
-        finally:  # drop the channels built under the counter
+            records = capacity3._channel.cache_info().misses
+        finally:  # drop the records built under the counter
             capacity3._channel.cache_clear()
         assert res.tau_star == 2
         assert built == {(1, 0.3): 1, (2, 0.3): 1, (3, 0.3): 1, (4, 0.3): 1}
+        assert records == len(built)
 
     def test_exact_result_at_rp01(self, cap3_rp01):
         # window 2 alone is optimal for both pairs (1, 2) and (2, 3); the
@@ -1001,15 +1102,13 @@ class TestMixedWindowConcavity:
             return real(k, p)
 
         monkeypatch.setattr(capacity3, "binomial_pmf", counting)
-        capacity3._noise_bits.cache_clear()
         capacity3._channel.cache_clear()
         try:
             for k in (2, 3, 4):
                 binomial_entropy_gap(k, 0.35)
             noise = capacity3._slices(3, 0.35, [0.5])[2]
-        finally:  # drop the entropies computed under the counter
-            capacity3._noise_bits.cache_clear()
+        finally:  # drop the records built under the counter
             capacity3._channel.cache_clear()
         assert noise[0] == entropy(real(3, 0.35))
-        # one pmf per entropy of k = 1..5, and one for the channel of k = 3
-        assert made == {(1, 0.35): 1, (2, 0.35): 1, (3, 0.35): 2, (4, 0.35): 1, (5, 0.35): 1}
+        # one pmf per (k, r_p), k = 1..5: the channel of k = 3 shares its record
+        assert made == {(1, 0.35): 1, (2, 0.35): 1, (3, 0.35): 1, (4, 0.35): 1, (5, 0.35): 1}

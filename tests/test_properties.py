@@ -151,7 +151,7 @@ def test_text_round_trip_on_handmade_layouts(cb):
 def test_slice_point_has_one_value_wherever_it_is_solved(k, gamma, r_p):
     # alone, as a row of a one-rate curve and as a row of a mixed-rate batch
     bits, law = h_check(gamma, k, r_p)
-    noise = capacity3._noise_bits(k, r_p)
+    noise = capacity3._channel(k, r_p)[1]
     grid = np.sort(np.append(np.linspace(0.0, 1.0, 7), gamma))
     curve = i_tilde_curve(grid, k, r_p)
     assert curve[np.searchsorted(grid, gamma)] == max((bits - noise) / k, 0.0)

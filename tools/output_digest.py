@@ -7,12 +7,13 @@ moves and which stay bitwise.
 Each TREE is a checkout of this repository (default: the one holding this
 script). For each tree a fresh Python process imports `cqclab` from
 TREE/src, computes one fixed set of outputs and hashes it group by group;
-the script prints one line per group and a total, one column per tree.
-Every float is hashed by its exact repr and every array by its dtype, shape
-and bytes, so equal digests mean bitwise-equal outputs. The golden CLI
-cases are the argv lists of tests/golden_cli.json in the checkout holding
-this script, so every tree runs the same commands. One tree takes a few
-seconds.
+the script prints one line per group and a total, one column per tree. It
+exits 1 when any group differs between the trees, and names those groups
+on stderr. Every float is hashed by its exact repr and every array by its
+dtype, shape and bytes, so equal digests mean bitwise-equal outputs. The
+golden CLI cases are the argv lists of tests/golden_cli.json in the
+checkout holding this script, so every tree runs the same commands. One
+tree takes a few seconds.
 """
 
 from __future__ import annotations
@@ -208,15 +209,18 @@ def main() -> None:
     if args.inner:
         return _inner()
     got = {str(t): digest(t.resolve()) for t in args.trees}
+    differ = [g for g in GROUPS if len({d[g] for d in got.values()}) > 1]
     if args.json:
         print(json.dumps(got, indent=2))
-        return
-    cols = list(got)
-    print("group     " + "  ".join(f"{c[-16:]:>16}" for c in cols))
-    for g in (*GROUPS, "total"):
-        shas = [got[c][g] for c in cols]
-        same = "" if len(set(shas)) == 1 else "  differs"
-        print(f"{g:<10}" + "  ".join(f"{s[:16]:>16}" for s in shas) + same)
+    else:
+        cols = list(got)
+        print("group     " + "  ".join(f"{c[-16:]:>16}" for c in cols))
+        for g in (*GROUPS, "total"):
+            shas = [got[c][g] for c in cols]
+            same = "" if len(set(shas)) == 1 else "  differs"
+            print(f"{g:<10}" + "  ".join(f"{s[:16]:>16}" for s in shas) + same)
+    if differ:
+        sys.exit(f"groups that differ: {', '.join(differ)}")
 
 
 if __name__ == "__main__":
